@@ -270,133 +270,147 @@ impl From<Addr> for Ipv6Addr {
 // Parsing (RFC 4291 §2.2)
 // ---------------------------------------------------------------------------
 
+impl Addr {
+    /// Parses RFC 4291 presentation format from ASCII bytes: up to eight
+    /// hex groups separated by `:`, at most one `::` elision, and an
+    /// optional dotted-quad IPv4 tail occupying the final 32 bits. The
+    /// tail may not precede a `::` (so `1.2.3.4::` is rejected, as
+    /// `std::net::Ipv6Addr` rejects it).
+    ///
+    /// One left-to-right scan into eight segments plus the elision's
+    /// group index; nothing is allocated. `FromStr` for [`Addr`] and
+    /// [`crate::Prefix`] delegate to it, so every presentation-format
+    /// address in the workspace goes through this scan. A non-ASCII
+    /// byte is reported as `InvalidCharacter(U+FFFD)`; `str::parse`
+    /// names the actual char.
+    pub fn parse_ascii(b: &[u8]) -> Result<Addr, ParseError> {
+        if b.is_empty() {
+            return Err(ParseError::Empty);
+        }
+        let mut segs = [0u16; 8];
+        let mut n = 0usize; // groups written to `segs`
+        let mut elision: Option<usize> = None; // groups before the `::`
+        let mut i = 0usize;
+        if b.starts_with(b"::") {
+            elision = Some(0);
+            i = 2;
+        }
+        while i < b.len() {
+            let start = i;
+            let mut g: u16 = 0;
+            while let Some(d) = b.get(i).and_then(|&c| hex_digit(c)) {
+                if i - start == 4 {
+                    return Err(ParseError::GroupTooLong);
+                }
+                g = (g << 4) | d;
+                i += 1;
+            }
+            let next = b.get(i).copied();
+            if next == Some(b'.') {
+                // An IPv4 tail ends the address: it must consume the rest
+                // of the input and still leave room for its two groups.
+                let [o0, o1, o2, o3] = parse_v4(b.get(start..).unwrap_or_default())?;
+                if n > 6 {
+                    return Err(ParseError::TooManyGroups);
+                }
+                segs[n] = (u16::from(o0) << 8) | u16::from(o1);
+                segs[n + 1] = (u16::from(o2) << 8) | u16::from(o3);
+                n += 2;
+                break;
+            }
+            if i == start {
+                return Err(match next {
+                    Some(b':') | None => ParseError::StrayColon,
+                    Some(c) => invalid_byte(c),
+                });
+            }
+            if n == 8 {
+                return Err(ParseError::TooManyGroups);
+            }
+            segs[n] = g;
+            n += 1;
+            match next {
+                None => {}
+                Some(b':') if b.get(i + 1) == Some(&b':') => {
+                    if elision.is_some() {
+                        return Err(ParseError::MultipleElisions);
+                    }
+                    elision = Some(n);
+                    i += 2;
+                }
+                // A single ':' must be followed by another group.
+                Some(b':') if i + 1 < b.len() => i += 1,
+                Some(b':') => return Err(ParseError::StrayColon),
+                Some(c) => return Err(invalid_byte(c)),
+            }
+        }
+        match elision {
+            None if n < 8 => Err(ParseError::TooFewGroups),
+            None => Ok(Addr::from_segments(segs)),
+            // "::" always stands for at least one zero group.
+            Some(_) if n > 7 => Err(ParseError::TooManyGroups),
+            Some(k) => {
+                // Slide the groups after the elision to the end.
+                segs[k..].rotate_right(8 - n);
+                Ok(Addr::from_segments(segs))
+            }
+        }
+    }
+}
+
 impl FromStr for Addr {
     type Err = ParseError;
 
-    /// Parses RFC 4291 presentation format: up to eight hex groups
-    /// separated by `:`, at most one `::` elision, and an optional
-    /// dotted-quad IPv4 tail occupying the final 32 bits.
+    /// Parses RFC 4291 presentation format; see [`Addr::parse_ascii`].
     fn from_str(s: &str) -> Result<Addr, ParseError> {
-        parse_addr(s)
+        Addr::parse_ascii(s.as_bytes()).map_err(|e| match e {
+            // The scan stops at the first non-ASCII byte: name its char.
+            ParseError::InvalidCharacter(char::REPLACEMENT_CHARACTER) => s
+                .chars()
+                .find(|c| !c.is_ascii())
+                .map_or(e, ParseError::InvalidCharacter),
+            e => e,
+        })
     }
 }
 
-fn parse_addr(s: &str) -> Result<Addr, ParseError> {
-    if s.is_empty() {
-        return Err(ParseError::Empty);
-    }
-    let b = s.as_bytes();
-
-    // Locate the elision "::" if present.
-    let mut elision: Option<usize> = None;
-    let mut i = 0;
-    while i + 1 < b.len() {
-        if b[i] == b':' && b[i + 1] == b':' {
-            if elision.is_some() {
-                return Err(ParseError::MultipleElisions);
-            }
-            elision = Some(i);
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    // "::: " anywhere means two overlapping elisions.
-    if s.contains(":::") {
-        return Err(ParseError::MultipleElisions);
-    }
-
-    let (head, tail) = match elision {
-        Some(pos) => (&s[..pos], &s[pos + 2..]),
-        None => (s, ""),
-    };
-
-    let mut groups_head: Vec<u16> = Vec::with_capacity(8);
-    let mut groups_tail: Vec<u16> = Vec::with_capacity(8);
-    parse_groups(head, &mut groups_head, elision.is_none())?;
-    if elision.is_some() {
-        parse_groups(tail, &mut groups_tail, true)?;
-    }
-
-    let total = groups_head.len() + groups_tail.len();
-    match elision {
-        // "::" always stands for at least one zero group.
-        Some(_) if total > 7 => return Err(ParseError::TooManyGroups),
-        Some(_) => {}
-        None if total > 8 => return Err(ParseError::TooManyGroups),
-        None if total < 8 => return Err(ParseError::TooFewGroups),
-        None => {}
-    }
-
-    let mut segs = [0u16; 8];
-    let fill = 8 - total;
-    for (k, g) in groups_head.iter().enumerate() {
-        segs[k] = *g;
-    }
-    for (k, g) in groups_tail.iter().enumerate() {
-        segs[groups_head.len() + fill + k] = *g;
-    }
-    Ok(Addr::from_segments(segs))
+/// The error for a byte outside the grammar. A non-ASCII byte is only
+/// part of a char, so it is reported as U+FFFD.
+fn invalid_byte(c: u8) -> ParseError {
+    ParseError::InvalidCharacter(if c.is_ascii() {
+        char::from(c)
+    } else {
+        char::REPLACEMENT_CHARACTER
+    })
 }
 
-/// Parses a colon-separated run of hex groups, possibly ending in an IPv4
-/// dotted quad (which contributes two 16-bit groups). `ipv4_allowed` is
-/// true when this run ends the address.
-fn parse_groups(s: &str, out: &mut Vec<u16>, _full_form: bool) -> Result<(), ParseError> {
-    if s.is_empty() {
-        return Ok(());
-    }
-    let parts: Vec<&str> = s.split(':').collect();
-    for (idx, part) in parts.iter().enumerate() {
-        if part.is_empty() {
-            // split artifacts only legal from "::" which was removed.
-            return Err(ParseError::StrayColon);
-        }
-        if part.contains('.') {
-            // IPv4 tail: must be the final part.
-            if idx != parts.len() - 1 {
-                return Err(ParseError::BadIpv4Tail);
-            }
-            let [o0, o1, o2, o3] = parse_v4(part)?;
-            out.push((u16::from(o0) << 8) | u16::from(o1));
-            out.push((u16::from(o2) << 8) | u16::from(o3));
-            return Ok(());
-        }
-        if part.len() > 4 {
-            return Err(ParseError::GroupTooLong);
-        }
-        let mut g: u16 = 0;
-        for c in part.chars() {
-            let d = c.to_digit(16).ok_or(ParseError::InvalidCharacter(c))?;
-            g = (g << 4) | checked_u16(u128::from(d));
-        }
-        out.push(g);
-    }
-    Ok(())
+/// The value of an ASCII hex digit.
+fn hex_digit(c: u8) -> Option<u16> {
+    let d = char::from(c).to_digit(16)?;
+    Some(checked_u16(u128::from(d)))
 }
 
-fn parse_v4(s: &str) -> Result<[u8; 4], ParseError> {
+/// Parses a whole dotted quad: four decimal octets, no leading zeros
+/// (as inet_pton), each at most 255.
+fn parse_v4(b: &[u8]) -> Result<[u8; 4], ParseError> {
     let mut octets = [0u8; 4];
     let mut n = 0;
-    for part in s.split('.') {
+    for part in b.split(|&c| c == b'.') {
         if n == 4 || part.is_empty() || part.len() > 3 {
             return Err(ParseError::BadIpv4Tail);
         }
         // Reject leading zeros ("01") as inet_pton does.
-        if part.len() > 1 && part.starts_with('0') {
+        if part.len() > 1 && part.starts_with(b"0") {
             return Err(ParseError::BadIpv4Tail);
         }
         let mut v: u16 = 0;
-        for c in part.chars() {
-            let d = c.to_digit(10).ok_or(ParseError::BadIpv4Tail)?;
+        for &c in part {
+            let d = char::from(c).to_digit(10).ok_or(ParseError::BadIpv4Tail)?;
             // Widen before the arithmetic: three decimal digits cannot
             // overflow u128, and the narrowing back is checked.
             v = checked_u16(u128::from(v) * 10 + u128::from(d));
-            if v > 255 {
-                return Err(ParseError::BadIpv4Tail);
-            }
         }
-        octets[n] = checked_u8(u128::from(v));
+        octets[n] = u8::try_from(v).map_err(|_| ParseError::BadIpv4Tail)?;
         n += 1;
     }
     if n != 4 {
@@ -528,9 +542,27 @@ mod tests {
             "2001:db8::1 ",
             " 2001:db8::1",
             "2001:db8:::1",
+            "1.2.3.4::",
+            "1:2:3:4:5:1.2.3.4::",
         ] {
             assert!(bad.parse::<Addr>().is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn invalid_characters_are_named() {
+        assert_eq!(
+            "2001:db8::g".parse::<Addr>(),
+            Err(ParseError::InvalidCharacter('g'))
+        );
+        assert_eq!(
+            "2001:db8::é".parse::<Addr>(),
+            Err(ParseError::InvalidCharacter('é'))
+        );
+        assert_eq!(
+            Addr::parse_ascii("2001:db8::é".as_bytes()),
+            Err(ParseError::InvalidCharacter(char::REPLACEMENT_CHARACTER))
+        );
     }
 
     #[test]

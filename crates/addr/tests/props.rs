@@ -275,6 +275,80 @@ fn parser_handles_garbage() {
     }
 }
 
+/// The parser agrees with `std::net::Ipv6Addr` on `s`: both accept it
+/// with the same value, or both reject it.
+fn assert_parse_matches_std(s: &str, what: &str) {
+    let ours = s.parse::<Addr>().ok();
+    let std = s.parse::<Ipv6Addr>().ok().map(Addr::from);
+    assert_eq!(ours, std, "{what}: {s:?}");
+}
+
+/// One address written the ways a log line may spell it: canonical
+/// (RFC 5952), upper case, full eight groups with leading zeros, and
+/// six groups plus a dotted-quad IPv4 tail for the last 32 bits.
+fn spellings(a: Addr) -> [String; 4] {
+    let segs = a.segments();
+    let full = segs.map(|g| format!("{g:04x}")).join(":");
+    let six: Vec<String> = segs[..6].iter().map(|g| format!("{g:x}")).collect();
+    let [o0, o1, o2, o3] = a.v4_in_low32();
+    [
+        a.to_string(),
+        full.to_uppercase(),
+        full,
+        format!("{}:{o0}.{o1}.{o2}.{o3}", six.join(":")),
+    ]
+}
+
+#[test]
+fn parser_agrees_with_std_on_garbage() {
+    // Weighted towards the separators, where the grammar's edge cases
+    // (elisions, stray colons, IPv4 tails) live.
+    let alphabet: &[u8] = b"0123456789abcdefABCDEF::::::::....";
+    let mut g = Gen::new(16);
+    for _case in 0..60_000 {
+        let len = g.below(24) as usize;
+        let s: String = (0..len)
+            .map(|_| alphabet[g.below(alphabet.len() as u64) as usize] as char)
+            .collect();
+        assert_parse_matches_std(&s, "garbage");
+    }
+}
+
+#[test]
+fn parser_agrees_with_std_on_spellings_and_their_mutants() {
+    let alphabet: &[u8] = b"0123456789abcdefABCDEF:.";
+    let mut g = Gen::new(17);
+    for case in 0..6_000 {
+        let a = Addr(g.addr_bits());
+        // The compressed head plus an IPv4 tail: valid only when the
+        // elision still stands for a zero group, so std decides.
+        let [o0, o1, o2, o3] = a.v4_in_low32();
+        let head = Addr(a.0 >> 32 << 32);
+        assert_parse_matches_std(&format!("{head}{o0}.{o1}.{o2}.{o3}"), "compressed tail");
+        for text in spellings(a) {
+            assert_eq!(text.parse::<Addr>(), Ok(a), "case {case}: {text:?}");
+            assert_parse_matches_std(&text, "spelling");
+            // One-character insertions, deletions and substitutions walk
+            // the boundary between valid and invalid input.
+            for _ in 0..4 {
+                let mut b = text.clone().into_bytes();
+                let at = g.below(b.len() as u64 + 1) as usize;
+                let c = alphabet[g.below(alphabet.len() as u64) as usize];
+                match g.below(3) {
+                    0 => b.insert(at, c),
+                    1 if at < b.len() => {
+                        b.remove(at);
+                    }
+                    _ if at < b.len() => b[at] = c,
+                    _ => b.push(c),
+                }
+                let mutant = String::from_utf8(b).unwrap();
+                assert_parse_matches_std(&mutant, "mutant");
+            }
+        }
+    }
+}
+
 #[test]
 fn ip6_arpa_roundtrip() {
     let mut g = Gen::new(15);

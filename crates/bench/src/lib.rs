@@ -1,7 +1,7 @@
 //! Shared harness for the experiment regenerators (one binary per paper
 //! table/figure) and the microbenchmarks.
 //!
-//! Every binary accepts `--scale <f64>` (default 0.25; 1.0 ≈ 1/1000 of
+//! Every binary accepts `--scale <f64>` (default 0.25; 1.0 ≈ 1/650 of
 //! the paper's population), `--seed <u64>`, and `--out <dir>` (write
 //! TSV/report files next to printing them).
 
@@ -17,7 +17,7 @@ use v6census_synth::{World, WorldConfig};
 /// Command-line options shared by all regenerator binaries.
 #[derive(Clone, Debug)]
 pub struct Opts {
-    /// Population scale (1.0 ≈ 1/1000 of the paper).
+    /// Population scale (1.0 ≈ 1/650 of the paper).
     pub scale: f64,
     /// World seed.
     pub seed: u64,

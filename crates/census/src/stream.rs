@@ -857,8 +857,11 @@ impl StreamIngestor {
         })
     }
 
-    /// Reads one file line-by-line (bounded memory: one line buffered at
-    /// a time) and parses header, data lines, and trailer.
+    /// Reads one file line by line (bounded memory: one reused line
+    /// buffer) and parses header, data lines, and trailer. A data line
+    /// costs one `read_until`, the UTF-8 check `read_line` would make,
+    /// and one left-to-right field scan ([`next_field`]) feeding
+    /// [`Addr::parse_ascii`]; only a bad line allocates (its report).
     fn read_and_parse(&self, path: &Path) -> io::Result<FileParse> {
         let file = self.cfg.vfs.open_read(path)?;
         let mut reader = io::BufReader::new(file);
@@ -870,70 +873,108 @@ impl StreamIngestor {
             data_lines: 0,
             bad: Vec::new(),
         };
-        let mut buf = String::new();
+        let mut buf: Vec<u8> = Vec::new();
         let mut line_no = 0usize;
         loop {
             buf.clear();
-            if reader.read_line(&mut buf)? == 0 {
+            if reader.read_until(b'\n', &mut buf)? == 0 {
                 break;
             }
             line_no += 1;
-            let line = buf.trim_end_matches('\n');
-            let t = line.trim();
-            if t.is_empty() {
+            let line = std::str::from_utf8(&buf).map_err(|_| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "stream did not contain valid UTF-8",
+                )
+            })?;
+            let (first, rest) = next_field(line);
+            if first.is_empty() {
                 continue;
             }
-            if let Some(c) = t.strip_prefix('#') {
+            if first.starts_with('#') {
+                let t = line.trim();
                 if line_no == 1 {
                     if let Some((day, n)) = parse_header(t) {
                         parse.header_day = Some(day);
                         parse.declared = Some(n);
+                        parse.entries.reserve(n.min(MAX_RESERVED_ENTRIES));
                     }
-                } else if let Some(rest) = c.trim().strip_prefix("end ") {
-                    let mut cols = rest.split_whitespace();
-                    if let (Some(Ok(n)), Some(Ok(h))) = (
-                        cols.next().map(str::parse::<usize>),
-                        cols.next().map(str::parse::<u64>),
-                    ) {
+                } else if let Some(end) = t
+                    .strip_prefix('#')
+                    .and_then(|c| c.trim().strip_prefix("end "))
+                {
+                    let (n, end) = next_field(end);
+                    let (h, _) = next_field(end);
+                    if let (Ok(n), Ok(h)) = (n.parse::<usize>(), h.parse::<u64>()) {
                         parse.trailer = Some((n, h));
                     }
                 }
                 continue;
             }
             parse.data_lines += 1;
-            let mut cols = t.split_whitespace();
-            let addr_s = cols.next().unwrap_or("");
-            let addr = match addr_s.parse::<Addr>() {
-                Ok(a) => a,
-                Err(_) => {
-                    parse.bad.push(IngestError::BadLine {
-                        path: path.to_path_buf(),
-                        line: line_no,
-                        content: clip(t),
-                        reason: "unparseable address".into(),
-                    });
+            let (hits, _) = next_field(rest);
+            let hits = if hits.is_empty() {
+                Ok(1)
+            } else {
+                hits.parse::<u64>()
+            };
+            let reason = match (Addr::parse_ascii(first.as_bytes()), hits) {
+                (Ok(addr), Ok(hits)) => {
+                    parse.entries.push((addr, hits));
                     continue;
                 }
+                (Err(_), _) => "unparseable address",
+                (Ok(_), Err(_)) => "unparseable hits column",
             };
-            let hits = match cols.next() {
-                None => 1,
-                Some(h) => match h.parse::<u64>() {
-                    Ok(v) => v,
-                    Err(_) => {
-                        parse.bad.push(IngestError::BadLine {
-                            path: path.to_path_buf(),
-                            line: line_no,
-                            content: clip(t),
-                            reason: "unparseable hits column".into(),
-                        });
-                        continue;
-                    }
-                },
-            };
-            parse.entries.push((addr, hits));
+            parse.bad.push(IngestError::BadLine {
+                path: path.to_path_buf(),
+                line: line_no,
+                content: clip(line.trim()),
+                reason: reason.into(),
+            });
         }
         Ok(parse)
     }
+}
+
+/// The most entries a day header's declared count reserves up front:
+/// a header that lies cannot force a larger allocation than this.
+const MAX_RESERVED_ENTRIES: usize = 1 << 18;
+
+/// Splits the first whitespace-separated field off `s`: returns the
+/// field (empty when `s` is all whitespace) and the rest after it.
+/// Whitespace is exactly `char::is_whitespace`, the set `str::trim` and
+/// `split_whitespace` use: ASCII `\t \n \x0B \x0C \r` and space (U+000B
+/// is one `u8::is_ascii_whitespace` misses) plus Unicode's White_Space.
+/// ASCII bytes are classified as bytes; only a non-ASCII byte decodes
+/// its char.
+fn next_field(s: &str) -> (&str, &str) {
+    let (_, s) = s.split_at(run_len(s, true));
+    s.split_at(run_len(s, false))
+}
+
+/// The byte length of the leading run of `s` whose chars are all
+/// whitespace (`ws`) or all not.
+fn run_len(s: &str, ws: bool) -> usize {
+    let b = s.as_bytes();
+    let mut i = 0;
+    while let Some(&c) = b.get(i) {
+        let (is_ws, len) = if c.is_ascii() {
+            (matches!(c, b'\t'..=b'\r' | b' '), 1)
+        } else {
+            // `i` always sits on a char boundary: ASCII steps by 1,
+            // everything else by its char's UTF-8 length.
+            match s.get(i..).and_then(|r| r.chars().next()) {
+                Some(ch) => (ch.is_whitespace(), ch.len_utf8()),
+                None => (false, 1),
+            }
+        };
+        if is_ws != ws {
+            break;
+        }
+        i += len;
+    }
+    i
 }
 
 fn clip(s: &str) -> String {
@@ -1209,6 +1250,194 @@ mod tests {
         ]);
         assert_eq!(grouped["truncated"], 2);
         assert_eq!(grouped["missing-day"], 1);
+    }
+
+    /// A day file exercising every line shape the reader distinguishes:
+    /// CRLF endings, separators outside ASCII's own whitespace set
+    /// (U+000B, U+00A0, U+0085, U+1680), whitespace-only lines, an
+    /// address-only line, a mid-file comment, a long bad line, and the
+    /// `synth::faults` corrupt lines.
+    fn pinned_day_file() -> Vec<u8> {
+        use v6census_synth::{Fault, FaultInjector};
+        let day = Day::from_ymd(2015, 3, 17);
+        let mut clean = format!("# synthetic day {day}: 23 unique client addrs\n");
+        clean.push_str("# addr\thits\ttrue_kind\n");
+        for k in 1..=12u32 {
+            let _ = writeln!(clean, "2001:db8:{k:x}::{k:x}\t{}\tcpe", 3 * k);
+        }
+        let corrupt = FaultInjector::new(7)
+            .apply(day, &clean, &Fault::CorruptLines { count: 4 })
+            .unwrap_or_default();
+        let mut lines: Vec<String> = corrupt.lines().map(String::from).collect();
+        lines.extend(
+            [
+                "2001:db8:a::1\u{0B}5",
+                "2001:db8:a::2\u{A0}6\tcpe",
+                "   \t ",
+                "\u{0B}\u{A0}\u{3000}",
+                "",
+                "2001:db8:a::3",
+                "\u{A0} 2001:db8:a::4\t9 \u{2003}",
+                "2001:db8:a::5\u{1680}x",
+                "2001:db8:a::6\u{85}7",
+                "2001:db8:a::7\u{200B}8",
+                "2001:db8:a::8\u{0C}10\u{0B}extra",
+                "é2001:db8::1\t1",
+                "# a comment in the middle",
+                "   # an indented comment",
+                "\tABCD:0DB8:0:0:0:0:0:9\t11",
+            ]
+            .map(String::from),
+        );
+        lines.push(format!("zz:{}\t1", "é".repeat(40)));
+        lines.push("# end 23 0".into());
+        (lines.join("\r\n") + "\r\n").into_bytes()
+    }
+
+    fn mem_ingestor(files: &[(&str, Vec<u8>)]) -> StreamIngestor {
+        let files = files
+            .iter()
+            .map(|(name, bytes)| (PathBuf::from(name), bytes.clone()))
+            .collect();
+        StreamIngestor::new(IngestConfig {
+            max_bad_ratio: 0.5,
+            vfs: Arc::new(vfs::MemFs::from_durable(files, Default::default())),
+            ..IngestConfig::default()
+        })
+    }
+
+    #[test]
+    fn read_and_parse_is_pinned_on_every_line_shape() {
+        let path = Path::new("2015-03-17.log");
+        let ingestor = mem_ingestor(&[("2015-03-17.log", pinned_day_file())]);
+        let parse = ingestor.read_and_parse(path).unwrap();
+        assert_eq!(parse.header_day, Some(Day::from_ymd(2015, 3, 17)));
+        assert_eq!(parse.declared, Some(23));
+        assert_eq!(parse.trailer, Some((23, 0)));
+        assert_eq!(parse.data_lines, 23);
+        let entries: Vec<String> = parse
+            .entries
+            .iter()
+            .map(|(a, h)| format!("{a} {h}"))
+            .collect();
+        assert_eq!(
+            entries,
+            [
+                "2001:db8:1::1 3",
+                "2001:db8:2::2 6",
+                "2001:db8:3::3 9",
+                "2001:db8:4::4 12",
+                "2001:db8:6::6 18",
+                "2001:db8:7::7 21",
+                "2001:db8:a::a 30",
+                "2001:db8:b::b 33",
+                "2001:db8:c::c 36",
+                "2001:db8:a::1 5",
+                "2001:db8:a::2 6",
+                "2001:db8:a::3 1",
+                "2001:db8:a::4 9",
+                "2001:db8:a::6 7",
+                "2001:db8:a::8 10",
+                "abcd:db8::9 11",
+            ]
+        );
+        let bad: Vec<(usize, &str, &str)> = parse
+            .bad
+            .iter()
+            .filter_map(|e| match e {
+                IngestError::BadLine {
+                    line,
+                    content,
+                    reason,
+                    ..
+                } => Some((*line, content.as_str(), reason.as_str())),
+                _ => None,
+            })
+            .collect();
+        let clipped = format!("zz:{}…", "é".repeat(28));
+        assert_eq!(
+            bad,
+            [
+                (
+                    7,
+                    "2001:db8:5::5\tbanana\tcorrupt",
+                    "unparseable hits column"
+                ),
+                (
+                    10,
+                    "zz:not:an:addr:0\tbanana\tcorrupt",
+                    "unparseable address"
+                ),
+                (11, "zz:not:an:addr:2\t7\tcorrupt", "unparseable address"),
+                (22, "2001:db8:a::5\u{1680}x", "unparseable hits column"),
+                (24, "2001:db8:a::7\u{200B}8", "unparseable address"),
+                (26, "é2001:db8::1\t1", "unparseable address"),
+                (30, clipped.as_str(), "unparseable address"),
+            ]
+        );
+        assert_eq!(bad.len(), parse.bad.len(), "only BadLine errors");
+
+        let parsed = ingestor.parse_file(path).unwrap();
+        assert_eq!(parsed.report.outcome, FileOutcome::Ingested);
+        assert_eq!(parsed.report.data_lines, 23);
+        assert_eq!(parsed.report.bad_lines, 7);
+        assert_eq!(parsed.report.errors, parse.bad);
+        assert_eq!(parsed.checkpoint_entries, Some(parse.entries));
+    }
+
+    #[test]
+    fn next_field_splits_like_split_whitespace() {
+        // Every whitespace class the reader can meet, plus look-alikes
+        // that are not whitespace (U+200B, U+00A1) and multi-byte text.
+        let alphabet = [
+            "a", "1", ":", "\t", " ", "\u{0B}", "\u{0C}", "\r", "\n", "\u{85}", "\u{A0}",
+            "\u{1680}", "\u{2003}", "\u{3000}", "\u{200B}", "\u{A1}", "é",
+        ];
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize
+        };
+        for _ in 0..5_000 {
+            let s: String = (0..next() % 12)
+                .map(|_| alphabet[next() % alphabet.len()])
+                .collect();
+            let mut ours = Vec::new();
+            let mut rest = s.as_str();
+            loop {
+                let (field, r) = next_field(rest);
+                if field.is_empty() {
+                    break;
+                }
+                ours.push(field);
+                rest = r;
+            }
+            let std: Vec<&str> = s.split_whitespace().collect();
+            assert_eq!(ours, std, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn non_utf8_day_file_fails_as_invalid_data() {
+        let mut bytes = b"# synthetic day 2015-03-17: 2 unique client addrs\n".to_vec();
+        bytes.extend_from_slice(b"2001:db8::1\t3\n2001:db8::\xff\t4\n# end 2 7\n");
+        let ingestor = mem_ingestor(&[("2015-03-17.log", bytes)]);
+        let path = Path::new("2015-03-17.log");
+        let e = ingestor.read_and_parse(path).err().unwrap();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        let parsed = ingestor.parse_file(path).unwrap();
+        assert_eq!(parsed.report.outcome, FileOutcome::Failed);
+        assert_eq!(
+            parsed.report.errors,
+            [IngestError::Io {
+                path: path.to_path_buf(),
+                kind: io::ErrorKind::InvalidData,
+                retries: 0,
+                detail: "stream did not contain valid UTF-8".into(),
+            }]
+        );
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The world stands in for the paper's proprietary vantage point (a global
 //! CDN's client logs). Its parameters are sized so that at `scale = 1.0`
-//! the daily/weekly populations are ≈ 1/1000 of the paper's March 2015
-//! numbers, with the same *composition*: the top-5 ASNs carry ~85% of
+//! the daily/weekly populations are ≈ 1/650 of the paper's March 2015
+//! numbers (≈ 485 K against ≈ 318 M "Other" addresses a day), with the same *composition*: the top-5 ASNs carry ~85% of
 //! active /64s; two of them are mobile carriers with dynamic /64 pools;
 //! legacy 6to4/Teredo/ISATAP traffic rides alongside; and growth between
 //! the three study epochs (Mar 2014, Sep 2014, Mar 2015) follows the
@@ -20,8 +20,8 @@ use v6census_trie::PrefixMap;
 pub struct WorldConfig {
     /// Master seed; every derived quantity is a pure function of it.
     pub seed: u64,
-    /// Population scale. `1.0` ≈ 1/1000 of the paper's populations
-    /// (≈ 300 K daily active addresses in March 2015); tests use smaller
+    /// Population scale. `1.0` ≈ 1/650 of the paper's populations
+    /// (≈ 485 K daily "Other" addresses in March 2015); tests use smaller
     /// values.
     pub scale: f64,
 }

@@ -17,9 +17,10 @@
 //!   common-prefix lengths, and per-aggregate population counts for the
 //!   Kohler-style distribution plots.
 //!
-//! The trie and the sort-based path compute identical answers; the
-//! `densify` Criterion bench and property tests in this crate assert that
-//! equivalence, which DESIGN.md lists as an ablation.
+//! The trie and the sort-based path compute identical answers: the
+//! property tests in this crate assert that equivalence, and the
+//! `densify` microbenchmark in `crates/bench` times both — the ablation
+//! DESIGN.md lists.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
