@@ -3,14 +3,15 @@
 //! The serve daemon's crash story used to be demonstrated at a handful
 //! of hand-picked points (SIGKILL after publish, one torn journal).
 //! Real durability bugs live in the gaps. This harness closes them by
-//! *enumerating every gap*: it runs a full ingest→checkpoint→journal→
-//! publish pipeline against a [`MemFs`] that models the documented
-//! persistence contract (DESIGN.md "Crash consistency": what survives a
-//! crash is fsynced bytes plus completed renames/removals), counts every
-//! durability-relevant mutation of the uninterrupted baseline run, then
-//! replays the run once per mutation ordinal with a crash scheduled at
-//! exactly that operation. At each crash point it inspects the durable
-//! wreckage and runs recovery, asserting the invariants:
+//! *enumerating every gap*: it drives serve's own landing step
+//! (`serve::land_day`: ingest→checkpoint→journal→snapshot) against a
+//! [`MemFs`] that models the documented persistence contract (DESIGN.md
+//! "Crash consistency": what survives a crash is fsynced bytes plus
+//! completed renames/removals), counts every durability-relevant
+//! mutation of the uninterrupted baseline run, then replays the run once
+//! per mutation ordinal with a crash scheduled at exactly that
+//! operation. At each crash point it inspects the durable wreckage and
+//! runs recovery, asserting the invariants:
 //!
 //! 1. **No torn state visible** — the journal restored from the durable
 //!    wreckage parses cleanly and lists a *prefix* of the baseline's
@@ -34,16 +35,15 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use v6census_core::spatial::DensityClass;
-use v6census_core::temporal::{Day, StabilityParams};
+use v6census_core::temporal::Day;
 use v6census_core::vfs::{MemFs, Vfs};
 use v6census_synth::world::epochs;
 use v6census_synth::{World, WorldConfig};
 
 use crate::ingest::Census;
-use crate::serve::{restore_state, write_journal};
+use crate::serve::{land_day, restore_state, ServeConfig};
 use crate::snapshot::Snapshot;
-use crate::stream::{day_from_filename, ErrorMode, FileOutcome, IngestConfig, StreamIngestor};
+use crate::stream::{day_files, file_name, ErrorMode, IngestConfig};
 
 /// Shape of the synthetic run the explorer drives.
 #[derive(Clone, Copy, Debug)]
@@ -120,68 +120,52 @@ impl RunResult {
     }
 }
 
-fn ingest_config(fs: &Arc<MemFs>) -> IngestConfig {
-    IngestConfig {
-        mode: ErrorMode::Strict,
-        checkpoint_dir: Some(state_dir()),
-        resume: true,
-        max_retries: 0,
-        vfs: Arc::clone(fs) as Arc<dyn Vfs>,
-        ..IngestConfig::default()
+/// The daemon configuration the explorer lands days with: strict, so
+/// the first failure — the simulated crash — aborts the run.
+fn serve_config(fs: &Arc<MemFs>) -> ServeConfig {
+    ServeConfig {
+        source_dir: source_dir(),
+        state_dir: Some(state_dir()),
+        ingest: IngestConfig {
+            mode: ErrorMode::Strict,
+            checkpoint_dir: Some(state_dir()),
+            resume: true,
+            max_retries: 0,
+            vfs: Arc::clone(fs) as Arc<dyn Vfs>,
+            ..IngestConfig::default()
+        },
+        ..ServeConfig::default()
     }
 }
 
-/// Runs the serve-shaped durability pipeline to completion on `fs`:
-/// restore (sweep + journal + checkpoints), then for each pending source
-/// day parse → commit → checkpoint → journal → snapshot publish. `Err`
-/// carries the first failure rendered — under a crash schedule that is
-/// the simulated crash surfacing as a typed I/O error.
+/// Runs serve's durability pipeline to completion on `fs`: restore
+/// (sweep + journal + checkpoints), then `land_day` for each pending
+/// source day — serve's own parse → commit → checkpoint → journal →
+/// snapshot step. `Err` carries the first failure rendered — under a
+/// crash schedule that is the simulated crash surfacing as a typed I/O
+/// error.
 fn run_pipeline(fs: &Arc<MemFs>) -> Result<RunResult, String> {
+    let cfg = serve_config(fs);
     let state = state_dir();
-    let source = source_dir();
-    let params = StabilityParams::nd(3);
-    let dense = DensityClass::new(8, 64);
 
     let restore = restore_state(fs.as_ref(), &state);
     let mut census = restore.census;
     let restored = restore.restored.clone();
     let mut committed = restore.restored;
-    let mut generations = vec![Snapshot::build(census.clone(), params, dense).generation];
+    let mut generations =
+        vec![Snapshot::build(census.clone(), cfg.params, cfg.dense_class).generation];
 
-    let ingestor = StreamIngestor::new(ingest_config(fs));
-    let mut pending: Vec<(Day, PathBuf)> = Vec::new();
-    let entries = fs
-        .read_dir(&source)
-        .map_err(|e| format!("source scan failed: {e}"))?;
-    for path in entries {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        if let Some(day) = day_from_filename(&name) {
-            if !census.has_day(day) {
-                pending.push((day, path));
-            }
-        }
-    }
-    pending.sort();
-
+    let mut pending =
+        day_files(fs.as_ref(), &cfg.source_dir).map_err(|e| format!("source scan failed: {e}"))?;
+    pending.retain(|(day, _)| !census.has_day(*day));
     for (day, path) in pending {
-        let parsed = ingestor
-            .parse_file(&path)
-            .map_err(|e| format!("parse of {day} failed: [{}] {e}", e.label()))?;
-        let report = ingestor
-            .commit_parsed(parsed, &mut census, &mut committed)
-            .map_err(|e| format!("commit of {day} failed: [{}] {e}", e.label()))?;
-        if !matches!(
-            report.outcome,
-            FileOutcome::Ingested | FileOutcome::FromCheckpoint
-        ) {
+        let (report, published) = land_day(&cfg, &path, &mut census, &mut committed)
+            .map_err(|e| format!("landing {day} failed: [{}] {e}", e.label()))?;
+        let Some((snapshot, journal)) = published else {
             return Err(format!("day {day} not committed ({:?})", report.outcome));
-        }
-        write_journal(fs.as_ref(), &state, &committed)
-            .map_err(|e| format!("journal write after {day} failed: {e}"))?;
-        generations.push(Snapshot::build(census.clone(), params, dense).generation);
+        };
+        journal.map_err(|e| format!("journal write after {day} failed: {e}"))?;
+        generations.push(snapshot.generation);
     }
 
     Ok(RunResult {
@@ -282,10 +266,7 @@ pub fn explore(cfg: &CrashTestConfig) -> CrashReport {
             if !path.starts_with(state_dir()) {
                 continue;
             }
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
+            let name = file_name(path);
             if v6census_core::vfs::is_stale_tmp(&name) {
                 continue; // aborted-write leftover; recovery sweeps it
             }

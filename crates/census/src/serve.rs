@@ -56,8 +56,8 @@ use crate::ingest::{Census, DaySummary};
 use crate::routing::RoutingTable;
 use crate::snapshot::{Snapshot, SnapshotCell};
 use crate::stream::{
-    checkpoint_path, day_from_filename, load_checkpoint, sweep_stale_tmp, FileOutcome,
-    IngestConfig, IngestError, StreamIngestor,
+    checkpoint_path, day_files, day_from_filename, load_checkpoint, sweep_stale_tmp, FileOutcome,
+    FileReport, IngestConfig, IngestError, StreamIngestor,
 };
 
 /// The daemon's single monotonic clock read: header deadlines, drain
@@ -1136,7 +1136,6 @@ fn nap(shared: &Arc<Shared>, total: Duration) {
 }
 
 fn ingest_loop(shared: &Arc<Shared>, mut census: Census, mut committed: Vec<Day>) {
-    let ingestor = StreamIngestor::new(shared.cfg.ingest.clone());
     // Per-file failure counts; a file past `max_retries` is quarantined.
     let mut failures: BTreeMap<PathBuf, u32> = BTreeMap::new();
     let max_retries = shared.cfg.ingest.max_retries;
@@ -1144,29 +1143,23 @@ fn ingest_loop(shared: &Arc<Shared>, mut census: Census, mut committed: Vec<Day>
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let mut pending = scan_source(
-            shared.cfg.ingest.vfs.as_ref(),
-            &shared.cfg.source_dir,
-            &census,
-        );
-        pending.retain(|(_, path)| failures.get(path).copied().unwrap_or(0) <= max_retries);
+        // An unreadable source dir is an empty scan; the next poll retries.
+        let mut pending =
+            day_files(shared.cfg.ingest.vfs.as_ref(), &shared.cfg.source_dir).unwrap_or_default();
+        pending.retain(|(day, path)| {
+            !census.has_day(*day) && failures.get(path).copied().unwrap_or(0) <= max_retries
+        });
         let mut backoff_after_error = false;
         for (day, path) in pending {
             if shared.shutdown.load(Ordering::Acquire) {
                 return;
             }
-            match ingest_one(&ingestor, &path, &mut census, &mut committed) {
-                Ok(true) => {
+            match land_day(&shared.cfg, &path, &mut census, &mut committed) {
+                Ok((_, Some((next, journal)))) => {
                     failures.remove(&path);
-                    if let Some(state) = &shared.cfg.state_dir {
-                        if let Err(e) =
-                            write_journal(shared.cfg.ingest.vfs.as_ref(), state, &committed)
-                        {
-                            shared.log(&format!("journal write failed: {e}"));
-                        }
+                    if let Err(e) = journal {
+                        shared.log(&format!("journal write failed: {e}"));
                     }
-                    let next =
-                        Snapshot::build(census.clone(), shared.cfg.params, shared.cfg.dense_class);
                     let generation = shared.cell.publish(next);
                     ServeMetrics::bump(&shared.metrics.ingested_days);
                     shared.ready.store(true, Ordering::Release);
@@ -1174,7 +1167,7 @@ fn ingest_loop(shared: &Arc<Shared>, mut census: Census, mut committed: Vec<Day>
                         "ingested {day}, published generation {generation}"
                     ));
                 }
-                Ok(false) => {
+                Ok((_, None)) => {
                     // Structurally bad file (error budget, truncation,
                     // duplicate): permanently quarantined — rescans must
                     // not retry a poisoned file forever.
@@ -1221,42 +1214,40 @@ fn ingest_loop(shared: &Arc<Shared>, mut census: Census, mut committed: Vec<Day>
     }
 }
 
-/// Day files in the source dir not yet in the census, ascending by day.
-fn scan_source(fs: &dyn Vfs, dir: &Path, census: &Census) -> Vec<(Day, PathBuf)> {
-    let mut out: Vec<(Day, PathBuf)> = Vec::new();
-    let Ok(entries) = fs.read_dir(dir) else {
-        return out;
-    };
-    for path in entries {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        if let Some(day) = day_from_filename(&name) {
-            if !census.has_day(day) {
-                out.push((day, path));
-            }
-        }
-    }
-    out.sort();
-    out
-}
+/// A landed day's next snapshot and its journal write's result.
+pub(crate) type Published = (Snapshot, io::Result<()>);
 
-/// Parses and commits one day file. `Ok(true)`: committed (checkpoint
-/// written when configured). `Ok(false)`: the file is structurally bad
-/// and was *not* committed. `Err`: a typed failure worth retrying.
-fn ingest_one(
-    ingestor: &StreamIngestor,
+/// Lands one day file: parse → commit (and its checkpoint) → journal
+/// rewrite (when a state dir is set) → next snapshot. The one landing
+/// step, shared by the daemon's ingest loop and the crash explorer.
+///
+/// `Ok((report, Some((snapshot, journal))))`: the day entered the
+/// census; `journal` is the journal write's result, for the caller to
+/// judge (serve logs a failure and publishes anyway, the explorer treats
+/// it as the crash). `Ok((report, None))`: the file is structurally bad
+/// (budget, truncation, duplicate) and was *not* committed. `Err`: a
+/// typed failure worth retrying.
+pub(crate) fn land_day(
+    cfg: &ServeConfig,
     path: &Path,
     census: &mut Census,
     committed: &mut Vec<Day>,
-) -> Result<bool, IngestError> {
+) -> Result<(FileReport, Option<Published>), IngestError> {
+    let ingestor = StreamIngestor::new(cfg.ingest.clone());
     let parsed = ingestor.parse_file(path)?;
     let report = ingestor.commit_parsed(parsed, census, committed)?;
-    Ok(matches!(
+    if !matches!(
         report.outcome,
         FileOutcome::Ingested | FileOutcome::FromCheckpoint
-    ))
+    ) {
+        return Ok((report, None));
+    }
+    let journal = match &cfg.state_dir {
+        Some(state) => write_journal(cfg.ingest.vfs.as_ref(), state, committed),
+        None => Ok(()),
+    };
+    let snapshot = Snapshot::build(census.clone(), cfg.params, cfg.dense_class);
+    Ok((report, Some((snapshot, journal))))
 }
 
 #[cfg(test)]
@@ -1307,13 +1298,15 @@ mod tests {
         )
         .unwrap();
         assert!(load_journal(&RealFs, &journal_path(&dir)).is_err());
-        // Garbage day line.
-        std::fs::write(
-            journal_path(&dir),
-            "# v6census serve journal v1\nnot-a-day\n# end 1\n",
-        )
-        .unwrap();
-        assert!(load_journal(&RealFs, &journal_path(&dir)).is_err());
+        // Garbage day lines, an impossible calendar date among them.
+        for line in ["not-a-day", "2015-02-30"] {
+            std::fs::write(
+                journal_path(&dir),
+                format!("# v6census serve journal v1\n{line}\n# end 1\n"),
+            )
+            .unwrap();
+            assert!(load_journal(&RealFs, &journal_path(&dir)).is_err());
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1336,6 +1329,50 @@ mod tests {
         assert!(out.census.has_day(d0));
         assert!(!out.census.has_day(d0 + 1));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn late_day_lands_as_out_of_order() {
+        use crate::stream::ErrorMode;
+        use v6census_core::vfs::MemFs;
+        use v6census_synth::{world::epochs, World, WorldConfig};
+        let fs = Arc::new(MemFs::new());
+        let world = World::standard(WorldConfig {
+            seed: 5,
+            scale: 0.001,
+        });
+        let d = epochs::mar2015();
+        let paths = world
+            .emit_day_logs(fs.as_ref(), Path::new("/src"), d, 2)
+            .unwrap();
+        for mode in [ErrorMode::Lenient, ErrorMode::Strict] {
+            let cfg = ServeConfig {
+                ingest: IngestConfig {
+                    mode,
+                    vfs: fs.clone(),
+                    ..IngestConfig::default()
+                },
+                ..ServeConfig::default()
+            };
+            let (mut census, mut committed) = (Census::new_empty(), Vec::new());
+            let (_, next) = land_day(&cfg, &paths[1], &mut census, &mut committed).unwrap();
+            assert!(next.is_some(), "day d+1 lands first");
+            let late = land_day(&cfg, &paths[0], &mut census, &mut committed);
+            if mode == ErrorMode::Strict {
+                assert_eq!(late.err().map(|e| e.label()), Some("out-of-order-day"));
+                assert!(!census.has_day(d));
+                continue;
+            }
+            // Lenient: late data is still data — committed, anomaly recorded.
+            let (report, next) = late.unwrap();
+            assert_eq!(report.outcome, FileOutcome::Ingested);
+            assert!(matches!(
+                report.errors.as_slice(),
+                [IngestError::OutOfOrderDay { day, after }] if *day == d && *after == d + 1
+            ));
+            assert_eq!(next.map(|(snapshot, _)| snapshot.generation), Some(2));
+            assert_eq!(committed, vec![d + 1, d]);
+        }
     }
 
     #[test]

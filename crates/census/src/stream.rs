@@ -12,9 +12,16 @@
 //! * [`IngestConfig`] — the error budget (`max_bad_ratio`), strict /
 //!   lenient modes, retry-with-backoff for transient I/O, duplicate-day
 //!   policy, and checkpointing for `--resume`.
-//! * [`StreamIngestor`] — reads files line-by-line in bounded memory,
-//!   validates the header and the `# end` integrity trailer, and builds
-//!   a [`Census`] plus a per-day [`IngestReport`] health report.
+//! * [`StreamIngestor`] — reads one file line-by-line in bounded memory,
+//!   validates the header and the `# end` integrity trailer
+//!   ([`StreamIngestor::parse_file`]), and commits it into a [`Census`]
+//!   ([`StreamIngestor::commit_parsed`]).
+//! * `day_files` — the one listing of a directory's day files.
+//!
+//! Two drivers sit on top: [`crate::supervisor::ingest_dir`] ingests a
+//! whole directory into a per-day [`IngestReport`] health report (the
+//! `census` command and [`crate::supervisor::run_census`]), and serve
+//! lands one day at a time as files arrive.
 //!
 //! Checkpoints are one file per ingested day (written atomically via
 //! temp-file + rename), holding the parsed `(address, hits)` entries.
@@ -23,6 +30,7 @@
 //! not just similar.
 
 use crate::ingest::{Census, DaySummary};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -93,7 +101,8 @@ pub enum IngestError {
         path: PathBuf,
     },
     /// A file's day precedes one already ingested (streaming order
-    /// violation; only possible via [`StreamIngestor::ingest_paths`]).
+    /// violation; only serve can see it, when a late file lands after
+    /// later days — a directory ingest commits in day order).
     OutOfOrderDay {
         /// The late-arriving day.
         day: Day,
@@ -325,10 +334,31 @@ pub fn day_from_filename(name: &str) -> Option<Day> {
     let y: i32 = name.get(0..4)?.parse().ok()?;
     let m: u8 = name.get(5..7)?.parse().ok()?;
     let d: u8 = name.get(8..10)?.parse().ok()?;
-    if !(1..=12).contains(&m) || !(1..=31).contains(&d) {
-        return None;
-    }
-    Some(Day::from_ymd(y, m, d))
+    Day::try_from_ymd(y, m, d)
+}
+
+/// A path's file name, lossily decoded (empty when it has none).
+pub(crate) fn file_name(path: &Path) -> Cow<'_, str> {
+    path.file_name()
+        .map(|n| n.to_string_lossy())
+        .unwrap_or_default()
+}
+
+/// The day a path's file name carries (its leading `YYYY-MM-DD`).
+pub(crate) fn day_of_path(path: &Path) -> Option<Day> {
+    day_from_filename(&file_name(path))
+}
+
+/// The day files directly under `dir` — entries whose name starts with
+/// a valid `YYYY-MM-DD` — sorted by day, then path.
+pub(crate) fn day_files(fs: &dyn Vfs, dir: &Path) -> io::Result<Vec<(Day, PathBuf)>> {
+    let mut files: Vec<(Day, PathBuf)> = fs
+        .read_dir(dir)?
+        .into_iter()
+        .filter_map(|path| Some((day_of_path(&path)?, path)))
+        .collect();
+    files.sort();
+    Ok(files)
 }
 
 /// Parses a day-log header: `# synthetic day YYYY-MM-DD: N unique ...`.
@@ -496,120 +526,22 @@ impl StreamIngestor {
         StreamIngestor { cfg }
     }
 
-    /// Ingests every `*.log`-style day file under `dir`, in day order.
-    /// In lenient mode the `Err` arm is unreachable; in strict mode the
-    /// first error aborts.
-    pub fn ingest_dir(&self, dir: &Path) -> Result<IngestReport, IngestError> {
-        let entries = self.cfg.vfs.read_dir(dir).map_err(|e| IngestError::Io {
-            path: dir.to_path_buf(),
-            kind: e.kind(),
-            retries: 0,
-            detail: e.to_string(),
-        })?;
-        let mut paths: Vec<(Day, PathBuf)> = Vec::new();
-        for path in entries {
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            if let Some(day) = day_from_filename(&name) {
-                paths.push((day, path));
-            }
-        }
-        paths.sort();
-        self.ingest_paths(paths.into_iter().map(|(_, p)| p).collect())
-    }
-
-    /// Ingests an explicit file list in the given order (the streaming
-    /// case: late or out-of-order deliveries are detected, not assumed
-    /// away by sorting).
-    pub fn ingest_paths(&self, paths: Vec<PathBuf>) -> Result<IngestReport, IngestError> {
-        let mut census = Census::new_empty();
-        let mut files = Vec::new();
-        let mut ingested_days: Vec<Day> = Vec::new();
-        // Sweep aborted-write leftovers before resume can see them. A
-        // failed sweep is not fatal — the stale files simply survive
-        // until the next run.
-        let stale_tmp_removed = match &self.cfg.checkpoint_dir {
-            Some(dir) => sweep_stale_tmp(self.cfg.vfs.as_ref(), dir).unwrap_or(0),
-            None => 0,
-        };
-        for path in paths {
-            if self
-                .cfg
-                .max_days
-                .is_some_and(|limit| ingested_days.len() >= limit)
-            {
-                let day = day_from_filename(
-                    &path
-                        .file_name()
-                        .map(|n| n.to_string_lossy().into_owned())
-                        .unwrap_or_default(),
-                )
-                .unwrap_or(Day(0));
-                files.push(FileReport {
-                    path,
-                    day,
-                    data_lines: 0,
-                    bad_lines: 0,
-                    outcome: FileOutcome::Skipped,
-                    errors: Vec::new(),
-                });
-                continue;
-            }
-            let report = self.ingest_one(&path, &mut census, &mut ingested_days)?;
-            files.push(report);
-        }
-        let gaps = match (ingested_days.iter().min(), ingested_days.iter().max()) {
-            (Some(&first), Some(&last)) => first
-                .range_inclusive(last)
-                .filter(|d| !census.has_day(*d))
-                .collect(),
-            _ => Vec::new(),
-        };
-        Ok(IngestReport {
-            census,
-            files,
-            gaps,
-            stale_tmp_removed,
-        })
-    }
-
-    /// Processes one file end-to-end: checkpoint short-circuit, retrying
-    /// read, validation, budget, duplicate policy, checkpoint write.
-    fn ingest_one(
-        &self,
-        path: &Path,
-        census: &mut Census,
-        ingested_days: &mut Vec<Day>,
-    ) -> Result<FileReport, IngestError> {
-        let parsed = self.parse_file(path)?;
-        self.commit_parsed(parsed, census, ingested_days)
-    }
-
     /// The census-independent half of ingestion: reads and fully
     /// validates one file (checkpoint short-circuit, retrying read,
     /// header/budget/truncation checks). Parsing many files this way is
     /// embarrassingly parallel — the supervised engine runs one
     /// [`StreamIngestor::parse_file`] per work unit and then applies
     /// [`StreamIngestor::commit_parsed`] serially, in day order, so the
-    /// resulting census is identical to a sequential ingest.
+    /// resulting census is the same at any job count.
     pub fn parse_file(&self, path: &Path) -> Result<ParsedFile, IngestError> {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let file_day = match day_from_filename(&name) {
-            Some(d) => d,
-            None => {
-                let e = IngestError::BadHeader {
-                    path: path.to_path_buf(),
-                    reason: format!("file name {name:?} has no YYYY-MM-DD date"),
-                };
-                return self
-                    .fail(path, Day(0), 0, 0, vec![e])
-                    .map(ParsedFile::failed);
-            }
+        let Some(file_day) = day_of_path(path) else {
+            let e = IngestError::BadHeader {
+                path: path.to_path_buf(),
+                reason: format!("file name {:?} has no YYYY-MM-DD date", file_name(path)),
+            };
+            return self
+                .fail(path, Day(0), 0, 0, vec![e])
+                .map(ParsedFile::failed);
         };
         let mut report = FileReport {
             path: path.to_path_buf(),
@@ -1027,11 +959,7 @@ pub fn sweep_stale_tmp(fs: &dyn Vfs, dir: &Path) -> io::Result<u64> {
     };
     let mut removed = 0u64;
     for path in entries {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        if vfs::is_stale_tmp(&name) {
+        if vfs::is_stale_tmp(&file_name(&path)) {
             fs.remove_file(&path)?;
             removed += 1;
         }
@@ -1132,6 +1060,12 @@ mod tests {
         assert!(day_from_filename("notes.txt").is_none());
         assert!(day_from_filename("2015-13-01.log").is_none());
         assert!(day_from_filename("20150317").is_none());
+        assert!(day_from_filename("2015-02-29.log").is_none());
+        assert!(day_from_filename("2015-04-31.log").is_none());
+        assert_eq!(
+            day_from_filename("2016-02-29.log"),
+            Some(Day::from_ymd(2016, 2, 29))
+        );
     }
 
     #[test]
@@ -1304,6 +1238,37 @@ mod tests {
             vfs: Arc::new(vfs::MemFs::from_durable(files, Default::default())),
             ..IngestConfig::default()
         })
+    }
+
+    #[test]
+    fn impossible_calendar_dates_are_not_days() {
+        let ingestor = mem_ingestor(&[
+            (
+                "/logs/2015-04-31.log",
+                b"# synthetic day 2015-04-31: 0\n".to_vec(),
+            ),
+            ("/logs/notes.txt", Vec::new()),
+            (
+                "/logs/2015-02-28.log",
+                b"# synthetic day 2015-02-30: 1 unique\n2001:db8::1\t1\n# end 1 1\n".to_vec(),
+            ),
+        ]);
+        // Such a file name is skipped like any non-day name...
+        let files = day_files(ingestor.cfg.vfs.as_ref(), Path::new("/logs")).unwrap();
+        let feb28 = PathBuf::from("/logs/2015-02-28.log");
+        assert_eq!(files, vec![(Day::from_ymd(2015, 2, 28), feb28.clone())]);
+        // ...and such a header is a bad header, not a panic.
+        let parsed = ingestor.parse_file(&feb28).unwrap();
+        assert_eq!(parsed.report.outcome, FileOutcome::Failed);
+        assert_eq!(
+            parsed
+                .report
+                .errors
+                .iter()
+                .map(IngestError::label)
+                .collect::<Vec<_>>(),
+            vec!["bad-header"]
+        );
     }
 
     #[test]

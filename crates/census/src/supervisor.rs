@@ -30,11 +30,12 @@
 
 use crate::ingest::Census;
 use crate::stream::{
-    FileOutcome, FileReport, IngestConfig, IngestError, IngestReport, ParsedFile, StreamIngestor,
+    day_files, sweep_stale_tmp, FileOutcome, FileReport, IngestConfig, IngestError, IngestReport,
+    ParsedFile, StreamIngestor,
 };
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
@@ -755,53 +756,35 @@ impl SupervisedRun {
     }
 }
 
-/// Lists the day files under `dir` exactly as sequential
-/// [`StreamIngestor::ingest_dir`] would: day-named files, sorted by day.
-fn day_files(
-    fs: &dyn v6census_core::vfs::Vfs,
+/// Ingests every day file under `dir`: the one directory ingest behind
+/// [`run_census`] (and so `v6census census`). It sweeps stale `.tmp`
+/// leftovers from the checkpoint directory, parses one supervised unit
+/// per file (in parallel at `jobs > 1`), then commits serially in day
+/// order, so the report is the same at any job count. Files past
+/// `max_days` are `Skipped`; a unit the supervisor lost (panic twice,
+/// deadline) is reported as [`IngestError::UnitFailed`], not an abort.
+///
+/// The `Err` arm fires only for strict-mode aborts and an unreadable
+/// directory.
+pub fn ingest_dir(
     dir: &Path,
-) -> Result<Vec<(Day, PathBuf)>, IngestError> {
-    let entries = fs.read_dir(dir).map_err(|e| IngestError::Io {
+    cfg: &IngestConfig,
+    sup: &SupervisorConfig,
+) -> Result<(IngestReport, StageReport), IngestError> {
+    let ingestor = StreamIngestor::new(cfg.clone());
+    // Sweep aborted-write leftovers before resume can see them. A failed
+    // sweep is not fatal — stale files survive to the next run.
+    let stale_tmp_removed = match &cfg.checkpoint_dir {
+        Some(ckpt_dir) => sweep_stale_tmp(cfg.vfs.as_ref(), ckpt_dir).unwrap_or(0),
+        None => 0,
+    };
+    let paths = day_files(cfg.vfs.as_ref(), dir).map_err(|e| IngestError::Io {
         path: dir.to_path_buf(),
         kind: e.kind(),
         retries: 0,
         detail: e.to_string(),
     })?;
-    let mut paths: Vec<(Day, PathBuf)> = Vec::new();
-    for path in entries {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        if let Some(day) = crate::stream::day_from_filename(&name) {
-            paths.push((day, path));
-        }
-    }
-    paths.sort();
-    Ok(paths)
-}
 
-/// Runs the supervised census pipeline over a directory of day logs:
-/// parallel per-file parse, serial in-order commit, then the analysis
-/// stages (Table 1, stability, sharded densify) under supervision.
-///
-/// The `Err` arm fires only for strict-mode aborts and an unreadable
-/// directory; every contained failure is reported through the manifest.
-pub fn run_census(dir: &Path, cfg: &PipelineConfig) -> Result<SupervisedRun, IngestError> {
-    let ingestor = StreamIngestor::new(cfg.ingest.clone());
-    // A checkpoint directory may hold `.tmp` leftovers from a previous
-    // aborted atomic write; delete them before resume can see them. A
-    // failed sweep is not fatal — stale files survive to the next run.
-    let stale_tmp_removed = match &cfg.ingest.checkpoint_dir {
-        Some(ckpt_dir) => {
-            crate::stream::sweep_stale_tmp(cfg.ingest.vfs.as_ref(), ckpt_dir).unwrap_or(0)
-        }
-        None => 0,
-    };
-    let paths = day_files(cfg.ingest.vfs.as_ref(), dir)?;
-
-    // Stage 1: ingest. One unit per day file; the parse half runs in
-    // parallel, the census commit is serial in day order below.
     let units: Vec<Unit<Result<ParsedFile, IngestError>>> = paths
         .iter()
         .map(|(day, path)| {
@@ -812,50 +795,36 @@ pub fn run_census(dir: &Path, cfg: &PipelineConfig) -> Result<SupervisedRun, Ing
             })
         })
         .collect();
-    let (parsed, ingest_stage) = run_stage("ingest", units, &cfg.supervisor);
+    let (parsed, stage) = run_stage("ingest", units, sup);
 
     let mut census = Census::new_empty();
     let mut files: Vec<FileReport> = Vec::new();
     let mut ingested_days: Vec<Day> = Vec::new();
-    for (i, slot) in parsed.into_iter().enumerate() {
-        let (day, path) = &paths[i];
-        if cfg
-            .ingest
-            .max_days
-            .is_some_and(|limit| ingested_days.len() >= limit)
-        {
-            files.push(FileReport {
-                path: path.clone(),
-                day: *day,
-                data_lines: 0,
-                bad_lines: 0,
-                outcome: FileOutcome::Skipped,
-                errors: Vec::new(),
-            });
-            continue;
-        }
+    for (slot, ((day, path), unit)) in parsed.into_iter().zip(paths.into_iter().zip(&stage.units)) {
+        let mut report = FileReport {
+            path: path.clone(),
+            day,
+            data_lines: 0,
+            bad_lines: 0,
+            outcome: FileOutcome::Skipped,
+            errors: Vec::new(),
+        };
+        let stopped = cfg.max_days.is_some_and(|n| ingested_days.len() >= n);
         match slot {
-            Some(Ok(parsed_file)) => {
-                files.push(ingestor.commit_parsed(parsed_file, &mut census, &mut ingested_days)?);
+            _ if stopped => {} // the run stopped first: stays `Skipped`
+            Some(Ok(parsed)) => {
+                report = ingestor.commit_parsed(parsed, &mut census, &mut ingested_days)?
             }
             Some(Err(e)) => return Err(e), // strict-mode abort, in file order
             None => {
-                // The supervisor lost this unit (panic twice / deadline);
-                // surface it in the health report, not as an abort.
-                let reason = ingest_stage.units[i].status.label().to_string();
-                files.push(FileReport {
-                    path: path.clone(),
-                    day: *day,
-                    data_lines: 0,
-                    bad_lines: 0,
-                    outcome: FileOutcome::Failed,
-                    errors: vec![IngestError::UnitFailed {
-                        path: path.clone(),
-                        reason: format!("supervised ingest unit {}", reason),
-                    }],
+                report.outcome = FileOutcome::Failed;
+                report.errors.push(IngestError::UnitFailed {
+                    path,
+                    reason: format!("supervised ingest unit {}", unit.status.label()),
                 });
             }
         }
+        files.push(report);
     }
     let gaps = match (ingested_days.iter().min(), ingested_days.iter().max()) {
         (Some(&first), Some(&last)) => first
@@ -870,6 +839,18 @@ pub fn run_census(dir: &Path, cfg: &PipelineConfig) -> Result<SupervisedRun, Ing
         gaps,
         stale_tmp_removed,
     };
+    Ok((report, stage))
+}
+
+/// Runs the supervised census pipeline over a directory of day logs:
+/// [`ingest_dir`], then the analysis stages (Table 1, stability, sharded
+/// densify) under supervision.
+///
+/// The `Err` arm fires only for strict-mode aborts and an unreadable
+/// directory; every contained failure is reported through the manifest.
+pub fn run_census(dir: &Path, cfg: &PipelineConfig) -> Result<SupervisedRun, IngestError> {
+    // Stage 1: ingest.
+    let (report, ingest_stage) = ingest_dir(dir, &cfg.ingest, &cfg.supervisor)?;
     let ingest_quality = ingest_stage.quality();
 
     let mut manifest = RunManifest {

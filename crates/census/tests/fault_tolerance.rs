@@ -8,8 +8,9 @@
 use std::path::{Path, PathBuf};
 use v6census_census::stream::{
     checkpoint_path, load_checkpoint, DuplicatePolicy, ErrorMode, FileOutcome, IngestConfig,
-    IngestError, StreamIngestor,
+    IngestError, IngestReport,
 };
+use v6census_census::supervisor::{ingest_dir, SupervisorConfig};
 use v6census_census::tables::{table1, EpochSpec};
 use v6census_core::temporal::{Day, GapPolicy, StabilityParams, VerdictQuality};
 use v6census_synth::faults::day_file_name;
@@ -27,6 +28,11 @@ fn tempdir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Ingests `logs` through the one directory ingest, serially (jobs 1).
+fn ingest(logs: &Path, cfg: IngestConfig) -> Result<IngestReport, IngestError> {
+    ingest_dir(logs, &cfg, &SupervisorConfig::default()).map(|(report, _)| report)
 }
 
 /// Writes the shared 32-day faulty fixture: one corrupt, one truncated,
@@ -59,11 +65,14 @@ fn write_fixture(dir: &Path) -> (World, Day, Day) {
 fn faulty_census_completes_and_reports_every_fault() {
     let logs = tempdir("logs");
     let (_, first, last) = write_fixture(&logs);
-    let ingestor = StreamIngestor::new(IngestConfig {
-        max_bad_ratio: 0.05,
-        ..IngestConfig::default()
-    });
-    let report = ingestor.ingest_dir(&logs).unwrap();
+    let report = ingest(
+        &logs,
+        IngestConfig {
+            max_bad_ratio: 0.05,
+            ..IngestConfig::default()
+        },
+    )
+    .unwrap();
 
     // 32 planned days, one never written, one duplicated => 32 files.
     assert_eq!(report.files.len(), 32);
@@ -170,11 +179,14 @@ fn faulty_census_completes_and_reports_every_fault() {
 fn error_budget_zero_rejects_the_corrupt_day() {
     let logs = tempdir("budget");
     let (_, first, _) = write_fixture(&logs);
-    let ingestor = StreamIngestor::new(IngestConfig {
-        max_bad_ratio: 0.0,
-        ..IngestConfig::default()
-    });
-    let report = ingestor.ingest_dir(&logs).unwrap();
+    let report = ingest(
+        &logs,
+        IngestConfig {
+            max_bad_ratio: 0.0,
+            ..IngestConfig::default()
+        },
+    )
+    .unwrap();
     let corrupt = report.files.iter().find(|f| f.day == first + 3).unwrap();
     assert_eq!(corrupt.outcome, FileOutcome::Failed);
     assert!(matches!(
@@ -193,11 +205,11 @@ fn error_budget_zero_rejects_the_corrupt_day() {
 fn strict_mode_aborts_on_first_fault() {
     let logs = tempdir("strict");
     write_fixture(&logs);
-    let ingestor = StreamIngestor::new(IngestConfig {
+    let strict = IngestConfig {
         mode: ErrorMode::Strict,
         ..IngestConfig::default()
-    });
-    let err = match ingestor.ingest_dir(&logs) {
+    };
+    let err = match ingest(&logs, strict) {
         Err(e) => e,
         Ok(_) => panic!("strict mode must abort on the corrupt day"),
     };
@@ -209,12 +221,15 @@ fn strict_mode_aborts_on_first_fault() {
 fn merge_policy_accumulates_duplicate_deliveries() {
     let logs = tempdir("merge");
     let (_, first, _) = write_fixture(&logs);
-    let ingestor = StreamIngestor::new(IngestConfig {
-        max_bad_ratio: 0.05,
-        on_duplicate: DuplicatePolicy::Merge,
-        ..IngestConfig::default()
-    });
-    let report = ingestor.ingest_dir(&logs).unwrap();
+    let report = ingest(
+        &logs,
+        IngestConfig {
+            max_bad_ratio: 0.05,
+            on_duplicate: DuplicatePolicy::Merge,
+            ..IngestConfig::default()
+        },
+    )
+    .unwrap();
     let dups: Vec<_> = report
         .files
         .iter()
@@ -229,11 +244,13 @@ fn merge_policy_accumulates_duplicate_deliveries() {
     );
     // Identical deliveries: merged hits double, address set unchanged.
     let merged = report.census.summary(first + 12).unwrap();
-    let reject = StreamIngestor::new(IngestConfig {
-        max_bad_ratio: 0.05,
-        ..IngestConfig::default()
-    })
-    .ingest_dir(&logs)
+    let reject = ingest(
+        &logs,
+        IngestConfig {
+            max_bad_ratio: 0.05,
+            ..IngestConfig::default()
+        },
+    )
     .unwrap();
     let single = reject.census.summary(first + 12).unwrap();
     assert_eq!(merged.total(), single.total());
@@ -254,19 +271,23 @@ fn kill_and_resume_reproduces_the_uninterrupted_census_exactly() {
     };
 
     // Reference run: uninterrupted, no checkpoints involved.
-    let uninterrupted = StreamIngestor::new(IngestConfig {
-        checkpoint_dir: None,
-        ..base.clone()
-    })
-    .ingest_dir(&logs)
+    let uninterrupted = ingest(
+        &logs,
+        IngestConfig {
+            checkpoint_dir: None,
+            ..base.clone()
+        },
+    )
     .unwrap();
 
     // Interrupted run: killed after 10 ingested days...
-    let killed = StreamIngestor::new(IngestConfig {
-        max_days: Some(10),
-        ..base.clone()
-    })
-    .ingest_dir(&logs)
+    let killed = ingest(
+        &logs,
+        IngestConfig {
+            max_days: Some(10),
+            ..base.clone()
+        },
+    )
     .unwrap();
     assert_eq!(killed.census.days().count(), 10);
     assert!(
@@ -281,11 +302,13 @@ fn kill_and_resume_reproduces_the_uninterrupted_census_exactly() {
     }
 
     // ...then resumed from the checkpoints.
-    let resumed = StreamIngestor::new(IngestConfig {
-        resume: true,
-        ..base.clone()
-    })
-    .ingest_dir(&logs)
+    let resumed = ingest(
+        &logs,
+        IngestConfig {
+            resume: true,
+            ..base.clone()
+        },
+    )
     .unwrap();
     let from_ckpt = resumed
         .files
@@ -351,6 +374,45 @@ fn kill_and_resume_reproduces_the_uninterrupted_census_exactly() {
 }
 
 #[test]
+fn faulty_ingest_is_the_same_at_jobs_1_and_4() {
+    let logs = tempdir("jobs");
+    write_fixture(&logs);
+    let cfg = IngestConfig {
+        max_bad_ratio: 0.05,
+        ..IngestConfig::default()
+    };
+    let run = |jobs| {
+        let sup = SupervisorConfig {
+            jobs,
+            ..SupervisorConfig::default()
+        };
+        ingest_dir(&logs, &cfg, &sup).unwrap().0
+    };
+    let (serial, parallel) = (run(1), run(4));
+    let health = serial.health_report();
+    for label in [
+        "[bad-line]",
+        "[truncated]",
+        "[duplicate-day]",
+        "[day-mismatch]",
+        "[missing-day]",
+    ] {
+        assert!(health.contains(label), "fixture lacks {label}:\n{health}");
+    }
+    assert_eq!(health, parallel.health_report());
+    let totals = |report: &IngestReport| -> Vec<_> {
+        report
+            .census
+            .days()
+            .filter_map(|day| report.census.summary(day).map(|s| (day, s.total(), s.hits)))
+            .collect()
+    };
+    assert_eq!(totals(&serial).len(), 29);
+    assert_eq!(totals(&serial), totals(&parallel));
+    std::fs::remove_dir_all(&logs).unwrap();
+}
+
+#[test]
 fn clean_fixture_has_no_errors() {
     let logs = tempdir("clean");
     let world = World::standard(WorldConfig {
@@ -362,9 +424,7 @@ fn clean_fixture_has_no_errors() {
         .write_day_files(&world, first, first + 4, &logs, &FaultSpec::default())
         .unwrap();
     assert!(logs.join(day_file_name(first)).exists());
-    let report = StreamIngestor::new(IngestConfig::default())
-        .ingest_dir(&logs)
-        .unwrap();
+    let report = ingest(&logs, IngestConfig::default()).unwrap();
     assert!(report.errors().is_empty(), "{:?}", report.errors());
     assert!(report.gaps.is_empty());
     assert_eq!(report.census.days().count(), 5);

@@ -27,10 +27,7 @@ pub fn day_from_name(name: &str) -> Option<Day> {
     let y: i32 = parts.next()?.parse().ok()?;
     let m: u8 = parts.next()?.parse().ok()?;
     let d: u8 = parts.next()?.parse().ok()?;
-    if !(1..=12).contains(&m) || !(1..=31).contains(&d) {
-        return None;
-    }
-    Some(Day::from_ymd(y, m, d))
+    Day::try_from_ymd(y, m, d)
 }
 
 /// Runs the subcommand over pre-read day files (main.rs handles I/O).
@@ -138,6 +135,12 @@ mod tests {
         );
         assert_eq!(day_from_name("notes.txt"), None);
         assert_eq!(day_from_name("2015-13-17.txt"), None);
+        assert_eq!(day_from_name("2015-02-29.txt"), None);
+        assert_eq!(day_from_name("2015-04-31.txt"), None);
+        assert_eq!(
+            day_from_name("2016-02-29.txt"),
+            Some(Day::from_ymd(2016, 2, 29))
+        );
     }
 
     #[test]

@@ -23,10 +23,7 @@ pub(crate) fn parse_day(s: &str) -> Result<Day, CliError> {
     let y: i32 = ys.parse().map_err(|_| err("bad year"))?;
     let m: u8 = ms.parse().map_err(|_| err("bad month"))?;
     let d: u8 = ds.parse().map_err(|_| err("bad day"))?;
-    if !(1..=12).contains(&m) || !(1..=31).contains(&d) {
-        return Err(err(format!("bad --day {s:?}")));
-    }
-    Ok(Day::from_ymd(y, m, d))
+    Day::try_from_ymd(y, m, d).ok_or_else(|| err(format!("bad --day {s:?}")))
 }
 
 /// Runs the subcommand.
@@ -116,6 +113,7 @@ mod tests {
         assert!(synth(&Flags::parse(&["--day".into(), "17-03".into()])).is_err());
         assert!(synth(&Flags::parse(&["--scale".into(), "-1".into()])).is_err());
         assert!(synth(&Flags::parse(&["--day".into(), "2015-13-01".into()])).is_err());
+        assert!(synth(&Flags::parse(&["--day".into(), "2015-02-30".into()])).is_err());
         assert!(synth(&Flags::parse(&[
             "--out".into(),
             "x".into(),

@@ -63,6 +63,42 @@ fn data_errors_exit_1() {
 }
 
 #[test]
+fn impossible_calendar_dates_are_errors_not_panics() {
+    let out = bin()
+        .args(["synth", "--day", "2015-02-30"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(EXIT_DATA_ERROR));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("error:"));
+
+    // A file named for an impossible date is skipped like any non-day
+    // name: the census stays the clean, exact one.
+    let (dir, reference) = logs_dir("baddate");
+    std::fs::write(
+        dir.join("2015-04-31.log"),
+        "# synthetic day 2015-04-31: 0\n",
+    )
+    .unwrap();
+    let out = bin()
+        .args([
+            "census",
+            "--dir",
+            dir.to_str().unwrap(),
+            &format!("--reference={reference}"),
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(EXIT_OK),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("2015-04-31"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn clean_census_exits_0_and_injected_panic_exits_3() {
     let (dir, reference) = logs_dir("codes");
 

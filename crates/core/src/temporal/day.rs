@@ -26,15 +26,16 @@ impl Day {
             day >= 1 && day <= days_in_month(year, month),
             "day {day} out of range for {year}-{month:02}"
         );
-        // days_from_civil (Hinnant): era-based conversion.
-        let y = if month <= 2 { year - 1 } else { year } as i64;
-        let era = if y >= 0 { y } else { y - 399 } / 400;
-        let yoe = y - era * 400; // [0, 399]
-        let m = month as i64;
-        let d = day as i64;
-        let doy = (153 * (if m > 2 { m - 3 } else { m + 9 }) + 2) / 5 + d - 1; // [0, 365]
-        let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy; // [0, 146096]
-        Day((era * 146097 + doe - 719468) as i32)
+        days_from_civil(year, month, day)
+    }
+
+    /// Builds a day from a Gregorian calendar date, or `None` when the
+    /// month or day is out of range for the given month (leap years
+    /// honoured). Parsers of untrusted dates use this, never
+    /// [`Day::from_ymd`].
+    pub fn try_from_ymd(year: i32, month: u8, day: u8) -> Option<Day> {
+        let valid = (1..=12).contains(&month) && day >= 1 && day <= days_in_month(year, month);
+        valid.then(|| days_from_civil(year, month, day))
     }
 
     /// Returns `(year, month, day)` in the Gregorian calendar.
@@ -99,6 +100,19 @@ fn days_in_month(year: i32, month: u8) -> u8 {
         // callers' validation should have rejected.
         _ => 31,
     }
+}
+
+/// days_from_civil (Hinnant): era-based conversion of a validated
+/// Gregorian date.
+fn days_from_civil(year: i32, month: u8, day: u8) -> Day {
+    let y = if month <= 2 { year - 1 } else { year } as i64;
+    let era = if y >= 0 { y } else { y - 399 } / 400;
+    let yoe = y - era * 400; // [0, 399]
+    let m = month as i64;
+    let d = day as i64;
+    let doy = (153 * (if m > 2 { m - 3 } else { m + 9 }) + 2) / 5 + d - 1; // [0, 365]
+    let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy; // [0, 146096]
+    Day((era * 146097 + doe - 719468) as i32)
 }
 
 fn is_leap(year: i32) -> bool {
@@ -192,6 +206,22 @@ mod tests {
     #[should_panic(expected = "day 29 out of range")]
     fn rejects_bad_feb() {
         Day::from_ymd(2015, 2, 29);
+    }
+
+    #[test]
+    fn try_from_ymd_rejects_impossible_dates() {
+        assert_eq!(Day::try_from_ymd(2015, 2, 29), None);
+        assert_eq!(Day::try_from_ymd(2015, 4, 31), None);
+        assert_eq!(Day::try_from_ymd(2015, 13, 1), None);
+        assert_eq!(Day::try_from_ymd(2015, 3, 0), None);
+        assert_eq!(
+            Day::try_from_ymd(2016, 2, 29),
+            Some(Day::from_ymd(2016, 2, 29))
+        );
+        assert_eq!(
+            Day::try_from_ymd(2015, 12, 31),
+            Some(Day::from_ymd(2015, 12, 31))
+        );
     }
 
     #[test]
