@@ -23,8 +23,8 @@
 //!   `.clone()`, `.collect()`.
 //!
 //! Direct effects are lifted over the call graph to a max-lattice
-//! fixpoint exactly like R004's `may_block` bit, with `via` hops
-//! recorded so findings can print the concrete allocation site.
+//! fixpoint by `callgraph::lift`, with `via` hops recorded so
+//! findings can print the concrete allocation site.
 //!
 //! Loop scopes are tracked token-precisely: `for`/`while`/`loop`
 //! bodies by brace matching, plus closure bodies passed to per-element
@@ -50,24 +50,47 @@
 //! Both rules are scoped by `[hot] paths` in `lint.toml` (empty or
 //! absent = everywhere, which is what the fixture tests rely on).
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
+use crate::callgraph::{
+    lift, reach, render, scope_calls, site_chain, tree_path, Call, Hops, Lattice,
+};
 use crate::config::Config;
-use crate::lexer::{TokKind, Token};
+use crate::lexer::{code_tokens, TokKind, Token};
 use crate::report::Diagnostic;
 use crate::rules::{semantic_finding, SemanticRule, Workspace};
 
 /// A function's allocation effect. `Ord` follows the lattice:
 /// `NoAlloc < AmortizedAlloc < AllocPerCall`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AllocEffect {
     /// No allocating construct, directly or transitively.
+    #[default]
     NoAlloc,
     /// Allocates only via capacity reservations or reserved growth.
     AmortizedAlloc,
     /// Performs an unconditional fresh allocation per invocation.
     AllocPerCall,
+}
+
+/// The max-lattice; only `AllocPerCall` records a witness hop. Every
+/// per-call callee of the call that lifts a fn records its hop, so the
+/// last one wins — the highest id, as callee lists ascend.
+impl Lattice for AllocEffect {
+    type Key = ();
+    fn is_top(&self) -> bool {
+        *self == AllocEffect::AllocPerCall
+    }
+    fn join(&mut self, callee: &Self, mut hop: impl FnMut(())) -> bool {
+        if callee.is_top() {
+            hop(());
+        }
+        let grew = callee > self;
+        if grew {
+            *self = *callee;
+        }
+        grew
+    }
 }
 
 /// One direct allocating construct inside a function body.
@@ -106,7 +129,7 @@ pub struct AllocSummaries {
     /// For lifted `AllocPerCall` bits: the call hop `(callee, line)`
     /// that introduced per-call allocation into a fn with no direct
     /// per-call site of its own.
-    pub via: BTreeMap<usize, (usize, usize)>,
+    pub via: Hops<()>,
     /// `loops[fn]` = that fn's loop scopes, in token order.
     pub loops: Vec<Vec<LoopScope>>,
 }
@@ -210,7 +233,7 @@ const ADAPTER_LOOPS: &[&str] = &[
 ];
 
 /// True when `rel` is inside the `[hot] paths` scope (empty or absent
-/// section = everywhere, mirroring `Config::rule_applies`).
+/// section = everywhere, as in `Config::rule_applies`).
 pub fn hot_scope_applies(cfg: &Config, rel: &str) -> bool {
     let paths = cfg.list("hot", "paths");
     paths.is_empty() || paths.iter().any(|p| rel.starts_with(p.as_str()))
@@ -260,20 +283,13 @@ pub fn analyze(ws: &Workspace<'_>, cfg: &Config) -> AllocAnalysis {
 
 /// Scans every function body for direct allocating sites and loop
 /// scopes, then lifts the effects over the call graph to a max-lattice
-/// fixpoint (mirroring [`crate::effects::summarize`]).
+/// fixpoint, skipping calls the site classifier owns.
 pub fn summarize(ws: &Workspace<'_>) -> AllocSummaries {
     let n = ws.symbols.fns.len();
     let mut direct: Vec<Vec<AllocSite>> = vec![Vec::new(); n];
     let mut loops: Vec<Vec<LoopScope>> = vec![Vec::new(); n];
-    for (id, f) in ws.symbols.fns.iter().enumerate() {
-        if f.is_test {
-            continue;
-        }
-        let Some((start, end)) = f.body else { continue };
-        let Some(file) = ws.files.get(f.file) else {
-            continue;
-        };
-        let body = body_tokens(&file.tokens, start, end);
+    for (id, _, file, body) in ws.bodies() {
+        let body = code_tokens(&file.tokens, body);
         direct[id] = direct_sites(&body);
         loops[id] = loop_scopes(&body);
     }
@@ -287,44 +303,7 @@ pub fn summarize(ws: &Workspace<'_>) -> AllocSummaries {
                 .unwrap_or(AllocEffect::NoAlloc)
         })
         .collect();
-    let mut via: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
-    let mut changed = true;
-    let mut rounds = 0usize;
-    while changed && rounds <= n {
-        changed = false;
-        rounds += 1;
-        for id in 0..n {
-            if effect.get(id) == Some(&AllocEffect::AllocPerCall)
-                || ws.symbols.fns.get(id).is_some_and(|f| f.is_test)
-            {
-                continue;
-            }
-            for call in ws.calls.calls.get(id).map(Vec::as_slice).unwrap_or(&[]) {
-                if classifier_owned(&call.expr) {
-                    continue;
-                }
-                let best = call
-                    .callees
-                    .iter()
-                    .filter(|&&c| ws.symbols.fns.get(c).is_some_and(|f| !f.is_test))
-                    .map(|&c| (effect.get(c).copied().unwrap_or(AllocEffect::NoAlloc), c))
-                    .max();
-                let Some((ce, callee)) = best else { continue };
-                if ce > effect.get(id).copied().unwrap_or(AllocEffect::NoAlloc) {
-                    if let Some(slot) = effect.get_mut(id) {
-                        *slot = ce;
-                    }
-                    if ce == AllocEffect::AllocPerCall {
-                        via.insert(id, (callee, call.line));
-                    }
-                    changed = true;
-                }
-                if effect.get(id) == Some(&AllocEffect::AllocPerCall) {
-                    break;
-                }
-            }
-        }
-    }
+    let via = lift(ws, &mut effect, |_, call| classifier_owned(&call.expr));
     AllocSummaries {
         direct,
         effect,
@@ -333,23 +312,15 @@ pub fn summarize(ws: &Workspace<'_>) -> AllocSummaries {
     }
 }
 
-/// The body's non-comment tokens, with original indices preserved.
-fn body_tokens(tokens: &[Token], start: usize, end: usize) -> Vec<(usize, &Token)> {
-    tokens
-        .iter()
-        .enumerate()
-        .filter(|(o, t)| {
-            (start..end).contains(o)
-                && !matches!(
-                    t.kind,
-                    TokKind::LineComment { .. } | TokKind::BlockComment { .. }
-                )
-        })
-        .collect()
-}
-
 /// Token walk over one body collecting direct allocating sites.
 fn direct_sites(toks: &[(usize, &Token)]) -> Vec<AllocSite> {
+    use AllocEffect::{AllocPerCall, AmortizedAlloc};
+    let site = |pos, line, desc, effect| AllocSite {
+        pos,
+        line,
+        desc,
+        effect,
+    };
     let mut out = Vec::new();
     for j in 0..toks.len() {
         let Some(&(orig, t)) = toks.get(j) else {
@@ -360,12 +331,7 @@ fn direct_sites(toks: &[(usize, &Token)]) -> Vec<AllocSite> {
             && PER_CALL_MACROS.iter().any(|m| t.is_ident(m))
             && toks.get(j + 1).is_some_and(|&(_, x)| x.is_op("!"))
         {
-            out.push(AllocSite {
-                pos: orig,
-                line: t.line,
-                desc: format!("{}!", t.text),
-                effect: AllocEffect::AllocPerCall,
-            });
+            out.push(site(orig, t.line, format!("{}!", t.text), AllocPerCall));
             continue;
         }
         if !t.is_op("(") || j < 2 {
@@ -391,22 +357,22 @@ fn direct_sites(toks: &[(usize, &Token)]) -> Vec<AllocSite> {
                     .iter()
                     .any(|&(t0, m0)| ty == t0 && m.is_ident(m0))
                 {
-                    out.push(AllocSite {
-                        pos: mpos,
-                        line: m.line,
-                        desc: format!("{ty}::{}", m.text),
-                        effect: AllocEffect::AllocPerCall,
-                    });
+                    out.push(site(
+                        mpos,
+                        m.line,
+                        format!("{ty}::{}", m.text),
+                        AllocPerCall,
+                    ));
                     continue;
                 }
             }
             if m.is_ident("with_capacity") {
-                out.push(AllocSite {
-                    pos: mpos,
-                    line: m.line,
-                    desc: "with_capacity".into(),
-                    effect: AllocEffect::AmortizedAlloc,
-                });
+                out.push(site(
+                    mpos,
+                    m.line,
+                    "with_capacity".to_string(),
+                    AmortizedAlloc,
+                ));
                 continue;
             }
         }
@@ -415,12 +381,7 @@ fn direct_sites(toks: &[(usize, &Token)]) -> Vec<AllocSite> {
         }
         // `.method (` — per-call copies, reservations, growth.
         if PER_CALL_METHODS.iter().any(|n| m.is_ident(n)) {
-            out.push(AllocSite {
-                pos: mpos,
-                line: m.line,
-                desc: format!(".{}()", m.text),
-                effect: AllocEffect::AllocPerCall,
-            });
+            out.push(site(mpos, m.line, format!(".{}()", m.text), AllocPerCall));
         } else if RESERVE_METHODS
             .iter()
             .chain(GROW_METHODS)
@@ -429,12 +390,7 @@ fn direct_sites(toks: &[(usize, &Token)]) -> Vec<AllocSite> {
             // Reservations and (presumed-reserved) growth both land on
             // the amortized point; R006 separately audits the growth
             // sites for an actual dominating reservation.
-            out.push(AllocSite {
-                pos: mpos,
-                line: m.line,
-                desc: format!(".{}()", m.text),
-                effect: AllocEffect::AmortizedAlloc,
-            });
+            out.push(site(mpos, m.line, format!(".{}()", m.text), AmortizedAlloc));
         }
     }
     out
@@ -558,40 +514,15 @@ fn hot_loop_check(
     // Entry points: configured suffixes, or every non-test fn when the
     // section is absent (fixture tests run config-free).
     let configured = cfg.list("hot", "entry_points");
-    let mut parent: BTreeMap<usize, Option<usize>> = BTreeMap::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let seed =
-        |id: usize, parent: &mut BTreeMap<usize, Option<usize>>, queue: &mut VecDeque<usize>| {
-            if ws.symbols.fns.get(id).is_some_and(|f| f.is_test) {
-                return;
-            }
-            if let Entry::Vacant(slot) = parent.entry(id) {
-                slot.insert(None);
-                queue.push_back(id);
-            }
-        };
-    if configured.is_empty() {
-        for id in 0..ws.symbols.fns.len() {
-            seed(id, &mut parent, &mut queue);
-        }
+    let parent = if configured.is_empty() {
+        reach(ws, 0..ws.symbols.fns.len())
     } else {
-        for entry in configured {
-            for id in ws.symbols.find_by_suffix(entry) {
-                seed(id, &mut parent, &mut queue);
-            }
-        }
-    }
-    stats.hot_entry_points = queue.len();
-    while let Some(cur) = queue.pop_front() {
-        for (callee, _line, _expr) in ws.calls.edges(cur) {
-            if parent.contains_key(&callee) || ws.symbols.fns.get(callee).is_some_and(|f| f.is_test)
-            {
-                continue;
-            }
-            parent.insert(callee, Some(cur));
-            queue.push_back(callee);
-        }
-    }
+        reach(
+            ws,
+            configured.iter().flat_map(|e| ws.symbols.find_by_suffix(e)),
+        )
+    };
+    stats.hot_entry_points = parent.values().filter(|p| p.is_none()).count();
 
     let mut out = Vec::new();
     let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
@@ -603,6 +534,13 @@ fn hot_loop_check(
             continue;
         };
         for lp in sums.loops.get(id).map(Vec::as_slice).unwrap_or(&[]) {
+            let chain = |tail: String| {
+                let entry = render(ws, &tree_path(ws, &parent, id));
+                Some(format!(
+                    "{entry} → loop @ {}:{} → {tail}",
+                    file.rel, lp.line
+                ))
+            };
             // Obligation 1: no direct per-call construct in the loop.
             for site in sums.direct.get(id).into_iter().flatten() {
                 if site.pos <= lp.open || site.pos >= lp.close {
@@ -625,36 +563,15 @@ fn hot_loop_check(
                         "`{}` allocates on every iteration of this hot `{}` loop (line {}) — hoist the buffer or reserve once outside",
                         site.desc, lp.kind, lp.line
                     ),
-                    Some(format!(
-                        "{} → loop @ {}:{} → {} ({}:{})",
-                        build_chain(ws, &parent, id),
-                        file.rel,
-                        lp.line,
-                        site.desc,
-                        file.rel,
-                        site.line
-                    )),
+                    chain(format!("{} ({}:{})", site.desc, file.rel, site.line)),
                 ));
             }
             // Obligation 2: no call in the loop reaches AllocPerCall.
-            for call in ws.calls.calls.get(id).map(Vec::as_slice).unwrap_or(&[]) {
-                if call.paren <= lp.open || call.paren >= lp.close || classifier_owned(&call.expr) {
-                    continue;
-                }
-                let workspace_callees: Vec<usize> = call
-                    .callees
-                    .iter()
-                    .copied()
-                    .filter(|&c| ws.symbols.fns.get(c).is_some_and(|x| !x.is_test))
-                    .collect();
-                if workspace_callees.is_empty() {
-                    continue; // foreign call: the direct-site scan owns it
-                }
+            // Foreign calls have no obligation: the direct-site scan owns them.
+            let scope = (lp.open, lp.close);
+            let skip = |call: &Call| classifier_owned(&call.expr);
+            for (call, allocator) in scope_calls(ws, id, scope, &sums.effect, skip) {
                 stats.hot_loop_obligations += 1;
-                let allocator = workspace_callees
-                    .iter()
-                    .copied()
-                    .find(|&c| sums.effect.get(c) == Some(&AllocEffect::AllocPerCall));
                 let Some(allocator) = allocator else {
                     stats.hot_loop_proven += 1;
                     continue;
@@ -662,7 +579,12 @@ fn hot_loop_check(
                 if !seen.insert((id, call.paren)) {
                     continue;
                 }
-                let (path, leaf) = alloc_path(ws, sums, allocator);
+                let (path, leaf) =
+                    site_chain(ws, allocator, &sums.via, "per-call allocation", |f| {
+                        let d = sums.direct.get(f)?;
+                        let s = d.iter().find(|s| s.effect == AllocEffect::AllocPerCall)?;
+                        Some((s.desc.as_str(), s.line))
+                    });
                 out.push(semantic_finding(
                     "R005",
                     "alloc-in-hot-loop",
@@ -672,77 +594,12 @@ fn hot_loop_check(
                         "call `{}` allocates on every iteration of this hot `{}` loop (line {}) — via {leaf}; hoist or make the callee allocation-free",
                         call.expr, lp.kind, lp.line
                     ),
-                    Some(format!(
-                        "{} → loop @ {}:{} → {path}",
-                        build_chain(ws, &parent, id),
-                        file.rel,
-                        lp.line
-                    )),
+                    chain(path),
                 ));
             }
         }
     }
     out
-}
-
-/// Renders `callee → … → concrete allocation site` following `via`
-/// hops (mirrors `effects::blocking_path`).
-fn alloc_path(ws: &Workspace<'_>, sums: &AllocSummaries, mut id: usize) -> (String, String) {
-    let mut hops: Vec<String> = Vec::new();
-    for _ in 0..ws.symbols.fns.len() + 1 {
-        let name = ws
-            .symbols
-            .fns
-            .get(id)
-            .map(|f| f.qname.clone())
-            .unwrap_or_default();
-        hops.push(name);
-        let site = sums
-            .direct
-            .get(id)
-            .and_then(|d| d.iter().find(|s| s.effect == AllocEffect::AllocPerCall));
-        if let Some(site) = site {
-            let rel = ws
-                .symbols
-                .fns
-                .get(id)
-                .and_then(|f| ws.files.get(f.file))
-                .map(|x| x.rel.as_str())
-                .unwrap_or("");
-            let leaf = site.desc.clone();
-            hops.push(format!("{} ({rel}:{})", site.desc, site.line));
-            return (hops.join(" → "), leaf);
-        }
-        match sums.via.get(&id) {
-            Some(&(next, _)) => id = next,
-            None => break,
-        }
-    }
-    (hops.join(" → "), "per-call allocation".into())
-}
-
-/// Renders the `entry → … → fn` chain by walking BFS parent pointers.
-fn build_chain(
-    ws: &Workspace<'_>,
-    parent: &BTreeMap<usize, Option<usize>>,
-    mut fn_id: usize,
-) -> String {
-    let mut names: Vec<String> = Vec::new();
-    for _ in 0..ws.symbols.fns.len() + 1 {
-        let name = ws
-            .symbols
-            .fns
-            .get(fn_id)
-            .map(|f| f.qname.clone())
-            .unwrap_or_default();
-        names.push(name);
-        match parent.get(&fn_id) {
-            Some(Some(up)) => fn_id = *up,
-            _ => break,
-        }
-    }
-    names.reverse();
-    names.join(" → ")
 }
 
 /// R006: every `Vec`/`String` grown inside a loop must show a
@@ -755,16 +612,9 @@ fn capacity_check(
     stats: &mut AllocStats,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for (id, f) in ws.symbols.fns.iter().enumerate() {
-        if f.is_test {
-            continue;
-        }
-        let Some((start, end)) = f.body else { continue };
-        let Some(file) = ws.files.get(f.file) else {
-            continue;
-        };
-        let body = body_tokens(&file.tokens, start, end);
-        let sig = signature_tokens(&file.tokens, start);
+    for (id, _, file, range) in ws.bodies() {
+        let body = code_tokens(&file.tokens, range.clone());
+        let sig = signature_tokens(&file.tokens, range.start);
         let mut seen: BTreeSet<usize> = BTreeSet::new();
         for lp in sums.loops.get(id).map(Vec::as_slice).unwrap_or(&[]) {
             for j in 0..body.len() {
@@ -906,17 +756,7 @@ fn signature_tokens(tokens: &[Token], body_start: usize) -> Vec<(usize, &Token)>
     let Some(fn_at) = fn_at else {
         return Vec::new();
     };
-    tokens
-        .iter()
-        .enumerate()
-        .filter(|(o, t)| {
-            (fn_at..body_start).contains(o)
-                && !matches!(
-                    t.kind,
-                    TokKind::LineComment { .. } | TokKind::BlockComment { .. }
-                )
-        })
-        .collect()
+    code_tokens(tokens, fn_at..body_start)
 }
 
 // ---------------------------------------------------------------- R005

@@ -11,8 +11,18 @@
 //! foreign crates) simply contribute no edges. Over-approximation is
 //! the safe direction for panic-reachability: we may report a chain
 //! that the borrow checker would rule out, but we never miss one.
+//!
+//! The semantic rules share three operations over the graph, defined
+//! once here: `lift` carries a per-function fact from callees to
+//! callers to a fixpoint (R003's lock sets, R004's may-block bit,
+//! R005's allocation effect), `reach` walks it breadth-first from a
+//! root set (R001's and R005's entry points), and `walk` + `render`
+//! turn hop maps and parent maps into `a → b → c` witness chains.
 
-use crate::lexer::{TokKind, Token};
+use std::collections::{BTreeMap, VecDeque};
+
+use crate::lexer::{code_tokens, TokKind, Token};
+use crate::rules::Workspace;
 use crate::scan::ScannedFile;
 use crate::symbols::{normalize_crate_seg, FnSym, SymbolTable};
 
@@ -58,19 +68,7 @@ impl CallGraph {
             let Some(file) = files.get(f.file) else {
                 continue;
             };
-            let body: Vec<(usize, &Token)> = file
-                .tokens
-                .iter()
-                .enumerate()
-                .take(end.min(file.tokens.len()))
-                .skip(start)
-                .filter(|(_, t)| {
-                    !matches!(
-                        t.kind,
-                        TokKind::LineComment { .. } | TokKind::BlockComment { .. }
-                    )
-                })
-                .collect();
+            let body = code_tokens(&file.tokens, start..end);
             if let Some(slot) = calls.get_mut(id) {
                 *slot = collect_calls(table, f, &body);
             }
@@ -86,6 +84,193 @@ impl CallGraph {
             .flatten()
             .flat_map(|c| c.callees.iter().map(move |&k| (k, c.line, c.expr.as_str())))
     }
+}
+
+/// A per-function fact lifted over the call graph by [`lift`]: a join
+/// semilattice of finite height whose `Default` is the bottom.
+pub(crate) trait Lattice: Default {
+    /// The part of a value one witness hop explains: `()` when the
+    /// whole value shares one hop, a lock id for lock sets.
+    type Key: Ord;
+    /// True when the value can no longer grow; [`lift`] stops visiting
+    /// a function once its value is top.
+    fn is_top(&self) -> bool {
+        false
+    }
+    /// Joins a callee's value into `self`, handing `hop` each key the
+    /// callee is to be recorded as the witness for. True when `self`
+    /// grew.
+    fn join(&mut self, callee: &Self, hop: impl FnMut(Self::Key)) -> bool;
+}
+
+/// Witness hops recorded by `lift`: `(fn, key)` → the call
+/// `(callee, line)` that carried that part of the value into `fn`.
+pub type Hops<K> = BTreeMap<(usize, K), (usize, usize)>;
+
+/// Lifts `values` (one per function, seeded with its direct facts)
+/// from callees to callers over every call that `skip` does not
+/// exclude, until nothing grows. Test functions neither receive nor
+/// pass on values.
+///
+/// Visiting order fixes which hop becomes a witness: function ids
+/// ascending, calls in source order, callees in [`Call::callees`]
+/// order, values updated in place. A function stops at the first call
+/// after which it is top. Each round carries every value at least one
+/// more call along, so on a finite lattice `n + 1` rounds reach the
+/// fixpoint; the bound only guards a non-monotone `join`.
+pub(crate) fn lift<V: Lattice>(
+    ws: &Workspace<'_>,
+    values: &mut [V],
+    skip: impl Fn(usize, &Call) -> bool,
+) -> Hops<V::Key> {
+    let n = values.len();
+    let live = |id: &usize| !ws.symbols.is_test(*id);
+    let mut hops = Hops::new();
+    let mut changed = true;
+    let mut rounds = 0usize;
+    while changed && rounds <= n {
+        changed = false;
+        rounds += 1;
+        for id in (0..n).filter(live) {
+            if values[id].is_top() {
+                continue;
+            }
+            // Out of the slice while it joins: a recursive call then
+            // reads bottom, which joins to the same no-op as itself.
+            let mut value = std::mem::take(&mut values[id]);
+            for call in ws.calls.calls.get(id).into_iter().flatten() {
+                if skip(id, call) {
+                    continue;
+                }
+                for &callee in call.callees.iter().filter(|c| live(c)) {
+                    changed |= value.join(&values[callee], |key| {
+                        hops.insert((id, key), (callee, call.line));
+                    });
+                }
+                if value.is_top() {
+                    break;
+                }
+            }
+            values[id] = value;
+        }
+    }
+    hops
+}
+
+/// The calls of `id` whose `(` lies strictly inside the token range
+/// `(lo, hi)`, that `skip` keeps and that have a non-test callee; each
+/// comes with its first non-test callee whose lifted value is top.
+pub(crate) fn scope_calls<'a, V: Lattice>(
+    ws: &Workspace<'a>,
+    id: usize,
+    (lo, hi): (usize, usize),
+    values: &'a [V],
+    skip: impl Fn(&Call) -> bool + 'a,
+) -> impl Iterator<Item = (&'a Call, Option<usize>)> + 'a {
+    let symbols: &'a SymbolTable = ws.symbols;
+    let live = move |c: &usize| !symbols.is_test(*c);
+    ws.calls
+        .calls
+        .get(id)
+        .into_iter()
+        .flatten()
+        .filter(move |call| call.paren > lo && call.paren < hi && !skip(call))
+        .filter(move |call| call.callees.iter().any(live))
+        .map(move |call| {
+            let top = call
+                .callees
+                .iter()
+                .copied()
+                .find(|c| live(c) && values.get(*c).is_some_and(V::is_top));
+            (call, top)
+        })
+}
+
+/// Breadth-first search from `roots` (test functions and repeats
+/// skipped) over non-test callees. Returns the search tree as parent
+/// pointers, which double as the reached set; roots map to `None`.
+pub(crate) fn reach(
+    ws: &Workspace<'_>,
+    roots: impl IntoIterator<Item = usize>,
+) -> BTreeMap<usize, Option<usize>> {
+    let mut parent: BTreeMap<usize, Option<usize>> = BTreeMap::new();
+    // `(fn, parent)` in discovery order; a fn's first entry sets its
+    // parent and expands it, later entries are no-ops.
+    let mut queue: VecDeque<(usize, Option<usize>)> =
+        roots.into_iter().map(|id| (id, None)).collect();
+    while let Some((id, from)) = queue.pop_front() {
+        if ws.symbols.is_test(id) || parent.contains_key(&id) {
+            continue;
+        }
+        parent.insert(id, from);
+        queue.extend(ws.calls.edges(id).map(|(callee, _, _)| (callee, Some(id))));
+    }
+    parent
+}
+
+/// Follows `next` from `start` until it yields `None`, returning the
+/// functions visited. At most one step per function, so a malformed
+/// hop map cannot loop forever.
+pub(crate) fn walk(
+    ws: &Workspace<'_>,
+    start: usize,
+    mut next: impl FnMut(usize) -> Option<usize>,
+) -> Vec<usize> {
+    let mut ids = vec![start];
+    while ids.len() <= ws.symbols.fns.len() {
+        match ids.last().and_then(|&id| next(id)) {
+            Some(id) => ids.push(id),
+            None => break,
+        }
+    }
+    ids
+}
+
+/// The root-first path to `id` in a [`reach`] parent map.
+pub(crate) fn tree_path(
+    ws: &Workspace<'_>,
+    parent: &BTreeMap<usize, Option<usize>>,
+    id: usize,
+) -> Vec<usize> {
+    let mut ids = walk(ws, id, |f| parent.get(&f).copied().flatten());
+    ids.reverse();
+    ids
+}
+
+/// Renders functions as the `a → b → c` qname chain.
+pub(crate) fn render(ws: &Workspace<'_>, ids: &[usize]) -> String {
+    let names: Vec<&str> = ids
+        .iter()
+        .map(|&id| ws.symbols.fns.get(id).map_or("", |f| f.qname.as_str()))
+        .collect();
+    names.join(" → ")
+}
+
+/// Renders `start → … → f → desc (file:line)` down `via` hops to the
+/// first function `f` with a direct `site` (its description and line).
+/// Also returns the description, or `fallback` when the hops end first.
+pub(crate) fn site_chain<'s>(
+    ws: &Workspace<'_>,
+    start: usize,
+    via: &Hops<()>,
+    fallback: &str,
+    site: impl Fn(usize) -> Option<(&'s str, usize)>,
+) -> (String, String) {
+    let ids = walk(ws, start, |f| match site(f) {
+        Some(_) => None,
+        None => via.get(&(f, ())).map(|&(next, _)| next),
+    });
+    let path = render(ws, &ids);
+    let Some((f, (desc, line))) = ids.last().and_then(|&f| Some((f, site(f)?))) else {
+        return (path, fallback.to_string());
+    };
+    let rel = ws
+        .symbols
+        .fns
+        .get(f)
+        .and_then(|x| ws.files.get(x.file))
+        .map_or("", |x| x.rel.as_str());
+    (format!("{path} → {desc} ({rel}:{line})"), desc.to_string())
 }
 
 /// Scans one body's comment-free tokens (paired with their index in
@@ -273,38 +458,31 @@ fn resolve(
     let Some(krate) = candidates.first().and_then(|c| c.first()) else {
         return Vec::new();
     };
-    table
-        .free_by_name
-        .get(name)
-        .into_iter()
-        .flatten()
-        .copied()
-        .filter(|&id| table.fns.get(id).is_some_and(|f| &f.krate == krate))
+    free_fns(table, name, |f| &f.krate == krate)
+}
+
+/// Free functions named `name` that satisfy `keep`, ids ascending.
+fn free_fns(table: &SymbolTable, name: &str, keep: impl Fn(&FnSym) -> bool) -> Vec<usize> {
+    let ids = table.free_by_name.get(name).into_iter().flatten().copied();
+    ids.filter(|&id| table.fns.get(id).is_some_and(&keep))
         .collect()
 }
 
 /// Resolves one absolute path (`crate::…::name`) to functions: a
 /// method when the penultimate segment is type-cased, else an exact
 /// free-fn qname match.
-fn resolve_absolute(table: &SymbolTable, full: &[String], name: &String) -> Vec<usize> {
+fn resolve_absolute(table: &SymbolTable, full: &[String], name: &str) -> Vec<usize> {
     if full.len() >= 2 {
         if let Some(ty) = full.get(full.len().saturating_sub(2)) {
             if ty.chars().next().is_some_and(char::is_uppercase) {
-                if let Some(ids) = table.methods_by_ty.get(&(ty.clone(), name.clone())) {
+                if let Some(ids) = table.methods_by_ty.get(&(ty.clone(), name.to_string())) {
                     return ids.clone();
                 }
             }
         }
     }
     let qname = full.join("::");
-    table
-        .free_by_name
-        .get(name)
-        .into_iter()
-        .flatten()
-        .copied()
-        .filter(|&id| table.fns.get(id).is_some_and(|f| f.qname == qname))
-        .collect()
+    free_fns(table, name, |f| f.qname == qname)
 }
 
 /// Resolves a bare-ident call: a `use` alias was already expanded by
@@ -314,29 +492,13 @@ fn resolve_bare(table: &SymbolTable, caller: &FnSym, name: &str) -> Vec<usize> {
     if name.chars().next().is_some_and(char::is_uppercase) {
         return Vec::new();
     }
-    let ids: Vec<usize> = table
-        .free_by_name
-        .get(name)
-        .into_iter()
-        .flatten()
-        .copied()
-        .collect();
-    let same_module: Vec<usize> = ids
-        .iter()
-        .copied()
-        .filter(|&id| {
-            table
-                .fns
-                .get(id)
-                .is_some_and(|f| f.krate == caller.krate && f.module == caller.module)
-        })
-        .collect();
+    let same_module = free_fns(table, name, |f| {
+        f.krate == caller.krate && f.module == caller.module
+    });
     if !same_module.is_empty() {
         return same_module;
     }
-    ids.into_iter()
-        .filter(|&id| table.fns.get(id).is_some_and(|f| f.krate == caller.krate))
-        .collect()
+    free_fns(table, name, |f| f.krate == caller.krate)
 }
 
 #[cfg(test)]

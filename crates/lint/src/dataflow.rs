@@ -281,16 +281,9 @@ struct LoopCtx {
 
 // ----------------------------------------------------------- tokens
 
-fn is_comment(t: &Token) -> bool {
-    matches!(
-        t.kind,
-        TokKind::LineComment { .. } | TokKind::BlockComment { .. }
-    )
-}
-
 /// First non-comment token index at or after `i`.
 fn skipc(t: &[Token], mut i: usize) -> usize {
-    while t.get(i).is_some_and(is_comment) {
+    while t.get(i).is_some_and(Token::is_comment) {
         i += 1;
     }
     i
@@ -329,7 +322,7 @@ fn scan_top(t: &[Token], i: usize, end: usize, pred: impl Fn(&Token) -> bool) ->
     let mut j = i;
     while j < end {
         if let Some(tok) = t.get(j) {
-            if !is_comment(tok) {
+            if !tok.is_comment() {
                 let s = tok.text.as_str();
                 if depth == 0 && pred(tok) {
                     return Some(j);
@@ -358,7 +351,7 @@ fn split_commas(t: &[Token], i: usize, end: usize) -> Vec<(usize, usize)> {
     let mut arg_open = true; // at the start of an argument
     while j < end {
         let Some(tok) = t.get(j) else { break };
-        if is_comment(tok) {
+        if tok.is_comment() {
             j += 1;
             continue;
         }
@@ -2178,7 +2171,7 @@ fn skipc_back(t: &[Token], lo: usize, hi: usize) -> usize {
     let mut j = hi;
     while j > lo {
         j -= 1;
-        if t.get(j).is_some_and(|x| !is_comment(x)) {
+        if t.get(j).is_some_and(|x| !x.is_comment()) {
             return j;
         }
     }

@@ -25,11 +25,13 @@
 //! token-level over non-test code lines, with the mutation-token list
 //! overridable via `[rules.L008] mutation_tokens`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+use std::ops::Range;
 
+use crate::callgraph::{lift, scope_calls, site_chain, Call, Hops, Lattice};
 use crate::config::Config;
-use crate::lexer::{TokKind, Token};
-use crate::locks::{FnLocks, LockDecl};
+use crate::lexer::{code_tokens, TokKind, Token};
+use crate::locks::{skips, FnLocks, LockDecl};
 use crate::report::Diagnostic;
 use crate::rules::{code_lines, semantic_finding, token_positions, SemanticRule, Workspace};
 
@@ -52,7 +54,23 @@ pub struct EffectSummaries {
     pub may_block: Vec<bool>,
     /// For lifted bits: the call hop `(callee, line)` that introduced
     /// blocking into a fn with no direct site of its own.
-    pub via: BTreeMap<usize, (usize, usize)>,
+    pub via: Hops<()>,
+}
+
+/// The may-block bit; the first blocking callee is the witness.
+impl Lattice for bool {
+    type Key = ();
+    fn is_top(&self) -> bool {
+        *self
+    }
+    fn join(&mut self, callee: &Self, mut hop: impl FnMut(())) -> bool {
+        let grew = *callee && !*self;
+        if grew {
+            *self = true;
+            hop(());
+        }
+        grew
+    }
 }
 
 /// Methods that block when invoked with any argument list.
@@ -79,49 +97,13 @@ const BLOCKING_METHODS: &[(&str, &str)] = &[
 pub fn summarize(ws: &Workspace<'_>, summaries: &[FnLocks]) -> EffectSummaries {
     let n = ws.symbols.fns.len();
     let mut direct: Vec<Vec<EffectSite>> = vec![Vec::new(); n];
-    for (id, f) in ws.symbols.fns.iter().enumerate() {
-        if f.is_test {
-            continue;
-        }
-        let Some((start, end)) = f.body else { continue };
-        let Some(file) = ws.files.get(f.file) else {
-            continue;
-        };
+    for (id, _, file, body) in ws.bodies() {
         let skip = summaries.get(id).map(|s| &s.skip_parens);
-        direct[id] = direct_effects(&file.tokens, start, end, skip);
+        direct[id] = direct_effects(&file.tokens, body, skip);
     }
 
     let mut may_block: Vec<bool> = direct.iter().map(|d| !d.is_empty()).collect();
-    let mut via: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
-    let mut changed = true;
-    let mut rounds = 0usize;
-    while changed && rounds <= n {
-        changed = false;
-        rounds += 1;
-        for id in 0..n {
-            if may_block[id] || ws.symbols.fns.get(id).is_some_and(|f| f.is_test) {
-                continue;
-            }
-            for call in ws.calls.calls.get(id).map(Vec::as_slice).unwrap_or(&[]) {
-                if summaries
-                    .get(id)
-                    .is_some_and(|s| s.skip_parens.contains(&call.paren))
-                {
-                    continue;
-                }
-                if let Some(&b) = call
-                    .callees
-                    .iter()
-                    .find(|&&c| may_block[c] && ws.symbols.fns.get(c).is_some_and(|f| !f.is_test))
-                {
-                    may_block[id] = true;
-                    via.insert(id, (b, call.line));
-                    changed = true;
-                    break;
-                }
-            }
-        }
-    }
+    let via = lift(ws, &mut may_block, |id, call| skips(summaries, id, call));
     EffectSummaries {
         direct,
         may_block,
@@ -132,21 +114,10 @@ pub fn summarize(ws: &Workspace<'_>, summaries: &[FnLocks]) -> EffectSummaries {
 /// Token walk over one body range collecting blocking sites.
 fn direct_effects(
     tokens: &[Token],
-    start: usize,
-    end: usize,
+    body: Range<usize>,
     skip: Option<&BTreeSet<usize>>,
 ) -> Vec<EffectSite> {
-    let toks: Vec<(usize, &Token)> = tokens
-        .iter()
-        .enumerate()
-        .filter(|(o, t)| {
-            (start..end).contains(o)
-                && !matches!(
-                    t.kind,
-                    TokKind::LineComment { .. } | TokKind::BlockComment { .. }
-                )
-        })
-        .collect();
+    let toks = code_tokens(tokens, body);
     let mut out = Vec::new();
     for j in 0..toks.len() {
         let (orig, t) = toks[j];
@@ -182,21 +153,19 @@ fn direct_effects(
         }
         // Thread join: `.join()` with an empty argument list. With
         // arguments it is `Path::join`/`Unit::join` — pure.
-        if dotted && m.is_ident("join") && toks.get(j + 1).is_some_and(|(_, x)| x.is_op(")")) {
-            out.push(EffectSite {
-                pos: mpos,
-                line: m.line,
-                desc: "`.join()` blocks on thread completion".into(),
-            });
-            continue;
-        }
-        if let Some((_, why)) = BLOCKING_METHODS.iter().find(|(n, _)| m.is_ident(n)) {
-            out.push(EffectSite {
-                pos: mpos,
-                line: m.line,
-                desc: format!("`.{}(…)` {why}", m.text),
-            });
-        }
+        let desc =
+            if dotted && m.is_ident("join") && toks.get(j + 1).is_some_and(|(_, x)| x.is_op(")")) {
+                "`.join()` blocks on thread completion".to_string()
+            } else if let Some((_, why)) = BLOCKING_METHODS.iter().find(|(n, _)| m.is_ident(n)) {
+                format!("`.{}(…)` {why}", m.text)
+            } else {
+                continue;
+            };
+        out.push(EffectSite {
+            pos: mpos,
+            line: m.line,
+            desc,
+        });
     }
     out
 }
@@ -212,16 +181,8 @@ pub fn blocking_under_lock(
     stats: &mut crate::locks::LockStats,
 ) {
     let mut seen: BTreeSet<(usize, usize, usize)> = BTreeSet::new();
-    for (id, s) in summaries.iter().enumerate() {
-        let Some(f) = ws.symbols.fns.get(id) else {
-            continue;
-        };
-        if f.is_test {
-            continue;
-        }
-        let Some(file) = ws.files.get(f.file) else {
-            continue;
-        };
+    for (id, f, file, _) in ws.bodies() {
+        let Some(s) = summaries.get(id) else { continue };
         for a in &s.acquired {
             let Some((lo, hi)) = a.scope else { continue };
             let held = &registry[a.lock].id;
@@ -250,22 +211,9 @@ pub fn blocking_under_lock(
                 ));
             }
             // Obligation 2: no call inside the scope reaches blocking.
-            for call in ws.calls.calls.get(id).map(Vec::as_slice).unwrap_or(&[]) {
-                if call.paren <= lo || call.paren >= hi || s.skip_parens.contains(&call.paren) {
-                    continue;
-                }
-                let interesting = call
-                    .callees
-                    .iter()
-                    .any(|&c| ws.symbols.fns.get(c).is_some_and(|x| !x.is_test));
-                if !interesting {
-                    continue;
-                }
+            let skip = |call: &Call| s.skip_parens.contains(&call.paren);
+            for (call, blocker) in scope_calls(ws, id, (lo, hi), &effects.may_block, skip) {
                 stats.effect_obligations += 1;
-                let blocker = call.callees.iter().copied().find(|&c| {
-                    effects.may_block.get(c).copied().unwrap_or(false)
-                        && ws.symbols.fns.get(c).is_some_and(|x| !x.is_test)
-                });
                 let Some(blocker) = blocker else {
                     stats.proven += 1;
                     continue;
@@ -273,7 +221,10 @@ pub fn blocking_under_lock(
                 if !seen.insert((id, a.paren, call.paren)) {
                     continue;
                 }
-                let (path, leaf) = blocking_path(ws, effects, blocker);
+                let (path, leaf) = site_chain(ws, blocker, &effects.via, "blocking effect", |f| {
+                    let s = effects.direct.get(f)?.first()?;
+                    Some((s.desc.as_str(), s.line))
+                });
                 out.push(semantic_finding(
                     "R004",
                     "blocking-under-lock",
@@ -291,37 +242,6 @@ pub fn blocking_under_lock(
             }
         }
     }
-}
-
-/// Renders `callee → … → concrete blocking op` following `via` hops.
-fn blocking_path(ws: &Workspace<'_>, effects: &EffectSummaries, mut id: usize) -> (String, String) {
-    let mut hops: Vec<String> = Vec::new();
-    for _ in 0..ws.symbols.fns.len() + 1 {
-        let name = ws
-            .symbols
-            .fns
-            .get(id)
-            .map(|f| f.qname.clone())
-            .unwrap_or_default();
-        hops.push(name);
-        if let Some(site) = effects.direct.get(id).and_then(|d| d.first()) {
-            let rel = ws
-                .symbols
-                .fns
-                .get(id)
-                .and_then(|f| ws.files.get(f.file))
-                .map(|x| x.rel.as_str())
-                .unwrap_or("");
-            let leaf = site.desc.clone();
-            hops.push(format!("{} ({rel}:{})", site.desc, site.line));
-            return (hops.join(" → "), leaf);
-        }
-        match effects.via.get(&id) {
-            Some(&(next, _)) => id = next,
-            None => break,
-        }
-    }
-    (hops.join(" → "), "blocking effect".into())
 }
 
 // ---------------------------------------------------------------- R004

@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 use crate::callgraph::CallGraph;
 use crate::config::Config;
 use crate::report::{Diagnostic, Report, Severity};
-use crate::rules::{registry, semantic_registry, Workspace};
+use crate::rules::{registry, semantic_finding, semantic_registry, Workspace};
 use crate::scan::{scan, ScannedFile};
 use crate::symbols::SymbolTable;
 
@@ -78,8 +78,8 @@ pub fn lint_workspace(
 /// against `root` for scope matching and diagnostics.
 ///
 /// Runs in two layers: the per-file lexical rules over each scanned
-/// file, then the semantic rules (`L007`, `R001`) over the symbol
-/// table and call graph built from *all* the files together. Pragma
+/// file, then the semantic rules (`L007`, `L008`, `R001`–`R006`) over
+/// the symbol table and call graph built from *all* the files. Pragma
 /// application and accountability happen last, per file, so an
 /// `allow(R001, …)` next to a reachable panic site both suppresses the
 /// finding and is itself checked for staleness (`P001`).
@@ -300,51 +300,27 @@ fn apply_pragmas(file: &ScannedFile, diags: &mut Vec<Diagnostic>) {
     }
     for (i, p) in file.pragmas.iter().enumerate() {
         if let Some(err) = &p.error {
-            diags.push(pragma_diag(
-                file,
+            diags.push(semantic_finding(
                 "P000",
                 "pragma-syntax",
+                file,
                 p.decl_line,
                 err.clone(),
+                None,
             ));
         } else if !used[i] {
-            diags.push(pragma_diag(
-                file,
+            diags.push(semantic_finding(
                 "P001",
                 "unused-pragma",
+                file,
                 p.decl_line,
                 format!(
                     "allow({}) suppresses nothing — remove it or move it next to the violation",
                     p.rule
                 ),
+                None,
             ));
         }
-    }
-}
-
-fn pragma_diag(
-    file: &ScannedFile,
-    rule: &str,
-    name: &'static str,
-    line: usize,
-    message: String,
-) -> Diagnostic {
-    let snippet = file
-        .lines
-        .get(line.saturating_sub(1))
-        .map(|l| l.code.trim().to_string())
-        .unwrap_or_default();
-    Diagnostic {
-        rule: rule.to_string(),
-        name,
-        rel: file.rel.clone(),
-        line,
-        message,
-        snippet,
-        chain: None,
-        severity: Severity::Deny,
-        suppressed: false,
-        discharged_by: None,
     }
 }
 

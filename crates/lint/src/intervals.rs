@@ -17,7 +17,7 @@
 //!   terminate in a handful of iterations *and* land on the bounds the
 //!   obligations compare against.
 //!
-//! Transfer functions mirror the wrapping semantics questions R002 asks:
+//! Transfer functions follow the wrapping semantics questions R002 asks:
 //! operators that can leave the mathematical range (`+`, `-`, `*`, `<<`)
 //! return `None` on possible wrap and the caller degrades to
 //! top-of-type; operators that are total on unsigned values (`&`, `|`,

@@ -19,6 +19,8 @@
 //! Tokens carry byte spans and 1-based start/end lines, so consumers can
 //! map any token back to source coordinates for diagnostics.
 
+use std::ops::Range;
+
 /// What kind of lexeme a [`Token`] is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TokKind {
@@ -79,6 +81,26 @@ impl Token {
     pub fn is_op(&self, op: &str) -> bool {
         self.kind == TokKind::Op && self.text == op
     }
+
+    /// True for line and block comments.
+    pub fn is_comment(&self) -> bool {
+        matches!(
+            self.kind,
+            TokKind::LineComment { .. } | TokKind::BlockComment { .. }
+        )
+    }
+}
+
+/// The comment-free tokens of `tokens[range]` (clamped to the slice),
+/// each paired with its index in the full stream.
+pub(crate) fn code_tokens(tokens: &[Token], range: Range<usize>) -> Vec<(usize, &Token)> {
+    tokens
+        .iter()
+        .enumerate()
+        .take(range.end)
+        .skip(range.start)
+        .filter(|(_, t)| !t.is_comment())
+        .collect()
 }
 
 /// The integer type suffix of a numeric literal's spelling, if any

@@ -46,10 +46,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::Call;
+use crate::callgraph::{lift, render, walk, Call, Hops, Lattice};
 use crate::config::Config;
 use crate::effects;
-use crate::lexer::{TokKind, Token};
+use crate::lexer::{code_tokens, TokKind, Token};
 use crate::report::Diagnostic;
 use crate::rules::{semantic_finding, SemanticRule, Workspace};
 
@@ -238,20 +238,6 @@ pub fn analyze(ws: &Workspace<'_>, _cfg: &Config) -> LockAnalysis {
 
 // ------------------------------------------------------- lock registry
 
-/// Comment-free tokens of one file, with original indices.
-fn code_tokens(tokens: &[Token]) -> Vec<(usize, &Token)> {
-    tokens
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| {
-            !matches!(
-                t.kind,
-                TokKind::LineComment { .. } | TokKind::BlockComment { .. }
-            )
-        })
-        .collect()
-}
-
 /// True when the type tokens starting at `i` name a lock, looking
 /// through leading path segments (`std :: sync :: Mutex`).
 fn lock_ty_at(toks: &[(usize, &Token)], mut i: usize) -> Option<LockKind> {
@@ -279,7 +265,7 @@ fn lock_ty_at(toks: &[(usize, &Token)], mut i: usize) -> Option<LockKind> {
 pub fn build_registry(ws: &Workspace<'_>) -> Vec<LockDecl> {
     let mut out = Vec::new();
     for (fidx, file) in ws.files.iter().enumerate() {
-        let toks = code_tokens(&file.tokens);
+        let toks = code_tokens(&file.tokens, 0..file.tokens.len());
         let mut i = 0usize;
         while i < toks.len() {
             let (_, t) = toks[i];
@@ -368,7 +354,7 @@ fn scan_struct_fields(toks: &[(usize, &Token)], at: usize, fidx: usize, out: &mu
 pub fn condvar_fields(ws: &Workspace<'_>) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
     for file in ws.files {
-        let toks = code_tokens(&file.tokens);
+        let toks = code_tokens(&file.tokens, 0..file.tokens.len());
         for i in 0..toks.len() {
             let (_, t) = toks[i];
             if t.kind == TokKind::Ident
@@ -414,10 +400,7 @@ fn scan_fn(
     let lock_params = lock_typed_params(file, start);
     let returns_guard_ty = signature_returns_guard(file, start);
 
-    let toks: Vec<(usize, &Token)> = code_tokens(&file.tokens)
-        .into_iter()
-        .filter(|(o, _)| (start..end).contains(o))
-        .collect();
+    let toks = code_tokens(&file.tokens, start..end);
 
     let mut first_acq: Option<LockRef> = None;
     for j in 0..toks.len() {
@@ -491,7 +474,7 @@ fn lock_typed_params(
     file: &crate::scan::ScannedFile,
     body_start: usize,
 ) -> Vec<(usize, String, LockKind)> {
-    let toks = code_tokens(&file.tokens);
+    let toks = code_tokens(&file.tokens, 0..file.tokens.len());
     let Some(body_pos) = toks.iter().position(|(o, _)| *o == body_start) else {
         return Vec::new();
     };
@@ -576,7 +559,7 @@ fn matching_open(toks: &[(usize, &Token)], close: usize) -> Option<usize> {
 
 /// True when the fn's declared return type names a guard.
 fn signature_returns_guard(file: &crate::scan::ScannedFile, body_start: usize) -> bool {
-    let toks = code_tokens(&file.tokens);
+    let toks = code_tokens(&file.tokens, 0..file.tokens.len());
     let Some(body_pos) = toks.iter().position(|(o, _)| *o == body_start) else {
         return false;
     };
@@ -781,15 +764,14 @@ fn helper_acquisitions(
     let Some(f) = ws.symbols.fns.get(id) else {
         return;
     };
-    let Some((_, body_end)) = f.body else { return };
+    let Some((body_start, body_end)) = f.body else {
+        return;
+    };
     let Some(file) = ws.files.get(f.file) else {
         return;
     };
-    let lock_params = lock_typed_params(file, f.body.map(|(s, _)| s).unwrap_or(0));
-    let toks: Vec<(usize, &Token)> = code_tokens(&file.tokens)
-        .into_iter()
-        .filter(|(o, _)| f.body.is_some_and(|(st, en)| (st..en).contains(o)))
-        .collect();
+    let lock_params = lock_typed_params(file, body_start);
+    let toks = code_tokens(&file.tokens, body_start..body_end);
     let calls: &[Call] = ws.calls.calls.get(id).map(Vec::as_slice).unwrap_or(&[]);
     for call in calls {
         if s.skip_parens.contains(&call.paren) {
@@ -895,90 +877,68 @@ pub struct TransLocks {
     pub sets: Vec<BTreeSet<usize>>,
     /// `(fn, lock)` → the call hop `(callee, line)` that introduced it;
     /// absent when the fn acquires the lock directly.
-    pub via: BTreeMap<(usize, usize), (usize, usize)>,
+    pub via: Hops<usize>,
 }
 
-/// Fixpoint over the call graph. Non-test fns only: a test helper
-/// locking something is not part of the product's lock discipline.
+/// Lock sets under union; the first hop to bring a lock is its witness.
+impl Lattice for BTreeSet<usize> {
+    type Key = usize;
+    fn join(&mut self, callee: &Self, mut hop: impl FnMut(usize)) -> bool {
+        let mut grew = false;
+        for &l in callee {
+            if self.insert(l) {
+                hop(l);
+                grew = true;
+            }
+        }
+        grew
+    }
+}
+
+/// True when `call` of fn `id` is an acquisition site or condvar wait
+/// (`FnLocks::skip_parens`): its name-resolved edges are not lifted.
+pub(crate) fn skips(summaries: &[FnLocks], id: usize, call: &Call) -> bool {
+    summaries
+        .get(id)
+        .is_some_and(|s| s.skip_parens.contains(&call.paren))
+}
+
+/// Lifts the direct lock sets over the call graph. Non-test fns only:
+/// a test helper locking something is not part of the product's lock
+/// discipline.
 fn transitive_locks(ws: &Workspace<'_>, summaries: &[FnLocks]) -> TransLocks {
-    let n = ws.symbols.fns.len();
-    let mut sets: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    let mut via: BTreeMap<(usize, usize), (usize, usize)> = BTreeMap::new();
-    for (id, s) in summaries.iter().enumerate() {
-        for a in &s.acquired {
-            sets[id].insert(a.lock);
-        }
-    }
-    let mut changed = true;
-    let mut rounds = 0usize;
-    while changed && rounds <= n {
-        changed = false;
-        rounds += 1;
-        for id in 0..n {
-            if ws.symbols.fns.get(id).is_some_and(|f| f.is_test) {
-                continue;
-            }
-            let mut add: Vec<(usize, (usize, usize))> = Vec::new();
-            for call in ws.calls.calls.get(id).map(Vec::as_slice).unwrap_or(&[]) {
-                if summaries
-                    .get(id)
-                    .is_some_and(|s| s.skip_parens.contains(&call.paren))
-                {
-                    continue;
-                }
-                for &callee in &call.callees {
-                    if ws.symbols.fns.get(callee).is_some_and(|f| f.is_test) {
-                        continue;
-                    }
-                    for &l in &sets[callee] {
-                        if !sets[id].contains(&l) {
-                            add.push((l, (callee, call.line)));
-                        }
-                    }
-                }
-            }
-            for (l, hop) in add {
-                if sets[id].insert(l) {
-                    via.insert((id, l), hop);
-                    changed = true;
-                }
-            }
-        }
-    }
+    let mut sets: Vec<BTreeSet<usize>> = summaries
+        .iter()
+        .map(|s| s.acquired.iter().map(|a| a.lock).collect())
+        .collect();
+    let via = lift(ws, &mut sets, |id, call| skips(summaries, id, call));
     TransLocks { sets, via }
 }
 
 /// Renders the call path from `fn_id` down to wherever `lock` is
-/// directly acquired, following `via` hops.
+/// directly acquired, following `via` hops; also returns that
+/// acquisition's file index and line (`(0, 0)` if the walk ends early).
 pub fn acquisition_path(
     ws: &Workspace<'_>,
     trans: &TransLocks,
     summaries: &[FnLocks],
-    mut fn_id: usize,
+    fn_id: usize,
     lock: usize,
 ) -> (String, usize, usize) {
-    let mut hops: Vec<String> = Vec::new();
-    for _ in 0..ws.symbols.fns.len() + 1 {
-        let name = ws
-            .symbols
-            .fns
-            .get(fn_id)
-            .map(|f| f.qname.clone())
-            .unwrap_or_default();
-        hops.push(name);
-        if let Some(a) = summaries
-            .get(fn_id)
+    let acquires = |f: usize| {
+        summaries
+            .get(f)
             .and_then(|s| s.acquired.iter().find(|a| a.lock == lock))
-        {
-            let file = ws.symbols.fns.get(fn_id).map(|f| f.file).unwrap_or(0);
-            return (hops.join(" → "), file, a.line);
-        }
-        match trans.via.get(&(fn_id, lock)) {
-            Some(&(callee, _line)) => fn_id = callee,
-            None => break,
-        }
-    }
-    (hops.join(" → "), 0, 0)
+    };
+    let ids = walk(ws, fn_id, |f| match acquires(f) {
+        Some(_) => None,
+        None => trans.via.get(&(f, lock)).map(|&(next, _)| next),
+    });
+    let (file, line) = match ids.last().and_then(|&f| Some((f, acquires(f)?))) {
+        Some((f, a)) => (ws.symbols.fns.get(f).map_or(0, |x| x.file), a.line),
+        None => (0, 0),
+    };
+    (render(ws, &ids), file, line)
 }
 
 // ------------------------------------------------- the lock-order graph
@@ -992,17 +952,12 @@ fn order_edges(
     trans: &TransLocks,
 ) -> Vec<LockEdge> {
     let mut edges: BTreeMap<(usize, usize), LockEdge> = BTreeMap::new();
-    for (id, s) in summaries.iter().enumerate() {
-        let Some(f) = ws.symbols.fns.get(id) else {
-            continue;
-        };
-        if f.is_test {
-            continue;
-        }
+    for (id, f, file, _) in ws.bodies() {
+        let Some(s) = summaries.get(id) else { continue };
+        let rel = file.rel.as_str();
         for a in &s.acquired {
             let Some((lo, hi)) = a.scope else { continue };
             let held = &registry[a.lock].id;
-            let rel = ws.files.get(f.file).map(|x| x.rel.as_str()).unwrap_or("");
             // Other direct acquisitions inside the guard's scope.
             for b in &s.acquired {
                 if b.paren > lo && b.paren < hi && b.paren != a.paren {
@@ -1025,23 +980,24 @@ fn order_edges(
                     continue;
                 }
                 for &callee in &call.callees {
-                    if ws.symbols.fns.get(callee).is_some_and(|x| x.is_test) {
+                    if ws.symbols.is_test(callee) {
                         continue;
                     }
                     for &l in trans.sets.get(callee).into_iter().flatten() {
-                        let (path, pfile, pline) =
-                            acquisition_path(ws, trans, summaries, callee, l);
-                        let prel = ws.files.get(pfile).map(|x| x.rel.as_str()).unwrap_or("");
-                        let to = &registry[l].id;
-                        edges.entry((a.lock, l)).or_insert_with(|| LockEdge {
-                            from: a.lock,
-                            to: l,
-                            witness: format!(
-                                "{} holds `{held}` ({rel}:{}) → {path} acquires `{to}` ({prel}:{pline})",
-                                f.qname, a.line
-                            ),
-                            file: f.file,
-                            line: a.line,
+                        edges.entry((a.lock, l)).or_insert_with(|| {
+                            let (path, pfile, pline) =
+                                acquisition_path(ws, trans, summaries, callee, l);
+                            let prel = ws.files.get(pfile).map_or("", |x| x.rel.as_str());
+                            LockEdge {
+                                from: a.lock,
+                                to: l,
+                                witness: format!(
+                                    "{} holds `{held}` ({rel}:{}) → {path} acquires `{}` ({prel}:{pline})",
+                                    f.qname, a.line, registry[l].id
+                                ),
+                                file: f.file,
+                                line: a.line,
+                            }
                         });
                     }
                 }

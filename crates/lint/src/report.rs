@@ -87,13 +87,7 @@ impl Report {
     /// one-line summary, sorted by path and line for stable output.
     pub fn render_human(&self) -> String {
         let mut out = String::new();
-        let mut shown: Vec<&Diagnostic> = self
-            .diagnostics
-            .iter()
-            .filter(|d| !d.suppressed && d.discharged_by.is_none())
-            .collect();
-        shown.sort_by(|a, b| (&a.rel, a.line, &a.rule).cmp(&(&b.rel, b.line, &b.rule)));
-        for d in &shown {
+        for d in self.shown() {
             let sev = match d.severity {
                 Severity::Deny => "deny",
                 Severity::Warn => "warn",
@@ -110,26 +104,36 @@ impl Report {
                 let _ = writeln!(out, "    = via: {chain}");
             }
         }
-        let _ = writeln!(
-            out,
-            "v6census-lint: {} denied, {} warned, {} suppressed by pragma{}; {} files scanned",
+        out + &self.summary_line()
+    }
+
+    /// The unsuppressed, undischarged findings, by path, line and rule.
+    fn shown(&self) -> Vec<&Diagnostic> {
+        let mut shown: Vec<&Diagnostic> = self
+            .diagnostics
+            .iter()
+            .filter(|d| !d.suppressed && d.discharged_by.is_none())
+            .collect();
+        shown.sort_by(|a, b| (&a.rel, a.line, &a.rule).cmp(&(&b.rel, b.line, &b.rule)));
+        shown
+    }
+
+    /// The one-line summary closing the human and GitHub renderings.
+    /// The `, N discharged by dataflow` segment appears only when some
+    /// finding was discharged, so runs where the dataflow has nothing
+    /// to say keep a stable line.
+    fn summary_line(&self) -> String {
+        let discharged = match self.discharged_count() {
+            0 => String::new(),
+            n => format!(", {n} discharged by dataflow"),
+        };
+        format!(
+            "v6census-lint: {} denied, {} warned, {} suppressed by pragma{discharged}; {} files scanned\n",
             self.denied().count(),
             self.warned().count(),
             self.suppressed_count(),
-            self.discharged_segment(),
             self.files_scanned
-        );
-        out
-    }
-
-    /// `, N discharged by dataflow` when any finding was discharged,
-    /// empty otherwise (keeps the summary line stable for runs where
-    /// the dataflow has nothing to say).
-    fn discharged_segment(&self) -> String {
-        match self.discharged_count() {
-            0 => String::new(),
-            n => format!(", {n} discharged by dataflow"),
-        }
+        )
     }
 
     /// GitHub Actions workflow-command annotations: one
@@ -138,13 +142,7 @@ impl Report {
     /// line (a plain line, which Actions passes through).
     pub fn render_github(&self) -> String {
         let mut out = String::new();
-        let mut shown: Vec<&Diagnostic> = self
-            .diagnostics
-            .iter()
-            .filter(|d| !d.suppressed && d.discharged_by.is_none())
-            .collect();
-        shown.sort_by(|a, b| (&a.rel, a.line, &a.rule).cmp(&(&b.rel, b.line, &b.rule)));
-        for d in &shown {
+        for d in self.shown() {
             let level = match d.severity {
                 Severity::Deny => "error",
                 Severity::Warn => "warning",
@@ -164,16 +162,7 @@ impl Report {
                 github_escape(&message)
             );
         }
-        let _ = writeln!(
-            out,
-            "v6census-lint: {} denied, {} warned, {} suppressed by pragma{}; {} files scanned",
-            self.denied().count(),
-            self.warned().count(),
-            self.suppressed_count(),
-            self.discharged_segment(),
-            self.files_scanned
-        );
-        out
+        out + &self.summary_line()
     }
 
     /// Machine-readable JSON: the full diagnostic list plus a summary.

@@ -50,11 +50,12 @@
 
 use crate::callgraph::CallGraph;
 use crate::config::Config;
-use crate::lexer::{int_suffix, TokKind, Token};
+use crate::lexer::{code_tokens, int_suffix, TokKind, Token};
 use crate::report::{Diagnostic, Severity};
 use crate::scan::ScannedFile;
 use crate::symbols::{FnSym, SymbolTable};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// A lint rule over one scanned file.
 pub trait Rule {
@@ -91,6 +92,20 @@ pub struct Workspace<'a> {
     pub calls: &'a CallGraph,
 }
 
+impl<'a> Workspace<'a> {
+    /// Non-test functions with a body: `(id, fn, file, body tokens)`.
+    pub fn bodies(
+        &self,
+    ) -> impl Iterator<Item = (usize, &'a FnSym, &'a ScannedFile, Range<usize>)> {
+        let files = self.files;
+        let fns = self.symbols.fns.iter().enumerate();
+        fns.filter(|(_, f)| !f.is_test).filter_map(move |(id, f)| {
+            let (start, end) = f.body?;
+            Some((id, f, files.get(f.file)?, start..end))
+        })
+    }
+}
+
 /// A lint rule over the whole workspace at once — for contracts that a
 /// single file cannot witness (cross-crate data flow, reachability).
 pub trait SemanticRule {
@@ -119,7 +134,9 @@ pub fn semantic_registry() -> Vec<Box<dyn SemanticRule>> {
     ]
 }
 
-/// Builds a semantic-rule finding anchored at `line` of `file`.
+/// Builds a finding anchored at `line` of `file`, with its source line
+/// as the snippet. Severity starts at `Deny`; the engine re-maps it
+/// from the CLI flags.
 pub(crate) fn semantic_finding(
     rule: &str,
     name: &'static str,
@@ -147,26 +164,9 @@ pub(crate) fn semantic_finding(
     }
 }
 
-/// Builds a finding with the file/line context filled in. Severity
-/// starts at `Deny`; the engine re-maps it from the CLI flags.
+/// [`semantic_finding`] for a lexical rule, without a chain.
 fn finding(rule: &dyn Rule, file: &ScannedFile, line: usize, message: String) -> Diagnostic {
-    let snippet = file
-        .lines
-        .get(line.saturating_sub(1))
-        .map(|l| l.code.trim().to_string())
-        .unwrap_or_default();
-    Diagnostic {
-        rule: rule.id().to_string(),
-        name: rule.name(),
-        rel: file.rel.clone(),
-        line,
-        message,
-        snippet,
-        chain: None,
-        severity: Severity::Deny,
-        suppressed: false,
-        discharged_by: None,
-    }
+    semantic_finding(rule.id(), rule.name(), file, line, message, None)
 }
 
 fn is_ident_char(c: char) -> bool {
@@ -636,16 +636,7 @@ const EXPR_BREAK_KEYWORDS: &[&str] = &[
 /// Arithmetic panic/overflow sites in one file as `(line, what)`.
 /// Shared between the L006 rule and R001 panic-reachability.
 pub(crate) fn arith_sites(file: &ScannedFile) -> Vec<(usize, String)> {
-    let toks: Vec<&Token> = file
-        .tokens
-        .iter()
-        .filter(|t| {
-            !matches!(
-                t.kind,
-                TokKind::LineComment { .. } | TokKind::BlockComment { .. }
-            )
-        })
-        .collect();
+    let toks: Vec<&Token> = file.tokens.iter().filter(|t| !t.is_comment()).collect();
 
     // Names declared with an explicitly sized type (`x: u8` covers
     // locals, params, and struct fields) or `let`-bound to a
@@ -820,13 +811,7 @@ impl SemanticRule for DiscardedResults {
         let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
         // Comment-free token views, built lazily once per file.
         let mut views: BTreeMap<usize, Vec<(usize, &Token)>> = BTreeMap::new();
-        for (id, f) in ws.symbols.fns.iter().enumerate() {
-            if f.is_test {
-                continue;
-            }
-            let Some(file) = ws.files.get(f.file) else {
-                continue;
-            };
+        for (id, f, file, _) in ws.bodies() {
             for call in ws.calls.calls.get(id).into_iter().flatten() {
                 let candidates: Vec<&FnSym> = call
                     .callees
@@ -848,18 +833,9 @@ impl SemanticRule for DiscardedResults {
                 if line.in_test {
                     continue;
                 }
-                let toks = views.entry(f.file).or_insert_with(|| {
-                    file.tokens
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, t)| {
-                            !matches!(
-                                t.kind,
-                                TokKind::LineComment { .. } | TokKind::BlockComment { .. }
-                            )
-                        })
-                        .collect()
-                });
+                let toks = views
+                    .entry(f.file)
+                    .or_insert_with(|| code_tokens(&file.tokens, 0..file.tokens.len()));
                 let Ok(pos) = toks.binary_search_by_key(&call.paren, |&(o, _)| o) else {
                     continue;
                 };

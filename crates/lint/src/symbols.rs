@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::lexer::{TokKind, Token};
+use crate::lexer::{code_tokens, TokKind, Token};
 use crate::scan::ScannedFile;
 
 /// One function item (free function or method).
@@ -111,6 +111,11 @@ impl SymbolTable {
             }
         }
         table
+    }
+
+    /// True when `id` is a function declared in test code.
+    pub(crate) fn is_test(&self, id: usize) -> bool {
+        self.fns.get(id).is_some_and(|f| f.is_test)
     }
 
     /// Function ids whose qualified name ends with the given
@@ -207,17 +212,7 @@ fn parse_file(table: &mut SymbolTable, file_idx: usize, file: &ScannedFile) -> F
         uses: BTreeMap::new(),
     };
     // Comment-free view with original token indices.
-    let toks: Vec<(usize, &Token)> = file
-        .tokens
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| {
-            !matches!(
-                t.kind,
-                TokKind::LineComment { .. } | TokKind::BlockComment { .. }
-            )
-        })
-        .collect();
+    let toks = code_tokens(&file.tokens, 0..file.tokens.len());
 
     let mut stack: Vec<Scope> = Vec::new();
     let mut pending: Option<Pending> = None;
