@@ -23,7 +23,9 @@
 //! 3. **Byte-identical resume** — recovery completes, commits exactly
 //!    the baseline's days, reaches the baseline generation, and leaves
 //!    the durable filesystem byte-for-byte equal to the uninterrupted
-//!    run's. Resumed is *identical*, not just similar.
+//!    run's. Resumed is *identical*, not just similar. Its last
+//!    snapshot, advanced day by day, answers exactly like one a
+//!    restart builds from scratch out of the durable state.
 //! 4. **Lost days re-ingestable** — days whose checkpoint or journal
 //!    entry did not survive are re-ingested from source during
 //!    recovery; nothing is silently orphaned (stale `.tmp` leftovers
@@ -104,6 +106,9 @@ struct RunResult {
     /// Published snapshot generations, starting with the restore
     /// generation.
     generations: Vec<u64>,
+    /// The last published snapshot, advanced day by day from the
+    /// restore snapshot.
+    last: Snapshot,
 }
 
 impl RunResult {
@@ -152,27 +157,70 @@ fn run_pipeline(fs: &Arc<MemFs>) -> Result<RunResult, String> {
     let mut census = restore.census;
     let restored = restore.restored.clone();
     let mut committed = restore.restored;
-    let mut generations =
-        vec![Snapshot::build(census.clone(), cfg.params, cfg.dense_class).generation];
+    let mut last = Snapshot::build(census.clone(), cfg.params, cfg.dense_class);
+    let mut generations = vec![last.generation];
 
     let mut pending =
         day_files(fs.as_ref(), &cfg.source_dir).map_err(|e| format!("source scan failed: {e}"))?;
     pending.retain(|(day, _)| !census.has_day(*day));
     for (day, path) in pending {
-        let (report, published) = land_day(&cfg, &path, &mut census, &mut committed)
+        let (report, published) = land_day(&cfg, &path, &mut census, &mut committed, &last)
             .map_err(|e| format!("landing {day} failed: [{}] {e}", e.label()))?;
         let Some((snapshot, journal)) = published else {
             return Err(format!("day {day} not committed ({:?})", report.outcome));
         };
         journal.map_err(|e| format!("journal write after {day} failed: {e}"))?;
         generations.push(snapshot.generation);
+        last = snapshot;
     }
 
     Ok(RunResult {
         committed,
         restored,
         generations,
+        last,
     })
+}
+
+/// The synthetic world's day logs, emitted into a fresh [`MemFs`].
+fn stage_world(cfg: &CrashTestConfig) -> Result<MemFs, String> {
+    let world = World::standard(WorldConfig {
+        seed: cfg.seed,
+        scale: cfg.scale,
+    });
+    let fs = MemFs::new();
+    world
+        .emit_day_logs(&fs, &source_dir(), epochs::mar2015(), cfg.days)
+        .map_err(|e| format!("world emission failed: {e}"))?;
+    Ok(fs)
+}
+
+/// A restarted daemon builds its snapshot from scratch, a live one
+/// advances it day by day; `Some` names the difference when `live`
+/// does not answer like a restart from `fs`'s durable state.
+fn restart_differs(fs: &MemFs, live: &Snapshot) -> Option<String> {
+    let restarted = Snapshot::build(
+        census_of_durable(fs, &state_dir()),
+        live.params,
+        live.dense_class,
+    );
+    (!live.same_products(&restarted)).then(|| {
+        format!(
+            "live snapshot (generation {}) differs from a restart's (generation {})",
+            live.generation, restarted.generation
+        )
+    })
+}
+
+/// Runs the pipeline uninterrupted over the staged world and restarts
+/// from its durable state. Returns the run's last published snapshot,
+/// advanced day by day, and the census the restart recovers; `None`
+/// when the run fails ([`explore`] reports why as a baseline
+/// violation).
+pub fn converge(cfg: &CrashTestConfig) -> Option<(Snapshot, Census)> {
+    let fs = Arc::new(stage_world(cfg).ok()?);
+    let run = run_pipeline(&fs).ok()?;
+    Some((run.last, census_of_durable(&fs, &state_dir())))
 }
 
 /// True when `prefix` is an exact leading slice of `full`.
@@ -195,15 +243,13 @@ pub fn explore(cfg: &CrashTestConfig) -> CrashReport {
 
     // Stage the synthetic world once; every run starts from this
     // durable image, exactly as a host reboot would see it.
-    let world = World::standard(WorldConfig {
-        seed: cfg.seed,
-        scale: cfg.scale,
-    });
-    let seeded = MemFs::new();
-    if let Err(e) = world.emit_day_logs(&seeded, &source_dir(), epochs::mar2015(), cfg.days) {
-        violations.push(format!("world emission failed: {e}"));
-        return bail(violations);
-    }
+    let seeded = match stage_world(cfg) {
+        Ok(fs) => fs,
+        Err(e) => {
+            violations.push(e);
+            return bail(violations);
+        }
+    };
     let world_files = seeded.durable_files();
     let world_dirs = seeded.durable_dirs();
 
@@ -228,6 +274,9 @@ pub fn explore(cfg: &CrashTestConfig) -> CrashReport {
             baseline.committed.len(),
             cfg.days
         ));
+    }
+    if let Some(v) = restart_differs(&base_fs, &baseline.last) {
+        violations.push(format!("baseline: {v}"));
     }
     let crash_points = base_fs.mutations();
     let op_log = base_fs.op_log();
@@ -345,6 +394,9 @@ pub fn explore(cfg: &CrashTestConfig) -> CrashReport {
                     violations.push(format!(
                         "crash {k} ({at}): recovered durable state not byte-identical to baseline"
                     ));
+                }
+                if let Some(v) = restart_differs(&rec_fs, &rec.last) {
+                    violations.push(format!("crash {k} ({at}): {v}"));
                 }
             }
             Err(e) => violations.push(format!("crash {k} ({at}): recovery failed: {e}")),

@@ -418,6 +418,44 @@ mod tests {
     }
 
     #[test]
+    fn day_sets_are_shared_not_copied() {
+        let w = world();
+        let d = epochs::mar2015();
+        let mut c = Census::run(&w, d, d + 2);
+        let copy = c.clone();
+        for day in d.range_inclusive(d + 2) {
+            let summary = c.summary(day).unwrap();
+            let other = c.other_daily().get(day).unwrap();
+            // One allocation per day's "Other" set: the summary's and
+            // the observation store's are the same keys.
+            assert!(summary.other.shares_storage(other), "{day}");
+            // A census clone copies pointers, not addresses.
+            assert!(other.shares_storage(copy.other_daily().get(day).unwrap()));
+            assert!(c
+                .other64_daily()
+                .get(day)
+                .unwrap()
+                .shares_storage(copy.other64_daily().get(day).unwrap()));
+            assert!(summary
+                .eui64
+                .shares_storage(&copy.summary(day).unwrap().eui64));
+        }
+        // Merging a duplicate day stores a fresh set for that day only:
+        // the snapshot reuse rule reads a changed day off its pointer.
+        c.ingest(&w.day_log(d + 1));
+        let merged = c.other_daily().get(d + 1).unwrap();
+        assert!(!merged.shares_storage(copy.other_daily().get(d + 1).unwrap()));
+        assert_eq!(merged, copy.other_daily().get(d + 1).unwrap());
+        for day in [d, d + 2] {
+            assert!(c
+                .other_daily()
+                .get(day)
+                .unwrap()
+                .shares_storage(copy.other_daily().get(day).unwrap()));
+        }
+    }
+
+    #[test]
     fn from_entries_matches_from_log() {
         let w = world();
         let log = w.day_log(epochs::mar2015());

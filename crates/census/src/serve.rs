@@ -1154,7 +1154,8 @@ fn ingest_loop(shared: &Arc<Shared>, mut census: Census, mut committed: Vec<Day>
             if shared.shutdown.load(Ordering::Acquire) {
                 return;
             }
-            match land_day(&shared.cfg, &path, &mut census, &mut committed) {
+            let prev = shared.cell.load();
+            match land_day(&shared.cfg, &path, &mut census, &mut committed, &prev) {
                 Ok((_, Some((next, journal)))) => {
                     failures.remove(&path);
                     if let Err(e) = journal {
@@ -1218,7 +1219,8 @@ fn ingest_loop(shared: &Arc<Shared>, mut census: Census, mut committed: Vec<Day>
 pub(crate) type Published = (Snapshot, io::Result<()>);
 
 /// Lands one day file: parse → commit (and its checkpoint) → journal
-/// rewrite (when a state dir is set) → next snapshot. The one landing
+/// rewrite (when a state dir is set) → next snapshot, advanced from
+/// `prev` (the snapshot of `census` before this day). The one landing
 /// step, shared by the daemon's ingest loop and the crash explorer.
 ///
 /// `Ok((report, Some((snapshot, journal))))`: the day entered the
@@ -1232,6 +1234,7 @@ pub(crate) fn land_day(
     path: &Path,
     census: &mut Census,
     committed: &mut Vec<Day>,
+    prev: &Snapshot,
 ) -> Result<(FileReport, Option<Published>), IngestError> {
     let ingestor = StreamIngestor::new(cfg.ingest.clone());
     let parsed = ingestor.parse_file(path)?;
@@ -1246,7 +1249,7 @@ pub(crate) fn land_day(
         Some(state) => write_journal(cfg.ingest.vfs.as_ref(), state, committed),
         None => Ok(()),
     };
-    let snapshot = Snapshot::build(census.clone(), cfg.params, cfg.dense_class);
+    let snapshot = prev.advance(census.clone());
     Ok((report, Some((snapshot, journal))))
 }
 
@@ -1355,9 +1358,12 @@ mod tests {
                 ..ServeConfig::default()
             };
             let (mut census, mut committed) = (Census::new_empty(), Vec::new());
-            let (_, next) = land_day(&cfg, &paths[1], &mut census, &mut committed).unwrap();
-            assert!(next.is_some(), "day d+1 lands first");
-            let late = land_day(&cfg, &paths[0], &mut census, &mut committed);
+            let empty = Snapshot::build(Census::new_empty(), cfg.params, cfg.dense_class);
+            let (_, next) = land_day(&cfg, &paths[1], &mut census, &mut committed, &empty).unwrap();
+            let Some((first, _)) = next else {
+                panic!("day d+1 lands first")
+            };
+            let late = land_day(&cfg, &paths[0], &mut census, &mut committed, &first);
             if mode == ErrorMode::Strict {
                 assert_eq!(late.err().map(|e| e.label()), Some("out-of-order-day"));
                 assert!(!census.has_day(d));

@@ -16,13 +16,13 @@
 
 use std::sync::{Arc, RwLock};
 use v6census_core::spatial::DensityClass;
-use v6census_core::temporal::{Day, StabilityParams};
+use v6census_core::temporal::{DailyObservations, Day, StabilityParams};
 use v6census_trie::AddrSet;
 
 use crate::ingest::Census;
 
 /// Per-day stability counts — the `/stats` stability histogram.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DayStat {
     /// The observation day.
     pub day: Day,
@@ -34,7 +34,7 @@ pub struct DayStat {
 
 /// Aggregate figures precomputed at publish time so `/stats` is a read,
 /// not a computation.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SnapshotStats {
     /// Reference-day counts by scheme category, in a stable order:
     /// `(label, count)` for teredo / isatap / 6to4 / other / eui64.
@@ -75,60 +75,124 @@ impl std::fmt::Debug for SnapshotCell {
 }
 
 impl Snapshot {
-    /// Builds a snapshot from a census. This is the expensive step and
-    /// deliberately takes `&Census` *by value semantics of the caller's
-    /// clone* — it runs on the ingest thread, outside any lock readers
-    /// touch.
+    /// Builds a snapshot of `census` from scratch: every day's
+    /// stability verdict is computed. It runs on the ingest thread,
+    /// outside any lock readers touch; the caller passes its own clone
+    /// of the census, which shares every day set with the original.
     pub fn build(census: Census, params: StabilityParams, dense_class: DensityClass) -> Snapshot {
-        let reference = census.days().last();
-        let (active, stable) = match reference {
-            None => (AddrSet::new(), AddrSet::new()),
-            Some(r) => (
-                census.other_daily().on(r),
-                census.other_daily().stable_on(r, &params),
-            ),
-        };
-        let scheme_counts = match reference.and_then(|r| census.summary(r)) {
-            None => Vec::new(),
-            Some(s) => vec![
-                ("teredo", s.teredo.len()),
-                ("isatap", s.isatap.len()),
-                ("6to4", s.sixtofour.len()),
-                ("other", s.other.len()),
-                ("eui64", s.eui64.len()),
-            ],
-        };
-        let daily: Vec<DayStat> = census
-            .days()
-            .map(|day| {
-                let active = census.other_daily().on(day).len();
-                let stable = census.other_daily().stable_on(day, &params).len();
-                DayStat {
-                    day,
-                    active,
-                    stable,
-                }
-            })
-            .collect();
-        let generation = daily.len() as u64;
-        Snapshot {
-            generation,
-            census,
-            reference,
-            params,
-            dense_class,
-            active,
-            stable,
-            stats: SnapshotStats {
-                scheme_counts,
-                daily,
-            },
+        assemble(census, params, dense_class, None)
+    }
+
+    /// The snapshot of `census`, a later state of this snapshot's
+    /// census, under the same parameters. Equal to
+    /// [`Snapshot::build`]`(census, self.params, self.dense_class)`,
+    /// but a day's [`DayStat`] is kept from `self` when every set its
+    /// stability verdict reads is shared with this snapshot's census
+    /// (`DailyObservations::shares_stable_on_inputs`). A landed day
+    /// changes only the days whose window holds it, so the cost of a
+    /// publish follows the window, not the length of the census.
+    pub fn advance(&self, census: Census) -> Snapshot {
+        assemble(census, self.params, self.dense_class, Some(self))
+    }
+
+    /// This snapshot's [`DayStat`] for `day`, when `observations`
+    /// would give `day` the same verdict under `params`.
+    fn kept_stat(
+        &self,
+        observations: &DailyObservations,
+        day: Day,
+        params: &StabilityParams,
+    ) -> Option<DayStat> {
+        if self.params != *params
+            || !observations.shares_stable_on_inputs(self.census.other_daily(), day, params)
+        {
+            return None;
         }
+        let i = self
+            .stats
+            .daily
+            .binary_search_by_key(&day, |s| s.day)
+            .ok()?;
+        self.stats.daily.get(i).copied()
+    }
+
+    /// True when `self` and `other` answer every query alike: same
+    /// generation, reference day, parameters, reference-day sets and
+    /// `/stats` figures. The census itself is not compared; these are
+    /// its products.
+    pub fn same_products(&self, other: &Snapshot) -> bool {
+        self.generation == other.generation
+            && self.reference == other.reference
+            && self.params == other.params
+            && self.dense_class == other.dense_class
+            && self.active == other.active
+            && self.stable == other.stable
+            && self.stats == other.stats
     }
 
     /// Number of ingested days (always equals `generation`).
     pub fn days(&self) -> u64 {
         self.stats.daily.len() as u64
+    }
+}
+
+/// The one snapshot assembly loop behind [`Snapshot::build`] (no
+/// `prev`) and [`Snapshot::advance`]. The reference day's stable set is
+/// always computed, once; every other day keeps `prev`'s [`DayStat`]
+/// when its inputs are unchanged and is computed otherwise.
+fn assemble(
+    census: Census,
+    params: StabilityParams,
+    dense_class: DensityClass,
+    prev: Option<&Snapshot>,
+) -> Snapshot {
+    let observations = census.other_daily();
+    let reference = census.days().last();
+    let mut stable = AddrSet::new();
+    let mut daily: Vec<DayStat> = Vec::with_capacity(observations.day_count());
+    for day in census.days() {
+        let kept = prev.and_then(|p| p.kept_stat(observations, day, &params));
+        let stat = match kept {
+            Some(stat) if Some(day) != reference => stat,
+            _ => {
+                let set = observations.stable_on(day, &params);
+                let stat = DayStat {
+                    day,
+                    active: observations.get(day).map_or(0, AddrSet::len),
+                    stable: set.len(),
+                };
+                if Some(day) == reference {
+                    stable = set;
+                }
+                stat
+            }
+        };
+        daily.push(stat);
+    }
+    let active = reference.map_or_else(AddrSet::new, |r| observations.on(r));
+    let scheme_counts = match reference.and_then(|r| census.summary(r)) {
+        None => Vec::new(),
+        Some(s) => vec![
+            ("teredo", s.teredo.len()),
+            ("isatap", s.isatap.len()),
+            ("6to4", s.sixtofour.len()),
+            ("other", s.other.len()),
+            ("eui64", s.eui64.len()),
+        ],
+    };
+    let generation = daily.len() as u64;
+    Snapshot {
+        generation,
+        census,
+        reference,
+        params,
+        dense_class,
+        active,
+        stable,
+        stats: SnapshotStats {
+            scheme_counts,
+            daily,
+        },
     }
 }
 
@@ -217,6 +281,72 @@ mod tests {
         let last = s.stats.daily.last().expect("daily stats present");
         assert_eq!(last.active, s.active.len());
         assert_eq!(last.stable, s.stable.len());
+    }
+
+    /// Asserts `got` has every product of `want`, field by field.
+    fn assert_same(got: &Snapshot, want: &Snapshot, ctx: &str) {
+        assert_eq!(got.generation, want.generation, "{ctx}: generation");
+        assert_eq!(got.reference, want.reference, "{ctx}: reference");
+        assert_eq!(got.params, want.params, "{ctx}: params");
+        assert_eq!(got.active, want.active, "{ctx}: active");
+        assert_eq!(got.stable, want.stable, "{ctx}: stable");
+        assert_eq!(
+            got.stats.scheme_counts, want.stats.scheme_counts,
+            "{ctx}: scheme_counts"
+        );
+        assert_eq!(got.stats.daily, want.stats.daily, "{ctx}: daily");
+        assert!(got.same_products(want), "{ctx}: same_products");
+    }
+
+    /// Lands `logs` one at a time (`Census::ingest` merges a duplicate
+    /// day) and checks every advanced snapshot against a from-scratch
+    /// build of the same census, under the previous snapshot's params
+    /// and, through the shared loop, under `other` params.
+    fn land_and_compare(logs: &[v6census_synth::DayLog], other: StabilityParams, ctx: &str) {
+        let (params, class) = (StabilityParams::nd(3), DensityClass::new(8, 64));
+        let mut census = Census::new_empty();
+        let mut prev = Snapshot::build(census.clone(), params, class);
+        for (i, log) in logs.iter().enumerate() {
+            census.ingest(log);
+            let next = prev.advance(census.clone());
+            let ctx = format!("{ctx}, landing {i} ({})", log.day);
+            assert_same(&next, &Snapshot::build(census.clone(), params, class), &ctx);
+            // Different params must disable reuse, not keep stale stats.
+            let changed = assemble(census.clone(), other, class, Some(&prev));
+            let want = Snapshot::build(census.clone(), other, class);
+            assert_same(&changed, &want, &format!("{ctx}, other params"));
+            // Days whose window cannot hold the landed day are kept.
+            for stat in &prev.stats.daily {
+                if (stat.day - log.day).abs() > params.back.max(params.fwd) as i32 {
+                    let kept = prev.kept_stat(census.other_daily(), stat.day, &params);
+                    assert_eq!(kept, Some(*stat), "{ctx}: {} not kept", stat.day);
+                }
+            }
+            prev = next;
+        }
+    }
+
+    #[test]
+    fn advance_equals_build() {
+        let world = World::standard(WorldConfig::tiny(11));
+        let first = epochs::mar2015();
+        let logs: Vec<_> = (0..12).map(|i| world.day_log(first + i)).collect();
+        let other = StabilityParams::nd(2).with_window(3, 3);
+        land_and_compare(&logs, other, "in order");
+
+        // Day 5 lands last, into the gap its absence left.
+        let mut late = logs.clone();
+        let gap = late.remove(5);
+        late.push(gap);
+        land_and_compare(&late, other, "out of order");
+
+        // A duplicate of day 6 carrying day 2's addresses merges into
+        // day 6 and changes the verdicts of its neighbours.
+        let mut dup = logs.clone();
+        let mut extra = logs[2].clone();
+        extra.day = logs[6].day;
+        dup.push(extra);
+        land_and_compare(&dup, other, "duplicate-day merge");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!    explorer: every durability-relevant mutation of a full
 //!    ingest→checkpoint→journal→publish run becomes a simulated crash
 //!    point, and recovery from each must converge byte-identically to
-//!    the uninterrupted run.
+//!    the uninterrupted run, and answer like a restart from scratch
+//!    (`restart_answers_like_the_live_daemon` pins the baseline).
 //! 2. `journal_torn_at_every_byte_offset_never_mixes` — the journal
 //!    property test: truncate `journal.v1` at every byte offset; the
 //!    restore sees either the complete day list or a typed torn-journal
@@ -108,6 +109,23 @@ fn crash_point_exploration_proves_recovery() {
         report.baseline_generation, 6,
         "generation == days invariant"
     );
+}
+
+#[test]
+fn restart_answers_like_the_live_daemon() {
+    // A live daemon advances its snapshot day by day; a restarted one
+    // builds it from the recovered census. Both must answer alike.
+    let (live, recovered) =
+        crashtest::converge(&CrashTestConfig::default()).expect("the run converges");
+    let restarted = Snapshot::build(recovered, live.params, live.dense_class);
+    assert_eq!(live.generation, 6);
+    assert_eq!(live.generation, restarted.generation);
+    assert_eq!(live.reference, restarted.reference);
+    assert_eq!(live.active, restarted.active);
+    assert_eq!(live.stable, restarted.stable);
+    assert_eq!(live.stats.scheme_counts, restarted.stats.scheme_counts);
+    assert_eq!(live.stats.daily, restarted.stats.daily);
+    assert!(live.same_products(&restarted));
 }
 
 // ---------------------------------------------------------------------------

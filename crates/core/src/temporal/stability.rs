@@ -208,7 +208,9 @@ impl DailyObservations {
             .or_insert(set);
     }
 
-    /// The active set for a day (empty when unobserved).
+    /// The active set for a day (empty when unobserved). The returned
+    /// set shares the stored one's keys: a pointer copy, not a copy of
+    /// the addresses.
     pub fn on(&self, day: Day) -> AddrSet {
         self.days.get(&day).cloned().unwrap_or_default()
     }
@@ -317,9 +319,6 @@ impl DailyObservations {
             Some(s) => s,
             None => return AddrSet::new(),
         };
-        let lo = reference - params.back as i32;
-        let hi = reference + params.fwd as i32;
-        let min_d = params.min_distance() as i32;
         // One pass over the reference day's actives against a cursor
         // per witness day. Every cursor moves monotonically forward,
         // so the whole ±window costs O(|active|·w + Σ|witness|) with a
@@ -327,10 +326,8 @@ impl DailyObservations {
         // union-of-intersections built and dropped two intermediate
         // sets per witness day.
         let mut witnesses: Vec<&[u128]> = Vec::with_capacity(self.days.len());
-        for (&d, s) in self.days.range(lo..=hi) {
-            if (d - reference).abs() >= min_d {
-                witnesses.push(s.keys());
-            }
+        for (_, s) in self.witness_days(reference, params) {
+            witnesses.push(s.keys());
         }
         // Not `vec![0; …]`: the reserve-then-resize spelling keeps this
         // fn on the amortized point of R005's allocation lattice.
@@ -357,6 +354,54 @@ impl DailyObservations {
             }
         }
         AddrSet::from_sorted(out)
+    }
+
+    /// The observed days [`DailyObservations::stable_on`] may take a
+    /// witness from, with their sets, ascending: inside the window and
+    /// at least `n + slew` days from `reference`.
+    fn witness_days<'a>(
+        &'a self,
+        reference: Day,
+        params: &StabilityParams,
+    ) -> impl Iterator<Item = (Day, &'a AddrSet)> + 'a {
+        let lo = reference - params.back as i32;
+        let hi = reference + params.fwd as i32;
+        let min_d = params.min_distance() as i32;
+        self.days
+            .range(lo..=hi)
+            .filter(move |(&d, _)| (d - reference).abs() >= min_d)
+            .map(|(&d, s)| (d, s))
+    }
+
+    /// True when [`DailyObservations::stable_on`]`(reference, params)`
+    /// reads the same inputs from `self` and from `earlier`: the
+    /// reference day and every witness day are present in both or in
+    /// neither, and each present set shares its storage
+    /// ([`AddrSet::shares_storage`]). The answer is then the same in
+    /// both stores, so a result computed on `earlier` can be kept. A
+    /// newly landed or merged day changes only the verdicts of the days
+    /// whose window holds it at witness distance.
+    pub fn shares_stable_on_inputs(
+        &self,
+        earlier: &DailyObservations,
+        reference: Day,
+        params: &StabilityParams,
+    ) -> bool {
+        let same_reference = match (self.get(reference), earlier.get(reference)) {
+            (Some(a), Some(b)) => a.shares_storage(b),
+            (a, b) => a.is_none() && b.is_none(),
+        };
+        if !same_reference {
+            return false;
+        }
+        let mut theirs = earlier.witness_days(reference, params);
+        for (d, a) in self.witness_days(reference, params) {
+            match theirs.next() {
+                Some((e, b)) if d == e && a.shares_storage(b) => {}
+                _ => return false,
+            }
+        }
+        theirs.next().is_none()
     }
 
     /// Addresses active on `reference` but *not* witnessed nd-stable —
@@ -442,6 +487,37 @@ mod tests {
 
     fn day(d: u8) -> Day {
         Day::from_ymd(2015, 3, d)
+    }
+
+    #[test]
+    fn shared_inputs_follow_the_witness_window() {
+        let params = StabilityParams::nd(3);
+        let mut base = DailyObservations::new();
+        base.record(day(17), set(&["2001:db8::1"]));
+        base.record(day(20), set(&["2001:db8::1"]));
+        assert!(base
+            .clone()
+            .shares_stable_on_inputs(&base, day(17), &params));
+        // Days too close to be witnesses, or outside the window, are
+        // not inputs of the day-17 verdict.
+        let mut unread = base.clone();
+        unread.record(day(18), set(&["2001:db8::2"]));
+        unread.record(day(25), set(&["2001:db8::2"]));
+        assert!(unread.shares_stable_on_inputs(&base, day(17), &params));
+        // A new witness day, on either side, is.
+        let mut witness = base.clone();
+        witness.record(day(22), set(&["2001:db8::2"]));
+        assert!(!witness.shares_stable_on_inputs(&base, day(17), &params));
+        assert!(!base.shares_stable_on_inputs(&witness, day(17), &params));
+        // Equal contents in fresh storage are not shared storage.
+        let mut copy = DailyObservations::new();
+        copy.record(day(17), set(&["2001:db8::1"]));
+        copy.record(day(20), set(&["2001:db8::1"]));
+        assert!(!copy.shares_stable_on_inputs(&base, day(17), &params));
+        assert_eq!(
+            copy.stable_on(day(17), &params),
+            base.stable_on(day(17), &params)
+        );
     }
 
     #[test]

@@ -5,14 +5,25 @@
 //! cache-friendly representation for the operations the classifiers
 //! perform — membership, intersection size, union, and ordered scans for
 //! aggregate counting.
+//!
+//! A set is immutable once built (no method takes `&mut self`), so the
+//! keys live behind an `Arc` and a clone is a pointer copy: a census
+//! clone, a published snapshot and the day summary that produced a set
+//! all share one allocation. [`AddrSet::shares_storage`] exposes that
+//! identity, which is what lets a snapshot reuse per-day results whose
+//! inputs did not change.
 
+use std::sync::Arc;
 use v6census_addr::bits::high_mask;
 use v6census_addr::Addr;
 
-/// A sorted, deduplicated set of IPv6 addresses backed by a `Vec<u128>`.
+/// A sorted, deduplicated, immutable set of IPv6 addresses backed by a
+/// shared `Arc<Vec<u128>>`; cloning shares the keys.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AddrSet {
-    keys: Vec<u128>,
+    // `Arc<Vec<_>>`, not `Arc<[_]>`: wrapping a built `Vec` moves it
+    // without copying the keys.
+    keys: Arc<Vec<u128>>,
 }
 
 impl AddrSet {
@@ -29,7 +40,9 @@ impl AddrSet {
         let mut keys: Vec<u128> = iter.into_iter().map(|a| a.0).collect();
         keys.sort_unstable();
         keys.dedup();
-        AddrSet { keys }
+        AddrSet {
+            keys: Arc::new(keys),
+        }
     }
 
     /// Builds a set from a pre-sorted, pre-deduplicated vector of keys.
@@ -41,7 +54,9 @@ impl AddrSet {
             keys.iter().zip(keys.iter().skip(1)).all(|(a, b)| a < b),
             "keys not strictly sorted"
         );
-        AddrSet { keys }
+        AddrSet {
+            keys: Arc::new(keys),
+        }
     }
 
     /// Number of addresses in the set.
@@ -69,12 +84,20 @@ impl AddrSet {
         &self.keys
     }
 
+    /// True when `self` and `other` are clones of one set, sharing one
+    /// key allocation. Shared storage implies equal contents (a set is
+    /// never mutated), so a caller can skip work whose only inputs are
+    /// sets it already saw; distinct storage says nothing either way.
+    pub fn shares_storage(&self, other: &AddrSet) -> bool {
+        Arc::ptr_eq(&self.keys, &other.keys)
+    }
+
     /// Size of the intersection with `other`, by linear merge — O(n+m),
     /// the workhorse of the stability classifier (common addresses
     /// between two observation days).
     pub fn intersection_len(&self, other: &AddrSet) -> usize {
         let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
-        let (a, b) = (&self.keys, &other.keys);
+        let (a, b) = (self.keys(), other.keys());
         while i < a.len() && j < b.len() {
             match a[i].cmp(&b[j]) {
                 std::cmp::Ordering::Less => i += 1,
@@ -93,7 +116,7 @@ impl AddrSet {
     pub fn intersection(&self, other: &AddrSet) -> AddrSet {
         let mut out = Vec::with_capacity(self.keys.len().min(other.keys.len()));
         let (mut i, mut j) = (0usize, 0usize);
-        let (a, b) = (&self.keys, &other.keys);
+        let (a, b) = (self.keys(), other.keys());
         while i < a.len() && j < b.len() {
             match a[i].cmp(&b[j]) {
                 std::cmp::Ordering::Less => i += 1,
@@ -105,14 +128,16 @@ impl AddrSet {
                 }
             }
         }
-        AddrSet { keys: out }
+        AddrSet {
+            keys: Arc::new(out),
+        }
     }
 
     /// The union with `other` as a new set.
     pub fn union(&self, other: &AddrSet) -> AddrSet {
         let mut out = Vec::with_capacity(self.keys.len() + other.keys.len());
         let (mut i, mut j) = (0usize, 0usize);
-        let (a, b) = (&self.keys, &other.keys);
+        let (a, b) = (self.keys(), other.keys());
         while i < a.len() && j < b.len() {
             match a[i].cmp(&b[j]) {
                 std::cmp::Ordering::Less => {
@@ -132,7 +157,9 @@ impl AddrSet {
         }
         out.extend_from_slice(&a[i..]);
         out.extend_from_slice(&b[j..]);
-        AddrSet { keys: out }
+        AddrSet {
+            keys: Arc::new(out),
+        }
     }
 
     /// Union of many sets, by k-way repeated pairwise merge (balanced
@@ -150,24 +177,24 @@ impl AddrSet {
     /// address set into its active-/64 set (paper Table 1).
     pub fn map_prefix(&self, len: u8) -> AddrSet {
         if len >= 128 {
-            // Reserved copy, not `.clone()`: `map_prefix` runs inside
-            // per-day loops (prefix_view, spectra), so its allocation
-            // effect must stay amortized for the R005 proof.
-            let mut out = Vec::with_capacity(self.keys.len());
-            out.extend_from_slice(&self.keys);
-            return AddrSet { keys: out };
+            // Every address is its own /128: the same set, shared.
+            return AddrSet {
+                keys: Arc::clone(&self.keys),
+            };
         }
         let mut out: Vec<u128> = Vec::with_capacity(self.keys.len());
         let mask = high_mask(len);
         let mut last: Option<u128> = None;
-        for &k in &self.keys {
+        for &k in self.keys.iter() {
             let m = k & mask;
             if last != Some(m) {
                 out.push(m);
                 last = Some(m);
             }
         }
-        AddrSet { keys: out }
+        AddrSet {
+            keys: Arc::new(out),
+        }
     }
 }
 
