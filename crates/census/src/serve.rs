@@ -56,8 +56,8 @@ use crate::ingest::{Census, DaySummary};
 use crate::routing::RoutingTable;
 use crate::snapshot::{Snapshot, SnapshotCell};
 use crate::stream::{
-    checkpoint_path, day_files, day_from_filename, load_checkpoint, sweep_stale_tmp, FileOutcome,
-    FileReport, IngestConfig, IngestError, StreamIngestor,
+    checkpoint_path, day_files, load_checkpoint, sweep_stale_tmp, FileOutcome, FileReport,
+    IngestConfig, IngestError, StreamIngestor,
 };
 
 /// The daemon's single monotonic clock read: header deadlines, drain
@@ -349,7 +349,7 @@ pub fn load_journal(fs: &dyn Vfs, path: &Path) -> Result<Vec<Day>, IngestError> 
             declared = rest.trim().parse().ok();
             break;
         }
-        match day_from_filename(line.trim()) {
+        match Day::parse_leading(line.trim()) {
             Some(day) => days.push(day),
             None => return Err(bad(format!("bad journal day {line:?}"))),
         }
@@ -1332,6 +1332,30 @@ mod tests {
         assert!(out.census.has_day(d0));
         assert!(!out.census.has_day(d0 + 1));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_checkpoint_header_is_bad_checkpoint_not_a_panic() {
+        use v6census_core::vfs::MemFs;
+        let state = PathBuf::from("/state");
+        let d0 = Day::from_ymd(2015, 3, 17);
+        let huge = usize::MAX;
+        // A retired v1 checkpoint and a day-log one, each declaring
+        // 18446744073709551615 entries.
+        for text in [
+            format!("# v6census checkpoint v1 {d0} {huge} 0\n# end\n"),
+            format!("# synthetic day {d0}: {huge} unique client addrs\n# end 0 0\n"),
+        ] {
+            let fs = MemFs::new();
+            write_journal(&fs, &state, &[d0]).unwrap();
+            fs.write_atomic(&checkpoint_path(&state, d0), text.as_bytes())
+                .unwrap();
+            let err = load_checkpoint(&fs, &checkpoint_path(&state, d0)).unwrap_err();
+            assert_eq!(err.label(), "bad-checkpoint", "{text}");
+            let out = restore_state(&fs, &state);
+            assert_eq!(out.restored, Vec::new());
+            assert_eq!(out.recovered, 1);
+        }
     }
 
     #[test]

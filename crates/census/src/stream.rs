@@ -24,7 +24,8 @@
 //! lands one day at a time as files arrive.
 //!
 //! Checkpoints are one file per ingested day (written atomically via
-//! temp-file + rename), holding the parsed `(address, hits)` entries.
+//! temp-file + rename): a canonical day log
+//! ([`v6census_core::daylog`]) of the parsed `(address, hits)` entries.
 //! Because [`DaySummary::from_entries`] is a pure function of those
 //! entries, a resumed census is *identical* to an uninterrupted one —
 //! not just similar.
@@ -34,11 +35,12 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::io::{self, BufRead};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 use v6census_addr::Addr;
+use v6census_core::daylog;
 use v6census_core::temporal::Day;
 use v6census_core::vfs::{self, RealFs, Vfs};
 
@@ -325,18 +327,6 @@ pub fn with_retry<T>(
     }
 }
 
-/// Parses the leading `YYYY-MM-DD` of a file name.
-pub fn day_from_filename(name: &str) -> Option<Day> {
-    let b = name.as_bytes();
-    if b.len() < 10 || b.get(4) != Some(&b'-') || b.get(7) != Some(&b'-') {
-        return None;
-    }
-    let y: i32 = name.get(0..4)?.parse().ok()?;
-    let m: u8 = name.get(5..7)?.parse().ok()?;
-    let d: u8 = name.get(8..10)?.parse().ok()?;
-    Day::try_from_ymd(y, m, d)
-}
-
 /// A path's file name, lossily decoded (empty when it has none).
 pub(crate) fn file_name(path: &Path) -> Cow<'_, str> {
     path.file_name()
@@ -346,7 +336,7 @@ pub(crate) fn file_name(path: &Path) -> Cow<'_, str> {
 
 /// The day a path's file name carries (its leading `YYYY-MM-DD`).
 pub(crate) fn day_of_path(path: &Path) -> Option<Day> {
-    day_from_filename(&file_name(path))
+    Day::parse_leading(&file_name(path))
 }
 
 /// The day files directly under `dir` — entries whose name starts with
@@ -359,16 +349,6 @@ pub(crate) fn day_files(fs: &dyn Vfs, dir: &Path) -> io::Result<Vec<(Day, PathBu
         .collect();
     files.sort();
     Ok(files)
-}
-
-/// Parses a day-log header: `# synthetic day YYYY-MM-DD: N unique ...`.
-/// Returns `(day, declared_entry_count)`.
-fn parse_header(line: &str) -> Option<(Day, usize)> {
-    let rest = line.strip_prefix("# synthetic day ")?;
-    let (date_s, tail) = rest.split_once(':')?;
-    let day = day_from_filename(date_s.trim())?;
-    let count: usize = tail.split_whitespace().next()?.parse().ok()?;
-    Some((day, count))
 }
 
 /// What happened to one file.
@@ -477,16 +457,6 @@ impl IngestReport {
     }
 }
 
-/// The parsed content of one day-log file.
-struct FileParse {
-    header_day: Option<Day>,
-    declared: Option<usize>,
-    trailer: Option<(usize, u64)>,
-    entries: Vec<(Addr, u64)>,
-    data_lines: usize,
-    bad: Vec<IngestError>,
-}
-
 /// The census-independent result of reading and fully validating one day
 /// file, produced by [`StreamIngestor::parse_file`] and consumed by
 /// [`StreamIngestor::commit_parsed`]. The split exists so the supervised
@@ -580,7 +550,7 @@ impl StreamIngestor {
             }
         }
 
-        let parse = match with_retry(&self.cfg, || self.read_and_parse(path)) {
+        let (log, bad) = match with_retry(&self.cfg, || self.read_and_parse(path)) {
             Ok((p, _retries)) => p,
             Err((e, retries)) => {
                 let err = IngestError::Io {
@@ -594,17 +564,17 @@ impl StreamIngestor {
                     .map(ParsedFile::failed);
             }
         };
-        report.data_lines = parse.data_lines;
-        report.bad_lines = parse.bad.len();
+        report.data_lines = log.data_lines;
+        report.bad_lines = bad.len();
 
         // Header validation.
-        let Some(header_day) = parse.header_day else {
+        let Some((header_day, declared)) = log.header else {
             let e = IngestError::BadHeader {
                 path: path.to_path_buf(),
                 reason: "missing or malformed `# synthetic day` header".into(),
             };
             return self
-                .fail(path, file_day, parse.data_lines, parse.bad.len(), vec![e])
+                .fail(path, file_day, log.data_lines, report.bad_lines, vec![e])
                 .map(ParsedFile::failed);
         };
         if header_day != file_day {
@@ -613,27 +583,27 @@ impl StreamIngestor {
                 file_day,
                 header_day,
             };
-            let mut errors = parse.bad.clone();
+            let mut errors = bad;
             errors.push(e);
             return self
-                .fail(path, file_day, parse.data_lines, parse.bad.len(), errors)
+                .fail(path, file_day, log.data_lines, report.bad_lines, errors)
                 .map(ParsedFile::failed);
         }
 
         // Per-line errors count against the budget.
         if self.cfg.mode == ErrorMode::Strict {
-            if let Some(e) = parse.bad.first() {
+            if let Some(e) = bad.first() {
                 return Err(e.clone());
             }
         }
-        report.errors.extend(parse.bad.iter().cloned());
-        if parse.data_lines > 0 {
-            let ratio = parse.bad.len() as f64 / parse.data_lines as f64;
+        report.errors.extend(bad);
+        if log.data_lines > 0 {
+            let ratio = report.bad_lines as f64 / log.data_lines as f64;
             if ratio > self.cfg.max_bad_ratio {
                 let e = IngestError::ErrorBudgetExceeded {
                     path: path.to_path_buf(),
-                    bad: parse.bad.len(),
-                    total: parse.data_lines,
+                    bad: report.bad_lines,
+                    total: log.data_lines,
                     max_bad_ratio: self.cfg.max_bad_ratio,
                 };
                 report.errors.push(e.clone());
@@ -647,18 +617,15 @@ impl StreamIngestor {
 
         // Truncation: the trailer is authoritative; without one, the
         // header's declared count must be met.
-        let truncated = match parse.trailer {
-            Some((n, _hits)) => (parse.data_lines != n).then_some(n),
-            None => {
-                let declared = parse.declared.unwrap_or(0);
-                (parse.data_lines < declared).then_some(declared)
-            }
+        let truncated = match log.trailer {
+            Some((n, _hits)) => (log.data_lines != n).then_some(n),
+            None => (log.data_lines < declared).then_some(declared),
         };
         if let Some(expected) = truncated {
             let e = IngestError::Truncated {
                 path: path.to_path_buf(),
                 expected,
-                got: parse.data_lines,
+                got: log.data_lines,
             };
             report.errors.push(e.clone());
             report.outcome = FileOutcome::Failed;
@@ -668,11 +635,11 @@ impl StreamIngestor {
             return Ok(ParsedFile::failed(report));
         }
 
-        let summary = DaySummary::from_entries(file_day, parse.entries.iter().copied());
+        let summary = DaySummary::from_entries(file_day, log.entries.iter().copied());
         Ok(ParsedFile {
             report,
             summary: Some(summary),
-            checkpoint_entries: Some(parse.entries),
+            checkpoint_entries: Some(log.entries),
         })
     }
 
@@ -789,136 +756,21 @@ impl StreamIngestor {
         })
     }
 
-    /// Reads one file line by line (bounded memory: one reused line
-    /// buffer) and parses header, data lines, and trailer. A data line
-    /// costs one `read_until`, the UTF-8 check `read_line` would make,
-    /// and one left-to-right field scan ([`next_field`]) feeding
-    /// [`Addr::parse_ascii`]; only a bad line allocates (its report).
-    fn read_and_parse(&self, path: &Path) -> io::Result<FileParse> {
+    /// Reads and parses one file through [`daylog::read`], moving its
+    /// bad lines out as [`IngestError::BadLine`]s of `path`.
+    fn read_and_parse(&self, path: &Path) -> io::Result<(daylog::Parsed, Vec<IngestError>)> {
         let file = self.cfg.vfs.open_read(path)?;
-        let mut reader = io::BufReader::new(file);
-        let mut parse = FileParse {
-            header_day: None,
-            declared: None,
-            trailer: None,
-            entries: Vec::new(),
-            data_lines: 0,
-            bad: Vec::new(),
-        };
-        let mut buf: Vec<u8> = Vec::new();
-        let mut line_no = 0usize;
-        loop {
-            buf.clear();
-            if reader.read_until(b'\n', &mut buf)? == 0 {
-                break;
-            }
-            line_no += 1;
-            let line = std::str::from_utf8(&buf).map_err(|_| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "stream did not contain valid UTF-8",
-                )
-            })?;
-            let (first, rest) = next_field(line);
-            if first.is_empty() {
-                continue;
-            }
-            if first.starts_with('#') {
-                let t = line.trim();
-                if line_no == 1 {
-                    if let Some((day, n)) = parse_header(t) {
-                        parse.header_day = Some(day);
-                        parse.declared = Some(n);
-                        parse.entries.reserve(n.min(MAX_RESERVED_ENTRIES));
-                    }
-                } else if let Some(end) = t
-                    .strip_prefix('#')
-                    .and_then(|c| c.trim().strip_prefix("end "))
-                {
-                    let (n, end) = next_field(end);
-                    let (h, _) = next_field(end);
-                    if let (Ok(n), Ok(h)) = (n.parse::<usize>(), h.parse::<u64>()) {
-                        parse.trailer = Some((n, h));
-                    }
-                }
-                continue;
-            }
-            parse.data_lines += 1;
-            let (hits, _) = next_field(rest);
-            let hits = if hits.is_empty() {
-                Ok(1)
-            } else {
-                hits.parse::<u64>()
-            };
-            let reason = match (Addr::parse_ascii(first.as_bytes()), hits) {
-                (Ok(addr), Ok(hits)) => {
-                    parse.entries.push((addr, hits));
-                    continue;
-                }
-                (Err(_), _) => "unparseable address",
-                (Ok(_), Err(_)) => "unparseable hits column",
-            };
-            parse.bad.push(IngestError::BadLine {
+        let mut log = daylog::read(io::BufReader::new(file))?;
+        let bad = std::mem::take(&mut log.bad)
+            .into_iter()
+            .map(|b| IngestError::BadLine {
                 path: path.to_path_buf(),
-                line: line_no,
-                content: clip(line.trim()),
-                reason: reason.into(),
-            });
-        }
-        Ok(parse)
-    }
-}
-
-/// The most entries a day header's declared count reserves up front:
-/// a header that lies cannot force a larger allocation than this.
-const MAX_RESERVED_ENTRIES: usize = 1 << 18;
-
-/// Splits the first whitespace-separated field off `s`: returns the
-/// field (empty when `s` is all whitespace) and the rest after it.
-/// Whitespace is exactly `char::is_whitespace`, the set `str::trim` and
-/// `split_whitespace` use: ASCII `\t \n \x0B \x0C \r` and space (U+000B
-/// is one `u8::is_ascii_whitespace` misses) plus Unicode's White_Space.
-/// ASCII bytes are classified as bytes; only a non-ASCII byte decodes
-/// its char.
-fn next_field(s: &str) -> (&str, &str) {
-    let (_, s) = s.split_at(run_len(s, true));
-    s.split_at(run_len(s, false))
-}
-
-/// The byte length of the leading run of `s` whose chars are all
-/// whitespace (`ws`) or all not.
-fn run_len(s: &str, ws: bool) -> usize {
-    let b = s.as_bytes();
-    let mut i = 0;
-    while let Some(&c) = b.get(i) {
-        let (is_ws, len) = if c.is_ascii() {
-            (matches!(c, b'\t'..=b'\r' | b' '), 1)
-        } else {
-            // `i` always sits on a char boundary: ASCII steps by 1,
-            // everything else by its char's UTF-8 length.
-            match s.get(i..).and_then(|r| r.chars().next()) {
-                Some(ch) => (ch.is_whitespace(), ch.len_utf8()),
-                None => (false, 1),
-            }
-        };
-        if is_ws != ws {
-            break;
-        }
-        i += len;
-    }
-    i
-}
-
-fn clip(s: &str) -> String {
-    const MAX: usize = 60;
-    if s.len() <= MAX {
-        s.to_string()
-    } else {
-        let cut = (0..=MAX)
-            .rev()
-            .find(|&i| s.is_char_boundary(i))
-            .unwrap_or(0);
-        format!("{}…", &s[..cut])
+                line: b.line,
+                content: b.content,
+                reason: b.reason.label().into(),
+            })
+            .collect();
+        Ok((log, bad))
     }
 }
 
@@ -927,10 +779,11 @@ pub fn checkpoint_path(dir: &Path, day: Day) -> PathBuf {
     dir.join(format!("ckpt-{day}.tsv"))
 }
 
-/// Writes a per-day checkpoint atomically *and durably* (temp file +
-/// fsync + rename via [`Vfs::write_atomic`]), so a crash mid-write
-/// leaves either no checkpoint or a complete one — and a completed
-/// write survives power loss, per the DESIGN.md persistence model.
+/// Writes a per-day checkpoint, a canonical day log of `entries` with
+/// no kind column, atomically *and durably* (temp file + fsync + rename
+/// via [`Vfs::write_atomic`]), so a crash mid-write leaves either no
+/// checkpoint or a complete one — and a completed write survives power
+/// loss, per the DESIGN.md persistence model.
 pub fn write_checkpoint(
     fs: &dyn Vfs,
     dir: &Path,
@@ -938,12 +791,7 @@ pub fn write_checkpoint(
     entries: &[(Addr, u64)],
 ) -> io::Result<()> {
     fs.create_dir_all(dir)?;
-    let hits: u64 = entries.iter().map(|&(_, h)| h).sum();
-    let mut text = format!("# v6census checkpoint v1 {day} {} {hits}\n", entries.len());
-    for (addr, h) in entries {
-        let _ = writeln!(text, "{addr}\t{h}");
-    }
-    text.push_str("# end\n");
+    let text = daylog::write(day, None, entries.iter().map(|&(addr, h)| (addr, h, None)));
     fs.write_atomic(&checkpoint_path(dir, day), text.as_bytes())
 }
 
@@ -967,70 +815,44 @@ pub fn sweep_stale_tmp(fs: &dyn Vfs, dir: &Path) -> io::Result<u64> {
     Ok(removed)
 }
 
-/// Loads and validates a checkpoint written by [`write_checkpoint`].
+/// Loads and validates a checkpoint written by [`write_checkpoint`]:
+/// every line must be good, the header must be present and declare the
+/// entry count, and the trailer must match the entries.
 pub fn load_checkpoint(fs: &dyn Vfs, path: &Path) -> Result<(Day, Vec<(Addr, u64)>), IngestError> {
     let bad = |reason: String| IngestError::BadCheckpoint {
         path: path.to_path_buf(),
         reason,
     };
-    let text = fs.read_to_string(path).map_err(|e| IngestError::Io {
-        path: path.to_path_buf(),
-        kind: e.kind(),
-        retries: 0,
-        detail: e.to_string(),
-    })?;
-    let mut lines = text.lines();
-    let header = lines.next().ok_or_else(|| bad("empty file".into()))?;
-    let rest = header
-        .strip_prefix("# v6census checkpoint v1 ")
-        .ok_or_else(|| bad("missing checkpoint header".into()))?;
-    let mut cols = rest.split_whitespace();
-    let day = cols
-        .next()
-        .and_then(day_from_filename)
-        .ok_or_else(|| bad("bad checkpoint day".into()))?;
-    let declared: usize = cols
-        .next()
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| bad("bad entry count".into()))?;
-    let declared_hits: u64 = cols
-        .next()
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| bad("bad hit count".into()))?;
-    let mut entries = Vec::with_capacity(declared);
-    let mut ended = false;
-    for line in lines {
-        if line == "# end" {
-            ended = true;
-            break;
-        }
-        let (addr_s, hits_s) = line
-            .split_once('\t')
-            .ok_or_else(|| bad(format!("bad entry line {line:?}")))?;
-        let addr: Addr = addr_s
-            .parse()
-            .map_err(|_| bad(format!("bad address {addr_s:?}")))?;
-        let hits: u64 = hits_s
-            .parse()
-            .map_err(|_| bad(format!("bad hits {hits_s:?}")))?;
-        entries.push((addr, hits));
-    }
-    if !ended {
-        return Err(bad("missing end marker".into()));
-    }
-    if entries.len() != declared {
+    let log = fs
+        .open_read(path)
+        .and_then(|file| daylog::read(io::BufReader::new(file)))
+        .map_err(|e| IngestError::Io {
+            path: path.to_path_buf(),
+            kind: e.kind(),
+            retries: 0,
+            detail: e.to_string(),
+        })?;
+    if let Some(b) = log.bad.first() {
         return Err(bad(format!(
-            "entry count mismatch: declared {declared}, got {}",
-            entries.len()
+            "line {}: {}: {:?}",
+            b.line,
+            b.reason.label(),
+            b.content
         )));
     }
-    let hits: u64 = entries.iter().map(|&(_, h)| h).sum();
-    if hits != declared_hits {
+    let (day, declared) = log
+        .header
+        .ok_or_else(|| bad("missing day-log header".into()))?;
+    let trailer = log.trailer.ok_or_else(|| bad("missing trailer".into()))?;
+    let n = log.entries.len();
+    let hits: u64 = log.entries.iter().map(|&(_, h)| h).sum();
+    if declared != n || trailer != (n, hits) {
         return Err(bad(format!(
-            "hit total mismatch: declared {declared_hits}, got {hits}"
+            "header declares {declared} entries and trailer {trailer:?}, \
+             but the file holds {n} entries, {hits} hits"
         )));
     }
-    Ok((day, entries))
+    Ok((day, log.entries))
 }
 
 /// Groups a report's errors by variant label — the health-report rollup.
@@ -1050,30 +872,22 @@ mod tests {
     #[test]
     fn filename_days() {
         assert_eq!(
-            day_from_filename("2015-03-17.log"),
+            Day::parse_leading("2015-03-17.log"),
             Some(Day::from_ymd(2015, 3, 17))
         );
         assert_eq!(
-            day_from_filename("2015-03-17"),
+            Day::parse_leading("2015-03-17"),
             Some(Day::from_ymd(2015, 3, 17))
         );
-        assert!(day_from_filename("notes.txt").is_none());
-        assert!(day_from_filename("2015-13-01.log").is_none());
-        assert!(day_from_filename("20150317").is_none());
-        assert!(day_from_filename("2015-02-29.log").is_none());
-        assert!(day_from_filename("2015-04-31.log").is_none());
+        assert!(Day::parse_leading("notes.txt").is_none());
+        assert!(Day::parse_leading("2015-13-01.log").is_none());
+        assert!(Day::parse_leading("20150317").is_none());
+        assert!(Day::parse_leading("2015-02-29.log").is_none());
+        assert!(Day::parse_leading("2015-04-31.log").is_none());
         assert_eq!(
-            day_from_filename("2016-02-29.log"),
+            Day::parse_leading("2016-02-29.log"),
             Some(Day::from_ymd(2016, 2, 29))
         );
-    }
-
-    #[test]
-    fn header_parses() {
-        let (d, n) = parse_header("# synthetic day 2015-03-17: 1234 unique client addrs").unwrap();
-        assert_eq!(d, Day::from_ymd(2015, 3, 17));
-        assert_eq!(n, 1234);
-        assert!(parse_header("# something else").is_none());
     }
 
     #[test]
@@ -1126,24 +940,43 @@ mod tests {
 
     #[test]
     fn checkpoint_roundtrip_and_validation() {
+        use v6census_synth::{world::epochs, World, WorldConfig};
         let dir =
             std::env::temp_dir().join(format!("v6census-ckpt-{}-{}", std::process::id(), line!()));
         let _ = std::fs::remove_dir_all(&dir);
         let day = Day::from_ymd(2015, 3, 17);
-        let entries: Vec<(Addr, u64)> = vec![
-            ("2001:db8::1".parse().unwrap(), 3),
-            ("2001:db8::2".parse().unwrap(), 9),
+        let tiny = World::standard(WorldConfig {
+            seed: 3,
+            scale: 0.002,
+        })
+        .day_log(epochs::mar2015());
+        let inputs: [(Day, Vec<(Addr, u64)>); 2] = [
+            (
+                day,
+                vec![
+                    ("2001:db8::1".parse().unwrap(), 3),
+                    ("2001:db8::2".parse().unwrap(), 9),
+                ],
+            ),
+            (
+                tiny.day,
+                tiny.entries.iter().map(|e| (e.addr, e.hits)).collect(),
+            ),
         ];
-        write_checkpoint(&RealFs, &dir, day, &entries).unwrap();
-        let (d, back) = load_checkpoint(&RealFs, &checkpoint_path(&dir, day)).unwrap();
-        assert_eq!(d, day);
-        assert_eq!(back, entries);
-        // Tampering is detected.
-        let path = checkpoint_path(&dir, day);
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, text.replace("# end\n", "")).unwrap();
-        let e = load_checkpoint(&RealFs, &path).unwrap_err();
-        assert_eq!(e.label(), "bad-checkpoint");
+        for (day, entries) in inputs {
+            write_checkpoint(&RealFs, &dir, day, &entries).unwrap();
+            let (d, back) = load_checkpoint(&RealFs, &checkpoint_path(&dir, day)).unwrap();
+            assert_eq!(d, day);
+            assert_eq!(back, entries);
+            // Tampering is detected.
+            let path = checkpoint_path(&dir, day);
+            let text = std::fs::read_to_string(&path).unwrap();
+            let trailer = text.lines().last().unwrap();
+            assert!(trailer.starts_with("# end "), "{trailer}");
+            std::fs::write(&path, text.replace(&format!("{trailer}\n"), "")).unwrap();
+            let e = load_checkpoint(&RealFs, &path).unwrap_err();
+            assert_eq!(e.label(), "bad-checkpoint");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1275,12 +1108,11 @@ mod tests {
     fn read_and_parse_is_pinned_on_every_line_shape() {
         let path = Path::new("2015-03-17.log");
         let ingestor = mem_ingestor(&[("2015-03-17.log", pinned_day_file())]);
-        let parse = ingestor.read_and_parse(path).unwrap();
-        assert_eq!(parse.header_day, Some(Day::from_ymd(2015, 3, 17)));
-        assert_eq!(parse.declared, Some(23));
-        assert_eq!(parse.trailer, Some((23, 0)));
-        assert_eq!(parse.data_lines, 23);
-        let entries: Vec<String> = parse
+        let (log, errors) = ingestor.read_and_parse(path).unwrap();
+        assert_eq!(log.header, Some((Day::from_ymd(2015, 3, 17), 23)));
+        assert_eq!(log.trailer, Some((23, 0)));
+        assert_eq!(log.data_lines, 23);
+        let entries: Vec<String> = log
             .entries
             .iter()
             .map(|(a, h)| format!("{a} {h}"))
@@ -1306,8 +1138,7 @@ mod tests {
                 "abcd:db8::9 11",
             ]
         );
-        let bad: Vec<(usize, &str, &str)> = parse
-            .bad
+        let bad: Vec<(usize, &str, &str)> = errors
             .iter()
             .filter_map(|e| match e {
                 IngestError::BadLine {
@@ -1340,48 +1171,14 @@ mod tests {
                 (30, clipped.as_str(), "unparseable address"),
             ]
         );
-        assert_eq!(bad.len(), parse.bad.len(), "only BadLine errors");
+        assert_eq!(bad.len(), errors.len(), "only BadLine errors");
 
         let parsed = ingestor.parse_file(path).unwrap();
         assert_eq!(parsed.report.outcome, FileOutcome::Ingested);
         assert_eq!(parsed.report.data_lines, 23);
         assert_eq!(parsed.report.bad_lines, 7);
-        assert_eq!(parsed.report.errors, parse.bad);
-        assert_eq!(parsed.checkpoint_entries, Some(parse.entries));
-    }
-
-    #[test]
-    fn next_field_splits_like_split_whitespace() {
-        // Every whitespace class the reader can meet, plus look-alikes
-        // that are not whitespace (U+200B, U+00A1) and multi-byte text.
-        let alphabet = [
-            "a", "1", ":", "\t", " ", "\u{0B}", "\u{0C}", "\r", "\n", "\u{85}", "\u{A0}",
-            "\u{1680}", "\u{2003}", "\u{3000}", "\u{200B}", "\u{A1}", "é",
-        ];
-        let mut state = 0x5eed_u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            (state >> 33) as usize
-        };
-        for _ in 0..5_000 {
-            let s: String = (0..next() % 12)
-                .map(|_| alphabet[next() % alphabet.len()])
-                .collect();
-            let mut ours = Vec::new();
-            let mut rest = s.as_str();
-            loop {
-                let (field, r) = next_field(rest);
-                if field.is_empty() {
-                    break;
-                }
-                ours.push(field);
-                rest = r;
-            }
-            let std: Vec<&str> = s.split_whitespace().collect();
-            assert_eq!(ours, std, "{s:?}");
-        }
+        assert_eq!(parsed.report.errors, errors);
+        assert_eq!(parsed.checkpoint_entries, Some(log.entries));
     }
 
     #[test]
@@ -1403,14 +1200,5 @@ mod tests {
                 detail: "stream did not contain valid UTF-8".into(),
             }]
         );
-    }
-
-    #[test]
-    fn clip_respects_char_boundaries() {
-        let s = "é".repeat(100);
-        let c = clip(&s);
-        assert!(c.ends_with('…'));
-        assert!(c.len() <= 64);
-        assert_eq!(clip("short"), "short");
     }
 }

@@ -3,6 +3,7 @@
 
 use crate::{err, CliError};
 use v6census_addr::Addr;
+use v6census_core::daylog::{self, BadReason, Line};
 use v6census_trie::AddrSet;
 
 /// Parses one address per line; blank lines and `#` comments are
@@ -25,13 +26,13 @@ pub fn parse_addr_lines(text: &str) -> (Vec<Addr>, usize) {
     (addrs, bad)
 }
 
-/// What `parse_weighted_lines` rejected or repaired, by cause.
+/// What `parse_weighted_lines` rejected, by cause.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WeightedDiagnostics {
     /// Lines dropped because the address did not parse.
     pub bad_addrs: usize,
-    /// Lines whose hits column was present but unparseable; the entry
-    /// was kept with weight 1 rather than silently trusted.
+    /// Lines dropped because their hits column was present but
+    /// unparseable.
     pub bad_weights: usize,
 }
 
@@ -42,32 +43,21 @@ impl WeightedDiagnostics {
     }
 }
 
-/// Parses `address<ws>hits` per line into weighted entries; lines with
-/// no hits column default to weight 1. A *present but unparseable* hits
-/// column (`2001:db8::1 banana`) also defaults to 1 but is counted in
-/// [`WeightedDiagnostics::bad_weights`] so callers can surface it.
+/// Parses `address<ws>hits` per line into weighted entries with the
+/// day-log line parse ([`daylog::parse_line`]), so its policy is the
+/// census's: no hits column means weight 1, and a line whose address or
+/// *present* hits column (`2001:db8::1 banana`) does not parse is
+/// dropped and counted by cause.
 pub fn parse_weighted_lines(text: &str) -> (Vec<(Addr, u64)>, WeightedDiagnostics) {
     let mut out = Vec::new();
     let mut diag = WeightedDiagnostics::default();
     for line in text.lines() {
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') {
-            continue;
+        match daylog::parse_line(line) {
+            Line::Entry(addr, hits) => out.push((addr, hits)),
+            Line::Bad(BadReason::Addr) => diag.bad_addrs += 1,
+            Line::Bad(BadReason::Hits) => diag.bad_weights += 1,
+            Line::Blank | Line::Comment(_) => {}
         }
-        let mut cols = t.split_whitespace();
-        let Some(addr_s) = cols.next() else { continue };
-        let Ok(addr) = addr_s.parse::<Addr>() else {
-            diag.bad_addrs += 1;
-            continue;
-        };
-        let hits = match cols.next() {
-            None => 1,
-            Some(h) => h.parse::<u64>().unwrap_or_else(|_| {
-                diag.bad_weights += 1;
-                1
-            }),
-        };
-        out.push((addr, hits));
     }
     (out, diag)
 }
@@ -105,10 +95,104 @@ mod tests {
         assert_eq!(diag.bad_addrs, 0);
         assert_eq!(diag.bad_weights, 1, "present-but-bad hits must be reported");
         assert_eq!(diag.total(), 1);
-        // The entry is kept with the conservative default weight.
-        assert_eq!(weighted[0], ("2001:db8::1".parse().unwrap(), 1));
-        assert_eq!(weighted[1], ("2001:db8::2".parse().unwrap(), 42));
-        assert_eq!(weighted[2], ("2001:db8::3".parse().unwrap(), 1));
+        // The bad-weight line is dropped, as census drops it.
+        assert_eq!(weighted.len(), 2);
+        assert_eq!(weighted[0], ("2001:db8::2".parse().unwrap(), 42));
+        assert_eq!(weighted[1], ("2001:db8::3".parse().unwrap(), 1));
+    }
+
+    /// Every fault that still writes a file, read three ways: the codec,
+    /// the CLI's weighted reader, and the stream ingestor. They keep the
+    /// same entries and reject the same lines for the same reasons.
+    #[test]
+    fn one_bad_line_policy_at_every_entry_point() {
+        use std::collections::BTreeMap;
+        use std::path::{Path, PathBuf};
+        use std::sync::Arc;
+        use v6census_census::stream::{
+            checkpoint_path, load_checkpoint, FileOutcome, IngestConfig, IngestError,
+            StreamIngestor,
+        };
+        use v6census_census::Census;
+        use v6census_core::vfs::MemFs;
+        use v6census_synth::faults::day_file_name;
+        use v6census_synth::world::epochs;
+        use v6census_synth::{Fault, FaultInjector, World, WorldConfig};
+
+        let log = World::standard(WorldConfig {
+            seed: 3,
+            scale: 0.002,
+        })
+        .day_log(epochs::mar2015());
+        let clean = log.to_text();
+        let path = PathBuf::from("/logs").join(day_file_name(log.day));
+        let ckpts = Path::new("/ckpt");
+        for fault in [
+            Fault::CorruptLines { count: 6 },
+            Fault::Truncate { keep_pct: 60 },
+            Fault::DuplicateDay,
+            Fault::ShiftHeaderDay { offset: 1 },
+            Fault::OversizedPrefixBlob { addrs: 50 },
+        ] {
+            let text = FaultInjector::new(11)
+                .apply(log.day, &clean, &fault)
+                .unwrap();
+            let codec = daylog::read(text.as_bytes()).unwrap();
+            let mut by_reason: BTreeMap<&str, usize> = BTreeMap::new();
+            for b in &codec.bad {
+                *by_reason.entry(b.reason.label()).or_default() += 1;
+            }
+
+            let (weighted, diag) = parse_weighted_lines(&text);
+            assert_eq!(weighted, codec.entries, "{fault}");
+            let addr_label = BadReason::Addr.label();
+            let hits_label = BadReason::Hits.label();
+            let count = |label| by_reason.get(label).copied().unwrap_or(0);
+            assert_eq!(diag.bad_addrs, count(addr_label), "{fault}");
+            assert_eq!(diag.bad_weights, count(hits_label), "{fault}");
+
+            let fs = Arc::new(MemFs::from_durable(
+                BTreeMap::from([(path.clone(), text.into_bytes())]),
+                Default::default(),
+            ));
+            let ingestor = StreamIngestor::new(IngestConfig {
+                max_bad_ratio: 0.5,
+                checkpoint_dir: Some(ckpts.to_path_buf()),
+                vfs: fs.clone(),
+                ..IngestConfig::default()
+            });
+            let parsed = ingestor.parse_file(&path).unwrap();
+            let report = ingestor
+                .commit_parsed(parsed, &mut Census::new_empty(), &mut Vec::new())
+                .unwrap();
+            let mut stream_reasons: BTreeMap<&str, usize> = BTreeMap::new();
+            for e in &report.errors {
+                if let IngestError::BadLine { reason, .. } = e {
+                    *stream_reasons.entry(reason.as_str()).or_default() += 1;
+                }
+            }
+            assert_eq!(stream_reasons, by_reason, "{fault}");
+            assert_eq!(report.bad_lines, codec.bad.len(), "{fault}");
+            assert_eq!(report.data_lines, codec.data_lines, "{fault}");
+            // What the ingestor commits is what it checkpoints.
+            match fault {
+                Fault::Truncate { .. } | Fault::ShiftHeaderDay { .. } => {
+                    assert_eq!(report.outcome, FileOutcome::Failed, "{fault}")
+                }
+                _ => {
+                    assert_eq!(report.outcome, FileOutcome::Ingested, "{fault}");
+                    let (_, kept) =
+                        load_checkpoint(fs.as_ref(), &checkpoint_path(ckpts, log.day)).unwrap();
+                    assert_eq!(kept, codec.entries, "{fault}");
+                }
+            }
+            if let Fault::CorruptLines { .. } = fault {
+                assert!(
+                    count(addr_label) > 0 && count(hits_label) > 0,
+                    "{by_reason:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 
 pub mod classify;
+pub mod daylog;
 pub mod quality;
 pub mod query;
 pub mod spatial;

@@ -38,6 +38,20 @@ impl Day {
         valid.then(|| days_from_civil(year, month, day))
     }
 
+    /// Parses the leading `YYYY-MM-DD` of `s` (a file name, a day-log
+    /// header's date), or `None` when it is malformed or not a real
+    /// calendar date.
+    pub fn parse_leading(s: &str) -> Option<Day> {
+        let b = s.as_bytes();
+        if b.len() < 10 || b.get(4) != Some(&b'-') || b.get(7) != Some(&b'-') {
+            return None;
+        }
+        let y: i32 = s.get(0..4)?.parse().ok()?;
+        let m: u8 = s.get(5..7)?.parse().ok()?;
+        let d: u8 = s.get(8..10)?.parse().ok()?;
+        Day::try_from_ymd(y, m, d)
+    }
+
     /// Returns `(year, month, day)` in the Gregorian calendar.
     pub fn to_ymd(self) -> (i32, u8, u8) {
         // civil_from_days (Hinnant).

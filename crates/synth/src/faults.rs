@@ -8,48 +8,22 @@
 //! failures, seeded — every fault site is a pure function of
 //! `(seed, day)`, so a failing ingestion test reproduces bit-for-bit.
 //!
-//! The canonical on-disk format is defined by [`DayLog::to_text`]:
-//!
-//! ```text
-//! # synthetic day 2015-03-17: 1234 unique client addrs
-//! # addr\thits\ttrue_kind
-//! 2001:db8::1\t17\tcpe
-//! ...
-//! # end 1234 56789
-//! ```
-//!
-//! The trailer records the entry count and total hits, which is what
-//! lets a reader *prove* truncation instead of silently accepting a
-//! partial day.
+//! Clean days are written by
+//! [`DayLog::to_text`](crate::loggen::DayLog::to_text); the format itself —
+//! header, data lines, and the `# end` trailer that lets a reader
+//! *prove* truncation — is [`v6census_core::daylog`]'s. The faults that
+//! keep a file valid write its header and trailer through that codec;
+//! the ones that break the format on purpose edit the text.
 
-use crate::loggen::DayLog;
 use crate::rng::Entropy;
 use crate::world::World;
 use std::fmt;
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
+use v6census_addr::Addr;
+use v6census_core::daylog::{self, Line};
 use v6census_core::temporal::Day;
-
-impl DayLog {
-    /// Serializes the log to the canonical day-log text format, with the
-    /// `# end <entries> <hits>` integrity trailer.
-    pub fn to_text(&self) -> String {
-        let mut out = format!(
-            "# synthetic day {}: {} unique client addrs\n",
-            self.day,
-            self.len()
-        );
-        let _ = writeln!(out, "# addr\thits\ttrue_kind");
-        let mut hits = 0u64;
-        for e in &self.entries {
-            hits += e.hits;
-            let _ = writeln!(out, "{}\t{}\t{}", e.addr, e.hits, e.kind.label());
-        }
-        let _ = writeln!(out, "# end {} {hits}", self.len());
-        out
-    }
-}
 
 /// One kind of injected failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -232,69 +206,54 @@ impl FaultInjector {
                 Some(out)
             }
             Fault::ShiftHeaderDay { offset } => {
-                let shifted = day + offset;
+                let (head, rest) = text.split_once('\n').unwrap_or((text, ""));
                 let mut out = String::with_capacity(text.len());
-                for (i, line) in text.lines().enumerate() {
-                    if i == 0 {
-                        out.push_str(&line.replace(&day.to_string(), &shifted.to_string()));
-                    } else {
-                        out.push_str(line);
+                match daylog::parse_header(head) {
+                    Some((d, n)) => daylog::write_header(&mut out, d + offset, n),
+                    None => {
+                        out.push_str(head);
+                        out.push('\n');
                     }
-                    out.push('\n');
                 }
+                out.push_str(rest);
                 Some(out)
             }
             Fault::OversizedPrefixBlob { addrs } => {
-                // Keep everything except the trailer, append the blob,
-                // then rewrite header count and trailer so the file still
-                // passes every integrity check — the danger is its size,
-                // not its shape.
-                let mut header: Vec<&str> = Vec::new();
-                let mut data: Vec<&str> = Vec::new();
-                let mut hits = 0u64;
+                // Keep every line but the header and trailer, append the
+                // blob, then write a header and trailer that count it, so
+                // the file still passes every integrity check — the
+                // danger is its size, not its shape.
+                let (mut header_day, mut n, mut hits) = (None, addrs, addrs as u64);
+                let mut body = String::with_capacity(text.len() + addrs * 24);
                 for (i, line) in text.lines().enumerate() {
-                    if line.starts_with('#') {
-                        if i == 0 || !line.trim_start_matches('#').trim().starts_with("end") {
-                            header.push(line);
-                        }
-                        continue;
+                    match daylog::parse_line(line) {
+                        Line::Blank => continue,
+                        Line::Comment(t) => match (i, daylog::parse_header(t)) {
+                            (0, Some((d, _))) => {
+                                header_day = Some(d);
+                                continue;
+                            }
+                            _ if daylog::parse_trailer(t).is_some() => continue,
+                            _ => {}
+                        },
+                        Line::Entry(_, h) => (n, hits) = (n + 1, hits + h),
+                        Line::Bad(_) => n += 1,
                     }
-                    data.push(line);
-                    hits += line
-                        .split_whitespace()
-                        .nth(1)
-                        .and_then(|h| h.parse::<u64>().ok())
-                        .unwrap_or(1);
+                    body.push_str(line);
+                    body.push('\n');
                 }
                 // The blob lives in one /64; low bits enumerate hosts.
                 let seg = self.ent.u64(b"blob", &ids) & 0xffff;
                 let base: u128 = (0x2001_0db8u128 << 96) | ((0xb10b_0000u128 | seg as u128) << 64);
-                let n = data.len() + addrs;
-                let mut out = String::with_capacity(text.len() + addrs * 24);
-                for (i, line) in header.iter().enumerate() {
-                    if i == 0 {
-                        match line.split_once(": ") {
-                            Some((front, _)) => {
-                                let _ = writeln!(out, "{front}: {n} unique client addrs");
-                            }
-                            None => {
-                                out.push_str(line);
-                                out.push('\n');
-                            }
-                        }
-                    } else {
-                        out.push_str(line);
-                        out.push('\n');
-                    }
-                }
-                for line in &data {
-                    out.push_str(line);
-                    out.push('\n');
-                }
                 for i in 0..addrs {
-                    let _ = writeln!(out, "{}\t1\tblob", v6census_addr::Addr(base | i as u128));
+                    daylog::write_entry(&mut body, Addr(base | i as u128), 1, Some("blob"));
                 }
-                let _ = writeln!(out, "# end {n} {}", hits + addrs as u64);
+                let mut out = String::with_capacity(body.len() + 128);
+                if let Some(d) = header_day {
+                    daylog::write_header(&mut out, d, n);
+                }
+                out.push_str(&body);
+                daylog::write_trailer(&mut out, n, hits);
                 Some(out)
             }
         }
@@ -302,7 +261,8 @@ impl FaultInjector {
 
     /// Generates and writes day-log files for `first..=last` under `dir`,
     /// applying the faults in `spec`. Returns the manifest of applied
-    /// faults. Clean days serialize via [`DayLog::to_text`].
+    /// faults. Clean days serialize via
+    /// [`DayLog::to_text`](crate::loggen::DayLog::to_text).
     pub fn write_day_files(
         &self,
         world: &World,
@@ -487,6 +447,7 @@ impl AnalysisFaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loggen::DayLog;
     use crate::world::{epochs, WorldConfig};
 
     fn log() -> DayLog {

@@ -16,6 +16,7 @@ use crate::world::{epochs, World};
 use std::io;
 use std::path::{Path, PathBuf};
 use v6census_addr::Addr;
+use v6census_core::daylog;
 use v6census_core::temporal::Day;
 use v6census_core::vfs::Vfs;
 
@@ -55,6 +56,19 @@ impl DayLog {
     /// Iterates the addresses.
     pub fn addrs(&self) -> impl Iterator<Item = Addr> + '_ {
         self.entries.iter().map(|e| e.addr)
+    }
+
+    /// Serializes the log as a canonical day log ([`daylog::write`]):
+    /// header, column line, `addr\thits\tkind` lines, and the
+    /// `# end <entries> <hits>` integrity trailer.
+    pub fn to_text(&self) -> String {
+        daylog::write(
+            self.day,
+            Some(daylog::KIND_COLUMNS),
+            self.entries
+                .iter()
+                .map(|e| (e.addr, e.hits, Some(e.kind.label()))),
+        )
     }
 }
 
@@ -377,5 +391,25 @@ mod tests {
             }
         }
         assert_eq!(unresolved, 0, "{unresolved} of {} unresolved", log.len());
+    }
+
+    #[test]
+    fn to_text_round_trips_through_the_codec() {
+        let w = World::standard(WorldConfig {
+            seed: 3,
+            scale: 0.002,
+        });
+        let first = epochs::mar2015();
+        for day in first.range_inclusive(first + 6) {
+            let log = w.day_log(day);
+            let parsed = daylog::read(log.to_text().as_bytes()).unwrap();
+            let entries: Vec<(Addr, u64)> = log.entries.iter().map(|e| (e.addr, e.hits)).collect();
+            let hits: u64 = entries.iter().map(|&(_, h)| h).sum();
+            assert_eq!(parsed.entries, entries, "{day}");
+            assert_eq!(parsed.header, Some((day, log.len())));
+            assert_eq!(parsed.trailer, Some((log.len(), hits)));
+            assert_eq!(parsed.data_lines, log.len());
+            assert!(parsed.bad.is_empty(), "{day}: {:?}", parsed.bad);
+        }
     }
 }
