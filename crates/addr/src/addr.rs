@@ -1,7 +1,8 @@
 //! The [`Addr`] type: a 128-bit IPv6 address.
 
-use crate::bits::{high_mask, msb_mask, shl128, shr128};
-use crate::cast::{checked_nybble, checked_seg, checked_u16, checked_u32, checked_u8};
+use crate::bits::{high_mask, msb_mask, shr128};
+use crate::cast::{low16, low32, low8};
+use crate::index::{BitIdx, NybbleIdx, PrefixLen, SegIdx};
 use crate::ParseError;
 use std::fmt;
 use std::net::Ipv6Addr;
@@ -16,12 +17,12 @@ use std::str::FromStr;
 /// masking, trie descent) a matter of plain shifts.
 ///
 /// ```
-/// use v6census_addr::Addr;
+/// use v6census_addr::{Addr, BitIdx, NybbleIdx, SegIdx};
 /// let a: Addr = "2001:db8::1".parse().unwrap();
-/// assert_eq!(a.segment(0), 0x2001);
-/// assert_eq!(a.nybble(0), 0x2);
-/// assert_eq!(a.bit(0), 0); // 0x2001 starts with binary 0010...
-/// assert_eq!(a.bit(2), 1);
+/// assert_eq!(a.segment(SegIdx::ZERO), 0x2001);
+/// assert_eq!(a.nybble(NybbleIdx::ZERO), 0x2);
+/// assert_eq!(a.bit(BitIdx::ZERO), 0); // 0x2001 starts with binary 0010...
+/// assert_eq!(a.bit(BitIdx::lit::<2>()), 1);
 /// assert_eq!(a.to_string(), "2001:db8::1");
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -59,33 +60,25 @@ impl Addr {
     pub const fn segments(self) -> [u16; 8] {
         let v = self.0;
         [
-            checked_seg(v >> 112),
-            checked_seg((v >> 96) & 0xffff),
-            checked_seg((v >> 80) & 0xffff),
-            checked_seg((v >> 64) & 0xffff),
-            checked_seg((v >> 48) & 0xffff),
-            checked_seg((v >> 32) & 0xffff),
-            checked_seg((v >> 16) & 0xffff),
-            checked_seg(v & 0xffff),
+            low16(v >> 112),
+            low16(v >> 96),
+            low16(v >> 80),
+            low16(v >> 64),
+            low16(v >> 48),
+            low16(v >> 32),
+            low16(v >> 16),
+            low16(v),
         ]
     }
 
-    /// Returns 16-bit segment `i` (0..8), segment 0 most significant.
-    ///
-    /// # Panics
-    /// Panics if `i >= 8`.
-    pub const fn segment(self, i: usize) -> u16 {
-        assert!(i < 8, "segment index out of range");
-        checked_seg(shr128(self.0, 112 - 16 * i) & 0xffff)
+    /// Returns 16-bit segment `i`, segment 0 most significant.
+    pub const fn segment(self, i: SegIdx) -> u16 {
+        low16(shr128(self.0, i.lsb_shift()))
     }
 
-    /// Returns nybble (hex character) `i` (0..32), nybble 0 most significant.
-    ///
-    /// # Panics
-    /// Panics if `i >= 32`.
-    pub const fn nybble(self, i: usize) -> u8 {
-        assert!(i < 32, "nybble index out of range");
-        checked_nybble(shr128(self.0, 124 - 4 * i) & 0xf)
+    /// Returns nybble (hex character) `i`, nybble 0 most significant.
+    pub const fn nybble(self, i: NybbleIdx) -> u8 {
+        low8(shr128(self.0, i.lsb_shift()) & 0xf)
     }
 
     /// All 32 nybbles at once, most significant first — the batched form
@@ -103,22 +96,14 @@ impl Addr {
         out
     }
 
-    /// Returns bit `i` (0..128) as 0 or 1; bit 0 is the most significant.
-    ///
-    /// # Panics
-    /// Panics if `i >= 128`.
-    pub const fn bit(self, i: usize) -> u8 {
-        assert!(i < 128, "bit index out of range");
-        checked_u8(shr128(self.0, 127 - i) & 1)
+    /// Returns bit `i` as 0 or 1; bit 0 is the most significant.
+    pub const fn bit(self, i: BitIdx) -> u8 {
+        low8(shr128(self.0, i.lsb_shift()) & 1)
     }
 
     /// Returns a copy with bit `i` set to `v` (0 or 1); bit 0 is the most
     /// significant.
-    ///
-    /// # Panics
-    /// Panics if `i >= 128`.
-    pub const fn with_bit(self, i: usize, v: u8) -> Addr {
-        assert!(i < 128, "bit index out of range");
+    pub const fn with_bit(self, i: BitIdx, v: u8) -> Addr {
         let mask = msb_mask(i);
         if v == 0 {
             Addr(self.0 & !mask)
@@ -139,30 +124,25 @@ impl Addr {
     }
 
     /// Keeps the first `len` bits and zeroes the rest.
-    ///
-    /// # Panics
-    /// Panics if `len > 128`.
-    pub const fn mask(self, len: u8) -> Addr {
-        assert!(len <= 128, "prefix length out of range");
+    pub const fn mask(self, len: PrefixLen) -> Addr {
         Addr(self.0 & high_mask(len))
     }
 
-    /// Length of the longest common prefix of `self` and `other`, in bits
-    /// (0..=128).
-    pub const fn common_prefix_len(self, other: Addr) -> u8 {
-        checked_u8((self.0 ^ other.0).leading_zeros() as u128)
+    /// Length of the longest common prefix of `self` and `other`.
+    pub const fn common_prefix_len(self, other: Addr) -> PrefixLen {
+        PrefixLen::from_leading_zeros((self.0 ^ other.0).leading_zeros())
     }
 
     /// Interprets segments 1..3 (bits 16–48) as an embedded IPv4 address,
     /// as in 6to4 (`2002:AABB:CCDD::/48`).
     pub const fn v4_in_6to4(self) -> [u8; 4] {
-        checked_u32((self.0 >> 80) & 0xffff_ffff).to_be_bytes()
+        low32(self.0 >> 80).to_be_bytes()
     }
 
     /// Interprets the low 32 bits as an embedded IPv4 address, as in
     /// ISATAP and many ad hoc schemes.
     pub const fn v4_in_low32(self) -> [u8; 4] {
-        checked_u32(self.0 & 0xffff_ffff).to_be_bytes()
+        low32(self.0).to_be_bytes()
     }
 
     /// Conversion to the standard library type (used in tests as a parsing
@@ -217,8 +197,9 @@ impl Addr {
             if count >= 32 {
                 return Err(ParseError::TooManyGroups);
             }
-            // Nybbles arrive least-significant first.
-            v |= shl128(d as u128, 4 * count);
+            // Nybbles arrive least-significant first: each enters at the
+            // top and the 32nd lands the first at the bottom.
+            v = (v >> 4) | (u128::from(d) << 124);
             count += 1;
         }
         if count != 32 {
@@ -387,7 +368,7 @@ fn invalid_byte(c: u8) -> ParseError {
 /// The value of an ASCII hex digit.
 fn hex_digit(c: u8) -> Option<u16> {
     let d = char::from(c).to_digit(16)?;
-    Some(checked_u16(u128::from(d)))
+    Some(low16(u128::from(d)))
 }
 
 /// Parses a whole dotted quad: four decimal octets, no leading zeros
@@ -403,12 +384,14 @@ fn parse_v4(b: &[u8]) -> Result<[u8; 4], ParseError> {
         if part.len() > 1 && part.starts_with(b"0") {
             return Err(ParseError::BadIpv4Tail);
         }
-        let mut v: u16 = 0;
+        let mut v = 0u32;
         for &c in part {
             let d = char::from(c).to_digit(10).ok_or(ParseError::BadIpv4Tail)?;
-            // Widen before the arithmetic: three decimal digits cannot
-            // overflow u128, and the narrowing back is checked.
-            v = checked_u16(u128::from(v) * 10 + u128::from(d));
+            // At most three digits, so this never overflows.
+            v = v
+                .checked_mul(10)
+                .and_then(|v| v.checked_add(d))
+                .ok_or(ParseError::BadIpv4Tail)?;
         }
         octets[n] = u8::try_from(v).map_err(|_| ParseError::BadIpv4Tail)?;
         n += 1;
@@ -581,16 +564,85 @@ mod tests {
         }
     }
 
+    /// A few fixed addresses plus seeded ones: the all-zero and
+    /// all-one words, one with every segment distinct, and a splitmix
+    /// sequence.
+    fn sample_addrs() -> Vec<Addr> {
+        let mut out = vec![
+            Addr(0),
+            Addr(u128::MAX),
+            a("2001:db8:4137:9e76:3031:f3fd:bbdd:2c2a"),
+            a("8000::1"),
+        ];
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..8 {
+            let mut word = 0u128;
+            for _ in 0..2 {
+                x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                word = (word << 64) | u128::from(z ^ (z >> 31));
+            }
+            out.push(Addr(word));
+        }
+        out
+    }
+
     #[test]
     fn accessors_agree() {
         let x = a("2001:db8:4137:9e76:3031:f3fd:bbdd:2c2a");
-        assert_eq!(x.segment(2), 0x4137);
-        assert_eq!(x.nybble(8), 0x4);
-        assert_eq!(x.nybble(31), 0xa);
+        assert_eq!(x.segment(SegIdx::lit::<2>()), 0x4137);
+        assert_eq!(x.nybble(NybbleIdx::lit::<8>()), 0x4);
+        assert_eq!(x.nybble(NybbleIdx::MAX), 0xa);
         assert_eq!(x.network_bits(), 0x20010db841379e76);
         assert_eq!(x.iid_bits(), 0x3031f3fdbbdd2c2a);
         // bit 0..3 spell 0x2 = 0b0010
-        assert_eq!([x.bit(0), x.bit(1), x.bit(2), x.bit(3)], [0, 0, 1, 0]);
+        let top: Vec<u8> = BitIdx::all().take(4).map(|i| x.bit(i)).collect();
+        assert_eq!(top, [0, 0, 1, 0]);
+        // Every valid index, on every sample, against the plain shift
+        // formula; segments also against the standard library.
+        for x in sample_addrs() {
+            for i in BitIdx::all() {
+                let want = (x.0 >> (127 - u32::from(i))) & 1;
+                assert_eq!(u128::from(x.bit(i)), want, "{x} bit {i}");
+            }
+            for i in NybbleIdx::all() {
+                let want = (x.0 >> (124 - 4 * u32::from(i))) & 0xf;
+                assert_eq!(u128::from(x.nybble(i)), want, "{x} nybble {i}");
+            }
+            let std_segments = x.to_std().segments();
+            for i in SegIdx::all() {
+                let want = (x.0 >> (112 - 16 * u32::from(i))) & 0xffff;
+                assert_eq!(u128::from(x.segment(i)), want, "{x} segment {i}");
+                assert_eq!(
+                    x.segment(i),
+                    std_segments[usize::from(i)],
+                    "{x} segment {i}"
+                );
+            }
+            assert_eq!(x.segments(), std_segments);
+            for len in PrefixLen::all() {
+                let want = match len.get() {
+                    0 => 0,
+                    l => x.0 & (u128::MAX << (128 - u32::from(l))),
+                };
+                assert_eq!(x.mask(len).0, want, "{x}/{len}");
+            }
+        }
+    }
+
+    #[test]
+    fn common_prefix_len_of_every_pair_is_a_prefix_len() {
+        let xs = sample_addrs();
+        for &x in &xs {
+            for &y in &xs {
+                let cpl = x.common_prefix_len(y);
+                assert_eq!(PrefixLen::new(cpl.get()), Some(cpl));
+                assert_eq!(u32::from(cpl), (x.0 ^ y.0).leading_zeros());
+                assert_eq!(x.mask(cpl), y.mask(cpl), "{x} {y}");
+            }
+        }
     }
 
     #[test]
@@ -603,29 +655,34 @@ mod tests {
         ] {
             let x = a(s);
             let batch = x.nybbles();
-            for (i, &n) in batch.iter().enumerate() {
-                assert_eq!(n, x.nybble(i), "{s} nybble {i}");
+            for i in NybbleIdx::all() {
+                assert_eq!(batch[usize::from(i)], x.nybble(i), "{s} nybble {i}");
             }
         }
     }
 
     #[test]
     fn mask_and_common_prefix() {
+        let p = |v: u8| PrefixLen::new(v).unwrap();
         let x = a("2001:db8:ffff:ffff:ffff:ffff:ffff:ffff");
-        assert_eq!(x.mask(32), a("2001:db8::"));
-        assert_eq!(x.mask(0), Addr(0));
-        assert_eq!(x.mask(128), x);
-        assert_eq!(a("2001:db8::1").common_prefix_len(a("2001:db8::2")), 126);
-        assert_eq!(a("::").common_prefix_len(a("8000::")), 0);
-        assert_eq!(a("::1").common_prefix_len(a("::1")), 128);
+        assert_eq!(x.mask(p(32)), a("2001:db8::"));
+        assert_eq!(x.mask(PrefixLen::ZERO), Addr(0));
+        assert_eq!(x.mask(PrefixLen::MAX), x);
+        assert_eq!(a("2001:db8::1").common_prefix_len(a("2001:db8::2")), p(126));
+        assert_eq!(a("::").common_prefix_len(a("8000::")), p(0));
+        assert_eq!(a("::1").common_prefix_len(a("::1")), p(128));
     }
 
     #[test]
     fn with_bit_roundtrip() {
         let x = a("2001:db8::");
-        let y = x.with_bit(127, 1);
+        let y = x.with_bit(BitIdx::MAX, 1);
         assert_eq!(y, a("2001:db8::1"));
-        assert_eq!(y.with_bit(127, 0), x);
+        assert_eq!(y.with_bit(BitIdx::MAX, 0), x);
+        for i in BitIdx::all() {
+            assert_eq!(x.with_bit(i, 1).bit(i), 1, "bit {i}");
+            assert_eq!(x.with_bit(i, 1).with_bit(i, 0).bit(i), 0, "bit {i}");
+        }
     }
 
     #[test]

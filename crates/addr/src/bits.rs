@@ -8,91 +8,61 @@
 //! sanctioned path: every shift goes through `checked_shl`/`checked_shr`
 //! with an explicit out-of-range policy — shifting everything out yields
 //! 0, the mathematical answer for a logical shift — so call sites state
-//! what they mean and cannot panic.
+//! what they mean and cannot panic. The masks take the range-typed
+//! indices of [`crate::index`], so their shift amounts are in range by
+//! construction.
 //!
 //! Everything here is a `const fn` so the `Addr` accessors, which are
-//! `const`, can use them. Shift amounts are `usize` because that is what
-//! bit/nybble loop indices naturally are; the helpers bound-check before
-//! narrowing so the `usize → u32` step is provably lossless.
+//! `const`, can use them. Shift amounts are `u32`, the type the
+//! standard shifts take, so nothing is narrowed on the way in.
 
-use crate::cast::{checked_u32, checked_usize};
+use crate::index::{BitIdx, PrefixLen};
 
 /// Logical left shift, total: shifting by `n >= 128` yields 0.
 #[inline]
 #[must_use]
-pub const fn shl128(v: u128, n: usize) -> u128 {
-    if n >= 128 {
-        0
-    } else {
-        // n < 128 here, so the widen-then-checked-narrow is lossless.
-        match v.checked_shl(checked_u32(n as u128)) {
-            Some(x) => x,
-            None => 0,
-        }
+pub const fn shl128(v: u128, n: u32) -> u128 {
+    match v.checked_shl(n) {
+        Some(x) => x,
+        None => 0,
     }
 }
 
 /// Logical right shift, total: shifting by `n >= 128` yields 0.
 #[inline]
 #[must_use]
-pub const fn shr128(v: u128, n: usize) -> u128 {
-    if n >= 128 {
-        0
-    } else {
-        match v.checked_shr(checked_u32(n as u128)) {
-            Some(x) => x,
-            None => 0,
-        }
+pub const fn shr128(v: u128, n: u32) -> u128 {
+    match v.checked_shr(n) {
+        Some(x) => x,
+        None => 0,
     }
 }
 
 /// Logical right shift on the 64-bit IID half, total: `n >= 64` yields 0.
 #[inline]
 #[must_use]
-pub const fn shr64(v: u64, n: usize) -> u64 {
-    if n >= 64 {
-        0
-    } else {
-        match v.checked_shr(checked_u32(n as u128)) {
-            Some(x) => x,
-            None => 0,
-        }
+pub const fn shr64(v: u64, n: u32) -> u64 {
+    match v.checked_shr(n) {
+        Some(x) => x,
+        None => 0,
     }
 }
 
 /// The mask selecting address bit `i`, where bit 0 is the most
-/// significant (the paper's bit order); 0 once `i` is off the end.
+/// significant (the paper's bit order).
 #[inline]
 #[must_use]
-pub const fn msb_mask(i: usize) -> u128 {
-    shr128(1u128 << 127, i)
-}
-
-/// [`msb_mask`] for `u8` bit positions (prefix lengths), total the
-/// same way.
-#[inline]
-#[must_use]
-pub const fn msb_mask8(i: u8) -> u128 {
-    msb_mask(checked_usize(i as u128))
+pub const fn msb_mask(i: BitIdx) -> u128 {
+    shl128(1, i.lsb_shift())
 }
 
 /// The mask with the top `len` bits set — the network part of a `/len`
-/// prefix. Total: `len == 0` yields 0 and `len >= 128` yields all ones.
+/// prefix: 0 for `/0` and all ones for `/128`.
 #[inline]
 #[must_use]
-pub const fn high_mask(len: u8) -> u128 {
-    let n = len as u128;
-    if n >= 128 {
-        u128::MAX
-    } else {
-        // 128 - n is in 1..=128 (n < 128 just checked) and fits u32;
-        // checked_shl(128) is None exactly when len == 0, whose mask
-        // is the empty mask.
-        match u128::MAX.checked_shl(checked_u32(128 - n)) {
-            Some(x) => x,
-            None => 0,
-        }
-    }
+pub const fn high_mask(len: PrefixLen) -> u128 {
+    // A shift by all 128 host bits (`/0`) is total: it yields 0.
+    shl128(u128::MAX, len.host_bits())
 }
 
 #[cfg(test)]
@@ -112,21 +82,31 @@ mod tests {
 
     #[test]
     fn masks_match_their_closed_forms() {
-        assert_eq!(msb_mask(0), 1u128 << 127);
-        assert_eq!(msb_mask(127), 1);
-        assert_eq!(msb_mask(128), 0);
-        assert_eq!(msb_mask8(64), 1u128 << 63);
-        assert_eq!(msb_mask8(255), 0);
-        assert_eq!(high_mask(0), 0);
-        assert_eq!(high_mask(1), 1u128 << 127);
-        assert_eq!(high_mask(64), u128::from(u64::MAX) << 64);
-        assert_eq!(high_mask(128), u128::MAX);
-        assert_eq!(high_mask(200), u128::MAX);
+        assert_eq!(msb_mask(BitIdx::ZERO), 1u128 << 127);
+        assert_eq!(msb_mask(BitIdx::MAX), 1);
+        assert_eq!(msb_mask(BitIdx::lit::<64>()), 1u128 << 63);
+        assert_eq!(high_mask(PrefixLen::ZERO), 0);
+        assert_eq!(high_mask(PrefixLen::lit::<1>()), 1u128 << 127);
+        assert_eq!(
+            high_mask(PrefixLen::lit::<64>()),
+            u128::from(u64::MAX) << 64
+        );
+        assert_eq!(high_mask(PrefixLen::MAX), u128::MAX);
+        for len in PrefixLen::all() {
+            let want = match len.get() {
+                0 => 0,
+                l => u128::MAX << (128 - u32::from(l)),
+            };
+            assert_eq!(high_mask(len), want, "/{len}");
+        }
+        for i in BitIdx::all() {
+            assert_eq!(msb_mask(i), 1u128 << (127 - u32::from(i)), "bit {i}");
+        }
     }
 
     #[test]
     fn works_in_const_context() {
-        const TOP: u128 = high_mask(48);
+        const TOP: u128 = high_mask(PrefixLen::lit::<48>());
         assert_eq!(TOP, 0xffff_ffff_ffff_u128 << 80);
     }
 }

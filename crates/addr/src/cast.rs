@@ -1,92 +1,47 @@
-//! Checked narrowing casts for bit/nybble math.
+//! Total low-bits extractors for bit and nybble math.
 //!
-//! The workspace's cast-safety contract (lint rule `L003`) bans raw
-//! `as u8/u16/u32/usize` in the address and trie crates: a raw `as`
-//! silently truncates, and in 128-bit address arithmetic a silent
-//! truncation is a wrong-answer bug, not a crash. These helpers are the
-//! sanctioned narrowing path: each `debug_assert!`s that the value fits
-//! the target type, so a masking mistake fails loudly under tests and
-//! fuzzing while release builds pay nothing.
+//! Lint rule `L003` bans raw `as u8/u16/u32/usize` in the address and
+//! trie crates: a raw `as` truncates silently, and in 128-bit address
+//! arithmetic a silent truncation is a wrong answer, not a crash. Each
+//! narrowing has one of three spellings instead:
 //!
-//! Callers narrow in two steps that make the intent auditable:
+//! * a value that was masked or shifted into the low bits is taken with
+//!   [`low8`], [`low16`] or [`low32`]. Keeping only the low bits is
+//!   their contract, stated in the name, so there is nothing to prove at
+//!   the call site: `low16(v >> 112)` is segment 0 whatever `v` holds;
+//! * a bit, nybble or segment position or a prefix length is one of the
+//!   range-typed indices in [`crate::index`], widened with `get()` or
+//!   `From`;
+//! * anything else narrows with `TryFrom` and handles the error.
 //!
-//! * widening or same-width moves use the standard lossless
-//!   `u16::from` / `u32::from` / `usize::from`;
-//! * genuinely narrowing moves mask first, then call `checked_*`:
-//!   `checked_u8(v & 0xf)` — the mask proves the range, the helper
-//!   enforces it.
-//!
-//! Every helper is a `const fn` taking `u128` (the widest type in the
-//! workspace) so the address accessors, which are `const`, can use them;
-//! widen the argument with `u128::from` or a lossless `as u128`.
-//!
-//! # Release-mode policy
-//!
-//! The `debug_assert!`s compile away in release builds: a `checked_*`
-//! call handed an out-of-range value in release **truncates silently**,
-//! exactly like the raw `as` it replaces. The helpers are therefore not
-//! a runtime defence — they are debug-build tripwires plus an auditable
-//! narrowing vocabulary. The enforced guarantee is static: lint rule
-//! `R002` (bit-domain-safety, `crates/lint/src/dataflow.rs`) runs an
-//! interval dataflow over every non-test caller in the `R002` scope and
-//! proves at each call site that the argument already fits the target
-//! type, failing CI with a witness trace otherwise. The masked casts in
-//! the helper bodies below are proven the same way — R002 assumes each
-//! helper's documented bound at entry (assume–guarantee) and discharges
-//! `L003`'s syntactic findings on these lines, so the bodies carry no
-//! suppression pragmas.
+//! The extractors are `const fn` taking `u128`, the widest type in the
+//! workspace, so the `const` address accessors can use them; widen the
+//! argument with `u128::from` or a lossless `as u128`. They are written
+//! over the little-endian bytes, without `as`.
 
-/// Narrows to `u8`, debug-asserting the value fits.
+/// The low 8 bits of `v`.
 #[inline]
 #[must_use]
-pub const fn checked_u8(v: u128) -> u8 {
-    debug_assert!(v <= u8::MAX as u128, "checked_u8 truncates");
-    (v & 0xff) as u8
+pub const fn low8(v: u128) -> u8 {
+    let [b0, ..] = v.to_le_bytes();
+    b0
 }
 
-/// Narrows to `u16`, debug-asserting the value fits. 16-bit values are
-/// the paper's "segment" resolution, hence the alias [`checked_seg`].
+/// The low 16 bits of `v`: a segment once `v` is shifted into place.
 #[inline]
 #[must_use]
-pub const fn checked_u16(v: u128) -> u16 {
-    debug_assert!(v <= u16::MAX as u128, "checked_u16 truncates");
-    (v & 0xffff) as u16
+pub const fn low16(v: u128) -> u16 {
+    let [b0, b1, ..] = v.to_le_bytes();
+    u16::from_le_bytes([b0, b1])
 }
 
-/// Narrows to `u32`, debug-asserting the value fits.
+/// The low 32 bits of `v`: an embedded IPv4 address once `v` is
+/// shifted into place.
 #[inline]
 #[must_use]
-pub const fn checked_u32(v: u128) -> u32 {
-    debug_assert!(v <= u32::MAX as u128, "checked_u32 truncates");
-    (v & 0xffff_ffff) as u32
-}
-
-/// Narrows to `usize`, debug-asserting the value fits (it always does
-/// on the 64-bit targets this workspace supports, but the contract is
-/// explicit rather than assumed).
-#[inline]
-#[must_use]
-pub const fn checked_usize(v: u128) -> usize {
-    debug_assert!(v <= usize::MAX as u128, "checked_usize truncates");
-    v as usize
-}
-
-/// Extracts a 4-bit nybble value as `u8`. The caller masks; this is
-/// `checked_u8` with a tighter bound that documents the 4-bit intent at
-/// the nybble resolution of the Multi-Resolution Aggregate analysis.
-#[inline]
-#[must_use]
-pub const fn checked_nybble(v: u128) -> u8 {
-    debug_assert!(v <= 0xf, "checked_nybble: not a nybble");
-    checked_u8(v)
-}
-
-/// Extracts a 16-bit segment value as `u16` (alias of [`checked_u16`]
-/// named for the segment resolution).
-#[inline]
-#[must_use]
-pub const fn checked_seg(v: u128) -> u16 {
-    checked_u16(v)
+pub const fn low32(v: u128) -> u32 {
+    let [b0, b1, b2, b3, ..] = v.to_le_bytes();
+    u32::from_le_bytes([b0, b1, b2, b3])
 }
 
 #[cfg(test)]
@@ -95,31 +50,21 @@ mod tests {
 
     #[test]
     fn lossless_values_pass_through() {
-        assert_eq!(checked_u8(0xff), 0xff);
-        assert_eq!(checked_u16(0xffff), 0xffff);
-        assert_eq!(checked_u32(0xffff_ffff), 0xffff_ffff);
-        assert_eq!(checked_usize(42), 42);
-        assert_eq!(checked_nybble(0xf), 0xf);
-        assert_eq!(checked_seg(0x2001), 0x2001);
+        let v = 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210u128;
+        assert_eq!(low8(v), 0x10);
+        assert_eq!(low16(v), 0x3210);
+        assert_eq!(low32(v), 0x7654_3210);
+        assert_eq!(low16(v >> 112), 0x0123);
+        for v in [0u128, 1, 0xff, 0x100, 0xffff, 0x1_0000, u128::MAX] {
+            assert_eq!(u128::from(low8(v)), v & 0xff);
+            assert_eq!(u128::from(low16(v)), v & 0xffff);
+            assert_eq!(u128::from(low32(v)), v & 0xffff_ffff);
+        }
     }
 
     #[test]
     fn works_in_const_context() {
-        const SEG: u16 = checked_seg(0x2001);
+        const SEG: u16 = low16(0x2001);
         assert_eq!(SEG, 0x2001);
-    }
-
-    #[test]
-    #[should_panic(expected = "truncates")]
-    #[cfg(debug_assertions)]
-    fn truncation_fails_loudly_in_debug() {
-        let _ = checked_u8(0x100);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a nybble")]
-    #[cfg(debug_assertions)]
-    fn nybble_range_is_enforced() {
-        let _ = checked_nybble(0x10);
     }
 }

@@ -7,7 +7,7 @@
 //! assignment, and apparent randomness typical of RFC 4941 privacy
 //! addresses.
 
-use crate::cast::{checked_u32, checked_u8};
+use crate::cast::{low32, low8};
 use crate::{Addr, Mac};
 
 /// A 64-bit interface identifier extracted from an address, with
@@ -38,7 +38,7 @@ impl Iid {
     /// signature in the paper (§5.2.1, Figure 2a) is the per-bit
     /// aggregation ratio dipping to ~1 exactly at this bit.
     pub const fn u_bit(self) -> u8 {
-        checked_u8(((self.0 >> 57) & 1) as u128)
+        low8((self.0 >> 57) as u128 & 1)
     }
 
     /// True when the IID is "low": at most the bottom 16 bits are used.
@@ -57,7 +57,7 @@ impl Iid {
     /// Meaningful for ISATAP (`::[02]00:5efe:a.b.c.d`) and the ad hoc
     /// dual-stack conventions of §3.
     pub const fn low32_as_v4(self) -> [u8; 4] {
-        checked_u32((self.0 & 0xffff_ffff) as u128).to_be_bytes()
+        low32(self.0 as u128).to_be_bytes()
     }
 
     /// True when the IID matches the ISATAP format (RFC 5214 §6.1):

@@ -9,6 +9,8 @@
 //!   analysis).
 //! * [`Prefix`] — an address block `addr/len`, canonicalized so that bits
 //!   beyond the prefix length are zero.
+//! * [`index`] — the range-typed positions every accessor takes:
+//!   [`PrefixLen`] (`0..=128`), [`BitIdx`], [`NybbleIdx`] and [`SegIdx`].
 //! * [`Mac`] — a 48-bit IEEE MAC address and the modified EUI-64
 //!   encoding/decoding used by SLAAC (RFC 4862 / RFC 4291 §2.5.1).
 //! * [`special`] — the registry of special-use prefixes relevant to the
@@ -22,8 +24,8 @@
 //!   classifier is contrasted with in §2.
 //!
 //! The crate is dependency-light and panic-free on arbitrary input: parsers
-//! return [`ParseError`], and every accessor is bounds-checked with a
-//! documented panic condition.
+//! return [`ParseError`], and every accessor takes a range-typed index,
+//! so it is total.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +35,7 @@ pub mod bits;
 pub mod cast;
 mod error;
 mod iid;
+pub mod index;
 mod mac;
 mod prefix;
 
@@ -43,6 +46,7 @@ pub mod special;
 pub use addr::Addr;
 pub use error::ParseError;
 pub use iid::{embedded_ipv4, iid_entropy_bits, is_low_iid, Iid};
+pub use index::{BitIdx, NybbleIdx, PrefixLen, SegIdx};
 pub use mac::Mac;
 pub use prefix::Prefix;
 pub use scheme::AddressScheme;

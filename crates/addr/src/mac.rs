@@ -2,14 +2,14 @@
 //! encoding used by SLAAC (RFC 4291 §2.5.1, RFC 4862).
 
 use crate::bits::shr64;
-use crate::cast::{checked_u32, checked_u8};
+use crate::cast::{low32, low8};
 use std::fmt;
 use std::str::FromStr;
 
-/// Extracts the byte at `shift` from a packed integer — the crate's
-/// checked-narrowing idiom for the EUI-64 bit shuffles below.
-const fn byte(v: u64, shift: usize) -> u8 {
-    checked_u8((shr64(v, shift) & 0xff) as u128)
+/// Extracts the byte at `shift` from a packed integer, for the EUI-64
+/// bit shuffles below.
+const fn byte(v: u64, shift: u32) -> u8 {
+    low8(shr64(v, shift) as u128)
 }
 
 /// A 48-bit IEEE 802 MAC address.
@@ -45,7 +45,7 @@ impl Mac {
     /// The Organizationally Unique Identifier (first 24 bits).
     pub const fn oui(self) -> u32 {
         let [m0, m1, m2, _, _, _] = self.0;
-        checked_u32(((m0 as u128) << 16) | ((m1 as u128) << 8) | m2 as u128)
+        low32(((m0 as u128) << 16) | ((m1 as u128) << 8) | m2 as u128)
     }
 
     /// True when the universally/locally-administered bit marks this MAC

@@ -1,6 +1,7 @@
 //! The [`Prefix`] type: an IPv6 address block `addr/len`.
 
-use crate::bits::{high_mask, msb_mask8};
+use crate::bits::{high_mask, msb_mask};
+use crate::index::PrefixLen;
 use crate::{Addr, ParseError};
 use std::fmt;
 use std::str::FromStr;
@@ -24,22 +25,18 @@ use std::str::FromStr;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Prefix {
     addr: Addr,
-    len: u8,
+    len: PrefixLen,
 }
 
 impl Prefix {
     /// The entire address space, `::/0`.
     pub const ALL: Prefix = Prefix {
         addr: Addr(0),
-        len: 0,
+        len: PrefixLen::ZERO,
     };
 
     /// Creates a prefix, zeroing any bits beyond `len`.
-    ///
-    /// # Panics
-    /// Panics if `len > 128`.
-    pub const fn new(addr: Addr, len: u8) -> Prefix {
-        assert!(len <= 128, "prefix length out of range");
+    pub const fn new(addr: Addr, len: PrefixLen) -> Prefix {
         Prefix {
             addr: addr.mask(len),
             len,
@@ -48,7 +45,10 @@ impl Prefix {
 
     /// Creates a host prefix (`/128`) for a single address.
     pub const fn host(addr: Addr) -> Prefix {
-        Prefix { addr, len: 128 }
+        Prefix {
+            addr,
+            len: PrefixLen::MAX,
+        }
     }
 
     /// The network address (host bits zero).
@@ -57,13 +57,13 @@ impl Prefix {
     }
 
     /// The prefix length in bits.
-    pub const fn len(self) -> u8 {
+    pub const fn len(self) -> PrefixLen {
         self.len
     }
 
     /// True only for `::/0` (provided for clippy symmetry with `len`).
     pub const fn is_empty(self) -> bool {
-        self.len == 0
+        self.len.get() == 0
     }
 
     /// Number of addresses the block spans: 2^(128−len). Returns `None`
@@ -86,7 +86,7 @@ impl Prefix {
 
     /// True when `other` is equal to or more specific than this block.
     pub const fn contains(self, other: Prefix) -> bool {
-        other.len >= self.len && other.addr.mask(self.len).0 == self.addr.0
+        other.len.get() >= self.len.get() && other.addr.mask(self.len).0 == self.addr.0
     }
 
     /// True when the two blocks share any address.
@@ -96,37 +96,41 @@ impl Prefix {
 
     /// The immediate parent block (one bit shorter), or `None` for `::/0`.
     pub const fn parent(self) -> Option<Prefix> {
-        if self.len == 0 {
-            None
-        } else {
-            Some(Prefix::new(self.addr, self.len.saturating_sub(1)))
+        match self.len.checked_sub(1) {
+            Some(len) => Some(Prefix::new(self.addr, len)),
+            None => None,
         }
     }
 
     /// The two immediate children (one bit longer), or `None` for `/128`.
     pub const fn children(self) -> Option<(Prefix, Prefix)> {
-        if self.len == 128 {
-            None
-        } else {
-            // len < 128 here, so the saturating add never saturates.
-            let left = Prefix {
-                addr: self.addr,
-                len: self.len.saturating_add(1),
-            };
-            let right = Prefix {
-                addr: Addr(self.addr.0 | msb_mask8(self.len)),
-                len: self.len.saturating_add(1),
-            };
-            Some((left, right))
-        }
+        let Some(bit) = self.len.next_bit() else {
+            return None;
+        };
+        let len = bit.through();
+        let left = Prefix {
+            addr: self.addr,
+            len,
+        };
+        let right = Prefix {
+            addr: Addr(self.addr.0 | msb_mask(bit)),
+            len,
+        };
+        Some((left, right))
     }
 
-    /// Truncates an address to its containing `/len` block.
+    /// Truncates an address to its containing `/len` block, for callers
+    /// that hold a raw `u8`; the end-to-end benchmark calls it with
+    /// literals. Typed code calls [`Prefix::new`].
     ///
     /// # Panics
     /// Panics if `len > 128`.
     pub const fn of(a: Addr, len: u8) -> Prefix {
-        Prefix::new(a, len)
+        assert!(len <= 128, "prefix length out of range");
+        match PrefixLen::new(len) {
+            Some(len) => Prefix::new(a, len),
+            None => Prefix::host(a),
+        }
     }
 
     /// Parses without requiring canonical form — host bits are zeroed.
@@ -145,11 +149,7 @@ impl Prefix {
         if len_s.is_empty() || len_s.len() > 3 || !len_s.bytes().all(|b| b.is_ascii_digit()) {
             return Err(ParseError::BadPrefixLength);
         }
-        let len: u16 = len_s.parse().map_err(|_| ParseError::BadPrefixLength)?;
-        if len > 128 {
-            return Err(ParseError::PrefixLengthRange(len));
-        }
-        let p = Prefix::new(addr, crate::cast::checked_u8(u128::from(len)));
+        let p = Prefix::new(addr, len_s.parse()?);
         if strict && p.addr != addr {
             return Err(ParseError::HostBitsSet);
         }

@@ -5,36 +5,64 @@
 //! before classification, because those mechanisms' addresses are trivially
 //! recognized by content and would skew the temporal/spatial results.
 
-use crate::{Addr, Iid, Prefix};
+use crate::cast::{low16, low32};
+use crate::{Addr, Iid, Prefix, PrefixLen};
 
 /// `2001::/32` — Teredo (RFC 4380).
-pub const TEREDO: Prefix = Prefix::new(Addr(0x2001_0000_0000_0000_0000_0000_0000_0000), 32);
+pub const TEREDO: Prefix = Prefix::new(
+    Addr(0x2001_0000_0000_0000_0000_0000_0000_0000),
+    PrefixLen::lit::<32>(),
+);
 
 /// `2002::/16` — 6to4 (RFC 3056 / RFC 3068 relays).
-pub const SIX_TO_FOUR: Prefix = Prefix::new(Addr(0x2002_0000_0000_0000_0000_0000_0000_0000), 16);
+pub const SIX_TO_FOUR: Prefix = Prefix::new(
+    Addr(0x2002_0000_0000_0000_0000_0000_0000_0000),
+    PrefixLen::lit::<16>(),
+);
 
 /// `2000::/3` — the global unicast space.
-pub const GLOBAL_UNICAST: Prefix = Prefix::new(Addr(0x2000_0000_0000_0000_0000_0000_0000_0000), 3);
+pub const GLOBAL_UNICAST: Prefix = Prefix::new(
+    Addr(0x2000_0000_0000_0000_0000_0000_0000_0000),
+    PrefixLen::lit::<3>(),
+);
 
 /// `2001:db8::/32` — documentation (RFC 3849); used in the paper's figures.
-pub const DOCUMENTATION: Prefix = Prefix::new(Addr(0x2001_0db8_0000_0000_0000_0000_0000_0000), 32);
+pub const DOCUMENTATION: Prefix = Prefix::new(
+    Addr(0x2001_0db8_0000_0000_0000_0000_0000_0000),
+    PrefixLen::lit::<32>(),
+);
 
 /// `fe80::/10` — link-local unicast.
-pub const LINK_LOCAL: Prefix = Prefix::new(Addr(0xfe80_0000_0000_0000_0000_0000_0000_0000), 10);
+pub const LINK_LOCAL: Prefix = Prefix::new(
+    Addr(0xfe80_0000_0000_0000_0000_0000_0000_0000),
+    PrefixLen::lit::<10>(),
+);
 
 /// `fc00::/7` — unique local addresses (RFC 4193).
-pub const UNIQUE_LOCAL: Prefix = Prefix::new(Addr(0xfc00_0000_0000_0000_0000_0000_0000_0000), 7);
+pub const UNIQUE_LOCAL: Prefix = Prefix::new(
+    Addr(0xfc00_0000_0000_0000_0000_0000_0000_0000),
+    PrefixLen::lit::<7>(),
+);
 
 /// `ff00::/8` — multicast.
-pub const MULTICAST: Prefix = Prefix::new(Addr(0xff00_0000_0000_0000_0000_0000_0000_0000), 8);
+pub const MULTICAST: Prefix = Prefix::new(
+    Addr(0xff00_0000_0000_0000_0000_0000_0000_0000),
+    PrefixLen::lit::<8>(),
+);
 
 /// `::ffff:0:0/96` — IPv4-mapped addresses.
-pub const V4_MAPPED: Prefix = Prefix::new(Addr(0x0000_0000_0000_0000_0000_ffff_0000_0000), 96);
+pub const V4_MAPPED: Prefix = Prefix::new(
+    Addr(0x0000_0000_0000_0000_0000_ffff_0000_0000),
+    PrefixLen::lit::<96>(),
+);
 
 /// `64:ff9b::/96` — the NAT64 well-known prefix (RFC 6052), used by
 /// 464XLAT deployments; these count as *native* IPv6 transport in the
 /// paper (§4.1) because the client speaks IPv6 end-to-end.
-pub const NAT64_WKP: Prefix = Prefix::new(Addr(0x0064_ff9b_0000_0000_0000_0000_0000_0000), 96);
+pub const NAT64_WKP: Prefix = Prefix::new(
+    Addr(0x0064_ff9b_0000_0000_0000_0000_0000_0000),
+    PrefixLen::lit::<96>(),
+);
 
 /// True for Teredo addresses.
 pub fn is_teredo(a: Addr) -> bool {
@@ -82,7 +110,7 @@ pub fn sixtofour_embedded_v4(a: Addr) -> Option<[u8; 4]> {
 /// (bits 32..64), or `None` when `a` is not Teredo.
 pub fn teredo_server_v4(a: Addr) -> Option<[u8; 4]> {
     if is_teredo(a) {
-        Some(crate::cast::checked_u32((a.0 >> 64) & 0xffff_ffff).to_be_bytes())
+        Some(low32(a.0 >> 64).to_be_bytes())
     } else {
         None
     }
@@ -92,7 +120,7 @@ pub fn teredo_server_v4(a: Addr) -> Option<[u8; 4]> {
 /// 0xffffffff) in the low 32 bits of a Teredo address.
 pub fn teredo_client_v4(a: Addr) -> Option<[u8; 4]> {
     if is_teredo(a) {
-        Some((crate::cast::checked_u32(a.0 & 0xffff_ffff) ^ 0xffff_ffff).to_be_bytes())
+        Some((low32(a.0) ^ 0xffff_ffff).to_be_bytes())
     } else {
         None
     }
@@ -102,7 +130,7 @@ pub fn teredo_client_v4(a: Addr) -> Option<[u8; 4]> {
 /// §4): bit 0x8000 marks a client behind a cone NAT.
 pub fn teredo_flags(a: Addr) -> Option<u16> {
     if is_teredo(a) {
-        Some(crate::cast::checked_u16((a.0 >> 48) & 0xffff))
+        Some(low16(a.0 >> 48))
     } else {
         None
     }
@@ -112,7 +140,7 @@ pub fn teredo_flags(a: Addr) -> Option<u16> {
 /// the port XOR 0xffff).
 pub fn teredo_client_port(a: Addr) -> Option<u16> {
     if is_teredo(a) {
-        Some(crate::cast::checked_u16((a.0 >> 32) & 0xffff) ^ 0xffff)
+        Some(low16(a.0 >> 32) ^ 0xffff)
     } else {
         None
     }
@@ -175,7 +203,7 @@ mod tests {
         assert!(GLOBAL_UNICAST.contains(TEREDO));
         assert!(GLOBAL_UNICAST.contains(SIX_TO_FOUR));
         assert!(!TEREDO.overlaps(SIX_TO_FOUR));
-        assert!(TEREDO.contains(Prefix::new(a("2001::"), 33)));
+        assert!(TEREDO.contains(Prefix::new(a("2001::"), PrefixLen::lit::<33>())));
         assert!(!TEREDO.contains(DOCUMENTATION));
     }
 }

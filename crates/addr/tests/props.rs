@@ -7,9 +7,14 @@
 //! includes the case seed, which reproduces the input exactly.
 
 use std::net::Ipv6Addr;
-use v6census_addr::{Addr, Iid, Mac, Prefix};
+use v6census_addr::{Addr, BitIdx, Iid, Mac, NybbleIdx, Prefix, PrefixLen};
 
 const CASES: u64 = 400;
+
+/// A generated prefix length; callers draw it from `0..=128`.
+fn plen(v: u64) -> PrefixLen {
+    PrefixLen::new(u8::try_from(v).unwrap()).unwrap()
+}
 
 /// Deterministic case generator: a splitmix64 stream.
 struct Gen(u64);
@@ -115,12 +120,12 @@ fn accessors_reconstruct() {
         let bits = g.addr_bits();
         let a = Addr(bits);
         let mut from_bits = 0u128;
-        for i in 0..128 {
+        for i in BitIdx::all() {
             from_bits = (from_bits << 1) | a.bit(i) as u128;
         }
         assert_eq!(from_bits, bits, "case {case}: bit()");
         let mut from_nybbles = 0u128;
-        for i in 0..32 {
+        for i in NybbleIdx::all() {
             from_nybbles = (from_nybbles << 4) | a.nybble(i) as u128;
         }
         assert_eq!(from_nybbles, bits, "case {case}: nybble()");
@@ -138,12 +143,12 @@ fn mask_laws() {
     let mut g = Gen::new(7);
     for case in 0..CASES {
         let a = Addr(g.addr_bits());
-        let len = g.below(129) as u8;
+        let len = plen(g.below(129));
         let m = a.mask(len);
         assert_eq!(m.mask(len), m, "case {case}: idempotent");
         assert!(a.common_prefix_len(m) >= len.min(a.common_prefix_len(a)));
-        if len < 128 {
-            assert_eq!(m.mask(len + 1), m, "case {case}: masking is nested");
+        if let Some(longer) = len.checked_add(1) {
+            assert_eq!(m.mask(longer), m, "case {case}: masking is nested");
         }
     }
 }
@@ -154,7 +159,7 @@ fn common_prefix_consistency() {
     for case in 0..CASES {
         let a = Addr(g.addr_bits());
         let b = Addr(g.addr_bits());
-        let len = g.below(129) as u8;
+        let len = plen(g.below(129));
         assert_eq!(
             a.common_prefix_len(b),
             b.common_prefix_len(a),
@@ -177,8 +182,8 @@ fn prefix_containment_laws() {
         } else {
             y
         };
-        let p = Prefix::new(Addr(x), g.below(129) as u8);
-        let q = Prefix::new(Addr(y), g.below(129) as u8);
+        let p = Prefix::new(Addr(x), plen(g.below(129)));
+        let q = Prefix::new(Addr(y), plen(g.below(129)));
         assert!(p.contains(p), "case {case}: reflexive");
         if p.contains(q) && q.contains(p) {
             assert_eq!(p, q, "case {case}: antisymmetric");
@@ -197,7 +202,7 @@ fn prefix_containment_laws() {
 fn prefix_family_laws() {
     let mut g = Gen::new(10);
     for case in 0..CASES {
-        let len = 1 + g.below(127) as u8;
+        let len = plen(1 + g.below(127));
         let p = Prefix::new(Addr(g.addr_bits()), len);
         let parent = p.parent().unwrap();
         assert!(parent.contains(p), "case {case}");

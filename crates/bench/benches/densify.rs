@@ -1,7 +1,7 @@
 //! The DESIGN.md ablation: the paper's trie-based densify (§5.2.3)
 //! versus the sort-based fast path (footnote 3), on identical inputs.
 
-use v6census_addr::Addr;
+use v6census_addr::{Addr, PrefixLen};
 use v6census_bench::timing::{black_box, Harness};
 use v6census_trie::{dense_prefixes_at, AddrSet, RadixTree};
 
@@ -39,14 +39,14 @@ fn main() {
             for a in set.iter() {
                 t.insert_addr(a, 1);
             }
-            black_box(t.densify(2, 112).len())
+            black_box(t.densify(2, PrefixLen::lit::<112>()).len())
         });
         h.bench(&format!("densify_2_at_112/trie_in_place/{n}"), || {
             let mut t = RadixTree::new();
             for a in set.iter() {
-                t.insert(v6census_addr::Prefix::of(a, 112), 1);
+                t.insert(v6census_addr::Prefix::new(a, PrefixLen::lit::<112>()), 1);
             }
-            black_box(t.densify_in_place(2, 112).len())
+            black_box(t.densify_in_place(2, PrefixLen::lit::<112>()).len())
         });
     }
 

@@ -1,6 +1,6 @@
 //! Microbenchmarks for MRA aggregate-count and curve computation.
 
-use v6census_addr::Addr;
+use v6census_addr::{Addr, PrefixLen};
 use v6census_bench::timing::{black_box, Harness};
 use v6census_core::spatial::{MraCurve, MraResolution};
 use v6census_trie::{AddrSet, AggregateCounts};
@@ -19,7 +19,7 @@ fn main() {
     for n in [10_000u64, 100_000, 1_000_000] {
         let set = population(n);
         h.bench(&format!("aggregate_counts/{n}"), || {
-            black_box(AggregateCounts::of(&set).n(64))
+            black_box(AggregateCounts::of(&set).n(PrefixLen::lit::<64>()))
         });
     }
 

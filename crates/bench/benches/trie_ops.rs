@@ -1,7 +1,7 @@
 //! Microbenchmarks for the Patricia trie: inserts, longest-prefix match,
 //! and subtree counting.
 
-use v6census_addr::{Addr, Prefix};
+use v6census_addr::{Addr, Prefix, PrefixLen};
 use v6census_bench::timing::{black_box, Harness};
 use v6census_trie::{PrefixMap, RadixTree};
 
@@ -33,7 +33,7 @@ fn main() {
     for i in 0..5_000u32 {
         let p = Prefix::new(
             Addr(((0x2000u128 + (i as u128 % 0x800)) << 112) | ((i as u128) << 80)),
-            48,
+            PrefixLen::lit::<48>(),
         );
         rt.insert(p, i);
     }
@@ -54,7 +54,12 @@ fn main() {
         t.insert_addr(a, 1);
     }
     let probes: Vec<Prefix> = (0..1_000u64)
-        .map(|i| Prefix::of(addrs[(i * 37 % addrs.len() as u64) as usize], 64))
+        .map(|i| {
+            Prefix::new(
+                addrs[(i * 37 % addrs.len() as u64) as usize],
+                PrefixLen::lit::<64>(),
+            )
+        })
         .collect();
     h.bench("count_within_1k_probes", || {
         let mut acc = 0u64;

@@ -2,6 +2,7 @@
 //! 2015 week — 32/48/112-aggregates of addresses and 32/48-aggregates of
 //! /64s.
 
+use v6census_addr::PrefixLen;
 use v6census_bench::{Opts, Snapshot};
 use v6census_census::figures::PopulationFigure;
 use v6census_census::plot::{ascii_ccdf, tsv_ccdf};
@@ -16,7 +17,7 @@ fn main() {
     eprintln!(
         "[fig3] {} addrs, {} /64s in the week",
         week.len(),
-        week.map_prefix(64).len()
+        week.map_prefix(PrefixLen::lit::<64>()).len()
     );
     let fig = PopulationFigure::figure3(&week);
     opts.emit("fig3_population_ccdf.txt", &ascii_ccdf(&fig));

@@ -2,6 +2,7 @@
 //! aggregation-ratio distributions across BGP prefixes, and (c)–(h) the
 //! six MRA plots touring the active IPv6 address space.
 
+use v6census_addr::PrefixLen;
 use v6census_bench::{Opts, Snapshot};
 use v6census_census::figures::{
     AsnDistributionFigure, MraFigure, PopulationFigure, SegmentRatioFigure,
@@ -47,7 +48,7 @@ fn main() {
         f5b.prefixes
     );
     for (p, stats) in &f5b.boxes {
-        b_txt.push_str(&format!("bits {:>3}-{:<3}  {}\n", p, p + 16, stats));
+        b_txt.push_str(&format!("bits {:>3}-{:<3}  {}\n", p, p.get() + 16, stats));
     }
     opts.emit("fig5b_segment_boxes.txt", &b_txt);
 
@@ -77,7 +78,7 @@ fn main() {
     let uni0 = asn_set(asns::UNIVERSITY_FIRST);
     let dept64 = {
         let mut best: Option<(v6census_addr::Prefix, usize)> = None;
-        for d in v6census_trie::dense_prefixes_at(uni0, 2, 64) {
+        for d in v6census_trie::dense_prefixes(uni0, 2, PrefixLen::lit::<64>()) {
             let c = d.count as usize;
             if best.map(|(_, n)| c > n).unwrap_or(true) {
                 best = Some((d.prefix, c));
@@ -116,8 +117,10 @@ fn main() {
     };
     let e1 = MraFigure::of("(e′) US mobile carrier — one day", &mob_day);
     opts.emit("fig5e_us_mobile_1day.txt", &ascii_mra(&e1));
-    let day64 = mob_day.map_prefix(64).len();
-    let week64 = asn_set(asns::MOBILE_A).map_prefix(64).len();
+    let day64 = mob_day.map_prefix(PrefixLen::lit::<64>()).len();
+    let week64 = asn_set(asns::MOBILE_A)
+        .map_prefix(PrefixLen::lit::<64>())
+        .len();
     opts.emit(
         "fig5e_pool_utilization.txt",
         &format!(

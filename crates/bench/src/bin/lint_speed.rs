@@ -1,8 +1,8 @@
 //! Benchmarks the full `v6census-lint` pipeline — scan, lex, symbol
 //! table, call graph, per-file rules, semantic rules — over the
-//! workspace at HEAD, plus the R002 abstract-interpretation pass in
-//! isolation, and emits a `BENCH_lint.json` point (files scanned,
-//! findings, wall ms, dataflow timings and summary counters) so later
+//! workspace at HEAD, plus the lock and allocation passes in isolation,
+//! and emits a `BENCH_lint.json` point (files scanned, findings, wall
+//! ms, per-pass timings and summary counters) so later
 //! PRs can track lint throughput as the rule set and the codebase grow.
 //! The JSON is written to the repository root unconditionally; CI
 //! uploads it as an artifact and commits track it as the baseline.
@@ -39,7 +39,6 @@ fn main() {
     let files_scanned = report.files_scanned;
     let findings = report.diagnostics.len();
     let suppressed = report.suppressed_count();
-    let discharged = report.discharged_count();
 
     let mut times: Vec<f64> = Vec::new();
     for _ in 0..samples {
@@ -55,11 +54,11 @@ fn main() {
     let (min, median) = (times[0], times[times.len() / 2]);
     let files_per_sec = f64::from(u32::try_from(files_scanned).unwrap_or(u32::MAX)) / (min / 1e3);
 
-    // The R002 dataflow pass in isolation: build the shared inputs
-    // (scan, symbols, call graph) once, then time `analyze` alone so
-    // the abstract-interpretation cost is tracked separately from the
-    // full pipeline. The lint crate itself takes no wall-clock reads
-    // (determinism discipline), so the timing lives out here.
+    // The semantic passes in isolation: build the shared inputs (scan,
+    // symbols, call graph) once, then time each analysis alone so its
+    // cost is tracked separately from the full pipeline. The lint crate
+    // itself takes no wall-clock reads (determinism discipline), so the
+    // timing lives out here.
     let paths = discover(&root).expect("workspace discovery");
     let files: Vec<_> = paths
         .iter()
@@ -80,20 +79,10 @@ fn main() {
         symbols: &symbols,
         calls: &calls,
     };
-    let mut flow_times: Vec<f64> = Vec::new();
-    let mut stats = lint::dataflow::DataflowStats::default();
-    for _ in 0..samples {
-        let start = Instant::now();
-        let res = lint::dataflow::analyze(&ws, &cfg);
-        flow_times.push(start.elapsed().as_secs_f64() * 1e3);
-        stats = res.stats;
-    }
-    flow_times.sort_by(|a, b| a.total_cmp(b));
-    let (flow_min, flow_median) = (flow_times[0], flow_times[flow_times.len() / 2]);
 
     // The R003/R004 concurrency pass in isolation, over the same
     // shared inputs: lock registry, guard scopes, effect lattice, and
-    // the lock-order graph, timed separately like the dataflow above.
+    // the lock-order graph.
     let mut lock_times: Vec<f64> = Vec::new();
     let mut lock_stats = lint::locks::LockStats::default();
     for _ in 0..samples {
@@ -120,16 +109,11 @@ fn main() {
     let (alloc_min, alloc_median) = (alloc_times[0], alloc_times[alloc_times.len() / 2]);
 
     println!(
-        "lint_workspace  {files_scanned} files, {findings} findings ({suppressed} suppressed, {discharged} discharged)"
+        "lint_workspace  {files_scanned} files, {findings} findings ({suppressed} suppressed)"
     );
     println!(
         "                min {min:>8.2}ms   median {median:>8.2}ms   {files_per_sec:>8.0} files/s"
     );
-    println!(
-        "dataflow (R002) {} fns, {} passes, {} summaries, {}/{} obligations proven",
-        stats.fns_analyzed, stats.passes, stats.summaries, stats.proven, stats.obligations
-    );
-    println!("                min {flow_min:>8.2}ms   median {flow_median:>8.2}ms");
     println!(
         "locks (R003/4)  {} fns, {} locks, {} edges (acyclic: {}), {}/{} obligations proven",
         lock_stats.fns_summarized,
@@ -161,19 +145,9 @@ fn main() {
     let _ = writeln!(json, "  \"files_scanned\": {files_scanned},");
     let _ = writeln!(json, "  \"findings\": {findings},");
     let _ = writeln!(json, "  \"suppressed\": {suppressed},");
-    let _ = writeln!(json, "  \"discharged\": {discharged},");
     let _ = writeln!(json, "  \"wall_ms_min\": {min:.3},");
     let _ = writeln!(json, "  \"wall_ms_median\": {median:.3},");
     let _ = writeln!(json, "  \"files_per_sec\": {files_per_sec:.1},");
-    let _ = writeln!(json, "  \"dataflow\": {{");
-    let _ = writeln!(json, "    \"fns_analyzed\": {},", stats.fns_analyzed);
-    let _ = writeln!(json, "    \"passes\": {},", stats.passes);
-    let _ = writeln!(json, "    \"summaries\": {},", stats.summaries);
-    let _ = writeln!(json, "    \"obligations\": {},", stats.obligations);
-    let _ = writeln!(json, "    \"proven\": {},", stats.proven);
-    let _ = writeln!(json, "    \"wall_ms_min\": {flow_min:.3},");
-    let _ = writeln!(json, "    \"wall_ms_median\": {flow_median:.3}");
-    let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"locks\": {{");
     let _ = writeln!(
         json,

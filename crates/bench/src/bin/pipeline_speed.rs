@@ -26,7 +26,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use v6census_addr::Addr;
+use v6census_addr::{Addr, PrefixLen};
 use v6census_bench::naive::{naive_stable_on, NaiveTrie};
 use v6census_bench::Opts;
 use v6census_core::temporal::{DailyObservations, Day, StabilityParams};
@@ -37,7 +37,7 @@ use v6census_trie::{AddrSet, RadixTree};
 /// Density parameters for the densify stage: at least `DENSIFY_N`
 /// addresses at density `DENSIFY_N`/2^(128−`DENSIFY_P`).
 const DENSIFY_N: u64 = 4;
-const DENSIFY_P: u8 = 64;
+const DENSIFY_P: PrefixLen = PrefixLen::lit::<64>();
 
 // ---------------------------------------------------------------------
 // Harness

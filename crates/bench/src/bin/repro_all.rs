@@ -4,6 +4,7 @@
 //!
 //! Cost: generates 63 daily logs once and reuses them everywhere.
 
+use v6census_addr::PrefixLen;
 use v6census_bench::{epoch_specs, Opts, Snapshot};
 use v6census_census::experiments::{
     classifier_evaluation, dense_www, eui64_analysis, ptr_harvest, router_discovery, sample_every,
@@ -184,7 +185,7 @@ fn main() {
     let f5b = SegmentRatioFigure::figure5b(&snap.rt, &week_set, 20);
     let mut b_txt = format!("{} BGP prefixes (≥20 addrs)\n", f5b.prefixes);
     for (p, stats) in &f5b.boxes {
-        b_txt.push_str(&format!("bits {:>3}-{:<3}  {}\n", p, p + 16, stats));
+        b_txt.push_str(&format!("bits {:>3}-{:<3}  {}\n", p, p.get() + 16, stats));
     }
     opts.emit("fig5b_segment_boxes.txt", &b_txt);
 
@@ -198,7 +199,7 @@ fn main() {
     };
     let dept64 = {
         let uni0 = asn_set(asns::UNIVERSITY_FIRST);
-        let best = v6census_trie::dense_prefixes_at(&uni0, 2, 64)
+        let best = v6census_trie::dense_prefixes(&uni0, 2, PrefixLen::lit::<64>())
             .into_iter()
             .max_by_key(|d| d.count)
             .map(|d| d.prefix);

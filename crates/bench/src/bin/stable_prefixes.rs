@@ -3,6 +3,7 @@
 //! stability spectra with their boundaries, and the EUI-64-guided NID
 //! inference of §7.1 — without any inside information.
 
+use v6census_addr::PrefixLen;
 use v6census_bench::{Opts, Snapshot};
 use v6census_census::experiments::stable_nid_by_mac;
 use v6census_core::temporal::{spectrum_between, Day};
@@ -45,11 +46,15 @@ fn main() {
     for (label, asn) in interesting {
         let c = by_asn_cur.get(&asn).unwrap_or(&empty);
         let o = by_asn_old.get(&asn).unwrap_or(&empty);
-        let spec = v6census_core::temporal::stable_fraction_spectrum(c, o, (24..=64).step_by(8));
+        let spec = v6census_core::temporal::stable_fraction_spectrum(
+            c,
+            o,
+            (24..=64).step_by(8).filter_map(PrefixLen::new),
+        );
         let frac = |p: u8| {
             spec.points
                 .iter()
-                .find(|&&(q, _, _)| q == p)
+                .find(|&&(q, _, _)| q.get() == p)
                 .map(|&(_, _, f)| f)
                 .unwrap_or(0.0)
         };
@@ -76,7 +81,7 @@ fn main() {
         snap.census.other_daily(),
         week(m15),
         week(s14),
-        (8..=64).step_by(8),
+        (8..=64).step_by(8).filter_map(PrefixLen::new),
     );
     report.push_str("\nglobal spectrum: ");
     for (p, _, f) in &global.points {

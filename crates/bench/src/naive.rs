@@ -12,9 +12,14 @@
 //! None of this is under the lint config's `[hot]` scope: allocating per
 //! node and per witness day is the entire point of the reference.
 
-use v6census_addr::{Addr, Prefix};
+use v6census_addr::{Addr, Prefix, PrefixLen};
 use v6census_core::temporal::{DailyObservations, Day, StabilityParams};
 use v6census_trie::{AddrSet, DensePrefix};
+
+/// The child slot `a` takes below a `/len` node (0 for a `/128` leaf).
+fn side(a: Addr, len: PrefixLen) -> usize {
+    len.next_bit().map_or(0, |i| usize::from(a.bit(i)))
+}
 
 /// One heap-allocated trie node — the pre-arena layout.
 pub struct NaiveNode {
@@ -64,13 +69,13 @@ impl NaiveTrie {
             return;
         }
         if node.prefix.contains(p) {
-            let which = usize::from(p.addr().bit(usize::from(node.prefix.len())));
+            let which = side(p.addr(), node.prefix.len());
             Self::insert(&mut node.children[which], p, count);
             *slot = Some(node);
             return;
         }
         if p.contains(node.prefix) {
-            let bit = usize::from(node.prefix.addr().bit(usize::from(p.len())));
+            let bit = side(node.prefix.addr(), p.len());
             let mut new_node = NaiveNode::leaf(p, count);
             new_node.children[bit] = Some(node);
             *slot = Some(Box::new(new_node));
@@ -82,8 +87,8 @@ impl NaiveTrie {
             .min(p.len())
             .min(node.prefix.len());
         let branch_prefix = Prefix::new(p.addr(), cpl);
-        let old_bit = usize::from(node.prefix.addr().bit(usize::from(cpl)));
-        let new_bit = usize::from(p.addr().bit(usize::from(cpl)));
+        let old_bit = side(node.prefix.addr(), cpl);
+        let new_bit = side(p.addr(), cpl);
         let mut branch = NaiveNode::leaf(branch_prefix, 0);
         branch.children[old_bit] = Some(node);
         branch.children[new_bit] = Some(Box::new(NaiveNode::leaf(p, count)));
@@ -119,16 +124,16 @@ impl NaiveTrie {
     /// The pre-optimization densify: same least-specific-dense-prefix
     /// math and pruning as `RadixTree::densify`, but with per-node
     /// recursive sums.
-    pub fn densify(&self, n: u64, p: u8) -> Vec<DensePrefix> {
+    pub fn densify(&self, n: u64, p: PrefixLen) -> Vec<DensePrefix> {
         let mut out = Vec::new();
-        fn walk(node: &NaiveNode, lo: u8, n: u64, p: u8, out: &mut Vec<DensePrefix>) {
+        fn walk(node: &NaiveNode, lo: PrefixLen, n: u64, p: PrefixLen, out: &mut Vec<DensePrefix>) {
             let s = NaiveTrie::subtree_sum(node);
             if s < n {
                 return;
             }
             let k_max = 63u32.saturating_sub((s / n).leading_zeros());
             let l_min = p.saturating_sub(k_max as u8);
-            let hi = node.prefix.len().min(127);
+            let hi = node.prefix.len().min(PrefixLen::lit::<127>());
             if l_min <= hi {
                 out.push(DensePrefix {
                     prefix: Prefix::new(node.prefix.addr(), l_min.max(lo)),
@@ -141,7 +146,7 @@ impl NaiveTrie {
             }
         }
         if let Some(root) = &self.root {
-            walk(root, 0, n, p, &mut out);
+            walk(root, PrefixLen::ZERO, n, p, &mut out);
         }
         out.sort();
         out

@@ -5,6 +5,7 @@
 //! benchmark scale; this covers it in `cargo test` at a scale small
 //! enough for CI.
 
+use v6census_addr::PrefixLen;
 use v6census_bench::naive::{naive_stable_on, NaiveTrie};
 use v6census_core::temporal::{DailyObservations, StabilityParams};
 use v6census_synth::world::epochs;
@@ -52,10 +53,15 @@ fn memoized_densify_matches_recursive_reference() {
         naive.insert_addr(a, 1);
         arena.insert_addr(a, 1);
     }
-    for (n, p) in [(4u64, 64u8), (2, 48), (8, 112), (1, 128)] {
+    for (n, p) in [
+        (4u64, PrefixLen::lit::<64>()),
+        (2, PrefixLen::lit::<48>()),
+        (8, PrefixLen::lit::<112>()),
+        (1, PrefixLen::MAX),
+    ] {
         let before = naive.densify(n, p);
         let after = arena.densify(n, p);
-        if n == 1 && p == 128 {
+        if n == 1 && p == PrefixLen::MAX {
             assert!(
                 !after.is_empty(),
                 "densify(1, 128) must report every observed host"

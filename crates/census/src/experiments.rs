@@ -5,7 +5,7 @@ use crate::ingest::{group_by_mac, Census};
 use crate::routing::RoutingTable;
 use std::collections::BTreeMap;
 use v6census_addr::malone::{classify_content_only, MaloneVerdict};
-use v6census_addr::Addr;
+use v6census_addr::{Addr, PrefixLen};
 use v6census_core::spatial::DensityClass;
 use v6census_core::temporal::{Day, StabilityParams};
 use v6census_synth::router::ProbeSim;
@@ -173,7 +173,7 @@ pub fn eui64_analysis(census: &Census, rt: &RoutingTable, first: Day) -> Eui64An
 /// The §6.2.2 numbers for active WWW clients on one day.
 pub fn dense_www(census: &Census, day: Day) -> v6census_core::spatial::DensityReport {
     let actives = census.other_daily().on(day);
-    DensityClass::new(2, 112).report(&actives)
+    DensityClass::at(2, PrefixLen::lit::<112>()).report(&actives)
 }
 
 // ---------------------------------------------------------------------------
@@ -210,7 +210,7 @@ impl PtrHarvest {
 /// oracle and compares with querying the active WWW clients only.
 pub fn ptr_harvest(world: &World, routers: &AddrSet, clients: &AddrSet, day: Day) -> PtrHarvest {
     let oracle = world.ptr_oracle(day);
-    let class = DensityClass::new(3, 120);
+    let class = DensityClass::at(3, PrefixLen::lit::<120>());
     let dense = class.dense_prefixes(routers);
     let possible: u128 = dense.iter().map(|d| d.possible().unwrap_or(0)).sum();
     let mut sweep = 0usize;

@@ -3,6 +3,7 @@
 use crate::ingest::Census;
 use crate::routing::RoutingTable;
 use std::collections::BTreeMap;
+use v6census_addr::PrefixLen;
 use v6census_core::spatial::{BoxStats, Ccdf, MraCurve, MraResolution};
 use v6census_core::temporal::Day;
 use v6census_trie::AddrSet;
@@ -18,9 +19,9 @@ pub struct MraFigure {
     pub total: u64,
     /// `(resolution, curve points)` — single bits, nybbles, 16-bit
     /// segments, in the paper's plotting order.
-    pub curves: Vec<(MraResolution, Vec<(u8, f64)>)>,
+    pub curves: Vec<(MraResolution, Vec<(PrefixLen, f64)>)>,
     /// Longest common prefix of the population.
-    pub common_prefix: u8,
+    pub common_prefix: PrefixLen,
 }
 
 impl MraFigure {
@@ -41,7 +42,7 @@ impl MraFigure {
     }
 
     /// The curve for one resolution, if present.
-    pub fn curve(&self, res: MraResolution) -> Option<&[(u8, f64)]> {
+    pub fn curve(&self, res: MraResolution) -> Option<&[(PrefixLen, f64)]> {
         self.curves
             .iter()
             .find(|(r, _)| *r == res)
@@ -60,28 +61,28 @@ impl PopulationFigure {
     /// The paper's five series: 32/48/112-aggregates of addresses and
     /// 32/48-aggregates of /64s, over a week's population.
     pub fn figure3(week_addrs: &AddrSet) -> PopulationFigure {
-        let week_64s = week_addrs.map_prefix(64);
+        let week_64s = week_addrs.map_prefix(PrefixLen::lit::<64>());
         PopulationFigure {
             series: vec![
                 (
                     "32-agg. of IPv6 addrs".into(),
-                    Ccdf::of_aggregate_populations(week_addrs, 32),
+                    Ccdf::of_aggregate_populations(week_addrs, PrefixLen::lit::<32>()),
                 ),
                 (
                     "32-agg. of /64s".into(),
-                    Ccdf::of_aggregate_populations(&week_64s, 32),
+                    Ccdf::of_aggregate_populations(&week_64s, PrefixLen::lit::<32>()),
                 ),
                 (
                     "48-agg. of IPv6 addrs".into(),
-                    Ccdf::of_aggregate_populations(week_addrs, 48),
+                    Ccdf::of_aggregate_populations(week_addrs, PrefixLen::lit::<48>()),
                 ),
                 (
                     "48-agg. of /64s".into(),
-                    Ccdf::of_aggregate_populations(&week_64s, 48),
+                    Ccdf::of_aggregate_populations(&week_64s, PrefixLen::lit::<48>()),
                 ),
                 (
                     "112-agg of IPv6 addrs".into(),
-                    Ccdf::of_aggregate_populations(week_addrs, 112),
+                    Ccdf::of_aggregate_populations(week_addrs, PrefixLen::lit::<112>()),
                 ),
             ],
         }
@@ -151,7 +152,7 @@ impl AsnDistributionFigure {
                 ("active addresses per ASN".into(), Ccdf::new(addrs)),
                 (
                     "active /64s per ASN".into(),
-                    Ccdf::new(per_asn(&week_addrs.map_prefix(64))),
+                    Ccdf::new(per_asn(&week_addrs.map_prefix(PrefixLen::lit::<64>()))),
                 ),
                 (
                     "active EUI-64 addresses per ASN".into(),
@@ -172,7 +173,7 @@ impl AsnDistributionFigure {
 #[derive(Clone, Debug)]
 pub struct SegmentRatioFigure {
     /// One box per 16-bit segment: `(segment start bit, stats)`.
-    pub boxes: Vec<(u8, BoxStats)>,
+    pub boxes: Vec<(PrefixLen, BoxStats)>,
     /// Number of BGP prefixes that contributed.
     pub prefixes: usize,
 }
@@ -187,7 +188,7 @@ impl SegmentRatioFigure {
         min_addrs: usize,
     ) -> SegmentRatioFigure {
         let groups = rt.group_by_prefix(week_addrs);
-        let mut per_segment: BTreeMap<u8, Vec<f64>> = BTreeMap::new();
+        let mut per_segment: BTreeMap<PrefixLen, Vec<f64>> = BTreeMap::new();
         let mut prefixes = 0usize;
         for set in groups.values() {
             if set.len() < min_addrs {
@@ -229,7 +230,7 @@ pub fn asn_highlights(
     six_month_common_64s: &AddrSet,
 ) -> AsnHighlights {
     let addr_counts = rt.count_by_asn(week_addrs);
-    let p64_counts = rt.count_by_asn(&week_addrs.map_prefix(64));
+    let p64_counts = rt.count_by_asn(&week_addrs.map_prefix(PrefixLen::lit::<64>()));
     let mut ranked: Vec<(u32, u64)> = addr_counts.iter().map(|(&a, &c)| (a, c)).collect();
     ranked.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
     let top5: Vec<u32> = ranked.iter().take(5).map(|&(a, _)| a).collect();
@@ -329,7 +330,7 @@ mod tests {
         let d = epochs::mar2015();
         let week = week_other(&c, d);
         let eui = c.eui64_over(d.range_inclusive(d + 6));
-        let stable64 = week.map_prefix(64); // stand-in for the test
+        let stable64 = week.map_prefix(PrefixLen::lit::<64>()); // stand-in for the test
         let f = AsnDistributionFigure::figure5a(&rt, &week, &eui, &stable64);
         assert_eq!(f.series.len(), 4);
         assert!(f.active_asns > 10);

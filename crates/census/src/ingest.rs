@@ -8,7 +8,7 @@
 
 use std::collections::BTreeSet;
 use v6census_addr::scheme::{classify, classify_beneath_6to4};
-use v6census_addr::{Addr, AddressScheme, Mac};
+use v6census_addr::{Addr, AddressScheme, Mac, PrefixLen};
 use v6census_core::temporal::{DailyObservations, Day};
 use v6census_synth::{DayLog, World};
 use v6census_trie::AddrSet;
@@ -105,7 +105,7 @@ impl DaySummary {
 
     /// Active /64 prefixes among "Other" addresses.
     pub fn other_64s(&self) -> AddrSet {
-        self.other.map_prefix(64)
+        self.other.map_prefix(PrefixLen::lit::<64>())
     }
 }
 
@@ -366,7 +366,11 @@ mod tests {
         let d = epochs::mar2015();
         let c = Census::run(&w, d - 7, d + 7);
         let params = StabilityParams::three_day();
-        let records = c.classify_day(d, &params, Some(DensityClass::new(2, 112)));
+        let records = c.classify_day(
+            d,
+            &params,
+            Some(DensityClass::at(2, PrefixLen::lit::<112>())),
+        );
         assert_eq!(records.len(), c.other_daily().on(d).len());
         let stable_count = records
             .iter()

@@ -3,6 +3,7 @@
 
 use crate::figures::{MraFigure, PopulationFigure, StabilityFigure};
 use std::fmt::Write as _;
+use v6census_addr::PrefixLen;
 use v6census_core::spatial::MraResolution;
 
 /// Renders an MRA figure as an ASCII plot: x = prefix length 0..128,
@@ -13,8 +14,8 @@ pub fn ascii_mra(fig: &MraFigure) -> String {
     const WIDTH: usize = 64; // 2 bits per column
     const HEIGHT: usize = 17; // log2 ratio 0..=16
     let mut grid = vec![vec![' '; WIDTH + 1]; HEIGHT];
-    let mut put = |p: u8, ratio: f64, glyph: char| {
-        let x = (p as usize * WIDTH) / 128;
+    let mut put = |p: PrefixLen, ratio: f64, glyph: char| {
+        let x = (usize::from(p) * WIDTH) / 128;
         let y = ratio.max(1.0).log2().round() as usize;
         let y = HEIGHT - 1 - y.min(HEIGHT - 1);
         // Don't let coarse glyphs obscure finer ones already placed.
@@ -59,13 +60,13 @@ pub fn ascii_mra(fig: &MraFigure) -> String {
 /// (empty cells where a resolution has no point at p).
 pub fn tsv_mra(fig: &MraFigure) -> String {
     let mut out = String::from("# prefix_len\tgamma16\tgamma4\tgamma1\n");
-    let col = |res: MraResolution, p: u8| -> String {
+    let col = |res: MraResolution, p: PrefixLen| -> String {
         fig.curve(res)
             .and_then(|c| c.iter().find(|&&(q, _)| q == p))
             .map(|&(_, r)| format!("{r:.6}"))
             .unwrap_or_default()
     };
-    for p in 0..128u8 {
+    for p in PrefixLen::all().take(128) {
         let g16 = col(MraResolution::Segment16, p);
         let g4 = col(MraResolution::Nybble, p);
         let g1 = col(MraResolution::SingleBit, p);

@@ -46,7 +46,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use v6census_addr::{Addr, Prefix};
+use v6census_addr::{Addr, Prefix, PrefixLen};
 use v6census_core::query::{days_seen, prefix_profile};
 use v6census_core::spatial::DensityClass;
 use v6census_core::temporal::{Day, StabilityParams};
@@ -177,7 +177,7 @@ impl Default for ServeConfig {
             poll_interval: Duration::from_millis(200),
             ingest: IngestConfig::default(),
             params: StabilityParams::nd(3),
-            dense_class: DensityClass::new(8, 64),
+            dense_class: DensityClass::at(8, PrefixLen::lit::<64>()),
             routing: Vec::new(),
         }
     }

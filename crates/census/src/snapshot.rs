@@ -236,6 +236,7 @@ impl SnapshotCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use v6census_addr::PrefixLen;
     use v6census_synth::world::epochs;
     use v6census_synth::{World, WorldConfig};
 
@@ -243,7 +244,11 @@ mod tests {
         let world = World::standard(WorldConfig::tiny(7));
         let first = epochs::mar2015();
         let census = Census::run(&world, first, first + (days as i32) - 1);
-        Snapshot::build(census, StabilityParams::nd(3), DensityClass::new(8, 64))
+        Snapshot::build(
+            census,
+            StabilityParams::nd(3),
+            DensityClass::at(8, PrefixLen::lit::<64>()),
+        )
     }
 
     #[test]
@@ -257,7 +262,7 @@ mod tests {
         let empty = Snapshot::build(
             Census::new_empty(),
             StabilityParams::nd(3),
-            DensityClass::new(8, 64),
+            DensityClass::at(8, PrefixLen::lit::<64>()),
         );
         assert_eq!(empty.generation, 0);
         assert!(empty.reference.is_none());
@@ -303,7 +308,10 @@ mod tests {
     /// build of the same census, under the previous snapshot's params
     /// and, through the shared loop, under `other` params.
     fn land_and_compare(logs: &[v6census_synth::DayLog], other: StabilityParams, ctx: &str) {
-        let (params, class) = (StabilityParams::nd(3), DensityClass::new(8, 64));
+        let (params, class) = (
+            StabilityParams::nd(3),
+            DensityClass::at(8, PrefixLen::lit::<64>()),
+        );
         let mut census = Census::new_empty();
         let mut prev = Snapshot::build(census.clone(), params, class);
         for (i, log) in logs.iter().enumerate() {

@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
 use std::time::{Duration, Instant};
-use v6census_addr::Addr;
+use v6census_addr::{Addr, PrefixLen};
 use v6census_core::quality::{Annotated, Quality};
 use v6census_core::temporal::{Day, GapPolicy, StabilityParams, StabilityVerdict};
 use v6census_synth::AnalysisFaultPlan;
@@ -699,7 +699,7 @@ pub struct PipelineConfig {
     /// Density class numerator *n* for the densify stage.
     pub dense_n: u64,
     /// Density class prefix length *p* for the densify stage.
-    pub dense_p: u8,
+    pub dense_p: PrefixLen,
 }
 
 impl Default for PipelineConfig {
@@ -711,7 +711,7 @@ impl Default for PipelineConfig {
             reference: None,
             gap_policy: GapPolicy::Widen { max_extra: 7 },
             dense_n: 8,
-            dense_p: 64,
+            dense_p: PrefixLen::lit::<64>(),
         }
     }
 }

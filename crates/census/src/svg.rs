@@ -107,7 +107,7 @@ pub fn svg_mra(fig: &MraFigure) -> String {
         let points: Vec<(f64, f64)> = curve
             .iter()
             .map(|&(p, r)| {
-                let x = MARGIN_L + plot_w() * p as f64 / 128.0;
+                let x = MARGIN_L + plot_w() * f64::from(p.get()) / 128.0;
                 let y = MARGIN_T + plot_h() * (1.0 - r.max(1.0).log2() / 16.0);
                 (x, y)
             })

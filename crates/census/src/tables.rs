@@ -2,6 +2,7 @@
 
 use crate::humane::{count_pct, si};
 use crate::ingest::{Census, DaySummary};
+use v6census_addr::PrefixLen;
 use v6census_core::spatial::DensityClass;
 use v6census_core::temporal::{Day, StabilityParams};
 use v6census_trie::AddrSet;
@@ -296,18 +297,18 @@ pub struct Table3 {
 /// The twelve density classes of the paper's Table 3, in row order.
 pub fn table3_classes() -> Vec<DensityClass> {
     vec![
-        DensityClass::new(2, 124),
-        DensityClass::new(3, 120),
-        DensityClass::new(2, 120),
-        DensityClass::new(2, 116),
-        DensityClass::new(64, 112),
-        DensityClass::new(32, 112),
-        DensityClass::new(16, 112),
-        DensityClass::new(8, 112),
-        DensityClass::new(4, 112),
-        DensityClass::new(2, 112),
-        DensityClass::new(2, 108),
-        DensityClass::new(2, 104),
+        DensityClass::at(2, PrefixLen::lit::<124>()),
+        DensityClass::at(3, PrefixLen::lit::<120>()),
+        DensityClass::at(2, PrefixLen::lit::<120>()),
+        DensityClass::at(2, PrefixLen::lit::<116>()),
+        DensityClass::at(64, PrefixLen::lit::<112>()),
+        DensityClass::at(32, PrefixLen::lit::<112>()),
+        DensityClass::at(16, PrefixLen::lit::<112>()),
+        DensityClass::at(8, PrefixLen::lit::<112>()),
+        DensityClass::at(4, PrefixLen::lit::<112>()),
+        DensityClass::at(2, PrefixLen::lit::<112>()),
+        DensityClass::at(2, PrefixLen::lit::<108>()),
+        DensityClass::at(2, PrefixLen::lit::<104>()),
     ]
 }
 

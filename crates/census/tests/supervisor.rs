@@ -179,7 +179,7 @@ fn trie_budget_degrades_densify_with_sound_counts() {
     for dp in exact.value.iter().chain(dense.value.iter()) {
         let len = dp.prefix.len();
         assert!(len <= p, "block {} finer than the class", dp.prefix);
-        let bar = (n as u128) << (p - len);
+        let bar = (n as u128) << (p.get() - len.get());
         assert!(
             (dp.count as u128) >= bar,
             "block {} with {} addrs under the {}@/{} bar ({bar})",

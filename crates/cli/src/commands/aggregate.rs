@@ -4,6 +4,7 @@
 use crate::input::addr_set;
 use crate::{CliError, Flags};
 use std::fmt::Write as _;
+use v6census_addr::PrefixLen;
 use v6census_core::spatial::Ccdf;
 use v6census_trie::{populations, AggregateCounts};
 
@@ -13,8 +14,8 @@ pub fn aggregate(input: &str, flags: &Flags) -> Result<String, CliError> {
     let mut out = String::new();
 
     if flags.has("populations") {
-        let p: u8 = flags.get_parsed("length", 64u8)?;
-        let pops = populations(&set, p.min(128));
+        let p: PrefixLen = flags.get_parsed("length", PrefixLen::lit::<64>())?;
+        let pops = populations(&set, p);
         let ccdf = Ccdf::new(pops.clone());
         let _ = writeln!(out, "# populations of active /{p} aggregates");
         let _ = writeln!(out, "aggregates : {}", pops.len());
@@ -30,13 +31,13 @@ pub fn aggregate(input: &str, flags: &Flags) -> Result<String, CliError> {
 
     let agg = AggregateCounts::of(&set);
     let _ = writeln!(out, "# p\tn_p\tgamma1\tgamma16");
-    for p in 0..=128u8 {
-        let g1 = if p < 128 {
+    for p in PrefixLen::all() {
+        let g1 = if p < PrefixLen::MAX {
             format!("{:.4}", agg.ratio(p, 1))
         } else {
             String::new()
         };
-        let g16 = if p % 16 == 0 && p < 128 {
+        let g16 = if p.get() % 16 == 0 && p < PrefixLen::MAX {
             format!("{:.4}", agg.ratio(p, 16))
         } else {
             String::new()
@@ -67,5 +68,12 @@ mod tests {
         let out = aggregate(INPUT, &f).unwrap();
         assert!(out.contains("aggregates : 2"));
         assert!(out.contains("max        : 2"));
+    }
+
+    #[test]
+    fn populations_length_past_128_is_a_bad_value() {
+        let f = Flags::parse(&["--populations".into(), "--length".into(), "200".into()]);
+        let e = aggregate(INPUT, &f).unwrap_err();
+        assert_eq!(e.to_string(), "bad value for --length: \"200\"");
     }
 }

@@ -10,6 +10,7 @@
 use crate::input::parse_addr_lines;
 use crate::{err, CliError, Flags};
 use std::fmt::Write as _;
+use v6census_addr::PrefixLen;
 use v6census_core::temporal::{DailyObservations, Day, StabilityParams};
 
 /// One day's input: its date and file contents.
@@ -84,13 +85,13 @@ pub fn stability(days: Vec<DayFile>, flags: &Flags) -> Result<String, CliError> 
             d.to_string(),
             set.len(),
             ref_set.intersection_len(&set),
-            set.map_prefix(64).len(),
+            set.map_prefix(PrefixLen::lit::<64>()).len(),
         );
     }
 
     for (what, store) in [
         ("addresses", obs.clone()),
-        ("/64 prefixes", obs.prefix_view(64)),
+        ("/64 prefixes", obs.prefix_view(PrefixLen::lit::<64>())),
     ] {
         let active = store.on(reference);
         if active.is_empty() {

@@ -4,6 +4,7 @@
 use crate::input::addr_set;
 use crate::{err, CliError, Flags};
 use std::fmt::Write as _;
+use v6census_addr::PrefixLen;
 use v6census_core::temporal::{longest_stable_prefixes, stable_fraction_spectrum};
 
 /// Runs the subcommand. `earlier_text` is the earlier epoch's address
@@ -17,7 +18,11 @@ pub fn stable(input: &str, earlier_text: &str, flags: &Flags) -> Result<String, 
         return Err(err("--step must be at least 1"));
     }
 
-    let lengths: Vec<u8> = (0..=64).step_by(step as usize).skip(1).collect();
+    let lengths: Vec<PrefixLen> = PrefixLen::all()
+        .take(65)
+        .step_by(step as usize)
+        .skip(1)
+        .collect();
     let spec = stable_fraction_spectrum(&current, &earlier, lengths);
     let mut out = String::from("# length\tactive_aggregates\tstable_fraction\n");
     for (p, n, f) in &spec.points {

@@ -52,6 +52,53 @@ fn usage_errors_exit_2() {
     }
 }
 
+/// Runs `v6census ARGS` with `input` on stdin.
+fn run_with_stdin(args: &[&str], input: &str) -> std::process::Output {
+    use std::io::Write;
+    use std::process::Stdio;
+    let mut child = bin()
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    child.wait_with_output().unwrap()
+}
+
+/// A prefix length past /128 is a bad flag value like any other: no
+/// report is printed, rather than a /128 report headed `/200`.
+#[test]
+fn out_of_range_prefix_length_is_rejected_not_clamped() {
+    let input = "2001:db8::1\n2001:db8::2\n2001:db8:1::1\n";
+    let out = run_with_stdin(&["aggregate", "--populations", "--length", "200"], input);
+    assert_eq!(out.status.code(), Some(EXIT_DATA_ERROR));
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("bad value for --length: \"200\""),
+        "{stderr}"
+    );
+
+    let out = run_with_stdin(&["aggregate", "--populations", "--length", "128"], input);
+    assert_eq!(out.status.code(), Some(EXIT_OK));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.starts_with("# populations of active /128 aggregates\naggregates : 3\n"),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn data_errors_exit_1() {
     let out = bin()

@@ -6,7 +6,7 @@
 //! [`ClassifiedAddr`] is the join the census pipeline emits per address.
 
 use std::fmt;
-use v6census_addr::{Addr, AddressScheme};
+use v6census_addr::{Addr, AddressScheme, PrefixLen};
 
 /// The temporal classification outcome for one address or prefix.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -61,7 +61,7 @@ pub struct ClassifiedAddr {
     /// The density class the address fell into, as `(n, p)` of
     /// `n@/p-dense`, when spatial classification placed it in a dense
     /// prefix (§5.2.2).
-    pub dense_in: Option<(u64, u8)>,
+    pub dense_in: Option<(u64, PrefixLen)>,
 }
 
 impl fmt::Display for ClassifiedAddr {
@@ -116,7 +116,7 @@ mod tests {
                 back: 7,
                 fwd: 7,
             },
-            dense_in: Some((2, 112)),
+            dense_in: Some((2, PrefixLen::lit::<112>())),
         };
         let s = c.to_string();
         assert!(s.contains("2001:db8::1"));

@@ -10,7 +10,7 @@
 
 use crate::spatial::{DensityClass, MraCurve, PrivacySignature};
 use crate::temporal::{DailyObservations, Day};
-use v6census_addr::{Addr, Prefix};
+use v6census_addr::{Addr, Prefix, PrefixLen};
 use v6census_trie::AddrSet;
 
 /// The spatial profile of one prefix within an active-address set — the
@@ -31,7 +31,7 @@ pub struct PrefixProfile {
     /// bits — the dense-block shape).
     pub tail_prominence: f64,
     /// Longest common prefix of the members (128 for ≤1 member).
-    pub common_prefix_len: u8,
+    pub common_prefix_len: PrefixLen,
     /// Number of `n@/p-dense` sub-blocks among the members.
     pub dense_prefixes: usize,
     /// Members that live inside a dense sub-block.
@@ -132,7 +132,7 @@ mod tests {
         let sibling: Prefix = "2001:db8:0:2::/64".parse().unwrap();
         let none = prefix_profile(&s, sibling, DensityClass::new(16, 120));
         assert_eq!(none.members, 0);
-        assert_eq!(none.common_prefix_len, 128);
+        assert_eq!(none.common_prefix_len, PrefixLen::MAX);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! report (§5.2.2–§5.2.3, §6.2.2).
 
 use std::fmt;
-use v6census_trie::{dense_prefixes_at, AddrSet, DensePrefix};
+use v6census_addr::bits::high_mask;
+use v6census_addr::PrefixLen;
+use v6census_trie::{dense_prefixes, AddrSet, DensePrefix};
 
 /// A density class `n@/p-dense`: prefixes of length `p` containing at
 /// least `n` observed addresses, and the addresses therein.
@@ -16,34 +18,46 @@ pub struct DensityClass {
     /// Minimum observed addresses for a block to be dense.
     pub n: u64,
     /// The block length in bits.
-    pub p: u8,
+    pub p: PrefixLen,
 }
 
 impl DensityClass {
-    /// Creates a density class.
+    /// Creates the density class `n@/p`.
+    ///
+    /// # Panics
+    /// Panics if `n == 0`.
+    pub const fn at(n: u64, p: PrefixLen) -> DensityClass {
+        assert!(n >= 1, "density numerator must be at least 1");
+        DensityClass { n, p }
+    }
+
+    /// [`DensityClass::at`] for callers that hold a raw `u8`; the
+    /// end-to-end benchmark calls it with literals.
     ///
     /// # Panics
     /// Panics if `n == 0` or `p > 128`.
     pub const fn new(n: u64, p: u8) -> DensityClass {
-        assert!(n >= 1, "density numerator must be at least 1");
         assert!(p <= 128, "prefix length out of range");
-        DensityClass { n, p }
+        match PrefixLen::new(p) {
+            Some(p) => DensityClass::at(n, p),
+            None => DensityClass::at(n, PrefixLen::MAX),
+        }
     }
 
     /// The minimum density as a fraction.
     pub fn min_density(&self) -> f64 {
-        if self.p == 0 {
-            // n / 2^128 underflows f64 precision concerns not at play here.
-            self.n as f64 / 2f64.powi(128)
-        } else {
-            self.n as f64 / (1u128 << (128 - self.p as u32)) as f64
+        // The block spans 2^(128−p) addresses: one past the host mask,
+        // which overflows only for /0.
+        match (!high_mask(self.p)).checked_add(1) {
+            Some(span) => self.n as f64 / span as f64,
+            None => self.n as f64 / 2f64.powi(128),
         }
     }
 
     /// The dense prefixes of this class within a set of observed
     /// addresses, via the sorted fast path.
     pub fn dense_prefixes(&self, set: &AddrSet) -> Vec<DensePrefix> {
-        dense_prefixes_at(set, self.n, self.p)
+        dense_prefixes(set, self.n, self.p)
     }
 
     /// Full report for this class over a set (one Table 3 row).
@@ -104,11 +118,11 @@ impl std::str::FromStr for DensityClass {
         let s = s.strip_suffix("-dense").unwrap_or(s);
         let (n_s, p_s) = s.split_once("@/").ok_or(DensityClassParseError)?;
         let n: u64 = n_s.parse().map_err(|_| DensityClassParseError)?;
-        let p: u8 = p_s.parse().map_err(|_| DensityClassParseError)?;
-        if n == 0 || p > 128 {
+        let p: PrefixLen = p_s.parse().map_err(|_| DensityClassParseError)?;
+        if n == 0 {
             return Err(DensityClassParseError);
         }
-        Ok(DensityClass::new(n, p))
+        Ok(DensityClass { n, p })
     }
 }
 

@@ -7,6 +7,7 @@
 //! these ratios expose *where in the address* a population of addresses
 //! differs — the paper's MRA plot (Figures 2 and 5).
 
+use v6census_addr::PrefixLen;
 use v6census_trie::{AddrSet, AggregateCounts};
 
 /// The segment resolutions the paper plots.
@@ -64,7 +65,7 @@ pub struct PrivacySignature {
     /// The single-bit ratio at the u bit (γ¹₇₀; ≈1 for privacy IIDs).
     pub u_bit_ratio: f64,
     /// First bit position ≥ 72 where the curve flat-lines at ≤ 1.05.
-    pub flatline_at: Option<u8>,
+    pub flatline_at: Option<PrefixLen>,
 }
 
 impl MraCurve {
@@ -91,37 +92,37 @@ impl MraCurve {
     }
 
     /// γ^k_p for the given resolution.
-    pub fn ratio(&self, p: u8, res: MraResolution) -> f64 {
+    pub fn ratio(&self, p: PrefixLen, res: MraResolution) -> f64 {
         self.counts.ratio(p, res.k())
     }
 
     /// One plot curve: `(p, γ^k_p)` for p = 0, k, 2k, …, 128−k.
-    pub fn curve(&self, res: MraResolution) -> Vec<(u8, f64)> {
+    pub fn curve(&self, res: MraResolution) -> Vec<(PrefixLen, f64)> {
         self.counts.ratio_curve(res.k())
     }
 
     /// The length of the longest common prefix of the whole set — the
     /// "known BGP prefix" marker on the paper's plots. For fewer than two
     /// addresses the set trivially shares all 128 bits.
-    pub fn common_prefix_len(&self) -> u8 {
-        for p in 0..128u8 {
-            if self.counts.n(p + 1) > 1 {
-                return p;
-            }
-        }
-        128
+    pub fn common_prefix_len(&self) -> PrefixLen {
+        PrefixLen::all()
+            .take_while(|&p| p < PrefixLen::MAX)
+            .find(|&p| self.counts.n(p.saturating_add(1)) > 1)
+            .unwrap_or(PrefixLen::MAX)
     }
 
     /// Detects the privacy-extension signature on the single-bit curve.
     /// Returns measurements; [`PrivacySignature::matches`] applies the
     /// paper's visual criteria as thresholds.
     pub fn privacy_signature(&self) -> PrivacySignature {
-        let head: f64 = (64..68).map(|p| self.counts.ratio(p, 1)).sum::<f64>() / 4.0;
-        let u_bit_ratio = self.counts.ratio(70, 1);
+        let lens = |from: u8, to: u8| (from..to).filter_map(PrefixLen::new);
+        let head: f64 = lens(64, 68).map(|p| self.counts.ratio(p, 1)).sum::<f64>() / 4.0;
+        let u_bit_ratio = self.counts.ratio(PrefixLen::lit::<70>(), 1);
         let mut flatline_at = None;
-        for p in 72..=120u8 {
+        for p in lens(72, 121) {
             // Flat-line: this and the next few ratios all ≈ 1.
-            if (p..(p + 8).min(127)).all(|q| self.counts.ratio(q, 1) <= 1.05) {
+            let end = p.get().saturating_add(8).min(127);
+            if lens(p.get(), end).all(|q| self.counts.ratio(q, 1) <= 1.05) {
                 flatline_at = Some(p);
                 break;
             }
@@ -138,9 +139,9 @@ impl MraCurve {
     /// differ almost exclusively in their last 16 bits — the
     /// "dense block" prominence of Figure 2b / Figure 5g.
     pub fn tail_prominence(&self) -> f64 {
-        let n128 = self.counts.n(128) as f64;
-        let n112 = self.counts.n(112) as f64;
-        let n0 = self.counts.n(0) as f64;
+        let n128 = self.counts.n(PrefixLen::MAX) as f64;
+        let n112 = self.counts.n(PrefixLen::lit::<112>()) as f64;
+        let n0 = self.counts.n(PrefixLen::ZERO) as f64;
         if self.counts.total() < 2 {
             return 0.0;
         }
@@ -214,7 +215,9 @@ mod tests {
             mra.tail_prominence()
         );
         // All structure within the last 16 bits: γ at 112 (16-bit) = 100.
-        assert!((mra.ratio(112, MraResolution::Segment16) - 100.0).abs() < 1e-9);
+        assert!(
+            (mra.ratio(PrefixLen::lit::<112>(), MraResolution::Segment16) - 100.0).abs() < 1e-9
+        );
     }
 
     #[test]
@@ -249,9 +252,9 @@ mod tests {
             "2001:db8::2".parse().unwrap(),
         ]);
         let mra = MraCurve::of(&set);
-        assert_eq!(mra.common_prefix_len(), 126);
+        assert_eq!(mra.common_prefix_len().get(), 126);
         let single = AddrSet::from_iter(["2001:db8::1".parse::<Addr>().unwrap()]);
-        assert_eq!(MraCurve::of(&single).common_prefix_len(), 128);
+        assert_eq!(MraCurve::of(&single).common_prefix_len(), PrefixLen::MAX);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! populations (§5.2.2, Figure 3) and other count distributions
 //! (Figure 5a).
 
+use v6census_addr::PrefixLen;
 use v6census_trie::{populations, AddrSet};
 
 /// An empirical complementary CDF over non-negative integer counts:
@@ -27,7 +28,7 @@ impl Ccdf {
     /// addresses fall in each active /p block (Figure 3's
     /// "p-agg. of IPv6 addrs" curves; feed a /64-mapped set for the
     /// "p-agg. of /64s" curves).
-    pub fn of_aggregate_populations(set: &AddrSet, p: u8) -> Ccdf {
+    pub fn of_aggregate_populations(set: &AddrSet, p: PrefixLen) -> Ccdf {
         Ccdf::new(populations(set, p))
     }
 
@@ -126,7 +127,7 @@ mod tests {
                 .iter()
                 .map(|s| s.parse::<Addr>().unwrap()),
         );
-        let c = Ccdf::of_aggregate_populations(&set, 64);
+        let c = Ccdf::of_aggregate_populations(&set, PrefixLen::lit::<64>());
         // Aggregates: {2}, {1}, {1} → proportion with ≥2 addrs = 1/3.
         assert_eq!(c.len(), 3);
         assert!((c.proportion_ge(2) - 1.0 / 3.0).abs() < 1e-12);

@@ -20,6 +20,7 @@
 //! /64; a mobile pool collapses between the pool prefix and the /64.
 
 use super::Day;
+use v6census_addr::PrefixLen;
 use v6census_trie::AddrSet;
 
 /// The per-length stability spectrum of a population across two epochs.
@@ -27,7 +28,7 @@ use v6census_trie::AddrSet;
 pub struct StableSpectrum {
     /// `(prefix length, currently active aggregates, stable fraction)`
     /// in ascending length order.
-    pub points: Vec<(u8, usize, f64)>,
+    pub points: Vec<(PrefixLen, usize, f64)>,
 }
 
 /// Measures the stable fraction of active aggregates at each length in
@@ -35,7 +36,7 @@ pub struct StableSpectrum {
 pub fn stable_fraction_spectrum(
     current: &AddrSet,
     earlier: &AddrSet,
-    lengths: impl IntoIterator<Item = u8>,
+    lengths: impl IntoIterator<Item = PrefixLen>,
 ) -> StableSpectrum {
     // Lengths are prefix lengths: at most 0..=128 distinct points.
     let mut points = Vec::with_capacity(129);
@@ -62,7 +63,7 @@ impl StableSpectrum {
     /// Interpreting the result: addresses agree with the operator's
     /// *persistent* address plan up to this length; bits beyond it are
     /// dynamically assigned (pools, rotating NIDs, privacy IIDs).
-    pub fn boundary(&self, threshold: f64) -> Option<u8> {
+    pub fn boundary(&self, threshold: f64) -> Option<PrefixLen> {
         self.points
             .iter()
             .rev()
@@ -73,7 +74,7 @@ impl StableSpectrum {
     /// The largest single drop in stable fraction between consecutive
     /// measured lengths: `(length after the drop, drop size)`. This is
     /// the "knee" where dynamic assignment starts.
-    pub fn sharpest_drop(&self) -> Option<(u8, f64)> {
+    pub fn sharpest_drop(&self) -> Option<(PrefixLen, f64)> {
         self.points
             .iter()
             .zip(self.points.iter().skip(1))
@@ -86,7 +87,11 @@ impl StableSpectrum {
 /// (at the boundary length) that were also active in the earlier epoch —
 /// §7.2's "set of longest stable prefixes", the candidate routing-table
 /// aggregates.
-pub fn longest_stable_prefixes(current: &AddrSet, earlier: &AddrSet, boundary: u8) -> AddrSet {
+pub fn longest_stable_prefixes(
+    current: &AddrSet,
+    earlier: &AddrSet,
+    boundary: PrefixLen,
+) -> AddrSet {
     current
         .map_prefix(boundary)
         .intersection(&earlier.map_prefix(boundary))
@@ -98,7 +103,7 @@ pub fn spectrum_between(
     obs: &super::DailyObservations,
     current: impl IntoIterator<Item = Day>,
     earlier: impl IntoIterator<Item = Day>,
-    lengths: impl IntoIterator<Item = u8>,
+    lengths: impl IntoIterator<Item = PrefixLen>,
 ) -> StableSpectrum {
     let cur = AddrSet::union_all(current.into_iter().filter_map(|d| obs.get(d)));
     let old = AddrSet::union_all(earlier.into_iter().filter_map(|d| obs.get(d)));
@@ -139,31 +144,33 @@ mod tests {
     fn rotating_isp_boundary_at_region_bits() {
         let cur = rotating_population(2);
         let old = rotating_population(1);
-        let spec = stable_fraction_spectrum(&cur, &old, (8..=64).step_by(8));
+        let spec =
+            stable_fraction_spectrum(&cur, &old, (8..=64).step_by(8).filter_map(PrefixLen::new));
         // Stable through /40 (region), collapsed by /48 (NID bits).
         let frac_at = |p: u8| {
             spec.points
                 .iter()
-                .find(|&&(q, _, _)| q == p)
+                .find(|&&(q, _, _)| q.get() == p)
                 .map(|&(_, _, f)| f)
                 .unwrap()
         };
         assert!(frac_at(40) > 0.95, "/40 {:.3}", frac_at(40));
         assert!(frac_at(56) < 0.2, "/56 {:.3}", frac_at(56));
         let boundary = spec.boundary(0.5).unwrap();
-        assert!((40..48).contains(&boundary), "boundary /{boundary}");
+        assert!((40..48).contains(&boundary.get()), "boundary /{boundary}");
         let (knee, drop) = spec.sharpest_drop().unwrap();
-        assert!(knee > 40 && drop > 0.5, "knee /{knee} drop {drop:.3}");
+        assert!(knee.get() > 40 && drop > 0.5, "knee /{knee} drop {drop:.3}");
     }
 
     #[test]
     fn static_isp_stable_through_64() {
         let cur = static_population(2);
         let old = static_population(1);
-        let spec = stable_fraction_spectrum(&cur, &old, (8..=64).step_by(8));
-        assert_eq!(spec.boundary(0.9), Some(64));
+        let spec =
+            stable_fraction_spectrum(&cur, &old, (8..=64).step_by(8).filter_map(PrefixLen::new));
+        assert_eq!(spec.boundary(0.9), PrefixLen::new(64));
         // Addresses themselves are not stable (IIDs rotate).
-        let addr_spec = stable_fraction_spectrum(&cur, &old, [128u8]);
+        let addr_spec = stable_fraction_spectrum(&cur, &old, [PrefixLen::MAX]);
         assert!(addr_spec.points[0].2 < 0.01);
     }
 
@@ -171,7 +178,8 @@ mod tests {
     fn longest_stable_prefixes_are_aggregates() {
         let cur = rotating_population(2);
         let old = rotating_population(1);
-        let spec = stable_fraction_spectrum(&cur, &old, (8..=64).step_by(8));
+        let spec =
+            stable_fraction_spectrum(&cur, &old, (8..=64).step_by(8).filter_map(PrefixLen::new));
         let boundary = spec.boundary(0.5).unwrap();
         let stable = longest_stable_prefixes(&cur, &old, boundary);
         assert!(!stable.is_empty());
@@ -188,7 +196,8 @@ mod tests {
         // Stability can only be lost, never gained, as prefixes lengthen.
         let cur = rotating_population(5);
         let old = rotating_population(4);
-        let spec = stable_fraction_spectrum(&cur, &old, (0..=128).step_by(16));
+        let spec =
+            stable_fraction_spectrum(&cur, &old, (0..=128).step_by(16).filter_map(PrefixLen::new));
         for w in spec.points.windows(2) {
             // Not strictly monotone in general (fractions have different
             // denominators), but a stable /p implies its parent was
@@ -198,7 +207,7 @@ mod tests {
         }
         assert!(spec.boundary(0.5).is_some());
         let empty = AddrSet::new();
-        let none = stable_fraction_spectrum(&empty, &old, [32u8]);
+        let none = stable_fraction_spectrum(&empty, &old, [PrefixLen::lit::<32>()]);
         assert_eq!(none.boundary(0.5), None);
     }
 
@@ -209,7 +218,12 @@ mod tests {
         let d1 = Day::from_ymd(2015, 3, 17);
         obs.record(d0, static_population(1));
         obs.record(d1, static_population(2));
-        let spec = spectrum_between(&obs, [d1], [d0], (16..=64).step_by(16));
-        assert_eq!(spec.boundary(0.9), Some(64));
+        let spec = spectrum_between(
+            &obs,
+            [d1],
+            [d0],
+            (16..=64).step_by(16).filter_map(PrefixLen::new),
+        );
+        assert_eq!(spec.boundary(0.9), PrefixLen::new(64));
     }
 }

@@ -2,6 +2,7 @@
 
 use super::Day;
 use std::collections::BTreeMap;
+use v6census_addr::PrefixLen;
 use v6census_trie::AddrSet;
 
 /// Parameters of an nd-stability assessment.
@@ -231,9 +232,9 @@ impl DailyObservations {
     }
 
     /// A store of the same days with every set mapped to its containing
-    /// `/len` blocks — e.g. `prefix_view(64)` for the paper's /64
-    /// stability analysis (Table 2b/2d).
-    pub fn prefix_view(&self, len: u8) -> DailyObservations {
+    /// `/len` blocks — e.g. the /64 view for the paper's /64 stability
+    /// analysis (Table 2b/2d).
+    pub fn prefix_view(&self, len: PrefixLen) -> DailyObservations {
         DailyObservations {
             days: self
                 .days
@@ -643,7 +644,7 @@ mod tests {
         obs.record(day(20), set(&["2001:db8:0:1:bbbb::2"]));
         let p = StabilityParams::three_day();
         assert!(obs.stable_on(day(17), &p).is_empty());
-        let v64 = obs.prefix_view(64);
+        let v64 = obs.prefix_view(PrefixLen::lit::<64>());
         let s = v64.stable_on(day(17), &p);
         assert_eq!(s.len(), 1);
         assert!(s.contains(a("2001:db8:0:1::")));

@@ -4,7 +4,7 @@
 //! property-testing crate), so the workspace builds offline. Failure
 //! messages carry the case index, which reproduces the input.
 
-use v6census_addr::Addr;
+use v6census_addr::{Addr, PrefixLen};
 use v6census_core::spatial::{BoxStats, Ccdf, DensityClass, MraCurve, MraResolution};
 use v6census_core::temporal::{DailyObservations, Day, StabilityParams};
 use v6census_trie::AddrSet;
@@ -107,14 +107,14 @@ fn mra_ratio_ranges() {
     let mut g = Gen::new(22);
     for case in 0..CASES {
         let set = AddrSet::from_iter(g.clustered_addrs());
-        let p = g.below(113) as u8;
+        let p = PrefixLen::new(g.below(113) as u8).unwrap();
         let mra = MraCurve::of(&set);
         for res in [
             MraResolution::SingleBit,
             MraResolution::Nybble,
             MraResolution::Segment16,
         ] {
-            if p + res.k() <= 128 {
+            if p.checked_add(res.k()).is_some() {
                 let r = mra.ratio(p, res);
                 assert!(
                     (1.0..=(1u64 << res.k()) as f64).contains(&r),
@@ -211,9 +211,14 @@ fn prefix_stability_dominates() {
         let (obs, reference) = store(&g.history());
         let params = StabilityParams::three_day();
         let stable = obs.stable_on(reference, &params);
-        let stable64 = obs.prefix_view(64).stable_on(reference, &params);
+        let stable64 = obs
+            .prefix_view(PrefixLen::lit::<64>())
+            .stable_on(reference, &params);
         for a in stable.iter() {
-            assert!(stable64.contains(a.mask(64)), "case {case}: {a}");
+            assert!(
+                stable64.contains(a.mask(PrefixLen::lit::<64>())),
+                "case {case}: {a}"
+            );
         }
     }
 }

@@ -119,11 +119,9 @@ pub fn lint_files(
         calls: &calls,
     };
     for rule in semantic_registry() {
-        // R002 runs below through `dataflow::analyze` directly so the
-        // proof sets are available for the L003/L006 discharge pass;
         // R003/R004 share one `locks::analyze` pass and R005/R006 one
-        // `allocs::analyze` pass, also below.
-        if matches!(rule.id(), "R002" | "R003" | "R004" | "R005" | "R006") {
+        // `allocs::analyze` pass, both below.
+        if matches!(rule.id(), "R003" | "R004" | "R005" | "R006") {
             continue;
         }
         let mut out = Vec::new();
@@ -132,13 +130,7 @@ pub fn lint_files(
         all.append(&mut out);
     }
 
-    // Layer 2b: the abstract-interpretation pass (rule R002). Its
-    // findings join the normal pragma flow; its proof sets discharge
-    // syntactic L003/L006 findings after pragmas are applied.
-    let flow = crate::dataflow::analyze(&ws, cfg);
-    all.extend(flow.findings.iter().cloned());
-
-    // Layer 2c: the concurrency pass — one shared analysis feeding
+    // Layer 2b: the concurrency pass — one shared analysis feeding
     // both R003 (lock-order acyclicity) and R004 (blocking-under-lock)
     // so the guard scopes and call-graph lifting are computed once.
     let conc = crate::locks::analyze(&ws, cfg);
@@ -153,7 +145,7 @@ pub fn lint_files(
             .filter(|d| cfg.rule_applies("R004", &d.rel)),
     );
 
-    // Layer 2d: the allocation-effect pass — one shared analysis
+    // Layer 2c: the allocation-effect pass — one shared analysis
     // feeding both R005 (alloc-in-hot-loop) and R006
     // (capacity-discipline). Both rules are additionally gated by the
     // `[hot] paths` scope: the obligation is "the hot kernels stay
@@ -180,14 +172,6 @@ pub fn lint_files(
     for file in &scanned {
         let mut file_diags = by_rel.remove(file.rel.as_str()).unwrap_or_default();
         apply_pragmas(file, &mut file_diags);
-        // Dataflow discharge runs *after* pragma application so a
-        // pragma that suppresses a now-proven site still counts as
-        // used (deleting it is a follow-up, not a new P001 failure).
-        for d in &mut file_diags {
-            if !d.suppressed && flow.discharges(d) {
-                d.discharged_by = Some("R002".to_string());
-            }
-        }
         for d in &mut file_diags {
             d.severity = severities.severity_of(&d.rule);
         }

@@ -5,11 +5,9 @@
 //! output, lossless bit/nybble casts, a typed error taxonomy, a
 //! documented process exit-code mapping, and a crash-consistent
 //! durability path. This crate enforces them as lexical rules
-//! (`L001`–`L008`) over comment- and string-blanked source, four
+//! (`L001`–`L008`) over comment- and string-blanked source, the
 //! interprocedural proofs — `R001` panic-reachability over the
-//! [`callgraph`], the `R002` bit-domain dataflow ([`dataflow`], an
-//! interval + unit abstract interpretation whose proofs discharge
-//! `L003`/`L006`'s syntactic findings), `R003` lock-order acyclicity
+//! [`callgraph`], `R003` lock-order acyclicity
 //! and `R004` blocking-under-lock ([`locks`] + [`effects`], guard
 //! scopes and blocking effects lifted over the call graph), `R005`
 //! alloc-in-hot-loop and `R006` capacity-discipline ([`allocs`], a
@@ -27,10 +25,8 @@
 pub mod allocs;
 pub mod callgraph;
 pub mod config;
-pub mod dataflow;
 pub mod effects;
 pub mod engine;
-pub mod intervals;
 pub mod lexer;
 pub mod locks;
 pub mod reach;
@@ -38,4 +34,3 @@ pub mod report;
 pub mod rules;
 pub mod scan;
 pub mod symbols;
-pub mod units;

@@ -185,7 +185,7 @@ impl SemanticRule for LockOrder {
 }
 
 /// Runs the combined lock/effect analysis once. The engine calls this
-/// directly (like R002's `dataflow::analyze`) so R003 and R004 share
+/// directly so R003 and R004 share
 /// one pass; the rule impls exist for `--list-rules` and direct tests.
 pub fn analyze(ws: &Workspace<'_>, _cfg: &Config) -> LockAnalysis {
     let registry = build_registry(ws);

@@ -33,11 +33,6 @@ pub struct Diagnostic {
     pub severity: Severity,
     /// True when an allow pragma suppressed this finding.
     pub suppressed: bool,
-    /// Set when another rule's analysis proved this site safe and
-    /// auto-discharged the finding (e.g. `"R002"` on an L003/L006 site
-    /// the dataflow proved in-range). Discharged findings never deny
-    /// and are hidden from human output, but stay visible in JSON.
-    pub discharged_by: Option<String>,
 }
 
 /// The result of a lint run.
@@ -55,27 +50,19 @@ impl Report {
     pub fn denied(&self) -> impl Iterator<Item = &Diagnostic> {
         self.diagnostics
             .iter()
-            .filter(|d| d.severity == Severity::Deny && !d.suppressed && d.discharged_by.is_none())
+            .filter(|d| d.severity == Severity::Deny && !d.suppressed)
     }
 
     /// Unsuppressed warn-level findings.
     pub fn warned(&self) -> impl Iterator<Item = &Diagnostic> {
         self.diagnostics
             .iter()
-            .filter(|d| d.severity == Severity::Warn && !d.suppressed && d.discharged_by.is_none())
+            .filter(|d| d.severity == Severity::Warn && !d.suppressed)
     }
 
     /// Suppressed findings (an allow pragma matched).
     pub fn suppressed_count(&self) -> usize {
         self.diagnostics.iter().filter(|d| d.suppressed).count()
-    }
-
-    /// Findings auto-discharged by another rule's proof.
-    pub fn discharged_count(&self) -> usize {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.discharged_by.is_some())
-            .count()
     }
 
     /// The process exit code this report dictates.
@@ -107,28 +94,18 @@ impl Report {
         out + &self.summary_line()
     }
 
-    /// The unsuppressed, undischarged findings, by path, line and rule.
+    /// The unsuppressed findings, by path, line and rule.
     fn shown(&self) -> Vec<&Diagnostic> {
-        let mut shown: Vec<&Diagnostic> = self
-            .diagnostics
-            .iter()
-            .filter(|d| !d.suppressed && d.discharged_by.is_none())
-            .collect();
+        let mut shown: Vec<&Diagnostic> =
+            self.diagnostics.iter().filter(|d| !d.suppressed).collect();
         shown.sort_by(|a, b| (&a.rel, a.line, &a.rule).cmp(&(&b.rel, b.line, &b.rule)));
         shown
     }
 
     /// The one-line summary closing the human and GitHub renderings.
-    /// The `, N discharged by dataflow` segment appears only when some
-    /// finding was discharged, so runs where the dataflow has nothing
-    /// to say keep a stable line.
     fn summary_line(&self) -> String {
-        let discharged = match self.discharged_count() {
-            0 => String::new(),
-            n => format!(", {n} discharged by dataflow"),
-        };
         format!(
-            "v6census-lint: {} denied, {} warned, {} suppressed by pragma{discharged}; {} files scanned\n",
+            "v6census-lint: {} denied, {} warned, {} suppressed by pragma; {} files scanned\n",
             self.denied().count(),
             self.warned().count(),
             self.suppressed_count(),
@@ -179,13 +156,9 @@ impl Report {
                 Some(c) => json_str(c),
                 None => "null".to_string(),
             };
-            let discharged = match &d.discharged_by {
-                Some(r) => json_str(r),
-                None => "null".to_string(),
-            };
             let _ = write!(
                 out,
-                "{}\n    {{\"rule\": {}, \"name\": {}, \"path\": {}, \"line\": {}, \"severity\": {}, \"suppressed\": {}, \"discharged_by\": {}, \"message\": {}, \"snippet\": {}, \"chain\": {}}}",
+                "{}\n    {{\"rule\": {}, \"name\": {}, \"path\": {}, \"line\": {}, \"severity\": {}, \"suppressed\": {}, \"message\": {}, \"snippet\": {}, \"chain\": {}}}",
                 if i == 0 { "" } else { "," },
                 json_str(&d.rule),
                 json_str(d.name),
@@ -193,7 +166,6 @@ impl Report {
                 d.line,
                 json_str(sev),
                 d.suppressed,
-                discharged,
                 json_str(&d.message),
                 json_str(&d.snippet),
                 chain,
@@ -201,11 +173,10 @@ impl Report {
         }
         let _ = write!(
             out,
-            "\n  ],\n  \"summary\": {{\"denied\": {}, \"warned\": {}, \"suppressed\": {}, \"discharged\": {}, \"files_scanned\": {}}}\n}}\n",
+            "\n  ],\n  \"summary\": {{\"denied\": {}, \"warned\": {}, \"suppressed\": {}, \"files_scanned\": {}}}\n}}\n",
             self.denied().count(),
             self.warned().count(),
             self.suppressed_count(),
-            self.discharged_count(),
             self.files_scanned
         );
         out
@@ -263,7 +234,6 @@ mod tests {
             chain: None,
             severity: sev,
             suppressed,
-            discharged_by: None,
         }
     }
 

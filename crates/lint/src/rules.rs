@@ -126,7 +126,6 @@ pub fn semantic_registry() -> Vec<Box<dyn SemanticRule>> {
         Box::new(DiscardedResults),
         Box::new(crate::effects::VfsBypass),
         Box::new(crate::reach::PanicReach),
-        Box::new(crate::dataflow::BitDomain),
         Box::new(crate::locks::LockOrder),
         Box::new(crate::effects::BlockingUnderLock),
         Box::new(crate::allocs::AllocInHotLoop),
@@ -160,7 +159,6 @@ pub(crate) fn semantic_finding(
         chain,
         severity: Severity::Deny,
         suppressed: false,
-        discharged_by: None,
     }
 }
 
@@ -415,7 +413,7 @@ impl Rule for CastSafety {
         "cast-safety"
     }
     fn describe(&self) -> &'static str {
-        "no raw `as u8/u16/u32/usize` in bit/nybble math — use v6census_addr::cast::checked_* or uN::from"
+        "no raw `as u8/u16/u32/usize` in bit/nybble math — use v6census_addr::cast::low8/low16/low32, an index type, uN::from or TryFrom"
     }
     fn check(&self, file: &ScannedFile, _cfg: &Config, out: &mut Vec<Diagnostic>) {
         for (line_no, code) in code_lines(file) {

@@ -1,8 +1,8 @@
 //! L003 fixture: raw narrowing casts in bit math.
 //!
 //! The shifts deliberately leave 64 live bits (and the `usize` cast a
-//! full 128) so the R002 dataflow cannot prove the casts lossless and
-//! discharge them — these must stay loud syntactic findings.
+//! full 128), so every cast can truncate — these must stay loud
+//! syntactic findings.
 
 pub fn narrows(v: u128) -> (u8, u16, u32, usize) {
     let a = (v >> 64) as u8;

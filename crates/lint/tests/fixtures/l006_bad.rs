@@ -5,6 +5,11 @@ pub fn shift_by_expr(v: u128, n: u8) -> u128 {
     v << (128 - n)
 }
 
+/// A shift by a parameter that nothing bounds below the width.
+pub fn scatter(x: u64, n: u32) -> u64 {
+    x << n
+}
+
 /// Bare `*`/`+` on sized integers overflows silently in release.
 pub fn bare_math(len: u8) -> u8 {
     let scaled: u8 = len * 3;

@@ -37,7 +37,7 @@ fn fixture_report_matches_golden_json() {
         .filter(|p| p.extension().is_some_and(|x| x == "rs"))
         .collect();
     files.sort();
-    assert_eq!(files.len(), 33, "fixture set changed: {files:?}");
+    assert_eq!(files.len(), 28, "fixture set changed: {files:?}");
 
     let cfg = Config::parse(CONFIG).expect("config parses");
     let report =

@@ -906,7 +906,12 @@ mod tests {
         for o in &obs {
             assert!(prefix.contains_addr(o.addr));
             // Bit 40 constant zero.
-            assert_eq!(o.addr.bit(40), 0, "{}", o.addr);
+            assert_eq!(
+                o.addr.bit(v6census_addr::BitIdx::lit::<40>()),
+                0,
+                "{}",
+                o.addr
+            );
             let subnet = (o.addr.network_bits() & 0xff) as u8;
             if subnet <= 1 {
                 subnet_zero_or_one += 1;
@@ -924,7 +929,11 @@ mod tests {
         let obs = emit_network(&w, asns::JP_ISP, epochs::mar2015());
         assert!(!obs.is_empty());
         for o in &obs {
-            assert_eq!(o.addr.segment(3), 0, "subnet field must be constant");
+            assert_eq!(
+                o.addr.segment(v6census_addr::SegIdx::lit::<3>()),
+                0,
+                "subnet field must be constant"
+            );
         }
         // /64 per subscriber is static: two days share most /64s.
         let d = epochs::mar2015();
@@ -948,7 +957,10 @@ mod tests {
         // of the address reads 0x8001).
         let dept: Vec<&RawObs> = obs
             .iter()
-            .filter(|o| matches!(o.kind, TrueKind::Dhcp) && o.addr.segment(2) == 0x8001)
+            .filter(|o| {
+                matches!(o.kind, TrueKind::Dhcp)
+                    && o.addr.segment(v6census_addr::SegIdx::lit::<2>()) == 0x8001
+            })
             .collect();
         assert!(dept.len() > 40, "dense dept only {} hosts", dept.len());
         // All inside one /64.

@@ -21,7 +21,7 @@
 use crate::archetype::Archetype;
 use crate::rng::Entropy;
 use crate::world::{Network, World};
-use v6census_addr::Addr;
+use v6census_addr::{Addr, PrefixLen};
 use v6census_core::temporal::Day;
 use v6census_trie::{AddrSet, PrefixMap};
 
@@ -145,7 +145,11 @@ impl<'w> ProbeSim<'w> {
         let mut out = Vec::new();
         // Transit hops: keyed to coarse prefixes of the target, as
         // interdomain paths are.
-        for (mask, salt) in [(16u8, b"tr16"), (24, b"tr24"), (32, b"tr32")] {
+        for (mask, salt) in [
+            (PrefixLen::lit::<16>(), b"tr16"),
+            (PrefixLen::lit::<24>(), b"tr24"),
+            (PrefixLen::lit::<32>(), b"tr32"),
+        ] {
             let key = target.mask(mask).0 as u64 ^ (target.mask(mask).0 >> 64) as u64;
             let r = self.ent.u64(salt, &[key]) % TRANSIT_ROUTERS;
             out.push(iface_addr(
@@ -166,16 +170,16 @@ impl<'w> ProbeSim<'w> {
         let plane = router_plane(network);
         let infra = infra_high((network.prefixes[0].addr().0 >> 64) as u64);
         let a = asn as u64;
-        let k40 = (target.mask(40).0 >> 64) as u64;
-        let k48 = (target.mask(48).0 >> 64) as u64;
+        let k40 = (target.mask(PrefixLen::lit::<40>()).0 >> 64) as u64;
+        let k48 = (target.mask(PrefixLen::lit::<48>()).0 >> 64) as u64;
         // The deepest (access) hop is keyed by the *statically routed*
         // bits of the target. Dynamically assigned regions aggregate at a
         // gateway: a mobile pool /64 or an EU rotating-NID /56 does not
         // map to its own last-hop router, so probing many such targets
         // keeps revealing the same equipment — the §6.1.1 asymmetry.
         let access_key = match network.archetype {
-            Archetype::Mobile(_) => (target.mask(44).0 >> 64) as u64,
-            Archetype::RotatingIsp { .. } => (target.mask(40).0 >> 64) as u64,
+            Archetype::Mobile(_) => (target.mask(PrefixLen::lit::<44>()).0 >> 64) as u64,
+            Archetype::RotatingIsp { .. } => (target.mask(PrefixLen::lit::<40>()).0 >> 64) as u64,
             // Statically routed homes: the /64's own gateway (CPE).
             _ => target.network_bits(),
         };
@@ -273,18 +277,30 @@ mod tests {
         // Loopbacks share a /112.
         let l0 = iface_addr(infra, IfaceClass::Loopback, 0);
         let l9 = iface_addr(infra, IfaceClass::Loopback, 9);
-        assert_eq!(l0.mask(112), l9.mask(112));
+        assert_eq!(
+            l0.mask(PrefixLen::lit::<112>()),
+            l9.mask(PrefixLen::lit::<112>())
+        );
         // P2P pairs share a /127.
         let p0 = iface_addr(infra, IfaceClass::PointToPoint, 6);
         let p1 = iface_addr(infra, IfaceClass::PointToPoint, 7);
-        assert_eq!(p0.mask(127), p1.mask(127));
+        assert_eq!(
+            p0.mask(PrefixLen::lit::<127>()),
+            p1.mask(PrefixLen::lit::<127>())
+        );
         assert_ne!(p0, p1);
         // Management trios share a /124.
         let m0 = iface_addr(infra, IfaceClass::Management, 0);
         let m2 = iface_addr(infra, IfaceClass::Management, 2);
         let m3 = iface_addr(infra, IfaceClass::Management, 3);
-        assert_eq!(m0.mask(124), m2.mask(124));
-        assert_ne!(m0.mask(124), m3.mask(124));
+        assert_eq!(
+            m0.mask(PrefixLen::lit::<124>()),
+            m2.mask(PrefixLen::lit::<124>())
+        );
+        assert_ne!(
+            m0.mask(PrefixLen::lit::<124>()),
+            m3.mask(PrefixLen::lit::<124>())
+        );
         assert!(looks_like_infra(l0));
     }
 
@@ -351,7 +367,7 @@ mod tests {
         let routers = sim.router_dataset(&[]);
         assert!(routers.len() > 40, "only {} routers", routers.len());
         // The dataset is heavily packed: many 2@/124-dense prefixes.
-        let dense = v6census_trie::dense_prefixes_at(&routers, 2, 124);
+        let dense = v6census_trie::dense_prefixes(&routers, 2, PrefixLen::lit::<124>());
         assert!(!dense.is_empty());
     }
 }

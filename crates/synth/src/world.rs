@@ -11,7 +11,7 @@
 
 use crate::archetype::Archetype;
 use crate::rng::Entropy;
-use v6census_addr::{Addr, Prefix};
+use v6census_addr::{Addr, Prefix, PrefixLen};
 use v6census_core::temporal::Day;
 use v6census_trie::PrefixMap;
 
@@ -152,7 +152,7 @@ impl World {
             asn: asns::MOBILE_A,
             name: "US mobile carrier A".into(),
             archetype: Archetype::mobile_a(s),
-            prefixes: mobile_prefixes(0x2600_1400, 44, 256),
+            prefixes: mobile_prefixes(0x2600_1400, PrefixLen::lit::<44>(), 256),
             max_subscribers: sc(70_000.0),
             activation: early,
         });
@@ -160,7 +160,7 @@ impl World {
             asn: asns::MOBILE_B,
             name: "US mobile carrier B".into(),
             archetype: Archetype::mobile_b(s),
-            prefixes: mobile_prefixes(0x2600_8000, 40, 64),
+            prefixes: mobile_prefixes(0x2600_8000, PrefixLen::lit::<40>(), 64),
             max_subscribers: sc(35_000.0),
             activation: early,
         });
@@ -168,7 +168,10 @@ impl World {
             asn: asns::EU_ISP,
             name: "EU ISP (rotating network IDs)".into(),
             archetype: Archetype::rotating_isp(s),
-            prefixes: vec![Prefix::new(Addr(0x2a00_8000u128 << 96), 19)],
+            prefixes: vec![Prefix::new(
+                Addr(0x2a00_8000u128 << 96),
+                PrefixLen::lit::<19>(),
+            )],
             max_subscribers: sc(80_000.0),
             activation: early,
         });
@@ -176,7 +179,10 @@ impl World {
             asn: asns::JP_ISP,
             name: "JP ISP (static /48s)".into(),
             archetype: Archetype::static_isp(),
-            prefixes: vec![Prefix::new(Addr(0x2400_4000u128 << 96), 24)],
+            prefixes: vec![Prefix::new(
+                Addr(0x2400_4000u128 << 96),
+                PrefixLen::lit::<24>(),
+            )],
             max_subscribers: sc(43_000.0),
             activation: early,
         });
@@ -185,7 +191,12 @@ impl World {
             name: "US broadband ISP".into(),
             archetype: Archetype::broadband(),
             prefixes: (0..4u32)
-                .map(|i| Prefix::new(Addr((0x2601_0000u128 | i as u128) << 96), 32))
+                .map(|i| {
+                    Prefix::new(
+                        Addr((0x2601_0000u128 | i as u128) << 96),
+                        PrefixLen::lit::<32>(),
+                    )
+                })
                 .collect(),
             max_subscribers: sc(80_000.0),
             activation: early,
@@ -198,7 +209,10 @@ impl World {
                 asn: asns::UNIVERSITY_FIRST + i,
                 name: format!("university {i}"),
                 archetype: Archetype::university(i == 0),
-                prefixes: vec![Prefix::new(Addr((0x2620_0000u128 | i as u128) << 96), 32)],
+                prefixes: vec![Prefix::new(
+                    Addr((0x2620_0000u128 | i as u128) << 96),
+                    PrefixLen::lit::<32>(),
+                )],
                 max_subscribers: sc(1_200.0),
                 activation: early + (i as i32 % 200),
             });
@@ -211,7 +225,10 @@ impl World {
                 asn: asns::HOSTING_FIRST + i,
                 name: format!("hosting {i}"),
                 archetype: Archetype::hosting(ent, asns::HOSTING_FIRST + i),
-                prefixes: vec![Prefix::new(Addr((0x2604_0000u128 | i as u128) << 96), 32)],
+                prefixes: vec![Prefix::new(
+                    Addr((0x2604_0000u128 | i as u128) << 96),
+                    PrefixLen::lit::<32>(),
+                )],
                 max_subscribers: sc(24.0).max(6),
                 activation: early + (i as i32 % 300),
             });
@@ -240,7 +257,10 @@ impl World {
                 asn: asns::TAIL_FIRST + i,
                 name: format!("tail ISP {i}"),
                 archetype: Archetype::generic(ent, asns::TAIL_FIRST + i, s),
-                prefixes: vec![Prefix::new(Addr((rir << 112) | (block << 96)), 32)],
+                prefixes: vec![Prefix::new(
+                    Addr((rir << 112) | (block << 96)),
+                    PrefixLen::lit::<32>(),
+                )],
                 max_subscribers: size.max(2),
                 activation,
             });
@@ -293,10 +313,10 @@ impl World {
 
 /// Carves `count` prefixes of length `len` for a mobile carrier from the
 /// /32 identified by the top 32 bits `base32`.
-fn mobile_prefixes(base32: u32, len: u8, count: u32) -> Vec<Prefix> {
+fn mobile_prefixes(base32: u32, len: PrefixLen, count: u32) -> Vec<Prefix> {
     (0..count)
         .map(|i| {
-            let addr = ((base32 as u128) << 96) | ((i as u128) << (128 - len as u32));
+            let addr = ((base32 as u128) << 96) | ((i as u128) << len.host_bits());
             Prefix::new(Addr(addr), len)
         })
         .collect()
@@ -328,9 +348,9 @@ mod tests {
         assert!(w.networks().len() > 30);
         let mob = w.network(asns::MOBILE_A).unwrap();
         assert_eq!(mob.prefixes.len(), 256);
-        assert!(mob.prefixes.iter().all(|p| p.len() == 44));
+        assert!(mob.prefixes.iter().all(|p| p.len().get() == 44));
         let eu = w.network(asns::EU_ISP).unwrap();
-        assert_eq!(eu.prefixes[0].len(), 19);
+        assert_eq!(eu.prefixes[0].len().get(), 19);
         // Prefixes don't overlap across networks.
         let mut all: Vec<(v6census_addr::Prefix, u32)> = w
             .networks()

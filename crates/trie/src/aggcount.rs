@@ -11,8 +11,7 @@
 
 use crate::{AddrSet, DensePrefix};
 use v6census_addr::bits::high_mask;
-use v6census_addr::cast::checked_usize;
-use v6census_addr::{Addr, Prefix};
+use v6census_addr::{Addr, Prefix, PrefixLen};
 
 /// Active aggregate counts `n_p` for every prefix length p in 0..=128.
 ///
@@ -37,9 +36,8 @@ impl AggregateCounts {
         // hist[c] = number of adjacent pairs whose common prefix is exactly
         // c bits (c in 0..=127; equal keys can't occur in a set).
         let mut hist = [0u64; 128];
-        for (a, b) in keys.iter().zip(keys.iter().skip(1)) {
-            let cpl = checked_usize(u128::from((a ^ b).leading_zeros()));
-            hist[cpl] += 1;
+        for (&a, &b) in keys.iter().zip(keys.iter().skip(1)) {
+            hist[usize::from(Addr(a).common_prefix_len(Addr(b)))] += 1;
         }
         // n_p = 1 + sum of hist[c] for c < p.
         let mut acc = 1u64;
@@ -56,10 +54,7 @@ impl AggregateCounts {
     }
 
     /// `n_p`: the number of /p prefixes covering the set.
-    ///
-    /// # Panics
-    /// Panics if `p > 128`.
-    pub fn n(&self, p: u8) -> u64 {
+    pub fn n(&self, p: PrefixLen) -> u64 {
         self.counts[usize::from(p)]
     }
 
@@ -69,16 +64,12 @@ impl AggregateCounts {
     }
 
     /// The MRA count ratio γ^k_p = n_{p+k} / n_p (paper §5.2.1). Returns
-    /// 1.0 for an empty set.
-    ///
-    /// # Panics
-    /// Panics if `p + k > 128`.
-    pub fn ratio(&self, p: u8, k: u8) -> f64 {
-        assert!(u16::from(p) + u16::from(k) <= 128, "segment exceeds /128");
+    /// 1.0 for an empty set. A segment that runs past /128 ends there.
+    pub fn ratio(&self, p: PrefixLen, k: u8) -> f64 {
         if self.total == 0 {
             return 1.0;
         }
-        self.counts[usize::from(p) + usize::from(k)] as f64 / self.counts[usize::from(p)] as f64
+        self.n(p.saturating_add(k)) as f64 / self.n(p) as f64
     }
 
     /// All γ^k_p for p = 0, k, 2k, … — one curve of an MRA plot. The
@@ -87,14 +78,12 @@ impl AggregateCounts {
     ///
     /// # Panics
     /// Panics if `k` is 0 or does not divide 128.
-    pub fn ratio_curve(&self, k: u8) -> Vec<(u8, f64)> {
+    pub fn ratio_curve(&self, k: u8) -> Vec<(PrefixLen, f64)> {
         assert!(k > 0 && 128 % k == 0, "k must divide 128");
-        (0..128 / k)
-            .map(|i| {
-                // i < 128/k, so i*k stays below 128.
-                let p = i.saturating_mul(k);
-                (p, self.ratio(p, k))
-            })
+        PrefixLen::all()
+            .step_by(usize::from(k))
+            .take_while(|&p| p < PrefixLen::MAX)
+            .map(|p| (p, self.ratio(p, k)))
             .collect()
     }
 }
@@ -102,8 +91,7 @@ impl AggregateCounts {
 /// The observed population (address count) of every *active* /p aggregate,
 /// in ascending block order — Kohler's aggregate population metric
 /// (paper §5.2.2, Figure 3).
-pub fn populations(set: &AddrSet, p: u8) -> Vec<u64> {
-    assert!(p <= 128, "prefix length out of range");
+pub fn populations(set: &AddrSet, p: PrefixLen) -> Vec<u64> {
     let keys = set.keys();
     // One output entry per distinct /p block — never more than keys.
     let mut out = Vec::with_capacity(keys.len());
@@ -132,8 +120,7 @@ pub fn populations(set: &AddrSet, p: u8) -> Vec<u64> {
 /// with its observed count. This is the sort-based fast path of
 /// footnote 3; `RadixTree::densify_in_place` with /p-truncated inserts
 /// computes the same answer (property-tested).
-pub fn dense_prefixes_at(set: &AddrSet, n: u64, p: u8) -> Vec<DensePrefix> {
-    assert!(p <= 128, "prefix length out of range");
+pub fn dense_prefixes(set: &AddrSet, n: u64, p: PrefixLen) -> Vec<DensePrefix> {
     assert!(n >= 1, "density numerator must be at least 1");
     let keys = set.keys();
     // One output entry per distinct /p block — never more than keys.
@@ -166,6 +153,16 @@ pub fn dense_prefixes_at(set: &AddrSet, n: u64, p: u8) -> Vec<DensePrefix> {
     out
 }
 
+/// [`dense_prefixes`] for callers that hold a raw `u8`; the end-to-end
+/// benchmark calls it with literals. Typed code calls [`dense_prefixes`].
+///
+/// # Panics
+/// Panics if `p > 128` or `n == 0`.
+pub fn dense_prefixes_at(set: &AddrSet, n: u64, p: u8) -> Vec<DensePrefix> {
+    assert!(p <= 128, "prefix length out of range");
+    PrefixLen::new(p).map_or_else(Vec::new, |p| dense_prefixes(set, n, p))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,23 +176,23 @@ mod tests {
     fn aggregate_counts_basics() {
         let s = set(&["2001:db8::1", "2001:db8::4", "2400::1"]);
         let agg = AggregateCounts::of(&s);
-        assert_eq!(agg.n(0), 1);
-        assert_eq!(agg.n(128), 3);
+        assert_eq!(agg.n(PrefixLen::lit::<0>()), 1);
+        assert_eq!(agg.n(PrefixLen::lit::<128>()), 3);
         // 2001::/3 vs 2400::/3: diverge inside the first 16 bits
         // (0x2001 vs 0x2400 -> common prefix 5 bits).
-        assert_eq!(agg.n(5), 1);
-        assert_eq!(agg.n(6), 2);
+        assert_eq!(agg.n(PrefixLen::lit::<5>()), 1);
+        assert_eq!(agg.n(PrefixLen::lit::<6>()), 2);
         // ::1 and ::4 diverge at bit 125.
-        assert_eq!(agg.n(125), 2);
-        assert_eq!(agg.n(126), 3);
+        assert_eq!(agg.n(PrefixLen::lit::<125>()), 2);
+        assert_eq!(agg.n(PrefixLen::lit::<126>()), 3);
         assert_eq!(agg.total(), 3);
     }
 
     #[test]
     fn empty_set() {
         let agg = AggregateCounts::of(&AddrSet::new());
-        assert_eq!(agg.n(64), 0);
-        assert_eq!(agg.ratio(0, 16), 1.0);
+        assert_eq!(agg.n(PrefixLen::lit::<64>()), 0);
+        assert_eq!(agg.ratio(PrefixLen::lit::<0>(), 16), 1.0);
     }
 
     #[test]
@@ -222,7 +219,7 @@ mod tests {
     fn ratios_bounded() {
         let s = set(&["2001:db8::1", "2001:db8::2", "2001:db8::3"]);
         let agg = AggregateCounts::of(&s);
-        for p in 0..128u8 {
+        for p in PrefixLen::all().take(128) {
             let r = agg.ratio(p, 1);
             assert!((1.0..=2.0).contains(&r), "γ at {p} = {r}");
         }
@@ -231,12 +228,12 @@ mod tests {
     #[test]
     fn populations_run_lengths() {
         let s = set(&["2001:db8::1", "2001:db8::2", "2001:db8:0:1::1", "2400::1"]);
-        let mut pops = populations(&s, 64);
+        let mut pops = populations(&s, PrefixLen::lit::<64>());
         pops.sort_unstable();
         assert_eq!(pops, vec![1, 1, 2]);
-        assert_eq!(populations(&s, 0), vec![4]);
-        assert_eq!(populations(&s, 128), vec![1, 1, 1, 1]);
-        assert!(populations(&AddrSet::new(), 64).is_empty());
+        assert_eq!(populations(&s, PrefixLen::lit::<0>()), vec![4]);
+        assert_eq!(populations(&s, PrefixLen::lit::<128>()), vec![1, 1, 1, 1]);
+        assert!(populations(&AddrSet::new(), PrefixLen::lit::<64>()).is_empty());
     }
 
     #[test]

@@ -29,6 +29,6 @@ pub mod aggcount;
 mod set;
 mod tree;
 
-pub use aggcount::{dense_prefixes_at, populations, AggregateCounts};
+pub use aggcount::{dense_prefixes, dense_prefixes_at, populations, AggregateCounts};
 pub use set::AddrSet;
 pub use tree::{BudgetedDensify, DensePrefix, PrefixMap, RadixTree, TrieError};

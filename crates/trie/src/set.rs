@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 use v6census_addr::bits::high_mask;
-use v6census_addr::Addr;
+use v6census_addr::{Addr, PrefixLen};
 
 /// A sorted, deduplicated, immutable set of IPv6 addresses backed by a
 /// shared `Arc<Vec<u128>>`; cloning shares the keys.
@@ -173,10 +173,10 @@ impl AddrSet {
     }
 
     /// Maps every address to its containing `/len` block and returns the
-    /// set of distinct block network-addresses. `map_prefix(64)` turns an
-    /// address set into its active-/64 set (paper Table 1).
-    pub fn map_prefix(&self, len: u8) -> AddrSet {
-        if len >= 128 {
+    /// set of distinct block network-addresses. `map_prefix` at /64 turns
+    /// an address set into its active-/64 set (paper Table 1).
+    pub fn map_prefix(&self, len: PrefixLen) -> AddrSet {
+        if len == PrefixLen::MAX {
             // Every address is its own /128: the same set, shared.
             return AddrSet {
                 keys: Arc::clone(&self.keys),
@@ -251,9 +251,9 @@ mod tests {
     #[test]
     fn map_prefix_collapses_to_64s() {
         let s = set(&["2001:db8:0:1::1", "2001:db8:0:1::2", "2001:db8:0:2::1"]);
-        let p64 = s.map_prefix(64);
+        let p64 = s.map_prefix(PrefixLen::lit::<64>());
         assert_eq!(p64.len(), 2);
-        assert_eq!(s.map_prefix(128), s);
-        assert_eq!(s.map_prefix(0).len(), 1);
+        assert_eq!(s.map_prefix(PrefixLen::lit::<128>()), s);
+        assert_eq!(s.map_prefix(PrefixLen::lit::<0>()).len(), 1);
     }
 }

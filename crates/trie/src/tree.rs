@@ -4,8 +4,7 @@
 //! longest-prefix-match map used for BGP routing tables.
 
 use std::fmt;
-use v6census_addr::cast::{checked_u32, checked_u8, checked_usize};
-use v6census_addr::{Addr, Prefix};
+use v6census_addr::{Addr, Prefix, PrefixLen};
 
 /// Structured failure of a trie structural operation.
 ///
@@ -117,6 +116,14 @@ pub struct BudgetedDensify {
 /// the node budgets the supervisor enforces.
 const NIL: u32 = u32::MAX;
 
+/// The child slot `a` descends into below a `/len` node: the bit of `a`
+/// just past the prefix. A `/128` node has no such bit and no children;
+/// its slot reads as 0.
+#[inline]
+fn side(a: Addr, len: PrefixLen) -> usize {
+    len.next_bit().map_or(0, |i| usize::from(a.bit(i)))
+}
+
 /// Arena-stored trie node: children are `u32` handles into the arena
 /// (`NIL` = absent) rather than boxed pointers, shrinking the node and
 /// keeping siblings cache-adjacent — the per-address descent touches
@@ -144,12 +151,13 @@ struct Node {
 /// discipline, proven by `v6census-lint`).
 ///
 /// ```
+/// use v6census_addr::PrefixLen;
 /// use v6census_trie::RadixTree;
 /// let mut t = RadixTree::new();
 /// t.insert_addr("2001:db8::1".parse().unwrap(), 1);
 /// t.insert_addr("2001:db8::4".parse().unwrap(), 1);
 /// // Least-specific 2@/112-dense prefix, per the paper's §5.2.2 example:
-/// let dense = t.densify(2, 112);
+/// let dense = t.densify(2, PrefixLen::lit::<112>());
 /// assert_eq!(dense.len(), 1);
 /// assert_eq!(dense[0].prefix.to_string(), "2001:db8::/112");
 /// ```
@@ -208,11 +216,12 @@ impl RadixTree {
         self.nodes * std::mem::size_of::<Node>()
     }
 
-    /// Widens an arena handle to a slot offset — lossless on every
-    /// supported target; the R002 dataflow proves the bound.
+    /// Widens an arena handle to a slot offset. Lossless on the 32- and
+    /// 64-bit targets the workspace builds for; elsewhere a handle past
+    /// `usize` maps to an offset no arena has.
     #[inline]
     fn at(h: u32) -> usize {
-        checked_usize(h as u128)
+        usize::try_from(h).unwrap_or(usize::MAX)
     }
 
     #[inline]
@@ -238,10 +247,9 @@ impl RadixTree {
             self.arena[Self::at(h)] = fresh;
             return h;
         }
-        // Mask-then-check is the sanctioned narrowing idiom (cast.rs);
-        // an arena of u32::MAX slots is unreachable under the node
-        // budgets, and checked_u32 debug_asserts the bound.
-        let h = checked_u32((self.arena.len() as u128) & 0xffff_ffff);
+        // An arena of u32::MAX slots is unreachable under the node
+        // budgets; past it the handle saturates at NIL.
+        let h = u32::try_from(self.arena.len()).unwrap_or(NIL);
         self.arena.push(fresh);
         h
     }
@@ -414,14 +422,14 @@ impl RadixTree {
                 // Descend: branch on the first bit of p beyond node's
                 // prefix.
                 parent = cur;
-                which = usize::from(p.addr().bit(usize::from(node_prefix.len())));
+                which = side(p.addr(), node_prefix.len());
                 depth = depth.saturating_add(1);
                 continue;
             }
             if p.contains(node_prefix) {
                 // p is an ancestor of the current node: splice a new
                 // node in above it.
-                let bit = usize::from(node_prefix.addr().bit(usize::from(p.len())));
+                let bit = side(node_prefix.addr(), p.len());
                 let new_node = self.alloc_node(p, count);
                 self.node_mut(new_node).children[bit] = cur;
                 self.set_slot(parent, which, new_node);
@@ -437,8 +445,8 @@ impl RadixTree {
                 .min(p.len())
                 .min(node_prefix.len());
             let branch_prefix = Prefix::new(p.addr(), cpl);
-            let old_bit = usize::from(node_prefix.addr().bit(usize::from(cpl)));
-            let new_bit = usize::from(p.addr().bit(usize::from(cpl)));
+            let old_bit = side(node_prefix.addr(), cpl);
+            let new_bit = side(p.addr(), cpl);
             debug_assert_ne!(old_bit, new_bit, "divergence must separate the keys");
             if old_bit == new_bit {
                 // Release-build recovery: installing both subtrees on
@@ -474,7 +482,7 @@ impl RadixTree {
             if !node.prefix.contains(p) {
                 return 0;
             }
-            cur = node.children[usize::from(p.addr().bit(usize::from(node.prefix.len())))];
+            cur = node.children[side(p.addr(), node.prefix.len())];
         }
         0
     }
@@ -519,7 +527,7 @@ impl RadixTree {
             // p is strictly inside node's block; node.count belongs to
             // the shorter node.prefix, so only the matching child
             // subtree can intersect.
-            cur = node.children[usize::from(p.addr().bit(usize::from(node.prefix.len())))];
+            cur = node.children[side(p.addr(), node.prefix.len())];
         }
         0
     }
@@ -554,9 +562,8 @@ impl RadixTree {
     /// so the walk is linear in the node count, and subtrees whose sum
     /// is below the count floor are pruned (nothing below them can
     /// qualify).
-    pub fn densify(&self, n: u64, p: u8) -> Vec<DensePrefix> {
+    pub fn densify(&self, n: u64, p: PrefixLen) -> Vec<DensePrefix> {
         assert!(n >= 1, "density numerator must be at least 1");
-        assert!(p <= 128, "density prefix length out of range");
         let mut order: Vec<(u32, u32)> = Vec::with_capacity(self.nodes);
         self.bfs_order_into(&mut order);
         let mut sums: Vec<u64> = Vec::with_capacity(self.arena.len());
@@ -566,9 +573,9 @@ impl RadixTree {
         // DFS over (handle, lo) where lo is the shortest conceptual
         // prefix length available on the edge into the node (parent
         // length + 1; 0 at the root).
-        let mut stack: Vec<(u32, u8)> = Vec::with_capacity(64);
+        let mut stack: Vec<(u32, PrefixLen)> = Vec::with_capacity(64);
         if self.root != NIL {
-            stack.push((self.root, 0));
+            stack.push((self.root, PrefixLen::ZERO));
         }
         while let Some((h, lo)) = stack.pop() {
             let s = sums[Self::at(h)];
@@ -581,8 +588,8 @@ impl RadixTree {
             // Minimal length at which s addresses meet density n/2^(128-p):
             //   s >= n * 2^(p - L)  <=>  L >= p - floor(log2(s / n))
             let k_max = 63u32.saturating_sub((s / n).leading_zeros()); // floor(log2(s/n)) for s/n >= 1
-            let l_min = p.saturating_sub(checked_u8(u128::from(k_max)));
-            let hi = node.prefix.len().min(127);
+            let l_min = p.saturating_sub(u8::try_from(k_max).unwrap_or(u8::MAX));
+            let hi = node.prefix.len().min(PrefixLen::lit::<127>());
             if l_min <= hi {
                 let at = l_min.max(lo);
                 out.push(DensePrefix {
@@ -610,8 +617,9 @@ impl RadixTree {
     /// [`RadixTree::densify`] is the non-destructive generalization; this
     /// method exists for fidelity to the paper's algorithm and reports
     /// node-aligned dense prefixes.
-    pub fn densify_in_place(&mut self, n: u64, p: u8) -> Vec<DensePrefix> {
-        fn dense(count: u64, len: u8, n: u64, p: u8) -> bool {
+    pub fn densify_in_place(&mut self, n: u64, p: PrefixLen) -> Vec<DensePrefix> {
+        fn dense(count: u64, len: PrefixLen, n: u64, p: PrefixLen) -> bool {
+            let (len, p) = (len.get(), p.get());
             if count == 0 {
                 return false;
             }
@@ -667,7 +675,7 @@ impl RadixTree {
         let mut out: Vec<DensePrefix> = self
             .entries()
             .into_iter()
-            .filter(|&(prefix, count)| count >= n && prefix.len() <= 127)
+            .filter(|&(prefix, count)| count >= n && prefix.len() < PrefixLen::MAX)
             .map(|(prefix, count)| DensePrefix { prefix, count })
             .collect();
         out.sort();
@@ -787,7 +795,7 @@ impl RadixTree {
     /// contains at least its reported number of truly observed addresses
     /// — results are correct for a coarser question, never wrong.
     /// A `max_nodes` of 0 means "no budget" (identical to `densify`).
-    pub fn densify_budgeted(&mut self, n: u64, p: u8, max_nodes: usize) -> BudgetedDensify {
+    pub fn densify_budgeted(&mut self, n: u64, p: PrefixLen, max_nodes: usize) -> BudgetedDensify {
         let nodes_before = self.nodes;
         let folded = if max_nodes > 0 && self.nodes > max_nodes {
             self.aggregate_to_size(max_nodes)
@@ -873,7 +881,7 @@ struct MapNode<T> {
 /// rt.insert("2001:db8::/32".parse().unwrap(), 64496);
 /// rt.insert("2001:db8:ff::/48".parse().unwrap(), 64497);
 /// let asn = rt.longest_match("2001:db8:ff::1".parse().unwrap());
-/// assert_eq!(asn.map(|(p, v)| (p.len(), *v)), Some((48, 64497)));
+/// assert_eq!(asn.map(|(p, v)| (p.len().get(), *v)), Some((48, 64497)));
 /// ```
 #[derive(Default)]
 pub struct PrefixMap<T> {
@@ -949,7 +957,7 @@ impl<T> PrefixMap<T> {
             None => Action::Create,
             Some(node) if node.prefix == p => Action::Found,
             Some(node) if node.prefix.contains(p) => {
-                Action::Descend(usize::from(p.addr().bit(usize::from(node.prefix.len()))))
+                Action::Descend(side(p.addr(), node.prefix.len()))
             }
             Some(node) if p.contains(node.prefix) => Action::SpliceAbove,
             Some(node) => {
@@ -989,7 +997,7 @@ impl<T> PrefixMap<T> {
                     debug_assert!(false, "splice node vanished");
                     return Err(corrupt("map/splice"));
                 };
-                let bit = usize::from(old.prefix.addr().bit(usize::from(p.len())));
+                let bit = side(old.prefix.addr(), p.len());
                 let mut new_node = Box::new(MapNode {
                     prefix: p,
                     value: None,
@@ -1004,7 +1012,7 @@ impl<T> PrefixMap<T> {
                     debug_assert!(false, "branch node vanished");
                     return Err(corrupt("map/branch"));
                 };
-                let old_bit = usize::from(old.prefix.addr().bit(usize::from(branch_prefix.len())));
+                let old_bit = side(old.prefix.addr(), branch_prefix.len());
                 let mut branch = Box::new(MapNode {
                     prefix: branch_prefix,
                     value: None,
@@ -1030,8 +1038,7 @@ impl<T> PrefixMap<T> {
             if !node.prefix.contains(p) {
                 return None;
             }
-            let bit = usize::from(p.addr().bit(usize::from(node.prefix.len())));
-            cur = &node.children[bit];
+            cur = &node.children[side(p.addr(), node.prefix.len())];
         }
         None
     }
@@ -1048,11 +1055,10 @@ impl<T> PrefixMap<T> {
             if let Some(v) = &node.value {
                 best = Some((node.prefix, v));
             }
-            if node.prefix.len() == 128 {
+            let Some(i) = node.prefix.len().next_bit() else {
                 break;
-            }
-            let bit = usize::from(a.bit(usize::from(node.prefix.len())));
-            cur = &node.children[bit];
+            };
+            cur = &node.children[usize::from(a.bit(i))];
         }
         best
     }
@@ -1121,16 +1127,16 @@ mod tests {
         t.insert_addr(a("2001:db8::1"), 1);
         t.insert_addr(a("2001:db8::4"), 1);
 
-        let d112 = t.densify(2, 112);
+        let d112 = t.densify(2, PrefixLen::lit::<112>());
         assert_eq!(d112.len(), 1);
         assert_eq!(d112[0].prefix, p("2001:db8::/112"));
         assert_eq!(d112[0].count, 2);
 
-        let d125 = t.densify(2, 125);
+        let d125 = t.densify(2, PrefixLen::lit::<125>());
         assert_eq!(d125.len(), 1);
         assert_eq!(d125[0].prefix, p("2001:db8::/125"));
 
-        let d126 = t.densify(2, 126);
+        let d126 = t.densify(2, PrefixLen::lit::<126>());
         assert!(d126.is_empty(), "got {d126:?}");
     }
 
@@ -1143,9 +1149,9 @@ mod tests {
         for i in 0..512u128 {
             t.insert_addr(Addr(base.0 | i), 1);
         }
-        let d = t.densify(2, 112);
+        let d = t.densify(2, PrefixLen::lit::<112>());
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].prefix.len(), 104);
+        assert_eq!(d[0].prefix.len().get(), 104);
         assert_eq!(d[0].count, 512);
     }
 
@@ -1155,8 +1161,8 @@ mod tests {
         // filter (paper step 3).
         let mut t = RadixTree::new();
         t.insert_addr(a("2001:db8::1"), 1);
-        assert!(t.densify(2, 112).is_empty());
-        assert_eq!(t.densify(1, 112).len(), 1);
+        assert!(t.densify(2, PrefixLen::lit::<112>()).is_empty());
+        assert_eq!(t.densify(1, PrefixLen::lit::<112>()).len(), 1);
     }
 
     #[test]
@@ -1168,11 +1174,11 @@ mod tests {
             t.insert_addr(Addr(a("2001:db8:b::").0 | i), 1);
         }
         t.insert_addr(a("2400::1"), 1);
-        let d = t.densify(2, 112);
+        let d = t.densify(2, PrefixLen::lit::<112>());
         // Each /112 with 4 addrs is dense at /111 (4 = 2*2^1).
         assert_eq!(d.len(), 2);
         for x in &d {
-            assert_eq!(x.prefix.len(), 111);
+            assert_eq!(x.prefix.len().get(), 111);
             assert_eq!(x.count, 4);
         }
         for i in 0..d.len() {
@@ -1191,7 +1197,7 @@ mod tests {
         t.insert_addr(a("2001:db8::4"), 1);
         t.insert_addr(a("2400::1"), 1);
         let before = t.node_count();
-        let d = t.densify_in_place(2, 112);
+        let d = t.densify_in_place(2, PrefixLen::lit::<112>());
         assert!(t.node_count() < before);
         assert_eq!(d.len(), 1);
         // Node-aligned: the branch node for ::1/::4 sits at /125.
@@ -1392,8 +1398,8 @@ mod tests {
         for i in 0..1024u128 {
             clone.insert_addr(Addr(a("2001:db8::").0 | (i * 7)), 1);
         }
-        let unbudgeted = clone.densify(16, 112);
-        let free = t.densify_budgeted(16, 112, 0);
+        let unbudgeted = clone.densify(16, PrefixLen::lit::<112>());
+        let free = t.densify_budgeted(16, PrefixLen::lit::<112>(), 0);
         assert!(!free.degraded);
         assert_eq!(free.folded, 0);
         assert_eq!(free.dense, unbudgeted);
@@ -1406,7 +1412,7 @@ mod tests {
             capped.insert_addr(Addr(a("2001:db8::").0 | (i * 7)), 1);
         }
         let total = capped.total();
-        let b = capped.densify_budgeted(16, 112, 64);
+        let b = capped.densify_budgeted(16, PrefixLen::lit::<112>(), 64);
         assert!(b.degraded);
         assert!(b.folded > 0);
         assert!(b.nodes_after < b.nodes_before);

@@ -6,12 +6,17 @@
 //! messages carry the case index, which reproduces the input.
 
 use std::collections::{BTreeMap, BTreeSet};
-use v6census_addr::{Addr, Prefix};
+use v6census_addr::{Addr, Prefix, PrefixLen};
 use v6census_trie::{
-    dense_prefixes_at, populations, AddrSet, AggregateCounts, DensePrefix, PrefixMap, RadixTree,
+    dense_prefixes, populations, AddrSet, AggregateCounts, DensePrefix, PrefixMap, RadixTree,
 };
 
 const CASES: u64 = 120;
+
+/// A generated prefix length; callers draw it from `0..=128`.
+fn plen(v: u64) -> PrefixLen {
+    PrefixLen::new(u8::try_from(v).unwrap()).unwrap()
+}
 
 /// Deterministic case generator: a splitmix64 stream.
 struct Gen(u64);
@@ -109,7 +114,7 @@ fn map_prefix_matches_mask() {
     let mut g = Gen::new(43);
     for case in 0..CASES {
         let addrs = g.clustered_addrs();
-        let len = g.below(129) as u8;
+        let len = plen(g.below(129));
         let set = AddrSet::from_iter(addrs.iter().copied());
         let mapped = set.map_prefix(len);
         let reference: BTreeSet<u128> = addrs.iter().map(|a| a.mask(len).0).collect();
@@ -129,11 +134,12 @@ fn aggregate_count_laws() {
             continue;
         }
         let agg = AggregateCounts::of(&set);
-        assert_eq!(agg.n(0), 1, "case {case}");
-        assert_eq!(agg.n(128), set.len() as u64, "case {case}");
-        for p in 0..128u8 {
-            assert!(agg.n(p) <= agg.n(p + 1), "case {case} p {p}");
-            assert!(agg.n(p + 1) <= 2 * agg.n(p), "case {case} p {p}");
+        assert_eq!(agg.n(PrefixLen::ZERO), 1, "case {case}");
+        assert_eq!(agg.n(PrefixLen::MAX), set.len() as u64, "case {case}");
+        for p in PrefixLen::all().take(128) {
+            let next = p.saturating_add(1);
+            assert!(agg.n(p) <= agg.n(next), "case {case} p {p}");
+            assert!(agg.n(next) <= 2 * agg.n(p), "case {case} p {p}");
         }
     }
 }
@@ -143,7 +149,7 @@ fn aggregate_counts_match_uniq() {
     let mut g = Gen::new(45);
     for case in 0..CASES {
         let set = AddrSet::from_iter(g.clustered_addrs());
-        let p = g.below(129) as u8;
+        let p = plen(g.below(129));
         if set.is_empty() {
             continue;
         }
@@ -158,7 +164,7 @@ fn populations_match_counting() {
     let mut g = Gen::new(46);
     for case in 0..CASES {
         let set = AddrSet::from_iter(g.clustered_addrs());
-        let p = g.below(129) as u8;
+        let p = plen(g.below(129));
         let pops = populations(&set, p);
         assert_eq!(pops.iter().sum::<u64>() as usize, set.len(), "case {case}");
         let mut reference: BTreeMap<u128, u64> = BTreeMap::new();
@@ -179,11 +185,11 @@ fn dense_sort_equals_trie() {
     for case in 0..CASES {
         let set = AddrSet::from_iter(g.clustered_addrs());
         let n = g.range(1, 6);
-        let p = g.range(32, 129) as u8;
-        let sorted_path = dense_prefixes_at(&set, n, p);
+        let p = plen(g.range(32, 129));
+        let sorted_path = dense_prefixes(&set, n, p);
         let mut tree = RadixTree::new();
         for a in set.iter() {
-            tree.insert(Prefix::of(a, p), 1);
+            tree.insert(Prefix::new(a, p), 1);
         }
         let trie_path: Vec<DensePrefix> = tree
             .entries()
@@ -201,7 +207,7 @@ fn densify_laws() {
     for case in 0..CASES {
         let set = AddrSet::from_iter(g.clustered_addrs());
         let n = g.range(1, 5);
-        let p = g.range(96, 125) as u8;
+        let p = plen(g.range(96, 125));
         let mut tree = RadixTree::new();
         for a in set.iter() {
             tree.insert_addr(a, 1);
@@ -209,16 +215,16 @@ fn densify_laws() {
         let dense = tree.densify(n, p);
         for (i, d) in dense.iter().enumerate() {
             assert!(d.count >= n, "case {case}: count filter");
-            assert!(d.prefix.len() <= 127, "case {case}");
+            assert!(d.prefix.len() < PrefixLen::MAX, "case {case}");
             if d.prefix.len() <= p {
-                let needed = n << (p - d.prefix.len()).min(63);
+                let needed = n << (p.get() - d.prefix.len().get()).min(63);
                 assert!(d.count >= needed, "case {case}: {d:?} under-dense");
             }
             for other in &dense[i + 1..] {
                 assert!(!d.prefix.overlaps(other.prefix), "case {case}: overlap");
             }
         }
-        for fixed in dense_prefixes_at(&set, n, p) {
+        for fixed in dense_prefixes(&set, n, p) {
             assert!(
                 dense.iter().any(|d| d.prefix.contains(fixed.prefix)),
                 "case {case}: missing {fixed:?}"
@@ -232,7 +238,7 @@ fn count_within_matches_filter() {
     let mut g = Gen::new(49);
     for case in 0..CASES {
         let set = AddrSet::from_iter(g.clustered_addrs());
-        let len = g.below(129) as u8;
+        let len = plen(g.below(129));
         let pick = g.u64();
         if set.is_empty() {
             continue;
@@ -244,7 +250,7 @@ fn count_within_matches_filter() {
         assert_eq!(tree.total(), set.len() as u64, "case {case}");
         let keys = set.keys();
         let member = Addr(keys[(pick % keys.len() as u64) as usize]);
-        let probe = Prefix::of(member, len);
+        let probe = Prefix::new(member, len);
         let expected = set.iter().filter(|&a| probe.contains_addr(a)).count() as u64;
         assert_eq!(
             tree.count_within(probe),
@@ -284,7 +290,8 @@ fn lpm_matches_linear_scan() {
     let mut g = Gen::new(51);
     for case in 0..CASES {
         let n = g.below(40) as usize;
-        let entries: Vec<(u64, u8)> = (0..n).map(|_| (g.u64(), g.range(8, 65) as u8)).collect();
+        let entries: Vec<(u64, PrefixLen)> =
+            (0..n).map(|_| (g.u64(), plen(g.range(8, 65)))).collect();
         let probe = g.u64();
         let mut map: PrefixMap<usize> = PrefixMap::new();
         let mut list: Vec<(Prefix, usize)> = Vec::new();

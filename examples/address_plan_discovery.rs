@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use v6census::census::{Census, RoutingTable};
 use v6census::prelude::*;
 use v6census::synth::world::{asns, epochs};
+use v6census_addr::PrefixLen;
 
 fn main() {
     let world = World::standard(WorldConfig {
@@ -39,10 +40,10 @@ fn main() {
         println!("  common (BGP-like) prefix: /{}", mra.common_prefix_len());
 
         // Where does the network put its subnetting entropy?
-        let mut busiest = (0u8, 1.0f64);
-        for p in (0..128).step_by(16) {
+        let mut busiest = (PrefixLen::ZERO, 1.0f64);
+        for p in PrefixLen::all().step_by(16).take(8) {
             let r = mra.ratio(p, MraResolution::Segment16);
-            if r > busiest.1 && p < 64 {
+            if r > busiest.1 && p.get() < 64 {
                 busiest = (p, r);
             }
             println!("    γ¹⁶ at {:>3}: {:>10.2}", p, r);
@@ -50,7 +51,7 @@ fn main() {
         println!(
             "  heaviest network-side segment: bits {}..{}",
             busiest.0,
-            busiest.0 + 16
+            busiest.0.get() + 16
         );
         let sig = mra.privacy_signature();
         println!(

@@ -14,6 +14,7 @@ use v6census::census::{Census, RoutingTable};
 use v6census::prelude::*;
 use v6census::synth::world::growth;
 use v6census::synth::world::{asns, epochs};
+use v6census_addr::PrefixLen;
 
 fn main() {
     let world = World::standard(WorldConfig {
@@ -44,7 +45,7 @@ fn main() {
             continue;
         };
         let subs = (world.network(asn).unwrap().max_subscribers as f64 * g) as u64;
-        let p64s = set.map_prefix(64).len();
+        let p64s = set.map_prefix(PrefixLen::lit::<64>()).len();
         let ratio = p64s as f64 / subs as f64;
         println!(
             "{label:<28} {subs:>12} {p64s:>12} {:>12} {ratio:>8.2}",
@@ -63,7 +64,7 @@ fn main() {
     // The extreme under-count case: the dense DHCPv6 department puts
     // ~100 hosts behind a single /64 (Figure 5g).
     let uni0 = &by_asn[&asns::UNIVERSITY_FIRST];
-    if let Some(dept) = v6census::trie::dense_prefixes_at(uni0, 2, 64)
+    if let Some(dept) = v6census::trie::dense_prefixes(uni0, 2, PrefixLen::lit::<64>())
         .into_iter()
         .max_by_key(|d| d.count)
     {

@@ -15,6 +15,7 @@ use std::io::Read;
 use v6census::census::figures::MraFigure;
 use v6census::census::plot::{ascii_mra, tsv_mra};
 use v6census::prelude::*;
+use v6census_addr::PrefixLen;
 
 fn main() {
     let set = read_stdin_addrs().unwrap_or_else(demo_population);
@@ -40,8 +41,12 @@ fn main() {
     println!("112–128 bit mass: {:.3}", mra.tail_prominence());
 
     println!("\ndense prefixes:");
-    for (n, p) in [(2u64, 112u8), (3, 120), (2, 124)] {
-        let class = DensityClass::new(n, p);
+    for (n, p) in [
+        (2u64, PrefixLen::lit::<112>()),
+        (3, PrefixLen::lit::<120>()),
+        (2, PrefixLen::lit::<124>()),
+    ] {
+        let class = DensityClass::at(n, p);
         let report = class.report(&set);
         println!(
             "  {:<14} {:>8} prefixes, {:>8} addrs, {:>12} possible",

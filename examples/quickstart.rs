@@ -6,6 +6,7 @@
 //! ```
 
 use v6census::prelude::*;
+use v6census_addr::PrefixLen;
 
 fn main() {
     // A deterministic world at ~2% of the default population: big enough
@@ -57,11 +58,11 @@ fn main() {
     let sig = mra.privacy_signature();
     println!(
         "\nMRA of all actives: γ¹⁶ at /32 = {:.1}, privacy signature: {}",
-        mra.ratio(32, MraResolution::Segment16),
+        mra.ratio(PrefixLen::lit::<32>(), MraResolution::Segment16),
         if sig.matches() { "present" } else { "absent" }
     );
 
-    let class = DensityClass::new(2, 112);
+    let class = DensityClass::at(2, PrefixLen::lit::<112>());
     let report = class.report(&actives);
     println!(
         "{}: {} dense prefixes covering {} addrs ({} possible probe targets)",

@@ -34,7 +34,7 @@
 //! assert!(stable.len() < census.other_daily().on(day).len());
 //!
 //! // Spatial classification: 2@/112-dense WWW client prefixes.
-//! let dense = DensityClass::new(2, 112).report(&census.other_daily().on(day));
+//! let dense = DensityClass::at(2, PrefixLen::lit::<112>()).report(&census.other_daily().on(day));
 //! assert_eq!(dense.possible_addresses, dense.dense_prefixes as u128 * 65_536);
 //! ```
 //!
@@ -52,7 +52,7 @@ pub use v6census_trie as trie;
 
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
-    pub use v6census_addr::{Addr, AddressScheme, Iid, Mac, Prefix};
+    pub use v6census_addr::{Addr, AddressScheme, Iid, Mac, Prefix, PrefixLen};
     pub use v6census_census::{Census, RoutingTable};
     pub use v6census_core::spatial::{Ccdf, DensityClass, MraCurve, MraResolution};
     pub use v6census_core::temporal::{DailyObservations, Day, StabilityParams};

@@ -56,12 +56,6 @@ fn verify_skill_quotes_bench_lint_counters() {
     let json = read("BENCH_lint.json");
     let skill_rel = ".claude/skills/verify/SKILL.md";
     let skill = read(skill_rel);
-    let dataflow = format!(
-        "{}/{}",
-        counter(&json, "dataflow", "proven"),
-        counter(&json, "dataflow", "obligations")
-    );
-    assert_quotes(skill_rel, &skill, &dataflow, "dataflow.proven/obligations");
     let effects = format!(
         "{}/{}",
         counter(&json, "locks", "proven"),

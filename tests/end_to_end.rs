@@ -6,6 +6,7 @@ use v6census::census::{Census, RoutingTable};
 use v6census::prelude::*;
 use v6census::synth::router::ProbeSim;
 use v6census::synth::world::epochs;
+use v6census_addr::PrefixLen;
 
 fn small_world() -> World {
     World::standard(WorldConfig {
@@ -89,7 +90,7 @@ fn table3_rows_are_internally_consistent() {
         );
         assert!(r.covered_addresses as usize <= routers.len());
         if r.dense_prefixes > 0 {
-            let span = 1u128 << (128 - r.class.p as u32);
+            let span = 1u128 << r.class.p.host_bits();
             assert_eq!(r.possible_addresses % span, 0);
             assert!(r.density() > 0.0 && r.density() <= 1.0);
         }
@@ -123,7 +124,7 @@ fn prefix_view_commutes_with_ingestion() {
     let d = epochs::mar2015();
     let c = Census::run(&w, d, d + 1);
     let from_store = c.other64_daily().on(d);
-    let mapped = c.other_daily().on(d).map_prefix(64);
+    let mapped = c.other_daily().on(d).map_prefix(PrefixLen::lit::<64>());
     assert_eq!(from_store.len(), mapped.len());
     assert_eq!(
         from_store.intersection_len(&mapped),

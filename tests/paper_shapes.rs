@@ -6,6 +6,7 @@ use v6census::census::figures::{asn_highlights, SegmentRatioFigure};
 use v6census::census::{Census, RoutingTable};
 use v6census::prelude::*;
 use v6census::synth::world::{asns, epochs};
+use v6census_addr::PrefixLen;
 
 struct Setup {
     census: Census,
@@ -113,8 +114,8 @@ fn eu_prefix_shows_privacy_signature_jp_shows_static_structure() {
     );
     // JP: the 48-64 segment shows no aggregation (constant subnet 0);
     // EU: that segment carries the rotating NID, so it aggregates a lot.
-    let jp_4864 = jp.ratio(48, MraResolution::Segment16);
-    let eu_4864 = eu.ratio(48, MraResolution::Segment16);
+    let jp_4864 = jp.ratio(PrefixLen::lit::<48>(), MraResolution::Segment16);
+    let eu_4864 = eu.ratio(PrefixLen::lit::<48>(), MraResolution::Segment16);
     assert!(jp_4864 < 1.2, "JP 48-64 γ¹⁶ {jp_4864:.2}");
     assert!(eu_4864 > 2.0 * jp_4864, "EU 48-64 γ¹⁶ {eu_4864:.2}");
 }
@@ -126,7 +127,7 @@ fn mobile_carrier_fills_the_44_64_segment() {
     let mob = MraCurve::of(&by_asn[&asns::MOBILE_A]);
     // Figure 5e: heavy aggregation in the pool segment, none beyond /64
     // except the trivial IID sparsity.
-    let pool = mob.ratio(48, MraResolution::Segment16);
+    let pool = mob.ratio(PrefixLen::lit::<48>(), MraResolution::Segment16);
     assert!(pool > 5.0, "pool segment γ¹⁶ {pool:.1}");
     assert!(
         !mob.privacy_signature().matches(),
@@ -155,7 +156,7 @@ fn figure5b_aggregation_concentrates_between_32_and_80() {
     let median_at = |p: u8| {
         f.boxes
             .iter()
-            .find(|&&(q, _)| q == p)
+            .find(|&&(q, _)| q.get() == p)
             .map(|&(_, b)| b.median)
             .unwrap_or(1.0)
     };
