@@ -85,38 +85,54 @@ pub const PSEUDORANDOM_ENTROPY_BITS: f64 = 34.0;
 
 /// Classifies an address by content alone (§3 categories).
 ///
-/// Precedence: Teredo and 6to4 by reserved prefix, ISATAP by IID marker,
-/// then EUI-64 by IID marker, then embedded IPv4, then IID size
-/// heuristics, then the entropy heuristic.
+/// Precedence: the [`cull`] tests first (Teredo and 6to4 by reserved
+/// prefix, ISATAP then EUI-64 by IID marker), then embedded IPv4, then
+/// IID size heuristics, then the entropy heuristic.
 ///
 /// Note that 6to4 wins over IID structure: a 6to4 address with an EUI-64
 /// IID is still 6to4 for culling purposes (Table 1 counts "EUI-64 addr
 /// (!6to4)" separately for exactly this reason — use
 /// [`classify_beneath_6to4`] to see through the 6to4 prefix).
 pub fn classify(a: Addr) -> AddressScheme {
-    if special::is_teredo(a) {
-        return AddressScheme::Teredo;
-    }
-    if special::is_6to4(a) {
-        return AddressScheme::SixToFour;
-    }
-    classify_iid_content(a)
+    cull(a).unwrap_or_else(|| classify_heuristic(a))
 }
 
 /// Classifies the IID content of an address, ignoring whether the network
 /// prefix is 6to4 — used for the Table 1 "EUI-64 addr (!6to4)" split.
 pub fn classify_beneath_6to4(a: Addr) -> AddressScheme {
-    classify_iid_content(a)
+    cull_iid(Iid::of(a)).unwrap_or_else(|| classify_heuristic(a))
 }
 
-fn classify_iid_content(a: Addr) -> AddressScheme {
-    let iid = Iid::of(a);
+/// The §4.1 cull: the prefix of [`classify`] that answers only the
+/// questions the census asks of every logged address — Teredo, then
+/// 6to4, then the IID's ISATAP and EUI-64 markers, in that order.
+/// `Some` holds the scheme those tests decide (`Teredo`, `SixToFour`,
+/// `Isatap` or `Eui64` with its MAC); `None` is "Other" with no EUI-64
+/// marker, the addresses [`classify`] goes on to grade by heuristic.
+#[inline]
+pub fn cull(a: Addr) -> Option<AddressScheme> {
+    if special::is_teredo(a) {
+        return Some(AddressScheme::Teredo);
+    }
+    if special::is_6to4(a) {
+        return Some(AddressScheme::SixToFour);
+    }
+    cull_iid(Iid::of(a))
+}
+
+/// The IID half of [`cull`]: ISATAP, then EUI-64.
+#[inline]
+fn cull_iid(iid: Iid) -> Option<AddressScheme> {
     if iid.is_isatap() {
-        return AddressScheme::Isatap;
+        return Some(AddressScheme::Isatap);
     }
-    if let Some(mac) = iid.eui64_mac() {
-        return AddressScheme::Eui64(mac);
-    }
+    iid.eui64_mac().map(AddressScheme::Eui64)
+}
+
+/// The heuristic rest of [`classify`], for an address [`cull`] left in
+/// "Other": embedded IPv4, IID size, then entropy.
+fn classify_heuristic(a: Addr) -> AddressScheme {
+    let iid = Iid::of(a);
     if let Some(v4) = embedded_ipv4(a) {
         return AddressScheme::EmbeddedV4(v4);
     }
@@ -177,6 +193,60 @@ mod tests {
             classify(a("2400::200:5efe:192.0.2.1")),
             AddressScheme::Isatap
         );
+    }
+
+    /// `cull` is `classify`'s bucket: the scheme itself for the four
+    /// §4.1 answers, `None` for every other scheme.
+    fn assert_cull_is_classify_bucket(a: Addr) {
+        match cull(a) {
+            Some(s) => assert_eq!(classify(a), s, "{a}"),
+            None => {
+                let s = classify(a);
+                assert!(!s.is_transition_mechanism() && !s.is_eui64(), "{a}: {s:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn cull_agrees_with_classify_on_hand_cases() {
+        let cases = [
+            // Teredo and 6to4 win over IIDs that look ISATAP or EUI-64.
+            (
+                "2001:0:4136:e378:0:5efe:c000:201",
+                Some(AddressScheme::Teredo),
+            ),
+            (
+                "2001:0:4136:e378:21e:c2ff:fec0:11db",
+                Some(AddressScheme::Teredo),
+            ),
+            (
+                "2002:c000:201::200:5efe:c000:201",
+                Some(AddressScheme::SixToFour),
+            ),
+            (
+                "2002:c000:201:1:21e:c2ff:fec0:11db",
+                Some(AddressScheme::SixToFour),
+            ),
+            // ISATAP with the u/l bit set, and without it.
+            ("2400::200:5efe:c000:201", Some(AddressScheme::Isatap)),
+            ("2400::5efe:c000:201", Some(AddressScheme::Isatap)),
+            // `ff:fe` at IID bytes 1–2 and 5–6, not 3–4: no EUI-64.
+            ("2400::aff:fe0b:c:d", None),
+            ("2400::a:b:ff:fe00", None),
+            // Native heuristics are all "Other".
+            ("2001:db8:10:1::103", None),
+            ("2600:db8:10:1::c633:6407", None),
+            ("2001:db8:4137:9e76:3031:f3fd:bbdd:2c2a", None),
+        ];
+        for (s, want) in cases {
+            assert_eq!(cull(a(s)), want, "{s}");
+            assert_cull_is_classify_bucket(a(s));
+        }
+        assert!(matches!(
+            cull(a("2400::21e:c2ff:fec0:11db")),
+            Some(AddressScheme::Eui64(_))
+        ));
+        assert_cull_is_classify_bucket(a("2400::21e:c2ff:fec0:11db"));
     }
 
     #[test]

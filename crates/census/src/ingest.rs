@@ -5,10 +5,18 @@
 //! end-to-end IPv6 transport, which includes 464XLAT and DS-Lite — before
 //! any temporal or spatial classification, because the mechanisms'
 //! content-defined address formats would skew results.
+//!
+//! The cull asks each address only the four §4.1 questions,
+//! [`scheme::cull`], the prefix of the content classifier that decides
+//! Teredo, 6to4, ISATAP and EUI-64. `DaySummaryBuilder` is the one
+//! cull loop: streaming ingest feeds it from the day-log line loop
+//! ([`v6census_core::daylog::read`]) as each line parses, and
+//! [`DaySummary::from_entries`] feeds it from an iterator.
 
 use std::collections::BTreeSet;
-use v6census_addr::scheme::{classify, classify_beneath_6to4};
+use v6census_addr::scheme::{self, classify, classify_beneath_6to4};
 use v6census_addr::{Addr, AddressScheme, Mac, PrefixLen};
+use v6census_core::daylog::Sink;
 use v6census_core::temporal::{DailyObservations, Day};
 use v6census_synth::{DayLog, World};
 use v6census_trie::AddrSet;
@@ -42,44 +50,17 @@ impl DaySummary {
     }
 
     /// Classifies and culls weighted `(address, hits)` entries for one
-    /// day — the streaming ingestion path, where entries come from parsed
-    /// text rather than an in-memory [`DayLog`].
+    /// day: a loop over the one cull, `DaySummaryBuilder`.
     pub fn from_entries(day: Day, entries: impl IntoIterator<Item = (Addr, u64)>) -> DaySummary {
-        let mut teredo = Vec::new();
-        let mut isatap = Vec::new();
-        let mut sixtofour = Vec::new();
-        let mut other = Vec::new();
-        let mut eui64 = Vec::new();
-        let mut eui64_macs = BTreeSet::new();
-        let mut hits = 0u64;
-        for (addr, h) in entries {
-            hits += h;
-            match classify(addr) {
-                AddressScheme::Teredo => teredo.push(addr),
-                AddressScheme::Isatap => isatap.push(addr),
-                AddressScheme::SixToFour => sixtofour.push(addr),
-                AddressScheme::Eui64(mac) => {
-                    other.push(addr);
-                    eui64.push(addr);
-                    eui64_macs.insert(mac);
-                }
-                _ => other.push(addr),
-            }
+        let mut builder = DaySummaryBuilder::default();
+        for (addr, hits) in entries {
+            builder.add(addr, hits);
         }
-        DaySummary {
-            day,
-            teredo: AddrSet::from_iter(teredo),
-            isatap: AddrSet::from_iter(isatap),
-            sixtofour: AddrSet::from_iter(sixtofour),
-            other: AddrSet::from_iter(other),
-            eui64: AddrSet::from_iter(eui64),
-            eui64_macs,
-            hits,
-        }
+        builder.finish(day)
     }
 
     /// Merges another summary *for the same day* into this one: category
-    /// unions, hit totals summed.
+    /// unions, hit totals summed (saturating at `u64::MAX`).
     ///
     /// # Panics
     /// Panics if the days differ — merging across days is always a bug.
@@ -94,7 +75,7 @@ impl DaySummary {
         self.other = self.other.union(&other.other);
         self.eui64 = self.eui64.union(&other.eui64);
         self.eui64_macs.extend(other.eui64_macs.iter().copied());
-        self.hits += other.hits;
+        self.hits = self.hits.saturating_add(other.hits);
     }
 
     /// Total active addresses across all categories (the percentage base
@@ -106,6 +87,64 @@ impl DaySummary {
     /// Active /64 prefixes among "Other" addresses.
     pub fn other_64s(&self) -> AddrSet {
         self.other.map_prefix(PrefixLen::lit::<64>())
+    }
+}
+
+/// One day's [`DaySummary`], built an address at a time: each address
+/// is culled at once into a per-category key buffer, and
+/// [`DaySummaryBuilder::finish`] sorts and dedups each buffer in place
+/// into its [`AddrSet`].
+#[derive(Clone, Debug, Default)]
+pub(crate) struct DaySummaryBuilder {
+    teredo: Vec<u128>,
+    isatap: Vec<u128>,
+    sixtofour: Vec<u128>,
+    other: Vec<u128>,
+    eui64: Vec<u128>,
+    eui64_macs: Vec<Mac>,
+    hits: u64,
+}
+
+impl DaySummaryBuilder {
+    /// The day's summary.
+    pub(crate) fn finish(self, day: Day) -> DaySummary {
+        DaySummary {
+            day,
+            teredo: AddrSet::from_keys(self.teredo),
+            isatap: AddrSet::from_keys(self.isatap),
+            sixtofour: AddrSet::from_keys(self.sixtofour),
+            other: AddrSet::from_keys(self.other),
+            eui64: AddrSet::from_keys(self.eui64),
+            eui64_macs: self.eui64_macs.into_iter().collect(),
+            hits: self.hits,
+        }
+    }
+}
+
+/// [`v6census_core::daylog::read`] culls each good line as it parses.
+impl Sink for DaySummaryBuilder {
+    /// Most addresses are "Other", so a header's count reserves that
+    /// buffer.
+    fn reserve(&mut self, n: usize) {
+        self.other.reserve(n);
+    }
+
+    /// Culls one logged address; its hits join the day's total, which
+    /// saturates at `u64::MAX`.
+    #[inline]
+    fn add(&mut self, addr: Addr, hits: u64) {
+        self.hits = self.hits.saturating_add(hits);
+        match scheme::cull(addr) {
+            Some(AddressScheme::Teredo) => self.teredo.push(addr.0),
+            Some(AddressScheme::Isatap) => self.isatap.push(addr.0),
+            Some(AddressScheme::SixToFour) => self.sixtofour.push(addr.0),
+            Some(AddressScheme::Eui64(mac)) => {
+                self.other.push(addr.0);
+                self.eui64.push(addr.0);
+                self.eui64_macs.push(mac);
+            }
+            _ => self.other.push(addr.0),
+        }
     }
 }
 
@@ -287,7 +326,7 @@ impl Census {
             other: union(|s| &s.other),
             eui64: union(|s| &s.eui64),
             eui64_macs,
-            hits: days.iter().map(|s| s.hits).sum(),
+            hits: days.iter().fold(0, |h, s| h.saturating_add(s.hits)),
         }
     }
 }
@@ -469,6 +508,27 @@ mod tests {
         assert_eq!(a.teredo.len(), b.teredo.len());
         assert_eq!(a.eui64_macs, b.eui64_macs);
         assert_eq!(a.hits, b.hits);
+    }
+
+    #[test]
+    fn cull_agrees_with_classify_on_world_days() {
+        let first = epochs::mar2015();
+        for seed in [3, 13] {
+            let w = World::standard(WorldConfig::tiny(seed));
+            for day in [first, first + 1, first + 30] {
+                let log = w.day_log(day);
+                assert!(!log.is_empty());
+                for a in log.addrs() {
+                    match scheme::cull(a) {
+                        Some(s) => assert_eq!(classify(a), s, "{a}"),
+                        None => {
+                            let s = classify(a);
+                            assert!(!s.is_transition_mechanism() && !s.is_eui64(), "{a}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

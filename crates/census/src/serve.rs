@@ -52,7 +52,7 @@ use v6census_core::spatial::DensityClass;
 use v6census_core::temporal::{Day, StabilityParams};
 use v6census_core::vfs::Vfs;
 
-use crate::ingest::{Census, DaySummary};
+use crate::ingest::{Census, DaySummaryBuilder};
 use crate::routing::RoutingTable;
 use crate::snapshot::{Snapshot, SnapshotCell};
 use crate::stream::{
@@ -411,10 +411,10 @@ pub(crate) fn restore_state(fs: &dyn Vfs, state: &Path) -> RestoreOutcome {
         }
     };
     for day in journal_days {
-        match load_checkpoint(fs, &checkpoint_path(state, day)) {
-            Ok((ckpt_day, entries)) if ckpt_day == day => {
-                let summary = DaySummary::from_entries(day, entries);
-                if out.census.try_ingest(summary).is_ok() {
+        let mut builder = DaySummaryBuilder::default();
+        match load_checkpoint(fs, &checkpoint_path(state, day), &mut builder) {
+            Ok((ckpt_day, _)) if ckpt_day == day => {
+                if out.census.try_ingest(builder.finish(day)).is_ok() {
                     out.restored.push(day);
                 } else {
                     out.recovered += 1;
@@ -1350,7 +1350,8 @@ mod tests {
             write_journal(&fs, &state, &[d0]).unwrap();
             fs.write_atomic(&checkpoint_path(&state, d0), text.as_bytes())
                 .unwrap();
-            let err = load_checkpoint(&fs, &checkpoint_path(&state, d0)).unwrap_err();
+            let err =
+                load_checkpoint(&fs, &checkpoint_path(&state, d0), &mut Vec::new()).unwrap_err();
             assert_eq!(err.label(), "bad-checkpoint", "{text}");
             let out = restore_state(&fs, &state);
             assert_eq!(out.restored, Vec::new());

@@ -23,14 +23,20 @@
 //! `census` command and [`crate::supervisor::run_census`]), and serve
 //! lands one day at a time as files arrive.
 //!
+//! A file is read in one pass: [`daylog::read`] hands each good line to
+//! a `DaySummaryBuilder`, which culls it at once into the day's
+//! per-category key buffers. The `(address, hits)` entries themselves
+//! are kept, in file order, only when a checkpoint will be written.
+//!
 //! Checkpoints are one file per ingested day (written atomically via
 //! temp-file + rename): a canonical day log
 //! ([`v6census_core::daylog`]) of the parsed `(address, hits)` entries.
-//! Because [`DaySummary::from_entries`] is a pure function of those
-//! entries, a resumed census is *identical* to an uninterrupted one —
-//! not just similar.
+//! `--resume` and serve's restore read a checkpoint through the same
+//! builder, and a day summary is a pure function of its entries, so a
+//! resumed census is *identical* to an uninterrupted one — not just
+//! similar.
 
-use crate::ingest::{Census, DaySummary};
+use crate::ingest::{Census, DaySummary, DaySummaryBuilder};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -40,7 +46,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 use v6census_addr::Addr;
-use v6census_core::daylog;
+use v6census_core::daylog::{self, Sink};
 use v6census_core::temporal::Day;
 use v6census_core::vfs::{self, RealFs, Vfs};
 
@@ -467,8 +473,9 @@ pub struct ParsedFile {
     pub report: FileReport,
     /// The validated day summary, `None` when the file failed validation.
     pub summary: Option<DaySummary>,
-    /// Entries to checkpoint after a successful commit (`None` when the
-    /// data came *from* a checkpoint, or validation failed).
+    /// Entries to checkpoint after a successful commit, in file order
+    /// (`None` when no checkpoint dir is set, the data came *from* a
+    /// checkpoint, or validation failed).
     checkpoint_entries: Option<Vec<(Addr, u64)>>,
 }
 
@@ -527,12 +534,13 @@ impl StreamIngestor {
             if let Some(dir) = &self.cfg.checkpoint_dir {
                 let ckpt = checkpoint_path(dir, file_day);
                 if self.cfg.vfs.exists(&ckpt) {
-                    match load_checkpoint(self.cfg.vfs.as_ref(), &ckpt) {
-                        Ok((day, entries)) => {
-                            report.data_lines = entries.len();
+                    let mut builder = DaySummaryBuilder::default();
+                    match load_checkpoint(self.cfg.vfs.as_ref(), &ckpt, &mut builder) {
+                        Ok((day, n)) => {
+                            report.data_lines = n;
                             report.outcome = FileOutcome::FromCheckpoint;
                             return Ok(ParsedFile {
-                                summary: Some(DaySummary::from_entries(day, entries)),
+                                summary: Some(builder.finish(day)),
                                 report,
                                 checkpoint_entries: None,
                             });
@@ -550,7 +558,15 @@ impl StreamIngestor {
             }
         }
 
-        let (log, bad) = match with_retry(&self.cfg, || self.read_and_parse(path)) {
+        // One pass: each good line is culled as it is read, and kept
+        // only if it will be checkpointed. A retried read starts empty.
+        let keep = self.cfg.checkpoint_dir.is_some();
+        let read = with_retry(&self.cfg, || {
+            let mut sink = (DaySummaryBuilder::default(), keep.then(Vec::new));
+            let (log, bad) = self.read_and_parse(path, &mut sink)?;
+            Ok((log, bad, sink))
+        });
+        let (log, bad, (builder, checkpoint_entries)) = match read {
             Ok((p, _retries)) => p,
             Err((e, retries)) => {
                 let err = IngestError::Io {
@@ -635,11 +651,10 @@ impl StreamIngestor {
             return Ok(ParsedFile::failed(report));
         }
 
-        let summary = DaySummary::from_entries(file_day, log.entries.iter().copied());
         Ok(ParsedFile {
             report,
-            summary: Some(summary),
-            checkpoint_entries: Some(log.entries),
+            summary: Some(builder.finish(file_day)),
+            checkpoint_entries,
         })
     }
 
@@ -756,11 +771,15 @@ impl StreamIngestor {
         })
     }
 
-    /// Reads and parses one file through [`daylog::read`], moving its
-    /// bad lines out as [`IngestError::BadLine`]s of `path`.
-    fn read_and_parse(&self, path: &Path) -> io::Result<(daylog::Parsed, Vec<IngestError>)> {
+    /// Reads and parses one file through [`daylog::read`] into `sink`,
+    /// moving its bad lines out as [`IngestError::BadLine`]s of `path`.
+    fn read_and_parse(
+        &self,
+        path: &Path,
+        sink: &mut impl Sink,
+    ) -> io::Result<(daylog::Parsed, Vec<IngestError>)> {
         let file = self.cfg.vfs.open_read(path)?;
-        let mut log = daylog::read(io::BufReader::new(file))?;
+        let mut log = daylog::read(io::BufReader::new(file), sink)?;
         let bad = std::mem::take(&mut log.bad)
             .into_iter()
             .map(|b| IngestError::BadLine {
@@ -815,17 +834,24 @@ pub fn sweep_stale_tmp(fs: &dyn Vfs, dir: &Path) -> io::Result<u64> {
     Ok(removed)
 }
 
-/// Loads and validates a checkpoint written by [`write_checkpoint`]:
-/// every line must be good, the header must be present and declare the
-/// entry count, and the trailer must match the entries.
-pub fn load_checkpoint(fs: &dyn Vfs, path: &Path) -> Result<(Day, Vec<(Addr, u64)>), IngestError> {
+/// Loads and validates a checkpoint written by [`write_checkpoint`],
+/// feeding its entries to `sink` (a `Vec` collects them; a
+/// `DaySummaryBuilder` culls them): every line must be good, the
+/// header must be present and declare the entry count, and the trailer
+/// must match the entries. Returns the day and the entry count. On an
+/// error the sink may hold part of the file.
+pub fn load_checkpoint(
+    fs: &dyn Vfs,
+    path: &Path,
+    sink: &mut impl Sink,
+) -> Result<(Day, usize), IngestError> {
     let bad = |reason: String| IngestError::BadCheckpoint {
         path: path.to_path_buf(),
         reason,
     };
     let log = fs
         .open_read(path)
-        .and_then(|file| daylog::read(io::BufReader::new(file)))
+        .and_then(|file| daylog::read(io::BufReader::new(file), sink))
         .map_err(|e| IngestError::Io {
             path: path.to_path_buf(),
             kind: e.kind(),
@@ -844,15 +870,14 @@ pub fn load_checkpoint(fs: &dyn Vfs, path: &Path) -> Result<(Day, Vec<(Addr, u64
         .header
         .ok_or_else(|| bad("missing day-log header".into()))?;
     let trailer = log.trailer.ok_or_else(|| bad("missing trailer".into()))?;
-    let n = log.entries.len();
-    let hits: u64 = log.entries.iter().map(|&(_, h)| h).sum();
+    let (n, hits) = (log.data_lines, log.hits);
     if declared != n || trailer != (n, hits) {
         return Err(bad(format!(
             "header declares {declared} entries and trailer {trailer:?}, \
              but the file holds {n} entries, {hits} hits"
         )));
     }
-    Ok((day, log.entries))
+    Ok((day, n))
 }
 
 /// Groups a report's errors by variant label — the health-report rollup.
@@ -965,7 +990,8 @@ mod tests {
         ];
         for (day, entries) in inputs {
             write_checkpoint(&RealFs, &dir, day, &entries).unwrap();
-            let (d, back) = load_checkpoint(&RealFs, &checkpoint_path(&dir, day)).unwrap();
+            let mut back = Vec::new();
+            let (d, _) = load_checkpoint(&RealFs, &checkpoint_path(&dir, day), &mut back).unwrap();
             assert_eq!(d, day);
             assert_eq!(back, entries);
             // Tampering is detected.
@@ -974,7 +1000,7 @@ mod tests {
             let trailer = text.lines().last().unwrap();
             assert!(trailer.starts_with("# end "), "{trailer}");
             std::fs::write(&path, text.replace(&format!("{trailer}\n"), "")).unwrap();
-            let e = load_checkpoint(&RealFs, &path).unwrap_err();
+            let e = load_checkpoint(&RealFs, &path, &mut Vec::new()).unwrap_err();
             assert_eq!(e.label(), "bad-checkpoint");
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1108,15 +1134,12 @@ mod tests {
     fn read_and_parse_is_pinned_on_every_line_shape() {
         let path = Path::new("2015-03-17.log");
         let ingestor = mem_ingestor(&[("2015-03-17.log", pinned_day_file())]);
-        let (log, errors) = ingestor.read_and_parse(path).unwrap();
+        let mut read = Vec::new();
+        let (log, errors) = ingestor.read_and_parse(path, &mut read).unwrap();
         assert_eq!(log.header, Some((Day::from_ymd(2015, 3, 17), 23)));
         assert_eq!(log.trailer, Some((23, 0)));
         assert_eq!(log.data_lines, 23);
-        let entries: Vec<String> = log
-            .entries
-            .iter()
-            .map(|(a, h)| format!("{a} {h}"))
-            .collect();
+        let entries: Vec<String> = read.iter().map(|(a, h)| format!("{a} {h}")).collect();
         assert_eq!(
             entries,
             [
@@ -1178,7 +1201,188 @@ mod tests {
         assert_eq!(parsed.report.data_lines, 23);
         assert_eq!(parsed.report.bad_lines, 7);
         assert_eq!(parsed.report.errors, errors);
-        assert_eq!(parsed.checkpoint_entries, Some(log.entries));
+        // Entries are kept, in file order, only to be checkpointed.
+        assert_eq!(parsed.checkpoint_entries, None);
+        let checkpointing = StreamIngestor::new(IngestConfig {
+            checkpoint_dir: Some(PathBuf::from("/ckpt")),
+            ..ingestor.cfg.clone()
+        });
+        let parsed = checkpointing.parse_file(path).unwrap();
+        assert_eq!(parsed.checkpoint_entries, Some(read));
+    }
+
+    /// The two-pass reference for a day file: every entry read into a
+    /// `Vec`, then each one through the full content classifier.
+    fn two_pass_summary(day: Day, text: &[u8]) -> DaySummary {
+        use std::collections::BTreeSet;
+        use v6census_addr::scheme::classify;
+        use v6census_addr::AddressScheme;
+        use v6census_trie::AddrSet;
+        let mut entries = Vec::new();
+        daylog::read(text, &mut entries).unwrap();
+        let mut sets: [Vec<Addr>; 5] = Default::default();
+        let mut eui64_macs = BTreeSet::new();
+        let mut hits = 0u64;
+        for (a, h) in entries {
+            hits = hits.saturating_add(h);
+            let i = match classify(a) {
+                AddressScheme::Teredo => 0,
+                AddressScheme::Isatap => 1,
+                AddressScheme::SixToFour => 2,
+                AddressScheme::Eui64(mac) => {
+                    eui64_macs.insert(mac);
+                    sets[4].push(a);
+                    3
+                }
+                _ => 3,
+            };
+            sets[i].push(a);
+        }
+        let [teredo, isatap, sixtofour, other, eui64] = sets.map(AddrSet::from_iter);
+        DaySummary {
+            day,
+            teredo,
+            isatap,
+            sixtofour,
+            other,
+            eui64,
+            eui64_macs,
+            hits,
+        }
+    }
+
+    fn assert_same_summary(a: &DaySummary, b: &DaySummary, what: &str) {
+        assert_eq!(a.day, b.day, "{what}");
+        assert_eq!(a.teredo, b.teredo, "{what}");
+        assert_eq!(a.isatap, b.isatap, "{what}");
+        assert_eq!(a.sixtofour, b.sixtofour, "{what}");
+        assert_eq!(a.other, b.other, "{what}");
+        assert_eq!(a.eui64, b.eui64, "{what}");
+        assert_eq!(a.eui64_macs, b.eui64_macs, "{what}");
+        assert_eq!(a.hits, b.hits, "{what}");
+    }
+
+    #[test]
+    fn one_pass_summary_equals_two_pass_reference() {
+        use v6census_synth::faults::day_file_name;
+        use v6census_synth::{world::epochs, Fault, FaultInjector, World, WorldConfig};
+        let pinned = pinned_day_file();
+        let ingestor = mem_ingestor(&[("2015-03-17.log", pinned.clone())]);
+        let parsed = ingestor.parse_file(Path::new("2015-03-17.log")).unwrap();
+        let want = two_pass_summary(Day::from_ymd(2015, 3, 17), &pinned);
+        assert_same_summary(parsed.summary.as_ref().unwrap(), &want, "pinned");
+
+        let log = World::standard(WorldConfig::tiny(5)).day_log(epochs::mar2015());
+        let clean = log.to_text();
+        let name = day_file_name(log.day);
+        let mut ingestable = Vec::new();
+        for fault in [
+            None,
+            Some(Fault::CorruptLines { count: 6 }),
+            Some(Fault::Truncate { keep_pct: 60 }),
+            Some(Fault::DuplicateDay),
+            Some(Fault::ShiftHeaderDay { offset: 1 }),
+            Some(Fault::DropDay),
+            Some(Fault::OversizedPrefixBlob { addrs: 50 }),
+        ] {
+            let text = match &fault {
+                None => Some(clean.clone()),
+                Some(f) => FaultInjector::new(11).apply(log.day, &clean, f),
+            };
+            let Some(text) = text else { continue };
+            let ingestor = mem_ingestor(&[(name.as_str(), text.clone().into_bytes())]);
+            let parsed = ingestor.parse_file(Path::new(&name)).unwrap();
+            let Some(summary) = parsed.summary else {
+                continue;
+            };
+            let what = format!("{fault:?}");
+            let want = two_pass_summary(log.day, text.as_bytes());
+            assert!(want.total() > 0 && !want.eui64_macs.is_empty(), "{what}");
+            assert_same_summary(&summary, &want, &what);
+            ingestable.push(what);
+        }
+        assert_eq!(
+            ingestable,
+            [
+                "None",
+                "Some(CorruptLines { count: 6 })",
+                "Some(DuplicateDay)",
+                "Some(OversizedPrefixBlob { addrs: 50 })",
+            ]
+        );
+    }
+
+    #[test]
+    fn one_pass_checkpoints_reload_to_equal_summaries() {
+        use v6census_synth::faults::day_file_name;
+        use v6census_synth::{world::epochs, World, WorldConfig};
+        let w = World::standard(WorldConfig::tiny(7));
+        let days = [epochs::mar2015(), epochs::mar2015() + 1];
+        let files: Vec<(String, Vec<u8>)> = days
+            .iter()
+            .map(|&d| {
+                let name = format!("/logs/{}", day_file_name(d));
+                (name, w.day_log(d).to_text().into_bytes())
+            })
+            .collect();
+        let files: Vec<(&str, Vec<u8>)> =
+            files.iter().map(|(n, b)| (n.as_str(), b.clone())).collect();
+        let ckpts = PathBuf::from("/ckpt");
+        let ingestor = StreamIngestor::new(IngestConfig {
+            checkpoint_dir: Some(ckpts.clone()),
+            ..mem_ingestor(&files).cfg
+        });
+        let mut census = Census::new_empty();
+        for (name, _) in &files {
+            let parsed = ingestor.parse_file(Path::new(name)).unwrap();
+            assert!(parsed.checkpoint_entries.is_some());
+            let report = ingestor
+                .commit_parsed(parsed, &mut census, &mut Vec::new())
+                .unwrap();
+            assert_eq!(report.outcome, FileOutcome::Ingested);
+        }
+        for day in days {
+            let mut builder = DaySummaryBuilder::default();
+            let fs = ingestor.cfg.vfs.as_ref();
+            let (back, n) =
+                load_checkpoint(fs, &checkpoint_path(&ckpts, day), &mut builder).unwrap();
+            assert_eq!((back, n), (day, w.day_log(day).len()));
+            let what = day.to_string();
+            assert_same_summary(&builder.finish(day), census.summary(day).unwrap(), &what);
+        }
+    }
+
+    #[test]
+    fn a_days_hits_saturate_at_u64_max() {
+        let day = Day::from_ymd(2015, 3, 17);
+        let text = format!(
+            "# synthetic day {day}: 2 unique client addrs\n\
+             2001:db8::1\t18446744073709551615\n2001:db8::2\t1\n# end 2 18446744073709551615\n"
+        );
+        let ckpts = PathBuf::from("/ckpt");
+        let base = mem_ingestor(&[("2015-03-17.log", text.into_bytes())]);
+        let ingestor = StreamIngestor::new(IngestConfig {
+            checkpoint_dir: Some(ckpts.clone()),
+            on_duplicate: DuplicatePolicy::Merge,
+            ..base.cfg
+        });
+        let path = Path::new("2015-03-17.log");
+        let mut census = Census::new_empty();
+        for _ in 0..2 {
+            let parsed = ingestor.parse_file(path).unwrap();
+            assert_eq!(parsed.summary.as_ref().unwrap().hits, u64::MAX);
+            ingestor
+                .commit_parsed(parsed, &mut census, &mut Vec::new())
+                .unwrap();
+        }
+        // A merged delivery and a week's rollup saturate too.
+        assert_eq!(census.summary(day).unwrap().hits, u64::MAX);
+        assert_eq!(census.week_summary(day).hits, u64::MAX);
+        // The checkpoint's trailer and its reader agree.
+        let mut entries = Vec::new();
+        let fs = ingestor.cfg.vfs.as_ref();
+        load_checkpoint(fs, &checkpoint_path(&ckpts, day), &mut entries).unwrap();
+        assert_eq!(DaySummary::from_entries(day, entries).hits, u64::MAX);
     }
 
     #[test]
@@ -1187,7 +1391,10 @@ mod tests {
         bytes.extend_from_slice(b"2001:db8::1\t3\n2001:db8::\xff\t4\n# end 2 7\n");
         let ingestor = mem_ingestor(&[("2015-03-17.log", bytes)]);
         let path = Path::new("2015-03-17.log");
-        let e = ingestor.read_and_parse(path).err().unwrap();
+        let e = ingestor
+            .read_and_parse(path, &mut Vec::new())
+            .err()
+            .unwrap();
         assert_eq!(e.kind(), io::ErrorKind::InvalidData);
         let parsed = ingestor.parse_file(path).unwrap();
         assert_eq!(parsed.report.outcome, FileOutcome::Failed);

@@ -361,8 +361,13 @@ fn kill_and_resume_reproduces_the_uninterrupted_census_exactly() {
     );
 
     // A checkpoint round-trips to the exact per-day summary.
-    let (day, entries) =
-        load_checkpoint(&v6census_core::vfs::RealFs, &checkpoint_path(&ckpts, first)).unwrap();
+    let mut entries = Vec::new();
+    let (day, _) = load_checkpoint(
+        &v6census_core::vfs::RealFs,
+        &checkpoint_path(&ckpts, first),
+        &mut entries,
+    )
+    .unwrap();
     assert_eq!(day, first);
     let direct = uninterrupted.census.summary(first).unwrap();
     let rebuilt = v6census_census::DaySummary::from_entries(day, entries);

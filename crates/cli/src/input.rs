@@ -137,14 +137,15 @@ mod tests {
             let text = FaultInjector::new(11)
                 .apply(log.day, &clean, &fault)
                 .unwrap();
-            let codec = daylog::read(text.as_bytes()).unwrap();
+            let mut entries = Vec::new();
+            let codec = daylog::read(text.as_bytes(), &mut entries).unwrap();
             let mut by_reason: BTreeMap<&str, usize> = BTreeMap::new();
             for b in &codec.bad {
                 *by_reason.entry(b.reason.label()).or_default() += 1;
             }
 
             let (weighted, diag) = parse_weighted_lines(&text);
-            assert_eq!(weighted, codec.entries, "{fault}");
+            assert_eq!(weighted, entries, "{fault}");
             let addr_label = BadReason::Addr.label();
             let hits_label = BadReason::Hits.label();
             let count = |label| by_reason.get(label).copied().unwrap_or(0);
@@ -181,9 +182,10 @@ mod tests {
                 }
                 _ => {
                     assert_eq!(report.outcome, FileOutcome::Ingested, "{fault}");
-                    let (_, kept) =
-                        load_checkpoint(fs.as_ref(), &checkpoint_path(ckpts, log.day)).unwrap();
-                    assert_eq!(kept, codec.entries, "{fault}");
+                    let mut kept = Vec::new();
+                    load_checkpoint(fs.as_ref(), &checkpoint_path(ckpts, log.day), &mut kept)
+                        .unwrap();
+                    assert_eq!(kept, entries, "{fault}");
                 }
             }
             if let Fault::CorruptLines { .. } = fault {

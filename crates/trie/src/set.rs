@@ -37,7 +37,12 @@ impl AddrSet {
     /// method keeps call sites free of a `use` for the trait.)
     #[allow(clippy::should_implement_trait)]
     pub fn from_iter<I: IntoIterator<Item = Addr>>(iter: I) -> AddrSet {
-        let mut keys: Vec<u128> = iter.into_iter().map(|a| a.0).collect();
+        AddrSet::from_keys(iter.into_iter().map(|a| a.0).collect())
+    }
+
+    /// Builds a set from keys in any order, sorting and deduplicating
+    /// them in place: the set owns `keys`' allocation, no copy is made.
+    pub fn from_keys(mut keys: Vec<u128>) -> AddrSet {
         keys.sort_unstable();
         keys.dedup();
         AddrSet {
