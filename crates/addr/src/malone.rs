@@ -8,9 +8,9 @@
 //! addresses identified) because detecting randomness in 63 bits is hard.
 //! The paper takes the complementary approach: identify addresses that are
 //! *stable over time* and therefore almost certainly not privacy
-//! addresses. `v6census-bench/src/bin/router_discovery.rs` and the
-//! integration tests quantify the gap between the two on synthetic ground
-//! truth.
+//! addresses. `census::experiments::classifier_evaluation` (the Malone
+//! recall line of `repro_all`'s `highlights.txt`) and the integration
+//! tests quantify the gap between the two on synthetic ground truth.
 
 use crate::bits::shr64;
 use crate::{iid_entropy_bits, Addr, Iid};

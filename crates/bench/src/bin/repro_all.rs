@@ -1,13 +1,17 @@
 //! Runs the entire reproduction — every table, figure, and in-text
 //! experiment — and writes one consolidated report (the source of
-//! EXPERIMENTS.md's measured column).
+//! EXPERIMENTS.md's measured column). It is the one regenerator: with
+//! `--out DIR` it writes every file under `results/full`.
 //!
 //! Cost: generates 63 daily logs once and reuses them everywhere.
 
-use v6census_addr::PrefixLen;
+use std::collections::BTreeMap;
+use v6census_addr::scheme::classify;
+use v6census_addr::{Addr, AddressScheme, Iid, PrefixLen};
 use v6census_bench::{epoch_specs, Opts, Snapshot};
 use v6census_census::experiments::{
     classifier_evaluation, dense_www, eui64_analysis, ptr_harvest, router_discovery, sample_every,
+    stable_nid_by_mac,
 };
 use v6census_census::figures::{
     asn_highlights, AsnDistributionFigure, MraFigure, PopulationFigure, SegmentRatioFigure,
@@ -19,7 +23,7 @@ use v6census_census::plot::{
 };
 use v6census_census::svg::{svg_ccdf, svg_mra};
 use v6census_census::tables::{table1, Table2, Table3};
-use v6census_core::temporal::{Day, StabilityParams};
+use v6census_core::temporal::{spectrum_between, stable_fraction_spectrum, Day, StabilityParams};
 use v6census_synth::router::ProbeSim;
 use v6census_synth::world::{asns, epochs};
 use v6census_trie::AddrSet;
@@ -109,9 +113,7 @@ fn main() {
 
     // ---- Figures -------------------------------------------------------
     let by_asn = snap.rt.group_by_asn(&week_set);
-    let empty = AddrSet::new();
     let asn_set = |a: u32| by_asn.get(&a).cloned().unwrap_or_else(AddrSet::new);
-    let _ = &empty;
 
     let fig2a = MraFigure::of("(2a) university", &asn_set(asns::UNIVERSITY_FIRST + 1));
     let fig2b = MraFigure::of("(2b) JP telco", &asn_set(asns::JP_ISP));
@@ -320,5 +322,152 @@ fn main() {
         ),
     );
 
+    // ---- Figure 1, §6.2.1's one-day pool, §7.2 --------------------------
+    // Last, so the sections above keep their order on stdout.
+    opts.emit("fig1_samples.txt", &fig1_samples());
+
+    // §6.2.1's deduction: "by comparison to the same plot over only 1
+    // day (not shown), we can deduce that this network seems to
+    // dynamically assign /64s" — the mobile pool segment fills up over a
+    // week far beyond one day's utilization.
+    let mob_day = snap
+        .rt
+        .group_by_asn(&actives15)
+        .remove(&asns::MOBILE_A)
+        .unwrap_or_default();
+    let e1 = MraFigure::of("(e′) US mobile carrier — one day", &mob_day);
+    opts.emit("fig5e_us_mobile_1day.txt", &ascii_mra(&e1));
+    let day64 = mob_day.map_prefix(PrefixLen::lit::<64>()).len();
+    let week64 = asn_set(asns::MOBILE_A)
+        .map_prefix(PrefixLen::lit::<64>())
+        .len();
+    opts.emit(
+        "fig5e_pool_utilization.txt",
+        &format!(
+            "mobile pool /64s active: {} in one day vs {} over the week (×{:.2})\n\
+             — the weekly growth without subscriber growth is the dynamic-pool signature.\n",
+            day64,
+            week64,
+            week64 as f64 / day64.max(1) as f64
+        ),
+    );
+
+    opts.emit("stable_prefixes.txt", &stable_prefixes(&snap, &by_asn));
+
     eprintln!("[repro-all] complete in {:.1?}", t0.elapsed());
+}
+
+/// Figure 1: the paper's four sample addresses in presentation format,
+/// with the content-based classification each one illustrates (§3).
+fn fig1_samples() -> String {
+    let samples: [(&str, &str); 4] = [
+        ("2001:db8:10:1::103", "(i) fixed IID value"),
+        ("2001:db8:167:1109::10:901", "(ii) structured low 64 bits"),
+        (
+            "2001:db8:0:1cdf:21e:c2ff:fec0:11db",
+            "(iii) SLAAC EUI-64 (Ethernet MAC)",
+        ),
+        (
+            "2001:db8:4137:9e76:3031:f3fd:bbdd:2c2a",
+            "(iv) SLAAC privacy (pseudorandom IID)",
+        ),
+    ];
+    let mut out =
+        String::from("Sample IPv6 addresses (paper Figure 1), with content classification:\n\n");
+    for (text, caption) in samples {
+        let a: Addr = text.parse().expect("figure addresses parse");
+        let scheme = classify(a);
+        let extra = match scheme {
+            AddressScheme::Eui64(mac) => format!(" mac={mac}"),
+            _ => format!(" u-bit={}", Iid::of(a).u_bit()),
+        };
+        out.push_str(&format!(
+            "  {text:<42} {caption}\n    -> classified: {}{extra}\n",
+            scheme.label()
+        ));
+    }
+    out
+}
+
+/// The §7.2 future-work experiment: discovering the stable portion of
+/// network identifiers without inside information — per-ASN stability
+/// spectra with their boundaries, the global spectrum, and §7.1's
+/// EUI-64-guided NID inference. `by_asn_cur` is the March 2015 week's
+/// native clients grouped by ASN.
+fn stable_prefixes(snap: &Snapshot, by_asn_cur: &BTreeMap<u32, AddrSet>) -> String {
+    let m15 = epochs::mar2015();
+    let s14 = epochs::sep2014();
+    let week = |d: Day| d.range_inclusive(d + 6);
+
+    // Spectrum per network (address-population view).
+    let by_asn_old = snap.rt.group_by_asn(&snap.census.other_over(week(s14)));
+    let mut report = String::from(
+        "Stable-prefix spectra (fraction of active /p aggregates also active 6 months ago)\n\n",
+    );
+    report.push_str(&format!(
+        "{:<26} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6}  {:>9} {:>6}\n",
+        "network", "/24", "/32", "/40", "/48", "/56", "/64", "boundary", "knee"
+    ));
+    let interesting = [
+        ("US mobile A", asns::MOBILE_A),
+        ("US mobile B", asns::MOBILE_B),
+        ("EU ISP (rotating NID)", asns::EU_ISP),
+        ("JP ISP (static /48)", asns::JP_ISP),
+        ("US broadband", asns::US_BROADBAND),
+        ("university 0", asns::UNIVERSITY_FIRST),
+    ];
+    let empty = AddrSet::new();
+    for (label, asn) in interesting {
+        let spec = stable_fraction_spectrum(
+            by_asn_cur.get(&asn).unwrap_or(&empty),
+            by_asn_old.get(&asn).unwrap_or(&empty),
+            (24..=64).step_by(8).filter_map(PrefixLen::new),
+        );
+        let frac = |p: u8| {
+            spec.points
+                .iter()
+                .find(|&&(q, _, _)| q.get() == p)
+                .map(|&(_, _, f)| f)
+                .unwrap_or(0.0)
+        };
+        let or_dash = |b: Option<PrefixLen>| b.map(|b| format!("/{b}")).unwrap_or("—".into());
+        report.push_str(&format!(
+            "{:<26} {:>6.2} {:>6.2} {:>6.2} {:>6.2} {:>6.2} {:>6.2}  {:>8} {:>6}\n",
+            label,
+            frac(24),
+            frac(32),
+            frac(40),
+            frac(48),
+            frac(56),
+            frac(64),
+            or_dash(spec.boundary(0.5)),
+            or_dash(spec.sharpest_drop().map(|(k, _)| k)),
+        ));
+    }
+
+    // Global spectrum via the observation store.
+    let global = spectrum_between(
+        snap.census.other_daily(),
+        week(m15),
+        week(s14),
+        (8..=64).step_by(8).filter_map(PrefixLen::new),
+    );
+    report.push_str("\nglobal spectrum: ");
+    for (p, _, f) in &global.points {
+        report.push_str(&format!("/{p}={f:.2} "));
+    }
+    report.push('\n');
+
+    // §7.1: EUI-64 IIDs as guides.
+    report.push_str("\nEUI-64-guided NID inference (median stable network bits per ASN):\n");
+    let inferences = stable_nid_by_mac(&snap.census, &snap.rt, m15, s14, 5);
+    for (label, asn) in interesting {
+        if let Some(inf) = inferences.get(&asn) {
+            report.push_str(&format!(
+                "  {:<26} /{:<3} ({} devices tracked)\n",
+                label, inf.median_stable_bits, inf.samples
+            ));
+        }
+    }
+    report
 }

@@ -1,5 +1,5 @@
-//! Shared harness for the experiment regenerators (one binary per paper
-//! table/figure) and the microbenchmarks.
+//! Shared options and the study snapshot for `repro_all`, the paper
+//! reproduction driver, and the `BENCH_*.json` baseline writers.
 //!
 //! Every binary accepts `--scale <f64>` (default 0.25; 1.0 ≈ 1/650 of
 //! the paper's population), `--seed <u64>`, and `--out <dir>` (write
@@ -112,55 +112,6 @@ pub fn baseline_path(name: &str) -> PathBuf {
 
 pub mod naive;
 
-/// A minimal wall-clock timing harness so `cargo bench` works with no
-/// external crates. Each benchmark runs one warm-up pass, then a fixed
-/// number of timed samples; the report shows the minimum (least noisy)
-/// and median. `--quick` (or `BENCH_QUICK=1`) trims samples for smoke
-/// runs in CI.
-pub mod timing {
-    pub use std::hint::black_box;
-    use std::time::{Duration, Instant};
-
-    /// Collects and prints timings for a group of benchmarks.
-    pub struct Harness {
-        samples: usize,
-    }
-
-    impl Default for Harness {
-        fn default() -> Harness {
-            Harness { samples: 10 }
-        }
-    }
-
-    impl Harness {
-        /// Builds a harness, honoring `--quick` / `BENCH_QUICK=1`.
-        pub fn from_env() -> Harness {
-            let quick = std::env::args().any(|a| a == "--quick")
-                || std::env::var_os("BENCH_QUICK").is_some();
-            Harness {
-                samples: if quick { 2 } else { 10 },
-            }
-        }
-
-        /// Times `f` and prints one report line. The closure's result is
-        /// passed through [`black_box`] so the work is not optimized out.
-        pub fn bench<T>(&self, name: &str, mut f: impl FnMut() -> T) {
-            black_box(f()); // warm-up: page in data, warm caches
-            let mut times: Vec<Duration> = (0..self.samples)
-                .map(|_| {
-                    let start = Instant::now();
-                    black_box(f());
-                    start.elapsed()
-                })
-                .collect();
-            times.sort();
-            let min = times[0];
-            let median = times[times.len() / 2];
-            println!("{name:<44} min {min:>12.2?}   median {median:>12.2?}");
-        }
-    }
-}
-
 fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}");
@@ -207,7 +158,7 @@ impl Snapshot {
         (reference - 7).range_inclusive(reference + 13)
     }
 
-    /// Builds the snapshot (generates 63 daily logs; the dominant cost).
+    /// Builds the snapshot (generates and ingests 63 daily logs).
     pub fn build(opts: &Opts) -> Snapshot {
         let world = opts.world();
         let mut census = Census::new_empty();
@@ -215,18 +166,6 @@ impl Snapshot {
             for day in Self::epoch_days(e) {
                 census.ingest(&world.day_log(day));
             }
-        }
-        let rt = RoutingTable::of(&world, epochs::mar2015());
-        Snapshot { world, census, rt }
-    }
-
-    /// Builds a snapshot covering only the March 2015 window (for the
-    /// figures that need one epoch).
-    pub fn build_mar2015(opts: &Opts) -> Snapshot {
-        let world = opts.world();
-        let mut census = Census::new_empty();
-        for day in Self::epoch_days(epochs::mar2015()) {
-            census.ingest(&world.day_log(day));
         }
         let rt = RoutingTable::of(&world, epochs::mar2015());
         Snapshot { world, census, rt }

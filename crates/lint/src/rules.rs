@@ -399,8 +399,9 @@ fn unstable_float_format(s: &str) -> Option<String> {
 // ---------------------------------------------------------------- L003
 
 /// L003 cast-safety: raw `as u8/u16/u32/usize` silently truncates;
-/// bit/nybble math must go through `v6census_addr::cast` helpers (which
-/// `debug_assert` losslessness) or the lossless `uN::from`.
+/// bit/nybble math narrows through `v6census_addr::cast::low8/16/32`
+/// (masked or shifted values), an index type, the lossless `uN::from`,
+/// or `TryFrom`.
 pub struct CastSafety;
 
 const NARROWING_TYPES: &[&str] = &["u8", "u16", "u32", "usize"];
@@ -433,7 +434,7 @@ impl Rule for CastSafety {
                     file,
                     line_no,
                     format!(
-                        "raw `as {ty}` can silently truncate — use cast::checked_{ty} (debug_asserts losslessness), `{ty}::from` for widening, or justify with an allow pragma"
+                        "raw `as {ty}` can silently truncate — use cast::low8/16/32 for a masked or shifted value, a v6census_addr::index type for a position, `{ty}::from` for widening, `{ty}::try_from` otherwise, or justify with an allow pragma"
                     ),
                 ));
             }
