@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use v6census_census::{Census, RoutingTable};
 use v6census_core::temporal::Day;
 use v6census_synth::world::epochs;
-use v6census_synth::{World, WorldConfig};
+use v6census_synth::{check_scale, World, WorldConfig};
 
 /// Command-line options shared by all regenerator binaries.
 #[derive(Clone, Debug)]
@@ -53,9 +53,11 @@ impl Opts {
             };
             match flag.as_str() {
                 "--scale" => {
-                    opts.scale = value()
+                    let scale = value()
                         .parse()
-                        .unwrap_or_else(|_| usage("bad --scale value"))
+                        .unwrap_or_else(|_| usage("bad --scale value"));
+                    opts.scale = check_scale(scale)
+                        .unwrap_or_else(|e| usage(&format!("bad --scale value: {e}")))
                 }
                 "--seed" => {
                     opts.seed = value()
@@ -96,21 +98,12 @@ impl Opts {
 /// are committed as the tracked baseline and uploaded by CI as build
 /// artifacts. `Opts::emit` still honors `--out` for ad-hoc copies.
 pub fn write_baseline(name: &str, content: &str) {
-    let path = baseline_path(name);
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(name);
     std::fs::write(&path, content).expect("write baseline JSON at repo root");
     eprintln!("[baseline {}]", path.display());
 }
-
-/// Where [`write_baseline`] puts (and the committed tree keeps) a
-/// `BENCH_*.json` point — for benches that inspect the existing baseline
-/// before deciding whether to overwrite it.
-pub fn baseline_path(name: &str) -> PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(name)
-}
-
-pub mod naive;
 
 fn usage(err: &str) -> ! {
     if !err.is_empty() {

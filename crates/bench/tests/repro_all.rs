@@ -41,3 +41,20 @@ fn repro_all_writes_the_committed_file_set() {
     assert_eq!(fig1(&out), fig1(&committed));
     std::fs::remove_dir_all(&out).expect("remove --out dir");
 }
+
+#[test]
+fn a_scale_that_cannot_size_a_world_is_a_usage_error() {
+    for scale in ["0", "nan"] {
+        let run = Command::new(env!("CARGO_BIN_EXE_repro_all"))
+            .args(["--scale", scale])
+            .output()
+            .expect("run repro_all");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "--scale {scale}: {stderr}");
+        assert!(!stderr.contains("panicked"), "--scale {scale}: {stderr}");
+        assert!(
+            stderr.contains("bad --scale value"),
+            "--scale {scale}: {stderr}"
+        );
+    }
+}

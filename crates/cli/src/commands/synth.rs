@@ -10,7 +10,7 @@ use std::path::Path;
 use std::sync::Arc;
 use v6census_core::temporal::Day;
 use v6census_core::vfs::{FaultFs, FaultPlan, RealFs, Vfs};
-use v6census_synth::{World, WorldConfig};
+use v6census_synth::{check_scale, World, WorldConfig};
 
 /// Parses `YYYY-MM-DD`.
 pub(crate) fn parse_day(s: &str) -> Result<Day, CliError> {
@@ -29,11 +29,9 @@ pub(crate) fn parse_day(s: &str) -> Result<Day, CliError> {
 /// Runs the subcommand.
 pub fn synth(flags: &Flags) -> Result<String, CliError> {
     let day = parse_day(flags.get("day").unwrap_or("2015-03-17"))?;
-    let scale: f64 = flags.get_parsed("scale", 0.02f64)?;
+    let scale = check_scale(flags.get_parsed("scale", 0.02f64)?)
+        .map_err(|e| err(format!("bad --scale: {e}")))?;
     let seed: u64 = flags.get_parsed("seed", 0x76c3_15c3_0001u64)?;
-    if scale <= 0.0 {
-        return Err(err("--scale must be positive"));
-    }
     let world = World::standard(WorldConfig { seed, scale });
     if let Some(dir) = flags.get("out") {
         return emit_files(&world, dir, day, flags);
@@ -112,6 +110,7 @@ mod tests {
     fn flag_validation() {
         assert!(synth(&Flags::parse(&["--day".into(), "17-03".into()])).is_err());
         assert!(synth(&Flags::parse(&["--scale".into(), "-1".into()])).is_err());
+        assert!(synth(&Flags::parse(&["--scale".into(), "nan".into()])).is_err());
         assert!(synth(&Flags::parse(&["--day".into(), "2015-13-01".into()])).is_err());
         assert!(synth(&Flags::parse(&["--day".into(), "2015-02-30".into()])).is_err());
         assert!(synth(&Flags::parse(&[

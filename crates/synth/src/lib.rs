@@ -43,4 +43,4 @@ pub use faults::{
 };
 pub use kinds::TrueKind;
 pub use loggen::{DayLog, LogEntry};
-pub use world::{growth, Network, World, WorldConfig};
+pub use world::{check_scale, growth, Network, World, WorldConfig};

@@ -42,6 +42,19 @@ impl WorldConfig {
     }
 }
 
+/// `scale` if it can size a world: a finite number greater than 0.
+/// Zero, negatives, NaN and infinity cannot; neither can a literal
+/// like `1e-400`, which parses to 0.
+pub fn check_scale(scale: f64) -> Result<f64, String> {
+    if scale.is_finite() && scale > 0.0 {
+        Ok(scale)
+    } else {
+        Err(format!(
+            "scale must be a finite number greater than 0, got {scale}"
+        ))
+    }
+}
+
 /// The paper's three study epochs.
 pub mod epochs {
     use v6census_core::temporal::Day;
@@ -140,7 +153,10 @@ pub mod asns {
 impl World {
     /// Builds the standard world for a configuration.
     pub fn standard(cfg: WorldConfig) -> World {
-        assert!(cfg.scale > 0.0, "scale must be positive");
+        assert!(
+            check_scale(cfg.scale).is_ok(),
+            "scale must be a finite number greater than 0"
+        );
         let ent = Entropy::new(cfg.seed);
         let s = cfg.scale;
         let mut networks = Vec::new();
@@ -325,6 +341,16 @@ fn mobile_prefixes(base32: u32, len: PrefixLen, count: u32) -> Vec<Prefix> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn check_scale_takes_only_finite_positive_values() {
+        for bad in ["0", "-0", "-1", "nan", "inf", "1e-400"] {
+            let scale: f64 = bad.parse().unwrap();
+            assert!(check_scale(scale).is_err(), "{bad} was accepted");
+        }
+        assert_eq!(check_scale(0.02), Ok(0.02));
+        assert_eq!(check_scale(1.0), Ok(1.0));
+    }
 
     #[test]
     fn growth_matches_table1_ratios() {

@@ -118,8 +118,8 @@ pub fn populations(set: &AddrSet, p: PrefixLen) -> Vec<u64> {
 /// The `n@/p-dense` class at a *fixed* prefix length (paper §5.2.2
 /// definition): every /p block containing at least `n` observed addresses,
 /// with its observed count. This is the sort-based fast path of
-/// footnote 3; `RadixTree::densify_in_place` with /p-truncated inserts
-/// computes the same answer (property-tested).
+/// footnote 3; a [`crate::RadixTree`] of /p-truncated inserts holds the
+/// same counts (property-tested).
 pub fn dense_prefixes(set: &AddrSet, n: u64, p: PrefixLen) -> Vec<DensePrefix> {
     assert!(n >= 1, "density numerator must be at least 1");
     let keys = set.keys();

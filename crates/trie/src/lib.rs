@@ -18,9 +18,9 @@
 //!   Kohler-style distribution plots.
 //!
 //! The trie and the sort-based path compute identical answers: the
-//! property tests in this crate assert that equivalence, and the
-//! `densify` microbenchmark in `crates/bench` times both — the ablation
-//! DESIGN.md lists.
+//! property tests in this crate assert that equivalence, and the census
+//! crate's `tests/spec.rs` checks both against brute-force readings of
+//! the paper's definitions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

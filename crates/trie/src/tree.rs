@@ -172,7 +172,6 @@ pub struct RadixTree {
     scratch_order: Vec<(u32, u32)>,
     scratch_counts: Vec<u64>,
     scratch_sums: Vec<u64>,
-    scratch_stack: Vec<u32>,
 }
 
 impl Default for RadixTree {
@@ -186,7 +185,6 @@ impl Default for RadixTree {
             scratch_order: Vec::new(),
             scratch_counts: Vec::new(),
             scratch_sums: Vec::new(),
-            scratch_stack: Vec::new(),
         }
     }
 }
@@ -282,23 +280,6 @@ impl RadixTree {
                 *slot = replacement;
             }
         }
-    }
-
-    /// Frees the whole subtree rooted at `from`, returning every slot
-    /// to the free list. Runs in the reused traversal scratch.
-    fn free_subtree(&mut self, from: u32) {
-        let mut work = std::mem::take(&mut self.scratch_stack);
-        work.clear();
-        work.push(from);
-        while let Some(h) = work.pop() {
-            for &c in &self.node(h).children {
-                if c != NIL {
-                    work.push(c);
-                }
-            }
-            self.free_node(h);
-        }
-        self.scratch_stack = work;
     }
 
     /// Appends the live nodes in BFS order as `(handle, parent)` pairs
@@ -604,80 +585,6 @@ impl RadixTree {
                 }
             }
         }
-        out.sort();
-        out
-    }
-
-    /// The in-place aguri-style densify described verbatim in §5.2.3
-    /// step 2: post-order traversal, aggregating children into the current
-    /// node when the subtree count makes the node's own prefix dense.
-    /// After this, dense prefixes are the nodes with `count >= n`
-    /// (step 3); unaggregated sparse addresses remain as /128 leaves.
-    ///
-    /// [`RadixTree::densify`] is the non-destructive generalization; this
-    /// method exists for fidelity to the paper's algorithm and reports
-    /// node-aligned dense prefixes.
-    pub fn densify_in_place(&mut self, n: u64, p: PrefixLen) -> Vec<DensePrefix> {
-        fn dense(count: u64, len: PrefixLen, n: u64, p: PrefixLen) -> bool {
-            let (len, p) = (len.get(), p.get());
-            if count == 0 {
-                return false;
-            }
-            if len <= p {
-                // count >= n * 2^(p-len), saturating.
-                let shift = u32::from(p.saturating_sub(len));
-                if shift >= 64 {
-                    return false;
-                }
-                n.checked_shl(shift).is_some_and(|t| count >= t)
-            } else {
-                let shift = u32::from(len.saturating_sub(p));
-                if shift >= 64 {
-                    return true;
-                }
-                count.checked_shl(shift).is_none_or(|c| c >= n)
-            }
-        }
-
-        let mut order: Vec<(u32, u32)> = Vec::with_capacity(self.nodes);
-        self.bfs_order_into(&mut order);
-        let mut sums: Vec<u64> = Vec::with_capacity(self.arena.len());
-        self.subtree_sums_from(&order, &mut sums);
-
-        // Children before parents; aggregation conserves subtree sums,
-        // so the memoized values stay valid as the walk folds subtrees
-        // below each node.
-        for &(h, _) in order.iter().rev() {
-            let node = *self.node(h);
-            let mut child_sum = 0u64;
-            for &c in &node.children {
-                if c != NIL {
-                    child_sum = child_sum.saturating_add(sums[Self::at(c)]);
-                }
-            }
-            if child_sum > 0
-                && dense(
-                    node.count.saturating_add(child_sum),
-                    node.prefix.len(),
-                    n,
-                    p,
-                )
-            {
-                self.node_mut(h).count = node.count.saturating_add(child_sum);
-                self.node_mut(h).children = [NIL, NIL];
-                for &c in &node.children {
-                    if c != NIL {
-                        self.free_subtree(c);
-                    }
-                }
-            }
-        }
-        let mut out: Vec<DensePrefix> = self
-            .entries()
-            .into_iter()
-            .filter(|&(prefix, count)| count >= n && prefix.len() < PrefixLen::MAX)
-            .map(|(prefix, count)| DensePrefix { prefix, count })
-            .collect();
         out.sort();
         out
     }
@@ -1188,23 +1095,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn densify_in_place_matches_paper_steps() {
-        let mut t = RadixTree::new();
-        t.insert_addr(a("2001:db8::1"), 1);
-        t.insert_addr(a("2001:db8::4"), 1);
-        t.insert_addr(a("2400::1"), 1);
-        let before = t.node_count();
-        let d = t.densify_in_place(2, PrefixLen::lit::<112>());
-        assert!(t.node_count() < before);
-        assert_eq!(d.len(), 1);
-        // Node-aligned: the branch node for ::1/::4 sits at /125.
-        assert_eq!(d[0].prefix, p("2001:db8::/125"));
-        assert_eq!(d[0].count, 2);
-        // Sparse /128 remains in the tree but is filtered from output...
-        assert_eq!(t.get(p("2400::1/128")), 1);
     }
 
     #[test]
