@@ -1,9 +1,9 @@
 //! Records what the full `v6census-lint` pipeline — scan, lex, symbol
 //! table, call graph, per-file rules, semantic rules — finds and proves
-//! over the workspace at HEAD, plus the lock and allocation passes'
-//! summary counters, and emits a `BENCH_lint.json` point (files
-//! scanned, findings, locks and allocation proofs) so later PRs can
-//! track the analysis as the rule set and the codebase grow. It takes
+//! over the workspace at HEAD, plus the allocation pass's summary
+//! counters, and emits a `BENCH_lint.json` point (files scanned,
+//! findings, allocation proofs) so later PRs can track the analysis as
+//! the rule set and the codebase grow. It takes
 //! no wall-clock readings: on one unchanged tree they spread wider than
 //! any change they could show. The JSON is written to the repository
 //! root unconditionally; CI uploads it as an artifact and commits track
@@ -53,24 +53,12 @@ fn main() {
         symbols: &symbols,
         calls: &calls,
     };
-    // R003/R004: lock registry, guard scopes, effect lattice, and the
-    // lock-order graph.
-    let lock_stats = lint::locks::analyze(&ws, &cfg).stats;
     // R005/R006: per-function allocation summaries, hot-loop
     // obligations, and capacity-discipline proofs.
     let alloc_stats = lint::allocs::analyze(&ws, &cfg).stats;
 
     println!(
         "lint_workspace  {files_scanned} files, {findings} findings ({suppressed} suppressed)"
-    );
-    println!(
-        "locks (R003/4)  {} fns, {} locks, {} edges (acyclic: {}), {}/{} obligations proven",
-        lock_stats.fns_summarized,
-        lock_stats.locks_found,
-        lock_stats.lock_edges,
-        lock_stats.acyclic,
-        lock_stats.proven,
-        lock_stats.effect_obligations
     );
     println!(
         "allocs (R005/6) {} fns ({} no-alloc, {} amortized, {} per-call), {} hot entries, {} loops, {}/{} loop + {}/{} capacity obligations proven",
@@ -91,22 +79,6 @@ fn main() {
     let _ = writeln!(json, "  \"files_scanned\": {files_scanned},");
     let _ = writeln!(json, "  \"findings\": {findings},");
     let _ = writeln!(json, "  \"suppressed\": {suppressed},");
-    let _ = writeln!(json, "  \"locks\": {{");
-    let _ = writeln!(
-        json,
-        "    \"fns_summarized\": {},",
-        lock_stats.fns_summarized
-    );
-    let _ = writeln!(json, "    \"locks_found\": {},", lock_stats.locks_found);
-    let _ = writeln!(json, "    \"lock_edges\": {},", lock_stats.lock_edges);
-    let _ = writeln!(json, "    \"acyclic\": {},", lock_stats.acyclic);
-    let _ = writeln!(
-        json,
-        "    \"effect_obligations\": {},",
-        lock_stats.effect_obligations
-    );
-    let _ = writeln!(json, "    \"proven\": {}", lock_stats.proven);
-    let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"allocs\": {{");
     let _ = writeln!(
         json,

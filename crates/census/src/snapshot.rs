@@ -201,10 +201,10 @@ fn assemble(
 /// `load` takes a read lock only long enough to clone the `Arc`;
 /// `publish` takes the write lock only long enough to swap the pointer.
 /// Snapshot *construction* never happens under either lock, so readers
-/// never block on ingest. Lock poisoning is survived the same way the
-/// supervisor survives it: a poisoned cell still holds a complete
-/// snapshot (the swap is a single pointer store), so we take the inner
-/// value and keep serving.
+/// never block on ingest. Neither method returns its guard, so no lock
+/// is held past the call that took it. Lock poisoning is survived: a
+/// poisoned cell still holds a complete snapshot (the swap is a single
+/// pointer store), so we take the inner value and keep serving.
 pub struct SnapshotCell {
     inner: RwLock<Arc<Snapshot>>,
 }

@@ -4,16 +4,17 @@
 //! scale the question is not *whether* an analysis shard will misbehave
 //! but *what the run does when it does*. This module runs the census
 //! pipeline as a sequence of stages, each a set of independent work
-//! units executed on a scoped pool of worker threads, under four
-//! guarantees:
+//! units run by a pool of worker threads, under four guarantees:
 //!
 //! * **Panic isolation** — every unit runs under `catch_unwind`. A
-//!   poisoned shard is retried once on a fresh worker; if it dies again
-//!   it is *excluded and recorded*, never allowed to abort the run.
+//!   poisoned shard is retried once, inline on the same worker; if it
+//!   dies again it is *excluded and recorded*, never allowed to abort
+//!   the run.
 //! * **Deadlines** — each stage has an optional wall-clock deadline. On
-//!   expiry the collector flips the shared cancellation token, abandons
-//!   hung workers (they are detached threads; a stuck unit cannot hold
-//!   the run hostage), and records which units timed out vs. never ran.
+//!   expiry the collector raises the shared cancellation token, after
+//!   which no worker claims a unit or starts a retry; it abandons hung
+//!   workers (they are detached threads; a stuck unit cannot hold the
+//!   run hostage) and records which units timed out vs. never ran.
 //! * **Resource budgets** — units receive a [`UnitCtx`] carrying the
 //!   trie node budget; a densify unit that hits the cap degrades to a
 //!   coarser aggregation level ([`v6census_trie::RadixTree::densify_budgeted`])
@@ -22,6 +23,11 @@
 //!   rolled into a [`RunManifest`]; every analysis product is an
 //!   [`Annotated`] value on the `Exact ≥ Degraded ≥ Partial` lattice, so
 //!   a reader can always tell what a number cost to produce.
+//!
+//! The engine takes no lock. Workers claim unit indices from one atomic
+//! counter and send each unit's outcome back over a bounded channel: a
+//! worker waits once `2 × jobs` outcomes are queued for the collector,
+//! whose `recv_timeout` on that channel is also the stage deadline.
 //!
 //! Determinism: work decomposition is fixed (per day file for ingest,
 //! per 16-bit address segment for densify) regardless of `--jobs`;
@@ -33,12 +39,13 @@ use crate::stream::{
     day_files, sweep_stale_tmp, FileOutcome, FileReport, IngestConfig, IngestError, IngestReport,
     ParsedFile, StreamIngestor,
 };
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
+use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 use v6census_addr::{Addr, PrefixLen};
 use v6census_core::quality::{Annotated, Quality};
@@ -77,19 +84,21 @@ impl Default for SupervisorConfig {
 }
 
 /// Per-attempt context handed to a work unit: the cancellation token and
-/// the accounting the unit reports back through.
+/// the accounting the unit reports back through. Each context lives on
+/// the one worker thread that runs the attempt, so its accounting is
+/// plain cells, not shared state.
 pub struct UnitCtx {
     cancel: Arc<AtomicBool>,
-    degraded: Mutex<Vec<String>>,
-    trie_nodes: AtomicUsize,
+    degraded: RefCell<Vec<String>>,
+    trie_nodes: Cell<usize>,
 }
 
 impl UnitCtx {
     fn new(cancel: Arc<AtomicBool>) -> UnitCtx {
         UnitCtx {
             cancel,
-            degraded: Mutex::new(Vec::new()),
-            trie_nodes: AtomicUsize::new(0),
+            degraded: RefCell::new(Vec::new()),
+            trie_nodes: Cell::new(0),
         }
     }
 
@@ -102,12 +111,12 @@ impl UnitCtx {
     /// Records that this unit produced a degraded (coarser, but still
     /// correct) result, and why.
     pub fn degrade(&self, note: impl Into<String>) {
-        lock(&self.degraded).push(note.into());
+        self.degraded.borrow_mut().push(note.into());
     }
 
     /// Records a trie-size observation; the per-unit peak is kept.
     pub fn record_trie_nodes(&self, nodes: usize) {
-        self.trie_nodes.fetch_max(nodes, Ordering::Relaxed);
+        self.trie_nodes.set(self.trie_nodes.get().max(nodes));
     }
 }
 
@@ -148,8 +157,8 @@ pub enum UnitStatus {
     },
     /// Was still running when the stage deadline expired.
     TimedOut,
-    /// Never started (deadline expired while it was queued, possibly
-    /// awaiting a retry).
+    /// Never started: the deadline expired before a worker claimed it,
+    /// or after its first attempt panicked but before the retry began.
     Cancelled,
 }
 
@@ -382,54 +391,6 @@ impl RunManifest {
 // The engine
 // ---------------------------------------------------------------------------
 
-/// Locks a mutex, surviving poisoning: supervised panics happen inside
-/// `catch_unwind`, never while holding these locks, but the engine must
-/// not amplify a contained panic into an abort either way.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// A closable work queue: workers block on `pop` until a job arrives or
-/// the collector closes the queue. Closable (rather than
-/// drop-the-sender) because a retry can re-enqueue work after the queue
-/// momentarily ran dry, and workers must not exit in that window.
-struct JobQueue {
-    state: Mutex<(std::collections::VecDeque<(usize, u32)>, bool)>,
-    cv: Condvar,
-}
-
-impl JobQueue {
-    fn new() -> JobQueue {
-        JobQueue {
-            state: Mutex::new((std::collections::VecDeque::new(), false)),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn push(&self, job: (usize, u32)) {
-        lock(&self.state).0.push_back(job);
-        self.cv.notify_one();
-    }
-
-    fn close(&self) {
-        lock(&self.state).1 = true;
-        self.cv.notify_all();
-    }
-
-    fn pop(&self) -> Option<(usize, u32)> {
-        let mut g = lock(&self.state);
-        loop {
-            if let Some(job) = g.0.pop_front() {
-                return Some(job);
-            }
-            if g.1 {
-                return None;
-            }
-            g = self.cv.wait(g).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
 /// Turns a panic payload into a human-readable reason.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -460,13 +421,12 @@ fn silence_supervised_panics() {
     });
 }
 
-const STATE_PENDING: u8 = 0;
-const STATE_RUNNING: u8 = 1;
-const STATE_DONE: u8 = 2;
-
+/// A unit's final outcome, sent by its worker to the collector.
 struct Done<T> {
     idx: usize,
-    attempt: u32,
+    /// Attempts used, including the last one.
+    attempts: u32,
+    /// The value, or the last attempt's panic message.
     result: Result<T, String>,
     degraded: Vec<String>,
     trie_nodes: usize,
@@ -510,24 +470,23 @@ pub fn run_stage<T: Send + 'static>(
     silence_supervised_panics();
 
     let jobs = cfg.jobs.max(1).min(n);
-    let queue = Arc::new(JobQueue::new());
-    for i in 0..n {
-        queue.push((i, 0));
-    }
     let cancel = Arc::new(AtomicBool::new(false));
-    let states: Arc<Vec<AtomicU8>> =
-        Arc::new((0..n).map(|_| AtomicU8::new(STATE_PENDING)).collect());
+    let next = Arc::new(AtomicUsize::new(0));
+    // Set while a unit has an attempt under way or finished; a unit
+    // whose retry never starts is reset, so the deadline can tell a
+    // unit that timed out from one that never ran.
+    let started: Arc<Vec<AtomicBool>> = Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
     let units = Arc::new(units);
     // Bounded: workers block once `2 × jobs` results await collection,
     // so a fast stage cannot buffer its whole output ahead of the
-    // (serial) collector — backpressure, not an unbounded queue.
+    // (serial) collector.
     let (tx, rx) = mpsc::sync_channel::<Done<T>>(jobs * 2);
 
     let mut handles = Vec::with_capacity(jobs);
     for w in 0..jobs {
-        let queue = Arc::clone(&queue);
         let cancel = Arc::clone(&cancel);
-        let states = Arc::clone(&states);
+        let next = Arc::clone(&next);
+        let started = Arc::clone(&started);
         let units = Arc::clone(&units);
         let tx = tx.clone();
         let faults = cfg.faults.clone();
@@ -536,21 +495,36 @@ pub fn run_stage<T: Send + 'static>(
         let spawned = std::thread::Builder::new()
             .name(format!("{WORKER_PREFIX}{w}"))
             .spawn(move || {
-                while let Some((idx, attempt)) = queue.pop() {
-                    states[idx].store(STATE_RUNNING, Ordering::SeqCst);
-                    let ctx = UnitCtx::new(Arc::clone(&cancel));
-                    let label = units[idx].label.clone();
-                    let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-                        faults.trip(&label, attempt);
-                        (units[idx].work)(&ctx)
-                    }));
-                    states[idx].store(STATE_DONE, Ordering::SeqCst);
-                    let done = Done {
-                        idx,
-                        attempt,
-                        result: caught.map_err(panic_message),
-                        degraded: std::mem::take(&mut *lock(&ctx.degraded)),
-                        trie_nodes: ctx.trie_nodes.load(Ordering::Relaxed),
+                // Once the deadline raises `cancel`, no unit is claimed.
+                while !cancel.load(Ordering::SeqCst) {
+                    let idx = next.fetch_add(1, Ordering::SeqCst);
+                    let Some(unit) = units.get(idx) else { break };
+                    let mut attempt = 0;
+                    let done = loop {
+                        started[idx].store(true, Ordering::SeqCst);
+                        let ctx = UnitCtx::new(Arc::clone(&cancel));
+                        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                            faults.trip(&unit.label, attempt);
+                            (unit.work)(&ctx)
+                        }));
+                        if caught.is_err() && attempt == 0 {
+                            // One retry, inline on this worker. If the
+                            // deadline fired meanwhile the retry never
+                            // starts and the unit reports `Cancelled`.
+                            started[idx].store(false, Ordering::SeqCst);
+                            if cancel.load(Ordering::SeqCst) {
+                                return;
+                            }
+                            attempt = 1;
+                            continue;
+                        }
+                        break Done {
+                            idx,
+                            attempts: attempt + 1,
+                            result: caught.map_err(panic_message),
+                            degraded: ctx.degraded.take(),
+                            trie_nodes: ctx.trie_nodes.get(),
+                        };
                     };
                     // A send error means the collector gave up (deadline);
                     // nothing left to do but exit.
@@ -561,65 +535,51 @@ pub fn run_stage<T: Send + 'static>(
             });
         match spawned {
             Ok(h) => handles.push(h),
-            // Could not spawn a worker (resource exhaustion). The units
-            // already queued will be drained by the workers that did
-            // start; with zero workers the deadline path reports below.
+            // Could not spawn a worker (resource exhaustion). The workers
+            // that did start claim every unit; with zero workers the
+            // channel disconnects at once and the units report below.
             Err(_) => break,
         }
     }
     drop(tx);
 
     let mut settled = vec![false; n];
-    let mut n_settled = 0usize;
+    let mut settle = |done: Done<T>| {
+        settled[done.idx] = true;
+        let report = &mut reports[done.idx];
+        report.status = match done.result {
+            Ok(value) => {
+                results[done.idx] = Some(value);
+                UnitStatus::Ok {
+                    attempts: done.attempts,
+                }
+            }
+            Err(reason) => UnitStatus::Excluded { reason },
+        };
+        report.degraded = done.degraded;
+        report.trie_nodes = done.trie_nodes;
+    };
+    // Each unit is claimed once, so it sends at most one outcome.
+    let mut outstanding = n;
     let mut deadline_expired = false;
-    while n_settled < n {
-        let wait = match cfg.stage_deadline {
+    while outstanding > 0 {
+        let received = match cfg.stage_deadline {
             Some(d) => match d.checked_sub(start.elapsed()) {
-                Some(remaining) => remaining,
+                Some(remaining) => rx.recv_timeout(remaining),
                 None => {
                     deadline_expired = true;
                     break;
                 }
             },
-            // No deadline: wake periodically so a zero-worker stage (all
-            // spawns failed) cannot hang the collector forever.
-            None => Duration::from_millis(500),
+            None => rx.recv().map_err(RecvTimeoutError::from),
         };
-        match rx.recv_timeout(wait) {
+        match received {
             Ok(done) => {
-                if settled[done.idx] {
-                    continue; // late duplicate (cannot happen, but harmless)
-                }
-                match done.result {
-                    Ok(value) => {
-                        results[done.idx] = Some(value);
-                        reports[done.idx].status = UnitStatus::Ok {
-                            attempts: done.attempt + 1,
-                        };
-                        reports[done.idx].degraded = done.degraded;
-                        reports[done.idx].trie_nodes = done.trie_nodes;
-                        settled[done.idx] = true;
-                        n_settled += 1;
-                    }
-                    Err(reason) => {
-                        if done.attempt == 0 {
-                            // One retry on a fresh attempt.
-                            states[done.idx].store(STATE_PENDING, Ordering::SeqCst);
-                            queue.push((done.idx, 1));
-                        } else {
-                            reports[done.idx].status = UnitStatus::Excluded { reason };
-                            settled[done.idx] = true;
-                            n_settled += 1;
-                        }
-                    }
-                }
+                settle(done);
+                outstanding -= 1;
             }
-            Err(RecvTimeoutError::Timeout) => {
-                if cfg.stage_deadline.is_some_and(|d| start.elapsed() >= d) {
-                    deadline_expired = true;
-                    break;
-                }
-            }
+            // The loop top reads the clock again.
+            Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
         }
     }
@@ -628,45 +588,31 @@ pub fn run_stage<T: Send + 'static>(
         // Cooperative cancellation for units that poll, abandonment for
         // those that don't.
         cancel.store(true, Ordering::SeqCst);
-    }
-    queue.close();
-    if !deadline_expired {
-        // Clean path: every unit settled, so every send was consumed and
-        // each worker is at (or heading for) its queue-closed exit. Join
-        // so no worker still holds references (e.g. to a shared census)
-        // after the stage returns. Never joined on the deadline path —
-        // that is exactly when a worker may be hung.
+    } else {
+        // Clean path: every unit settled (or every worker is gone), so
+        // each worker is at or heading for its exit. Join so no worker
+        // still holds references (e.g. to a shared census) after the
+        // stage returns. Never joined on the deadline path — that is
+        // exactly when a worker may be hung.
         for h in handles {
             let _ = h.join();
         }
     }
-
-    // Classify what the deadline left behind: a unit observed RUNNING
-    // was abandoned mid-flight (timed out); one still PENDING never ran.
-    for i in 0..n {
-        if settled[i] {
-            continue;
-        }
-        reports[i].status = match states[i].load(Ordering::SeqCst) {
-            STATE_RUNNING => UnitStatus::TimedOut,
-            STATE_DONE => UnitStatus::TimedOut, // result in flight; drained below
-            _ => UnitStatus::Cancelled,
-        };
-    }
-    // Grace drain: results that finished in the race window between the
-    // deadline firing and the queue closing still count.
+    // Grace drain: outcomes already queued when the collector stopped
+    // receiving still count.
     while let Ok(done) = rx.try_recv() {
-        if settled[done.idx] {
-            continue;
-        }
-        if let Ok(value) = done.result {
-            results[done.idx] = Some(value);
-            reports[done.idx].status = UnitStatus::Ok {
-                attempts: done.attempt + 1,
+        settle(done);
+    }
+    // Classify what the deadline left behind: a started unit was
+    // abandoned mid-attempt (or its outcome is still in flight); one
+    // never started (or whose retry never did) was cancelled.
+    for (report, (started, settled)) in reports.iter_mut().zip(started.iter().zip(settled)) {
+        if !settled {
+            report.status = if started.load(Ordering::SeqCst) {
+                UnitStatus::TimedOut
+            } else {
+                UnitStatus::Cancelled
             };
-            reports[done.idx].degraded = done.degraded;
-            reports[done.idx].trie_nodes = done.trie_nodes;
-            settled[done.idx] = true;
         }
     }
 
@@ -1075,6 +1021,13 @@ mod tests {
         assert_eq!(flaky_tries.load(Ordering::SeqCst), 2);
     }
 
+    /// Raises the stage's cancellation token from inside a unit: what the
+    /// deadline does, pinned to a known point of the unit's attempt so
+    /// the test does not race the collector's clock.
+    fn fire_deadline(ctx: &UnitCtx) {
+        ctx.cancel.store(true, Ordering::SeqCst);
+    }
+
     #[test]
     fn deadline_classifies_timed_out_vs_cancelled() {
         let units = vec![
@@ -1103,6 +1056,71 @@ mod tests {
         assert!(results.iter().all(Option::is_none));
         assert_eq!(report.quality(), Quality::Partial);
         assert_eq!(report.lost_to_deadline().len(), 3);
+
+        // A flaky unit whose first attempt panics after the deadline
+        // fired: its retry would start too late, so it never does, and
+        // the unit reports `Cancelled` like one that never ran. The hog
+        // (claimed first) keeps the stage open until the real deadline.
+        let flaky_tries = Arc::new(AtomicU32::new(0));
+        let tries = Arc::clone(&flaky_tries);
+        let units = vec![
+            Unit::new("hog", |_ctx: &UnitCtx| {
+                std::thread::sleep(Duration::from_secs(30));
+                0u32
+            }),
+            Unit::new("flaky", move |ctx: &UnitCtx| {
+                if tries.fetch_add(1, Ordering::SeqCst) == 0 {
+                    fire_deadline(ctx);
+                    panic!("first attempt dies after the deadline");
+                }
+                9u32
+            }),
+        ];
+        let two = SupervisorConfig {
+            jobs: 2,
+            ..deadline
+        };
+        let (results, report) = run_stage("late-retry", units, &two);
+        assert!(report.deadline_expired);
+        assert_eq!(report.units[0].status, UnitStatus::TimedOut);
+        assert_eq!(report.units[1].status, UnitStatus::Cancelled);
+        assert_eq!(flaky_tries.load(Ordering::SeqCst), 1, "no retry ran");
+        assert!(results.iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn no_unit_is_claimed_after_the_deadline_fires() {
+        let claims = Arc::new(AtomicU32::new(0));
+        let mut units = vec![
+            Unit::new("hog", |_ctx: &UnitCtx| {
+                std::thread::sleep(Duration::from_secs(30));
+                0u32
+            }),
+            Unit::new("trigger", |ctx: &UnitCtx| {
+                fire_deadline(ctx);
+                1u32
+            }),
+        ];
+        for i in 0..4 {
+            let claims = Arc::clone(&claims);
+            units.push(Unit::new(format!("late-{i}"), move |_ctx: &UnitCtx| {
+                claims.fetch_add(1, Ordering::SeqCst);
+                2u32
+            }));
+        }
+        let cfg = SupervisorConfig {
+            jobs: 2,
+            stage_deadline: Some(Duration::from_millis(150)),
+            ..SupervisorConfig::default()
+        };
+        let (results, report) = run_stage("claims", units, &cfg);
+        assert_eq!(claims.load(Ordering::SeqCst), 0, "a unit ran after cancel");
+        assert_eq!(report.units[0].status, UnitStatus::TimedOut);
+        assert_eq!(report.units[1].status, UnitStatus::Ok { attempts: 1 });
+        assert_eq!(results[1], Some(1));
+        for u in &report.units[2..] {
+            assert_eq!(u.status, UnitStatus::Cancelled, "{}", u.label);
+        }
     }
 
     #[test]

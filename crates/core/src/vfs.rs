@@ -235,51 +235,55 @@ impl MemFs {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, MemState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    /// Runs `f` on the state under its lock. The guard lives only for
+    /// the call, so no caller can hold it across another operation.
+    fn with<R>(&self, f: impl FnOnce(&mut MemState) -> R) -> R {
+        f(&mut self.state.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// The durable view: what a crash right now would preserve.
     pub fn durable_files(&self) -> BTreeMap<PathBuf, Vec<u8>> {
-        self.lock()
-            .files
-            .iter()
-            .filter_map(|(p, f)| f.durable.as_ref().map(|d| (p.clone(), d.clone())))
-            .collect()
+        self.with(|state| {
+            state
+                .files
+                .iter()
+                .filter_map(|(p, f)| f.durable.as_ref().map(|d| (p.clone(), d.clone())))
+                .collect()
+        })
     }
 
     /// The directories created so far (directory creation is treated as
     /// durable metadata).
     pub fn durable_dirs(&self) -> BTreeSet<PathBuf> {
-        self.lock().dirs.clone()
+        self.with(|state| state.dirs.clone())
     }
 
     /// Durability-relevant mutations performed since the last
     /// [`MemFs::reset_ops`].
     pub fn mutations(&self) -> usize {
-        self.lock().ops.len()
+        self.with(|state| state.ops.len())
     }
 
     /// The op log: one human-readable line per mutation, in order.
     pub fn op_log(&self) -> Vec<String> {
-        self.lock().ops.clone()
+        self.with(|state| state.ops.clone())
     }
 
     /// Clears the op log (e.g. after staging fixture files) so crash
     /// ordinals count only the run under test.
     pub fn reset_ops(&self) {
-        self.lock().ops.clear();
+        self.with(|state| state.ops.clear());
     }
 
     /// Schedules a crash: the mutation with 0-based ordinal `n` — and
     /// every operation after it, reads included — fails.
     pub fn set_crash_after(&self, n: usize) {
-        self.lock().crash_after = Some(n);
+        self.with(|state| state.crash_after = Some(n));
     }
 
     /// True once the scheduled crash has triggered.
     pub fn crashed(&self) -> bool {
-        self.lock().crashed
+        self.with(|state| state.crashed)
     }
 }
 
@@ -312,128 +316,136 @@ impl Vfs for MemFs {
     }
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let state = self.lock();
-        state.check_alive()?;
-        match state.files.get(path) {
-            Some(f) => Ok(f.volatile.clone()),
-            None => Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("no such file: {}", path.display()),
-            )),
-        }
+        self.with(|state| {
+            state.check_alive()?;
+            match state.files.get(path) {
+                Some(f) => Ok(f.volatile.clone()),
+                None => Err(io::Error::new(
+                    io::ErrorKind::NotFound,
+                    format!("no such file: {}", path.display()),
+                )),
+            }
+        })
     }
 
     fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        let mut state = self.lock();
-        state.mutate(format!("write {} ({} bytes)", path.display(), data.len()))?;
-        match state.files.get_mut(path) {
-            Some(f) => f.volatile = data.to_vec(),
-            None => {
-                state.files.insert(
-                    path.to_path_buf(),
-                    MemFile {
-                        volatile: data.to_vec(),
-                        durable: None,
-                    },
-                );
+        self.with(|state| {
+            state.mutate(format!("write {} ({} bytes)", path.display(), data.len()))?;
+            match state.files.get_mut(path) {
+                Some(f) => f.volatile = data.to_vec(),
+                None => {
+                    state.files.insert(
+                        path.to_path_buf(),
+                        MemFile {
+                            volatile: data.to_vec(),
+                            durable: None,
+                        },
+                    );
+                }
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     fn fsync(&self, path: &Path) -> io::Result<()> {
-        let mut state = self.lock();
-        state.mutate(format!("fsync {}", path.display()))?;
-        match state.files.get_mut(path) {
-            Some(f) => {
-                f.durable = Some(f.volatile.clone());
-                Ok(())
+        self.with(|state| {
+            state.mutate(format!("fsync {}", path.display()))?;
+            match state.files.get_mut(path) {
+                Some(f) => {
+                    f.durable = Some(f.volatile.clone());
+                    Ok(())
+                }
+                None => Err(io::Error::new(
+                    io::ErrorKind::NotFound,
+                    format!("fsync of missing file: {}", path.display()),
+                )),
             }
-            None => Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("fsync of missing file: {}", path.display()),
-            )),
-        }
+        })
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        let mut state = self.lock();
-        state.mutate(format!("rename {} -> {}", from.display(), to.display()))?;
-        let Some(f) = state.files.remove(from) else {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("rename of missing file: {}", from.display()),
-            ));
-        };
-        // The rename is durable metadata: after a crash, `to` exists
-        // with whatever content of `from` was durable — an empty file if
-        // `from` was never fsynced (the torn-artifact case).
-        let durable = Some(f.durable.unwrap_or_default());
-        state.files.insert(
-            to.to_path_buf(),
-            MemFile {
-                volatile: f.volatile,
-                durable,
-            },
-        );
-        Ok(())
+        self.with(|state| {
+            state.mutate(format!("rename {} -> {}", from.display(), to.display()))?;
+            let Some(f) = state.files.remove(from) else {
+                return Err(io::Error::new(
+                    io::ErrorKind::NotFound,
+                    format!("rename of missing file: {}", from.display()),
+                ));
+            };
+            // The rename is durable metadata: after a crash, `to` exists
+            // with whatever content of `from` was durable — an empty file if
+            // `from` was never fsynced (the torn-artifact case).
+            let durable = Some(f.durable.unwrap_or_default());
+            state.files.insert(
+                to.to_path_buf(),
+                MemFile {
+                    volatile: f.volatile,
+                    durable,
+                },
+            );
+            Ok(())
+        })
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
-        let mut state = self.lock();
-        state.mutate(format!("remove {}", path.display()))?;
-        match state.files.remove(path) {
-            Some(_) => Ok(()),
-            None => Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("remove of missing file: {}", path.display()),
-            )),
-        }
+        self.with(|state| {
+            state.mutate(format!("remove {}", path.display()))?;
+            match state.files.remove(path) {
+                Some(_) => Ok(()),
+                None => Err(io::Error::new(
+                    io::ErrorKind::NotFound,
+                    format!("remove of missing file: {}", path.display()),
+                )),
+            }
+        })
     }
 
     fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        let mut state = self.lock();
-        state.check_alive()?;
-        if state.dirs.contains(path) {
-            // Re-creating an existing directory is not a durability
-            // event; it must not advance the crash clock.
-            return Ok(());
-        }
-        state.mutate(format!("mkdir {}", path.display()))?;
-        let mut cur = path.to_path_buf();
-        loop {
-            state.dirs.insert(cur.clone());
-            match cur.parent() {
-                Some(p) if !p.as_os_str().is_empty() => cur = p.to_path_buf(),
-                _ => break,
+        self.with(|state| {
+            state.check_alive()?;
+            if state.dirs.contains(path) {
+                // Re-creating an existing directory is not a durability
+                // event; it must not advance the crash clock.
+                return Ok(());
             }
-        }
-        Ok(())
+            state.mutate(format!("mkdir {}", path.display()))?;
+            let mut cur = path.to_path_buf();
+            loop {
+                state.dirs.insert(cur.clone());
+                match cur.parent() {
+                    Some(p) if !p.as_os_str().is_empty() => cur = p.to_path_buf(),
+                    _ => break,
+                }
+            }
+            Ok(())
+        })
     }
 
     fn read_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
-        let state = self.lock();
-        state.check_alive()?;
-        let mut out: Vec<PathBuf> = state
-            .files
-            .keys()
-            .filter(|p| p.parent() == Some(path))
-            .cloned()
-            .collect();
-        out.extend(
-            state
-                .dirs
-                .iter()
-                .filter(|d| d.parent() == Some(path))
-                .cloned(),
-        );
-        out.sort();
-        Ok(out)
+        self.with(|state| {
+            state.check_alive()?;
+            let mut out: Vec<PathBuf> = state
+                .files
+                .keys()
+                .filter(|p| p.parent() == Some(path))
+                .cloned()
+                .collect();
+            out.extend(
+                state
+                    .dirs
+                    .iter()
+                    .filter(|d| d.parent() == Some(path))
+                    .cloned(),
+            );
+            out.sort();
+            Ok(out)
+        })
     }
 
     fn exists(&self, path: &Path) -> bool {
-        let state = self.lock();
-        !state.crashed && (state.files.contains_key(path) || state.dirs.contains(path))
+        self.with(|state| {
+            !state.crashed && (state.files.contains_key(path) || state.dirs.contains(path))
+        })
     }
 }
 
@@ -648,35 +660,39 @@ impl FaultFs {
 
     /// Faults injected so far.
     pub fn injected(&self) -> u64 {
-        self.lock().injected
+        self.with(|state| state.injected)
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, FaultFsState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    /// Runs `f` on the rule state under its lock. The guard lives only
+    /// for the call, and `f` never reaches the inner Vfs, so this lock
+    /// never nests inside `MemFs`'s.
+    fn with<R>(&self, f: impl FnOnce(&mut FaultFsState) -> R) -> R {
+        f(&mut self.state.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Consumes and returns the first applicable rule's fault for this
     /// operation, honoring skip/times budgets.
     fn fire(&self, op: OpClass, path: &Path) -> Option<FaultKind> {
-        let mut state = self.lock();
-        let text = path.to_string_lossy().into_owned();
-        for r in state.rules.iter_mut() {
-            if r.times_left == 0
-                || !applies(&r.rule.kind, op)
-                || !text.contains(&r.rule.path_contains)
-            {
-                continue;
+        self.with(|state| {
+            let text = path.to_string_lossy().into_owned();
+            for r in state.rules.iter_mut() {
+                if r.times_left == 0
+                    || !applies(&r.rule.kind, op)
+                    || !text.contains(&r.rule.path_contains)
+                {
+                    continue;
+                }
+                if r.skip_left > 0 {
+                    r.skip_left -= 1;
+                    continue;
+                }
+                r.times_left -= 1;
+                let kind = r.rule.kind.clone();
+                state.injected += 1;
+                return Some(kind);
             }
-            if r.skip_left > 0 {
-                r.skip_left -= 1;
-                continue;
-            }
-            r.times_left -= 1;
-            let kind = r.rule.kind.clone();
-            state.injected += 1;
-            return Some(kind);
-        }
-        None
+            None
+        })
     }
 }
 

@@ -7,7 +7,7 @@
 //! hundreds of millions at paper scale (318M daily addresses in
 //! Plonka & Berger's data). This pass turns "this loop allocates" into
 //! a machine-checked obligation, the same proof-not-promise posture
-//! R001–R004 established for panics, bit ranges, and locks.
+//! R001 takes for panics.
 //!
 //! Every function gets an *allocation effect* on a three-point
 //! lattice, `NoAlloc < AmortizedAlloc < AllocPerCall`:

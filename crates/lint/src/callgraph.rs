@@ -14,10 +14,10 @@
 //!
 //! The semantic rules share three operations over the graph, defined
 //! once here: `lift` carries a per-function fact from callees to
-//! callers to a fixpoint (R003's lock sets, R004's may-block bit,
-//! R005's allocation effect), `reach` walks it breadth-first from a
-//! root set (R001's and R005's entry points), and `walk` + `render`
-//! turn hop maps and parent maps into `a → b → c` witness chains.
+//! callers to a fixpoint (R005's allocation effect), `reach` walks it
+//! breadth-first from a root set (R001's and R005's entry points), and
+//! `walk` + `render` turn hop maps and parent maps into `a → b → c`
+//! witness chains.
 
 use std::collections::{BTreeMap, VecDeque};
 

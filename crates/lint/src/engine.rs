@@ -78,7 +78,7 @@ pub fn lint_workspace(
 /// against `root` for scope matching and diagnostics.
 ///
 /// Runs in two layers: the per-file lexical rules over each scanned
-/// file, then the semantic rules (`L007`, `L008`, `R001`–`R006`) over
+/// file, then the semantic rules (`L007`–`L009`, `R001`, `R005`, `R006`) over
 /// the symbol table and call graph built from *all* the files. Pragma
 /// application and accountability happen last, per file, so an
 /// `allow(R001, …)` next to a reachable panic site both suppresses the
@@ -119,9 +119,8 @@ pub fn lint_files(
         calls: &calls,
     };
     for rule in semantic_registry() {
-        // R003/R004 share one `locks::analyze` pass and R005/R006 one
-        // `allocs::analyze` pass, both below.
-        if matches!(rule.id(), "R003" | "R004" | "R005" | "R006") {
+        // R005/R006 share one `allocs::analyze` pass, below.
+        if matches!(rule.id(), "R005" | "R006") {
             continue;
         }
         let mut out = Vec::new();
@@ -130,22 +129,7 @@ pub fn lint_files(
         all.append(&mut out);
     }
 
-    // Layer 2b: the concurrency pass — one shared analysis feeding
-    // both R003 (lock-order acyclicity) and R004 (blocking-under-lock)
-    // so the guard scopes and call-graph lifting are computed once.
-    let conc = crate::locks::analyze(&ws, cfg);
-    all.extend(
-        conc.cycle_findings
-            .into_iter()
-            .filter(|d| cfg.rule_applies("R003", &d.rel)),
-    );
-    all.extend(
-        conc.blocking_findings
-            .into_iter()
-            .filter(|d| cfg.rule_applies("R004", &d.rel)),
-    );
-
-    // Layer 2c: the allocation-effect pass — one shared analysis
+    // Layer 2b: the allocation-effect pass — one shared analysis
     // feeding both R005 (alloc-in-hot-loop) and R006
     // (capacity-discipline). Both rules are additionally gated by the
     // `[hot] paths` scope: the obligation is "the hot kernels stay

@@ -4,16 +4,15 @@
 //! panic-free library paths, byte-for-byte deterministic product
 //! output, lossless bit/nybble casts, a typed error taxonomy, a
 //! documented process exit-code mapping, and a crash-consistent
-//! durability path. This crate enforces them as lexical rules
-//! (`L001`–`L008`) over comment- and string-blanked source, the
-//! interprocedural proofs — `R001` panic-reachability over the
-//! [`callgraph`], `R003` lock-order acyclicity
-//! and `R004` blocking-under-lock ([`locks`] + [`effects`], guard
-//! scopes and blocking effects lifted over the call graph), `R005`
-//! alloc-in-hot-loop and `R006` capacity-discipline ([`allocs`], a
-//! three-point allocation-effect lattice lifted over the call graph
-//! and checked against token-precise loop scopes) — and
-//! per-line `// lint: allow(<rule>, reason = "...")` suppression
+//! durability path, with locks confined to the files that may hold
+//! them. This crate enforces them as lexical rules (`L001`–`L009`;
+//! L008 and L009 in [`effects`]) over comment- and string-blanked
+//! source, the interprocedural proofs — `R001` panic-reachability over
+//! the [`callgraph`], `R005` alloc-in-hot-loop and `R006`
+//! capacity-discipline ([`allocs`], a three-point allocation-effect
+//! lattice lifted over the call graph and checked against
+//! token-precise loop scopes) — and per-line
+//! `// lint: allow(<rule>, reason = "...")` suppression
 //! pragmas that are themselves machine-checked (`P000`, `P001`).
 //!
 //! Run it as `cargo run -p lint -- --workspace` (add `--deny all` in
@@ -28,7 +27,6 @@ pub mod config;
 pub mod effects;
 pub mod engine;
 pub mod lexer;
-pub mod locks;
 pub mod reach;
 pub mod report;
 pub mod rules;

@@ -28,15 +28,13 @@
 //! | L008 | vfs-bypass               | durability-scoped modules never mutate  |
 //! |      |                          | the real filesystem behind `core::vfs`  |
 //! |      |                          | (see [`crate::effects`])                |
+//! | L009 | lock-confinement         | `Mutex`/`RwLock`/`Condvar` are named    |
+//! |      |                          | only in the `allowed` files of          |
+//! |      |                          | `lint.toml` (see [`crate::effects`])    |
 //! | R001 | panic-reachability       | no non-test call path from the          |
 //! |      |                          | configured entry points reaches a       |
 //! |      |                          | panicking construct (see               |
 //! |      |                          | [`crate::reach`])                       |
-//! | R003 | lock-order               | the interprocedural lock-acquisition    |
-//! |      |                          | graph is acyclic (see [`crate::locks`]) |
-//! | R004 | blocking-under-lock      | no path blocks (I/O, sleep, join, recv) |
-//! |      |                          | while a Mutex/RwLock guard is live      |
-//! |      |                          | (see [`crate::effects`])                |
 //! | R005 | alloc-in-hot-loop        | no per-call allocation inside a loop    |
 //! |      |                          | reachable from a `[hot]` entry point    |
 //! |      |                          | (see [`crate::allocs`])                 |
@@ -125,9 +123,8 @@ pub fn semantic_registry() -> Vec<Box<dyn SemanticRule>> {
     vec![
         Box::new(DiscardedResults),
         Box::new(crate::effects::VfsBypass),
+        Box::new(crate::effects::LockConfinement),
         Box::new(crate::reach::PanicReach),
-        Box::new(crate::locks::LockOrder),
-        Box::new(crate::effects::BlockingUnderLock),
         Box::new(crate::allocs::AllocInHotLoop),
         Box::new(crate::allocs::CapacityDiscipline),
     ]

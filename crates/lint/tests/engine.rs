@@ -197,83 +197,34 @@ fn reach_fixture_prints_the_call_chain() {
     assert_eq!(report.exit_code(), 1, "a reachable panic fails the run");
 }
 
-// -------------------------------------------- R003/R004 concurrency
+// ---------------------------------------------------------------- L009
 
-/// The seeded AB/BA deadlock: `fwd` holds `A` and takes `B` through
-/// `take_b`, `rev` holds `B` and takes `A` through `take_a`. R003 must
-/// report one cycle whose witness spells both chains — every fn hop
-/// and both lock names.
+/// The seeded AB/BA deadlock (`fwd` holds `A` and takes `B` through
+/// `take_b`, `rev` the reverse) cannot be written without naming
+/// `Mutex`: the `use` line and both statics are findings.
 #[test]
-fn r003_cycle_fixture_prints_both_witness_chains() {
-    let report = lint_fixture("r003_cycle.rs");
-    let r003 = hits(&report, "R003");
-    assert_eq!(r003.len(), 1, "{:?}", report.diagnostics);
-    let d = r003.first().expect("one R003 finding");
-    assert_eq!(d.rel, "r003_cycle.rs");
-    assert!(
-        d.message.contains("lock-order cycle"),
-        "message names the failure class: {}",
-        d.message
-    );
-    let chain = d.chain.as_deref().expect("cycle witness");
-    for hop in [
-        "r003_cycle::fwd",
-        "r003_cycle::take_b",
-        "r003_cycle::rev",
-        "r003_cycle::take_a",
-    ] {
-        assert!(chain.contains(hop), "chain must name hop {hop}: {chain}");
-    }
-    assert!(
-        chain.contains("`A`") && chain.contains("`B`"),
-        "chain names both locks: {chain}"
-    );
-    assert!(
-        chain.contains("holds") && chain.contains("acquires"),
-        "each chain spells hold-then-acquire: {chain}"
-    );
-    assert_eq!(report.exit_code(), 1, "a lock-order cycle fails the run");
+fn l009_cycle_bad_fixture_flags_every_lock() {
+    let report = lint_fixture("l009_cycle_bad.rs");
+    let lines: Vec<usize> = hits(&report, "L009").iter().map(|d| d.line).collect();
+    assert_eq!(lines, [7, 10, 12], "{:?}", report.diagnostics);
+    assert_bad("l009_cycle_bad.rs", "L009", 3);
 }
 
-/// Blocking while a guard is live: a direct `thread::sleep` under a
-/// static's guard and a channel `recv()` under a field's guard.
+/// Blocking while a guard is live — a `thread::sleep` under a
+/// static's guard, a channel `recv()` under a field's guard — needs the
+/// locks L009 flags: the `use` line, the static and the field.
 #[test]
-fn r004_bad_fixture_flags_both_blocking_sites() {
-    let report = lint_fixture("r004_bad.rs");
-    let r004 = hits(&report, "R004");
-    assert_eq!(r004.len(), 2, "{:?}", report.diagnostics);
-    let sleep = r004
-        .iter()
-        .find(|d| d.message.contains("sleep"))
-        .expect("sleep-under-lock finding");
-    assert!(
-        sleep.message.contains("`STATE`"),
-        "names the held lock: {}",
-        sleep.message
-    );
-    let recv = r004
-        .iter()
-        .find(|d| d.message.contains("recv"))
-        .expect("recv-under-lock finding");
-    assert!(
-        recv.message.contains("`Inbox.seq`"),
-        "names the held field lock: {}",
-        recv.message
-    );
-    for d in &r004 {
-        let chain = d.chain.as_deref().expect("R004 witness");
-        assert!(chain.contains("holds"), "chain shows the hold: {chain}");
-    }
-    assert_eq!(report.exit_code(), 1);
+fn l009_blocking_bad_fixture_flags_every_lock() {
+    let report = lint_fixture("l009_blocking_bad.rs");
+    let lines: Vec<usize> = hits(&report, "L009").iter().map(|d| d.line).collect();
+    assert_eq!(lines, [8, 12, 24], "{:?}", report.diagnostics);
+    assert_bad("l009_blocking_bad.rs", "L009", 3);
 }
 
-/// Guards dropped before blocking — explicitly or by dying at their
-/// statement's `;` — are clean.
+/// The same shapes on an atomic and a channel name no lock: clean.
 #[test]
-fn r004_ok_fixture_is_clean() {
-    assert_ok("r004_ok.rs");
-    let report = lint_fixture("r004_ok.rs");
-    assert!(hits(&report, "R004").is_empty(), "{:?}", report.diagnostics);
+fn l009_ok_fixture_is_clean() {
+    assert_ok("l009_ok.rs");
 }
 
 // ---------------------------------------------------------------- L008
@@ -489,28 +440,27 @@ fn workspace_at_head_is_lint_clean() {
     // serve.rs now()'s L002 allowance: the daemon needs one monotonic
     // clock for socket/drain deadlines, funneled through a single
     // helper that no snapshot, response body, or equivalence key ever
-    // reads). The ceiling includes the concurrency rules added with
-    // R003/R004/L008: the daemon's hot paths are *proven* clean (locks
-    // dropped before I/O, all mutations through core::vfs), not
+    // reads). Locks and raw filesystem mutations are confined by
+    // construction (L009's allowed files, L008's vfs scope), not
     // pragma'd clean, so none of the three budget slots may be spent
     // on them. Raising it needs a reviewed justification here, not
     // just a new pragma.
     assert!(
         report.suppressed_count() <= 3,
-        "reasoned-pragma total grew to {} (ceiling 3, R003/R004/L008 \
-         included) — prove the site via R003/R004 or justify \
-         raising the ceiling",
+        "reasoned-pragma total grew to {} (ceiling 3) — fix the site, \
+         list a new lock under [rules.L009] allowed, or justify raising \
+         the ceiling",
         report.suppressed_count()
     );
     let conc_pragmas: Vec<String> = report
         .diagnostics
         .iter()
-        .filter(|d| d.suppressed && matches!(d.rule.as_str(), "R003" | "R004" | "L008"))
+        .filter(|d| d.suppressed && matches!(d.rule.as_str(), "L008" | "L009"))
         .map(|d| format!("{}:{} {}", d.rel, d.line, d.rule))
         .collect();
     assert!(
         conc_pragmas.is_empty(),
-        "concurrency/durability findings must be fixed, never \
+        "lock/durability findings must be fixed, never \
          pragma'd:\n{}",
         conc_pragmas.join("\n")
     );

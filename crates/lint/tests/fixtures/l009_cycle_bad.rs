@@ -1,7 +1,8 @@
-//! R003 fixture: a seeded two-lock ordering cycle. `fwd` takes `A`
+//! L009 fixture: a seeded two-lock ordering cycle. `fwd` takes `A`
 //! then (through `take_b`) `B`; `rev` takes them in the opposite
-//! order — the classic AB/BA deadlock, which the lock-order graph
-//! reports as a cycle with one witness chain per direction.
+//! order — the classic AB/BA deadlock. No lock may be named outside
+//! the allowed files, so every line that names `Mutex` is a finding
+//! and the cycle cannot be written.
 
 use std::sync::Mutex;
 

@@ -42,15 +42,23 @@ impl WorldConfig {
     }
 }
 
-/// `scale` if it can size a world: a finite number greater than 0.
-/// Zero, negatives, NaN and infinity cannot; neither can a literal
-/// like `1e-400`, which parses to 0.
+/// The largest scale that can size a world. [`World::standard`] sizes
+/// each network as `(v * scale).round() as u64`, and its largest `v` is
+/// 80,000 subscribers: at 1e14 that is 8e18, still below `u64::MAX`
+/// (≈1.8e19), so every count is the scaled size. From about 2.3e14 on,
+/// the cast would saturate at `u64::MAX` instead.
+pub const MAX_SCALE: f64 = 1e14;
+
+/// `scale` if it can size a world: a number greater than 0 and at most
+/// [`MAX_SCALE`]. Zero, negatives, NaN, infinity and huge finite values
+/// such as `1e300` cannot; neither can a literal like `1e-400`, which
+/// parses to 0.
 pub fn check_scale(scale: f64) -> Result<f64, String> {
-    if scale.is_finite() && scale > 0.0 {
+    if scale > 0.0 && scale <= MAX_SCALE {
         Ok(scale)
     } else {
         Err(format!(
-            "scale must be a finite number greater than 0, got {scale}"
+            "scale must be greater than 0 and at most {MAX_SCALE:e}, got {scale}"
         ))
     }
 }
@@ -155,7 +163,7 @@ impl World {
     pub fn standard(cfg: WorldConfig) -> World {
         assert!(
             check_scale(cfg.scale).is_ok(),
-            "scale must be a finite number greater than 0"
+            "scale must be greater than 0 and at most MAX_SCALE"
         );
         let ent = Entropy::new(cfg.seed);
         let s = cfg.scale;
@@ -344,12 +352,18 @@ mod tests {
 
     #[test]
     fn check_scale_takes_only_finite_positive_values() {
-        for bad in ["0", "-0", "-1", "nan", "inf", "1e-400"] {
+        for bad in ["0", "-0", "-1", "nan", "inf", "1e-400", "1e20", "1e300"] {
             let scale: f64 = bad.parse().unwrap();
             assert!(check_scale(scale).is_err(), "{bad} was accepted");
         }
         assert_eq!(check_scale(0.02), Ok(0.02));
         assert_eq!(check_scale(1.0), Ok(1.0));
+        // At the bound, the largest size `World::standard` scales
+        // (80,000) still rounds to a count `as u64` represents exactly.
+        assert_eq!(check_scale(MAX_SCALE), Ok(MAX_SCALE));
+        let largest = (80_000.0 * MAX_SCALE).round();
+        assert!(largest < u64::MAX as f64);
+        assert_eq!(largest as u64, 8_000_000_000_000_000_000);
     }
 
     #[test]

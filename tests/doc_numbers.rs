@@ -56,19 +56,22 @@ fn verify_skill_quotes_bench_lint_counters() {
     let json = read("BENCH_lint.json");
     let skill_rel = ".claude/skills/verify/SKILL.md";
     let skill = read(skill_rel);
-    let effects = format!(
+    let hot_loops = format!(
         "{}/{}",
-        counter(&json, "locks", "proven"),
-        counter(&json, "locks", "effect_obligations")
+        counter(&json, "allocs", "hot_loop_proven"),
+        counter(&json, "allocs", "hot_loop_obligations")
     );
     assert_quotes(
         skill_rel,
         &skill,
-        &effects,
-        "locks.proven/effect_obligations",
+        &hot_loops,
+        "allocs.hot_loop_proven/hot_loop_obligations",
     );
-    let locks = format!("locks_found: {}", counter(&json, "locks", "locks_found"));
-    assert_quotes(skill_rel, &skill, &locks, "locks.locks_found");
+    let entries = format!(
+        "hot_entry_points: {}",
+        counter(&json, "allocs", "hot_entry_points")
+    );
+    assert_quotes(skill_rel, &skill, &entries, "allocs.hot_entry_points");
 }
 
 #[test]
