@@ -1,10 +1,10 @@
 //! Exhaustive crash-point exploration of the durability pipeline.
 //!
 //! The serve daemon's crash story used to be demonstrated at a handful
-//! of hand-picked points (SIGKILL after publish, one torn journal).
+//! of hand-picked points (SIGKILL after publish, one torn file).
 //! Real durability bugs live in the gaps. This harness closes them by
 //! *enumerating every gap*: it drives serve's own landing step
-//! (`serve::land_day`: ingest→checkpoint→journal→snapshot) against a
+//! (`serve::land_day`: ingest→checkpoint→snapshot) against a
 //! [`MemFs`] that models the documented persistence contract (DESIGN.md
 //! "Crash consistency": what survives a crash is fsynced bytes plus
 //! completed renames/removals), counts every durability-relevant
@@ -13,10 +13,10 @@
 //! operation. At each crash point it inspects the durable wreckage and
 //! runs recovery, asserting the invariants:
 //!
-//! 1. **No torn state visible** — the journal restored from the durable
-//!    wreckage parses cleanly and lists a *prefix* of the baseline's
-//!    committed days (generation g or earlier, never a mix), and every
-//!    durable checkpoint is byte-identical to the baseline's.
+//! 1. **No torn state visible** — the durable checkpoints in the
+//!    wreckage are those of a *prefix* of the baseline's committed days
+//!    (generation g or earlier, never a mix), and every one is
+//!    byte-identical to the baseline's.
 //! 2. **Monotonic generations** — every run (baseline, crashed,
 //!    recovery) publishes strictly increasing snapshot generations, and
 //!    recovery restores at or below the last pre-crash generation.
@@ -26,15 +26,15 @@
 //!    run's. Resumed is *identical*, not just similar. Its last
 //!    snapshot, advanced day by day, answers exactly like one a
 //!    restart builds from scratch out of the durable state.
-//! 4. **Lost days re-ingestable** — days whose checkpoint or journal
-//!    entry did not survive are re-ingested from source during
+//! 4. **Lost days re-ingestable** — days whose checkpoint did not
+//!    survive are re-ingested from source during
 //!    recovery; nothing is silently orphaned (stale `.tmp` leftovers
 //!    are swept and counted).
 //!
 //! Violations are collected, never panicked — the harness itself obeys
 //! the census crates' no-panic discipline.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use v6census_core::temporal::Day;
@@ -45,13 +45,14 @@ use v6census_synth::{World, WorldConfig};
 use crate::ingest::Census;
 use crate::serve::{land_day, restore_state, ServeConfig};
 use crate::snapshot::Snapshot;
-use crate::stream::{day_files, file_name, ErrorMode, IngestConfig};
+use crate::stream::{checkpoint_day, day_files, file_name, ErrorMode, IngestConfig};
 
 /// Shape of the synthetic run the explorer drives.
 #[derive(Clone, Copy, Debug)]
 pub struct CrashTestConfig {
-    /// Consecutive days to ingest (more days → more crash points;
-    /// 6 days yields ~37).
+    /// Consecutive days to ingest (more days → more crash points: one
+    /// state-dir mkdir, then a checkpoint's write + fsync + rename per
+    /// day, so 6 days yield 19).
     pub days: u32,
     /// World seed (determinism: same seed → same crash points).
     pub seed: u64,
@@ -92,7 +93,7 @@ pub fn source_dir() -> PathBuf {
     PathBuf::from("/crash/source")
 }
 
-/// Where the pipeline keeps its checkpoints + journal.
+/// Where the pipeline keeps its checkpoints.
 pub fn state_dir() -> PathBuf {
     PathBuf::from("/crash/state")
 }
@@ -101,7 +102,8 @@ pub fn state_dir() -> PathBuf {
 struct RunResult {
     /// Days committed, in commit order (restored first, then ingested).
     committed: Vec<Day>,
-    /// Days restored from the journal before any source ingest.
+    /// Days restored from the checkpoints before any source ingest, in
+    /// day order.
     restored: Vec<Day>,
     /// Published snapshot generations, starting with the restore
     /// generation.
@@ -134,7 +136,6 @@ fn serve_config(fs: &Arc<MemFs>) -> ServeConfig {
         ingest: IngestConfig {
             mode: ErrorMode::Strict,
             checkpoint_dir: Some(state_dir()),
-            resume: true,
             max_retries: 0,
             vfs: Arc::clone(fs) as Arc<dyn Vfs>,
             ..IngestConfig::default()
@@ -144,11 +145,10 @@ fn serve_config(fs: &Arc<MemFs>) -> ServeConfig {
 }
 
 /// Runs serve's durability pipeline to completion on `fs`: restore
-/// (sweep + journal + checkpoints), then `land_day` for each pending
-/// source day — serve's own parse → commit → checkpoint → journal →
-/// snapshot step. `Err` carries the first failure rendered — under a
-/// crash schedule that is the simulated crash surfacing as a typed I/O
-/// error.
+/// (sweep + checkpoints), then `land_day` for each pending source day —
+/// serve's own parse → commit → checkpoint → snapshot step. `Err`
+/// carries the first failure rendered — under a crash schedule that is
+/// the simulated crash surfacing as a typed I/O error.
 fn run_pipeline(fs: &Arc<MemFs>) -> Result<RunResult, String> {
     let cfg = serve_config(fs);
     let state = state_dir();
@@ -164,12 +164,12 @@ fn run_pipeline(fs: &Arc<MemFs>) -> Result<RunResult, String> {
         day_files(fs.as_ref(), &cfg.source_dir).map_err(|e| format!("source scan failed: {e}"))?;
     pending.retain(|(day, _)| !census.has_day(*day));
     for (day, path) in pending {
-        let (report, published) = land_day(&cfg, &path, &mut census, &mut committed, &last)
+        let (report, published) = land_day(&cfg, &path, &mut census, &last)
             .map_err(|e| format!("landing {day} failed: [{}] {e}", e.label()))?;
-        let Some((snapshot, journal)) = published else {
+        let Some(snapshot) = published else {
             return Err(format!("day {day} not committed ({:?})", report.outcome));
         };
-        journal.map_err(|e| format!("journal write after {day} failed: {e}"))?;
+        committed.push(day);
         generations.push(snapshot.generation);
         last = snapshot;
     }
@@ -200,7 +200,7 @@ fn stage_world(cfg: &CrashTestConfig) -> Result<MemFs, String> {
 /// does not answer like a restart from `fs`'s durable state.
 fn restart_differs(fs: &MemFs, live: &Snapshot) -> Option<String> {
     let restarted = Snapshot::build(
-        census_of_durable(fs, &state_dir()),
+        restore_state(fs, &state_dir()).census,
         live.params,
         live.dense_class,
     );
@@ -220,7 +220,7 @@ fn restart_differs(fs: &MemFs, live: &Snapshot) -> Option<String> {
 pub fn converge(cfg: &CrashTestConfig) -> Option<(Snapshot, Census)> {
     let fs = Arc::new(stage_world(cfg).ok()?);
     let run = run_pipeline(&fs).ok()?;
-    Some((run.last, census_of_durable(&fs, &state_dir())))
+    Some((run.last, restore_state(fs.as_ref(), &state_dir()).census))
 }
 
 /// True when `prefix` is an exact leading slice of `full`.
@@ -281,7 +281,6 @@ pub fn explore(cfg: &CrashTestConfig) -> CrashReport {
     let crash_points = base_fs.mutations();
     let op_log = base_fs.op_log();
     let baseline_durable = base_fs.durable_files();
-    let journal = crate::serve::journal_path(&state_dir());
 
     for k in 0..crash_points {
         let fs = Arc::new(MemFs::from_durable(world_files.clone(), world_dirs.clone()));
@@ -308,24 +307,16 @@ pub fn explore(cfg: &CrashTestConfig) -> CrashReport {
 
         // Invariant 1: no torn state visible. Durable checkpoints must
         // be byte-identical to the baseline's (content is deterministic
-        // per day; write_atomic admits no intermediate states), and the
-        // durable journal must parse to a prefix of the baseline's
-        // committed days — g or earlier, never a mix.
+        // per day; write_atomic admits no intermediate states), and
+        // their days must be a prefix of the baseline's committed days
+        // — g or earlier, never a mix.
+        let mut durable_days = Vec::new();
         for (path, bytes) in &wreck_files {
-            if !path.starts_with(state_dir()) {
-                continue;
+            if !path.starts_with(state_dir()) || v6census_core::vfs::is_stale_tmp(&file_name(path))
+            {
+                continue; // source, or an aborted-write leftover
             }
-            let name = file_name(path);
-            if v6census_core::vfs::is_stale_tmp(&name) {
-                continue; // aborted-write leftover; recovery sweeps it
-            }
-            if !name.starts_with("ckpt-") {
-                // The journal is rewritten after every day, so a crash
-                // legitimately leaves an *earlier* journal than the
-                // baseline's final one; its own invariant is the
-                // prefix check below.
-                continue;
-            }
+            durable_days.extend(checkpoint_day(path));
             match baseline_durable.get(path) {
                 Some(base) if base == bytes => {}
                 Some(_) => violations.push(format!(
@@ -338,21 +329,14 @@ pub fn explore(cfg: &CrashTestConfig) -> CrashReport {
                 )),
             }
         }
-        let rec_fs = Arc::new(MemFs::from_durable(wreck_files, wreck_dirs));
-        match crate::serve::load_journal(rec_fs.as_ref(), &journal) {
-            Ok(days) => {
-                if !is_prefix(&days, &baseline.committed) {
-                    violations.push(format!(
-                        "crash {k} ({at}): journal {days:?} is not a prefix of baseline {:?}",
-                        baseline.committed
-                    ));
-                }
-            }
-            Err(e) => violations.push(format!(
-                "crash {k} ({at}): durable journal is torn: [{}] {e}",
-                e.label()
-            )),
+        durable_days.sort();
+        if !is_prefix(&durable_days, &baseline.committed) {
+            violations.push(format!(
+                "crash {k} ({at}): checkpointed days {durable_days:?} are not a prefix of baseline {:?}",
+                baseline.committed
+            ));
         }
+        let rec_fs = Arc::new(MemFs::from_durable(wreck_files, wreck_dirs));
 
         // Invariants 2–4: recovery completes, restores at or below the
         // pre-crash generation, republishes monotonically, re-ingests
@@ -410,12 +394,4 @@ pub fn explore(cfg: &CrashTestConfig) -> CrashReport {
         op_log,
         violations,
     }
-}
-
-/// A deterministic verification census of the durable files a pipeline
-/// produced — used by fault-plan tests to prove a recovered state still
-/// classifies correctly.
-pub fn census_of_durable(fs: &MemFs, state: &Path) -> Census {
-    let restore = restore_state(fs, state);
-    restore.census
 }

@@ -223,7 +223,7 @@ impl Census {
     }
 
     /// The ingested days, ascending.
-    pub fn days(&self) -> impl Iterator<Item = Day> + '_ {
+    pub fn days(&self) -> impl DoubleEndedIterator<Item = Day> + '_ {
         self.index.keys().copied()
     }
 

@@ -1,9 +1,9 @@
 //! `v6census serve`: a crash-safe, load-shedding census daemon.
 //!
 //! A long-running process on top of the PR-1/PR-2 failure-handling
-//! substrate: it restores the last committed state from an ingest
-//! journal, ingests new day logs incrementally in the background, and
-//! answers point queries over a hand-rolled HTTP/1.1 surface. The
+//! substrate: it restores the last committed state from its per-day
+//! checkpoints, ingests new day logs incrementally in the background,
+//! and answers point queries over a hand-rolled HTTP/1.1 surface. The
 //! robustness posture is designed in, not bolted on:
 //!
 //! * **Immutable published snapshots** ([`crate::snapshot`]): ingest
@@ -18,14 +18,14 @@
 //! * **Load shedding**: beyond [`ServeConfig::max_connections`]
 //!   concurrent connections, new clients are answered `503` with
 //!   `Retry-After` and closed — thread growth is bounded.
-//! * **Crash-safe ingest journal**: each committed day writes its atomic
-//!   checkpoint (PR 1) and then the journal is atomically rewritten; a
-//!   kill -9 at any point leaves either the old or the new journal, so a
-//!   restart resumes from the last *completed* day and keeps serving the
-//!   pre-crash snapshot.
+//! * **Checkpoints are the state**: each committed day writes its atomic
+//!   checkpoint (PR 1), a self-checking day log; a kill -9 at any point
+//!   leaves every earlier day's checkpoint complete, so a restart loads
+//!   them all, in day order, and keeps serving the pre-crash snapshot.
 //! * **Retry and quarantine on ingest failure**: failures reuse the
-//!   [`IngestError`] taxonomy; transient ones back off exponentially,
-//!   poisoned files are quarantined after the configured retries so one
+//!   [`IngestError`] taxonomy; every failed file backs off exponentially
+//!   and is retried on later scans (a file still being written looks
+//!   truncated), then quarantined after the configured retries so one
 //!   bad day can never wedge the daemon.
 //! * **Graceful drain**: shutdown stops accepting, lets in-flight
 //!   responses finish under [`ServeConfig::drain_deadline`], and reports
@@ -56,8 +56,8 @@ use crate::ingest::{Census, DaySummaryBuilder};
 use crate::routing::RoutingTable;
 use crate::snapshot::{Snapshot, SnapshotCell};
 use crate::stream::{
-    checkpoint_path, day_files, load_checkpoint, sweep_stale_tmp, FileOutcome, FileReport,
-    IngestConfig, IngestError, StreamIngestor,
+    checkpoint_day, checkpoint_path, day_files, load_checkpoint, sweep_stale_tmp, FileOutcome,
+    FileReport, IngestConfig, IngestError, StreamIngestor,
 };
 
 /// The daemon's single monotonic clock read: header deadlines, drain
@@ -130,8 +130,8 @@ impl std::error::Error for ServeError {}
 pub struct ServeConfig {
     /// Directory scanned for day-log files (`YYYY-MM-DD*`).
     pub source_dir: PathBuf,
-    /// Directory for the ingest journal + per-day checkpoints; `None`
-    /// disables crash-safe persistence (queries still work).
+    /// Directory for the per-day checkpoints; `None` disables crash-safe
+    /// persistence (queries still work).
     pub state_dir: Option<PathBuf>,
     /// Listen address, e.g. `127.0.0.1:0` (port 0: OS-assigned).
     pub bind: String,
@@ -187,243 +187,128 @@ impl Default for ServeConfig {
 // Metrics
 // ---------------------------------------------------------------------------
 
-/// Liveness counters, updated lock-free by every thread.
-#[derive(Default)]
-pub struct ServeMetrics {
-    /// Connections accepted (including ones later shed).
-    pub accepted: AtomicU64,
-    /// Requests answered with a 2xx.
-    pub served: AtomicU64,
-    /// Connections shed with `503` at the cap.
-    pub shed: AtomicU64,
-    /// Requests rejected as malformed (`400`/`405`).
-    pub malformed: AtomicU64,
-    /// Requests rejected as oversized (`431`).
-    pub oversized: AtomicU64,
-    /// Requests that hit the header deadline (`408`).
-    pub timeouts: AtomicU64,
-    /// Clients that disconnected before completing a request.
-    pub early_disconnects: AtomicU64,
-    /// Responses dropped because the client went away mid-write
-    /// (broken pipe / reset) — logged and dropped, never fatal.
-    pub dropped_responses: AtomicU64,
-    /// Unknown-route requests (`404`).
-    pub not_found: AtomicU64,
-    /// Well-routed requests with unparseable operands (`400`).
-    pub bad_queries: AtomicU64,
-    /// Days committed and published by background ingest.
-    pub ingested_days: AtomicU64,
-    /// Ingest attempts that failed (before any retry/quarantine).
-    pub ingest_failures: AtomicU64,
-    /// Source files quarantined after exhausting retries.
-    pub quarantined_files: AtomicU64,
-    /// Days restored from the journal + checkpoints at startup.
-    pub resumed_days: AtomicU64,
-    /// Startup recoveries: torn journal or unreadable checkpoints
-    /// skipped (their days re-ingest from source).
-    pub recovered_errors: AtomicU64,
-    /// Stale `*.tmp` files deleted by the startup sweep.
-    pub stale_tmp_removed: AtomicU64,
+/// Declares the serve counters once: the lock-free [`ServeMetrics`],
+/// its plain-value [`MetricsReading`] and [`ServeMetrics::read`].
+macro_rules! serve_counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Liveness counters, updated lock-free by every thread.
+        #[derive(Default)]
+        pub struct ServeMetrics {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        /// A plain-value reading of [`ServeMetrics`].
+        #[derive(Clone, Copy, Debug, Default)]
+        pub struct MetricsReading {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl ServeMetrics {
+            /// A consistent-enough reading for reports (counters are
+            /// independent; exactness across counters is not promised).
+            pub fn read(&self) -> MetricsReading {
+                MetricsReading {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+    };
 }
 
-/// A plain-value reading of [`ServeMetrics`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MetricsReading {
-    /// See [`ServeMetrics::accepted`].
-    pub accepted: u64,
-    /// See [`ServeMetrics::served`].
-    pub served: u64,
-    /// See [`ServeMetrics::shed`].
-    pub shed: u64,
-    /// See [`ServeMetrics::malformed`].
-    pub malformed: u64,
-    /// See [`ServeMetrics::oversized`].
-    pub oversized: u64,
-    /// See [`ServeMetrics::timeouts`].
-    pub timeouts: u64,
-    /// See [`ServeMetrics::early_disconnects`].
-    pub early_disconnects: u64,
-    /// See [`ServeMetrics::dropped_responses`].
-    pub dropped_responses: u64,
-    /// See [`ServeMetrics::not_found`].
-    pub not_found: u64,
-    /// See [`ServeMetrics::bad_queries`].
-    pub bad_queries: u64,
-    /// See [`ServeMetrics::ingested_days`].
-    pub ingested_days: u64,
-    /// See [`ServeMetrics::ingest_failures`].
-    pub ingest_failures: u64,
-    /// See [`ServeMetrics::quarantined_files`].
-    pub quarantined_files: u64,
-    /// See [`ServeMetrics::resumed_days`].
-    pub resumed_days: u64,
-    /// See [`ServeMetrics::recovered_errors`].
-    pub recovered_errors: u64,
-    /// See [`ServeMetrics::stale_tmp_removed`].
-    pub stale_tmp_removed: u64,
+serve_counters! {
+    /// Connections accepted (including ones later shed).
+    accepted,
+    /// Requests answered with a 2xx.
+    served,
+    /// Connections shed with `503` at the cap.
+    shed,
+    /// Requests rejected as malformed (`400`/`405`).
+    malformed,
+    /// Requests rejected as oversized (`431`).
+    oversized,
+    /// Requests that hit the header deadline (`408`).
+    timeouts,
+    /// Clients that disconnected before completing a request.
+    early_disconnects,
+    /// Responses dropped because the client went away mid-write
+    /// (broken pipe / reset) — logged and dropped, never fatal.
+    dropped_responses,
+    /// Unknown-route requests (`404`).
+    not_found,
+    /// Well-routed requests with unparseable operands (`400`).
+    bad_queries,
+    /// Days committed and published by background ingest.
+    ingested_days,
+    /// Ingest attempts that failed (each one is retried or quarantined).
+    ingest_failures,
+    /// Source files quarantined after exhausting retries.
+    quarantined_files,
+    /// Days restored from their checkpoints at startup.
+    resumed_days,
+    /// Startup recoveries: unreadable checkpoints skipped (their days
+    /// re-ingest from source).
+    recovered_errors,
+    /// Stale `*.tmp` files deleted by the startup sweep.
+    stale_tmp_removed,
 }
 
 impl ServeMetrics {
     fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// A consistent-enough reading for reports (counters are
-    /// independent; exactness across counters is not promised).
-    pub fn read(&self) -> MetricsReading {
-        let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        MetricsReading {
-            accepted: g(&self.accepted),
-            served: g(&self.served),
-            shed: g(&self.shed),
-            malformed: g(&self.malformed),
-            oversized: g(&self.oversized),
-            timeouts: g(&self.timeouts),
-            early_disconnects: g(&self.early_disconnects),
-            dropped_responses: g(&self.dropped_responses),
-            not_found: g(&self.not_found),
-            bad_queries: g(&self.bad_queries),
-            ingested_days: g(&self.ingested_days),
-            ingest_failures: g(&self.ingest_failures),
-            quarantined_files: g(&self.quarantined_files),
-            resumed_days: g(&self.resumed_days),
-            recovered_errors: g(&self.recovered_errors),
-            stale_tmp_removed: g(&self.stale_tmp_removed),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Journal
+// Restore
 // ---------------------------------------------------------------------------
-
-/// The journal file inside a state directory.
-pub fn journal_path(dir: &Path) -> PathBuf {
-    dir.join("journal.v1")
-}
-
-/// Atomically and durably rewrites the journal (temp file + fsync +
-/// rename via [`Vfs::write_atomic`]) listing the committed days in
-/// order. A crash mid-write leaves the previous journal intact, and a
-/// completed write survives power loss.
-pub fn write_journal(fs: &dyn Vfs, dir: &Path, days: &[Day]) -> io::Result<()> {
-    fs.create_dir_all(dir)?;
-    let mut text = String::from("# v6census serve journal v1\n");
-    for day in days {
-        text.push_str(&day.to_string());
-        text.push('\n');
-    }
-    text.push_str(&format!("# end {}\n", days.len()));
-    fs.write_atomic(&journal_path(dir), text.as_bytes())
-}
-
-/// Loads and validates a journal. A missing file is an empty journal; a
-/// torn or corrupt one is a typed error the caller recovers from by
-/// re-ingesting from source.
-pub fn load_journal(fs: &dyn Vfs, path: &Path) -> Result<Vec<Day>, IngestError> {
-    let bad = |reason: String| IngestError::BadCheckpoint {
-        path: path.to_path_buf(),
-        reason,
-    };
-    let text = match fs.read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => {
-            return Err(IngestError::Io {
-                path: path.to_path_buf(),
-                kind: e.kind(),
-                retries: 0,
-                detail: e.to_string(),
-            })
-        }
-    };
-    let mut lines = text.lines();
-    match lines.next() {
-        Some("# v6census serve journal v1") => {}
-        _ => return Err(bad("missing journal header".into())),
-    }
-    let mut days = Vec::new();
-    let mut declared: Option<usize> = None;
-    for line in lines {
-        if let Some(rest) = line.strip_prefix("# end ") {
-            declared = rest.trim().parse().ok();
-            break;
-        }
-        match Day::parse_leading(line.trim()) {
-            Some(day) => days.push(day),
-            None => return Err(bad(format!("bad journal day {line:?}"))),
-        }
-    }
-    match declared {
-        Some(n) if n == days.len() => Ok(days),
-        Some(n) => Err(bad(format!(
-            "journal count mismatch: declared {n}, got {}",
-            days.len()
-        ))),
-        None => Err(bad("journal missing end marker (torn write)".into())),
-    }
-}
 
 /// What startup restoration accomplished, surfaced on `/healthz` and
 /// `/stats` so operators can watch recovery happen.
-pub(crate) struct RestoreOutcome {
-    pub(crate) census: Census,
-    /// Days restored cleanly from journal + checkpoints, in order.
-    pub(crate) restored: Vec<Day>,
-    /// `restored.len()`, as a metric.
-    pub(crate) resumed: u64,
-    /// Torn journal / unreadable checkpoints skipped (their days
-    /// re-ingest from source).
-    pub(crate) recovered: u64,
+pub struct RestoreOutcome {
+    /// The census of every restored day.
+    pub census: Census,
+    /// Days restored cleanly from their checkpoints, in day order.
+    pub restored: Vec<Day>,
+    /// Unreadable checkpoints skipped (their days re-ingest from
+    /// source), plus one for an unlistable state directory.
+    pub recovered: u64,
     /// Stale `*.tmp` leftovers deleted by the startup sweep.
-    pub(crate) swept_tmp: u64,
+    pub swept_tmp: u64,
 }
 
-impl Default for RestoreOutcome {
-    fn default() -> RestoreOutcome {
-        RestoreOutcome {
-            census: Census::new_empty(),
-            restored: Vec::new(),
-            resumed: 0,
-            recovered: 0,
-            swept_tmp: 0,
-        }
-    }
-}
-
-/// Restores a census from the journal + checkpoints. First sweeps and
+/// Restores a census from the checkpoints in `state`. First sweeps and
 /// deletes stale `*.tmp` files an aborted atomic write left behind
-/// (counted, never silently orphaned). Days whose checkpoint is missing
-/// or corrupt are skipped (and re-ingested from source later); a torn
-/// journal restores nothing.
-pub(crate) fn restore_state(fs: &dyn Vfs, state: &Path) -> RestoreOutcome {
+/// (counted, never silently orphaned), then loads every
+/// `ckpt-YYYY-MM-DD.tsv` in day order through [`load_checkpoint`]. A
+/// torn or unreadable checkpoint counts one recovery and restores
+/// nothing of its day, which re-ingests from source. A missing state
+/// directory is a cold start.
+pub fn restore_state(fs: &dyn Vfs, state: &Path) -> RestoreOutcome {
     let mut out = RestoreOutcome {
+        census: Census::new_empty(),
+        restored: Vec::new(),
+        recovered: 0,
         swept_tmp: sweep_stale_tmp(fs, state).unwrap_or(0),
-        ..RestoreOutcome::default()
     };
-    let journal_days = match load_journal(fs, &journal_path(state)) {
-        Ok(days) => days,
+    let mut days: Vec<Day> = match fs.read_dir(state) {
+        Ok(paths) => paths.iter().filter_map(|p| checkpoint_day(p)).collect(),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
         Err(_) => {
-            // Torn/corrupt journal: recover by starting empty; source
-            // re-ingest rebuilds, checkpoints make it cheap.
             out.recovered = 1;
-            return out;
+            Vec::new()
         }
     };
-    for day in journal_days {
+    days.sort();
+    for day in days {
         let mut builder = DaySummaryBuilder::default();
         match load_checkpoint(fs, &checkpoint_path(state, day), &mut builder) {
             Ok((ckpt_day, _)) if ckpt_day == day => {
-                if out.census.try_ingest(builder.finish(day)).is_ok() {
-                    out.restored.push(day);
-                } else {
-                    out.recovered += 1;
-                }
+                out.census.ingest_summary(builder.finish(day));
+                out.restored.push(day);
             }
             _ => out.recovered += 1,
         }
     }
-    out.resumed = out.restored.len() as u64;
     out
 }
 
@@ -440,8 +325,8 @@ struct Shared {
     ready: AtomicBool,
     open: AtomicUsize,
     routing: Option<RoutingTable>,
-    /// The generation restored from the journal at startup; 0 means a
-    /// cold start (nothing restored — fresh state or full recovery).
+    /// The generation restored from the checkpoints at startup; 0 means
+    /// a cold start (nothing restored — fresh state or full recovery).
     restored_generation: u64,
 }
 
@@ -534,11 +419,12 @@ impl ServeHandle {
 // Spawn
 // ---------------------------------------------------------------------------
 
-/// Starts the daemon: restores journal state, publishes the initial
-/// snapshot, binds the listener, and spawns the accept + ingest threads.
+/// Starts the daemon: restores the checkpointed state, publishes the
+/// initial snapshot, binds the listener, and spawns the accept + ingest
+/// threads.
 pub fn spawn(mut cfg: ServeConfig) -> Result<ServeHandle, ServeError> {
-    let restore = match &cfg.state_dir {
-        None => RestoreOutcome::default(),
+    let (census, resumed, recovered, swept_tmp) = match &cfg.state_dir {
+        None => (Census::new_empty(), 0, 0, 0),
         Some(state) => {
             cfg.ingest
                 .vfs
@@ -548,16 +434,10 @@ pub fn spawn(mut cfg: ServeConfig) -> Result<ServeHandle, ServeError> {
                     detail: e.to_string(),
                 })?;
             cfg.ingest.checkpoint_dir = Some(state.clone());
-            restore_state(cfg.ingest.vfs.as_ref(), state)
+            let r = restore_state(cfg.ingest.vfs.as_ref(), state);
+            (r.census, r.restored.len() as u64, r.recovered, r.swept_tmp)
         }
     };
-    let RestoreOutcome {
-        census,
-        restored: restored_days,
-        resumed,
-        recovered,
-        swept_tmp,
-    } = restore;
     let routing = if cfg.routing.is_empty() {
         None
     } else {
@@ -628,7 +508,7 @@ pub fn spawn(mut cfg: ServeConfig) -> Result<ServeHandle, ServeError> {
     let ingest_shared = Arc::clone(&shared);
     let ingest = std::thread::Builder::new()
         .name("v6c-serve-ingest".into())
-        .spawn(move || ingest_loop(&ingest_shared, census, restored_days))
+        .spawn(move || ingest_loop(&ingest_shared, census))
         .map_err(|e| ServeError::Spawn {
             what: "ingest",
             detail: e.to_string(),
@@ -998,7 +878,7 @@ fn route(shared: &Arc<Shared>, target: &str) -> (u16, &'static str, String) {
 }
 
 /// The last-restore outcome as a JSON fragment (no surrounding braces):
-/// whether this process cold-started or resumed a journaled generation,
+/// whether this process cold-started or resumed a checkpointed generation,
 /// plus what recovery had to do to get there.
 fn restore_json(shared: &Arc<Shared>, m: &MetricsReading) -> String {
     format!(
@@ -1135,7 +1015,7 @@ fn nap(shared: &Arc<Shared>, total: Duration) {
     }
 }
 
-fn ingest_loop(shared: &Arc<Shared>, mut census: Census, mut committed: Vec<Day>) {
+fn ingest_loop(shared: &Arc<Shared>, mut census: Census) {
     // Per-file failure counts; a file past `max_retries` is quarantined.
     let mut failures: BTreeMap<PathBuf, u32> = BTreeMap::new();
     let max_retries = shared.cfg.ingest.max_retries;
@@ -1155,56 +1035,49 @@ fn ingest_loop(shared: &Arc<Shared>, mut census: Census, mut committed: Vec<Day>
                 return;
             }
             let prev = shared.cell.load();
-            match land_day(&shared.cfg, &path, &mut census, &mut committed, &prev) {
-                Ok((_, Some((next, journal)))) => {
+            let failure = match land_day(&shared.cfg, &path, &mut census, &prev) {
+                Ok((_, Some(next))) => {
                     failures.remove(&path);
-                    if let Err(e) = journal {
-                        shared.log(&format!("journal write failed: {e}"));
-                    }
                     let generation = shared.cell.publish(next);
                     ServeMetrics::bump(&shared.metrics.ingested_days);
                     shared.ready.store(true, Ordering::Release);
                     shared.log(&format!(
                         "ingested {day}, published generation {generation}"
                     ));
+                    continue;
                 }
-                Ok((_, None)) => {
-                    // Structurally bad file (error budget, truncation,
-                    // duplicate): permanently quarantined — rescans must
-                    // not retry a poisoned file forever.
-                    ServeMetrics::bump(&shared.metrics.ingest_failures);
-                    ServeMetrics::bump(&shared.metrics.quarantined_files);
-                    failures.insert(path.clone(), max_retries + 1);
-                    shared.log(&format!("quarantined {}", path.display()));
-                }
-                Err(e) => {
-                    // Typed failure (I/O, strict-mode): retry with
-                    // exponential backoff across scan rounds, then
-                    // quarantine.
-                    ServeMetrics::bump(&shared.metrics.ingest_failures);
-                    let n = failures.entry(path.clone()).or_insert(0);
-                    *n += 1;
-                    let attempts = *n;
-                    shared.log(&format!(
-                        "ingest of {} failed (attempt {attempts}): [{}] {e}",
-                        path.display(),
-                        e.label(),
-                    ));
-                    if attempts > max_retries {
-                        ServeMetrics::bump(&shared.metrics.quarantined_files);
-                        shared.log(&format!("quarantined {}", path.display()));
-                    } else {
-                        let backoff = shared
-                            .cfg
-                            .ingest
-                            .retry_backoff
-                            .saturating_mul(2u32.saturating_pow(attempts.min(6)));
-                        nap(shared, backoff);
-                    }
-                    backoff_after_error = true;
-                    break;
-                }
+                Ok((report, None)) => report
+                    .errors
+                    .last()
+                    .map(|e| format!("[{}] {e}", e.label()))
+                    .unwrap_or_default(),
+                Err(e) => format!("[{}] {e}", e.label()),
+            };
+            // One failure policy: a file that did not land (bad budget,
+            // truncated — as a file still being written looks — or a
+            // typed I/O or strict-mode error) is retried with
+            // exponential backoff across scan rounds, then quarantined.
+            ServeMetrics::bump(&shared.metrics.ingest_failures);
+            let n = failures.entry(path.clone()).or_insert(0);
+            *n += 1;
+            let attempts = *n;
+            shared.log(&format!(
+                "ingest of {} failed (attempt {attempts}): {failure}",
+                path.display(),
+            ));
+            if attempts > max_retries {
+                ServeMetrics::bump(&shared.metrics.quarantined_files);
+                shared.log(&format!("quarantined {}", path.display()));
+            } else {
+                let backoff = shared
+                    .cfg
+                    .ingest
+                    .retry_backoff
+                    .saturating_mul(2u32.saturating_pow(attempts.min(6)));
+                nap(shared, backoff);
             }
+            backoff_after_error = true;
+            break;
         }
         // First full scan done (even over an empty dir): the daemon has
         // seen everything there is; it is as ready as it will get.
@@ -1215,42 +1088,32 @@ fn ingest_loop(shared: &Arc<Shared>, mut census: Census, mut committed: Vec<Day>
     }
 }
 
-/// A landed day's next snapshot and its journal write's result.
-pub(crate) type Published = (Snapshot, io::Result<()>);
-
-/// Lands one day file: parse → commit (and its checkpoint) → journal
-/// rewrite (when a state dir is set) → next snapshot, advanced from
-/// `prev` (the snapshot of `census` before this day). The one landing
-/// step, shared by the daemon's ingest loop and the crash explorer.
+/// Lands one day file: parse → commit (and its checkpoint) → next
+/// snapshot, advanced from `prev` (the snapshot of `census` before this
+/// day). The one landing step, shared by the daemon's ingest loop and
+/// the crash explorer. Serve keeps no list of committed days: the census
+/// is the record, and on disk the checkpoint set is.
 ///
-/// `Ok((report, Some((snapshot, journal))))`: the day entered the
-/// census; `journal` is the journal write's result, for the caller to
-/// judge (serve logs a failure and publishes anyway, the explorer treats
-/// it as the crash). `Ok((report, None))`: the file is structurally bad
-/// (budget, truncation, duplicate) and was *not* committed. `Err`: a
-/// typed failure worth retrying.
+/// `Ok((report, Some(snapshot)))`: the day entered the census.
+/// `Ok((report, None))`: the file is structurally bad (budget,
+/// truncation, duplicate) and was *not* committed. `Err`: a typed
+/// failure (I/O, strict mode).
 pub(crate) fn land_day(
     cfg: &ServeConfig,
     path: &Path,
     census: &mut Census,
-    committed: &mut Vec<Day>,
     prev: &Snapshot,
-) -> Result<(FileReport, Option<Published>), IngestError> {
+) -> Result<(FileReport, Option<Snapshot>), IngestError> {
     let ingestor = StreamIngestor::new(cfg.ingest.clone());
     let parsed = ingestor.parse_file(path)?;
-    let report = ingestor.commit_parsed(parsed, census, committed)?;
+    let report = ingestor.commit_parsed(parsed, census, &mut Vec::new())?;
     if !matches!(
         report.outcome,
         FileOutcome::Ingested | FileOutcome::FromCheckpoint
     ) {
         return Ok((report, None));
     }
-    let journal = match &cfg.state_dir {
-        Some(state) => write_journal(cfg.ingest.vfs.as_ref(), state, committed),
-        None => Ok(()),
-    };
-    let snapshot = prev.advance(census.clone());
-    Ok((report, Some((snapshot, journal))))
+    Ok((report, Some(prev.advance(census.clone()))))
 }
 
 #[cfg(test)]
@@ -1267,70 +1130,39 @@ mod tests {
     use v6census_core::vfs::RealFs;
 
     #[test]
-    fn journal_round_trips() {
-        let dir = tempdir("journal");
-        let d0 = Day::from_ymd(2015, 3, 17);
-        assert_eq!(
-            load_journal(&RealFs, &journal_path(&dir)).unwrap(),
-            Vec::new()
-        );
-        write_journal(&RealFs, &dir, &[d0, d0 + 1, d0 + 2]).unwrap();
-        assert_eq!(
-            load_journal(&RealFs, &journal_path(&dir)).unwrap(),
-            vec![d0, d0 + 1, d0 + 2]
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_journal_is_a_typed_error() {
-        let dir = tempdir("torn");
-        // No end marker: a kill -9 mid-write before the atomic rename
-        // can't produce this (rename is atomic), but a corrupt disk can.
-        std::fs::write(
-            journal_path(&dir),
-            "# v6census serve journal v1\n2015-03-17\n",
-        )
-        .unwrap();
-        let err = load_journal(&RealFs, &journal_path(&dir)).unwrap_err();
-        assert_eq!(err.label(), "bad-checkpoint");
-        // Count mismatch is also torn.
-        std::fs::write(
-            journal_path(&dir),
-            "# v6census serve journal v1\n2015-03-17\n# end 4\n",
-        )
-        .unwrap();
-        assert!(load_journal(&RealFs, &journal_path(&dir)).is_err());
-        // Garbage day lines, an impossible calendar date among them.
-        for line in ["not-a-day", "2015-02-30"] {
-            std::fs::write(
-                journal_path(&dir),
-                format!("# v6census serve journal v1\n{line}\n# end 1\n"),
-            )
-            .unwrap();
-            assert!(load_journal(&RealFs, &journal_path(&dir)).is_err());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn restore_skips_missing_checkpoints_and_sweeps_tmp() {
         let dir = tempdir("restore");
         let d0 = Day::from_ymd(2015, 3, 17);
         let addr: Addr = "2001:db8::1".parse().unwrap();
-        crate::stream::write_checkpoint(&RealFs, &dir, d0, &[(addr, 3)]).unwrap();
-        // Journal claims two days; only one checkpoint exists. An
-        // aborted atomic write also left a stale tmp file behind.
-        write_journal(&RealFs, &dir, &[d0, d0 + 1]).unwrap();
-        std::fs::write(dir.join(".ckpt-2015-03-18.tsv.tmp"), "torn").unwrap();
+        // Written out of day order; restore reads them in day order.
+        for day in [d0 + 5, d0, d0 + 2] {
+            crate::stream::write_checkpoint(&RealFs, &dir, day, &[(addr, 3)]).unwrap();
+        }
+        // d0+1's checkpoint is torn (its trailer is missing), an aborted
+        // atomic write left a stale tmp file behind, and a file that
+        // names no calendar day is not a checkpoint.
+        std::fs::write(
+            checkpoint_path(&dir, d0 + 1),
+            "# synthetic day 2015-03-18: 1 unique client addrs\n2001:db8::1\t3\n",
+        )
+        .unwrap();
+        std::fs::write(dir.join(".ckpt-2015-03-19.tsv.tmp"), "torn").unwrap();
+        std::fs::write(dir.join("ckpt-2015-02-30.tsv"), "not a day").unwrap();
         let out = restore_state(&RealFs, &dir);
-        assert_eq!(out.restored, vec![d0]);
-        assert_eq!(out.resumed, 1);
+        assert_eq!(out.restored, vec![d0, d0 + 2, d0 + 5]);
         assert_eq!(out.recovered, 1);
         assert_eq!(out.swept_tmp, 1);
-        assert!(!dir.join(".ckpt-2015-03-18.tsv.tmp").exists());
+        assert!(!dir.join(".ckpt-2015-03-19.tsv.tmp").exists());
         assert!(out.census.has_day(d0));
         assert!(!out.census.has_day(d0 + 1));
+        assert_eq!(
+            out.census
+                .summaries()
+                .iter()
+                .map(|s| s.day)
+                .collect::<Vec<_>>(),
+            vec![d0, d0 + 2, d0 + 5]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1347,7 +1179,7 @@ mod tests {
             format!("# synthetic day {d0}: {huge} unique client addrs\n# end 0 0\n"),
         ] {
             let fs = MemFs::new();
-            write_journal(&fs, &state, &[d0]).unwrap();
+            fs.create_dir_all(&state).unwrap();
             fs.write_atomic(&checkpoint_path(&state, d0), text.as_bytes())
                 .unwrap();
             let err =
@@ -1382,13 +1214,13 @@ mod tests {
                 },
                 ..ServeConfig::default()
             };
-            let (mut census, mut committed) = (Census::new_empty(), Vec::new());
+            let mut census = Census::new_empty();
             let empty = Snapshot::build(Census::new_empty(), cfg.params, cfg.dense_class);
-            let (_, next) = land_day(&cfg, &paths[1], &mut census, &mut committed, &empty).unwrap();
-            let Some((first, _)) = next else {
+            let (_, next) = land_day(&cfg, &paths[1], &mut census, &empty).unwrap();
+            let Some(first) = next else {
                 panic!("day d+1 lands first")
             };
-            let late = land_day(&cfg, &paths[0], &mut census, &mut committed, &first);
+            let late = land_day(&cfg, &paths[0], &mut census, &first);
             if mode == ErrorMode::Strict {
                 assert_eq!(late.err().map(|e| e.label()), Some("out-of-order-day"));
                 assert!(!census.has_day(d));
@@ -1401,8 +1233,64 @@ mod tests {
                 report.errors.as_slice(),
                 [IngestError::OutOfOrderDay { day, after }] if *day == d && *after == d + 1
             ));
-            assert_eq!(next.map(|(snapshot, _)| snapshot.generation), Some(2));
-            assert_eq!(committed, vec![d + 1, d]);
+            assert_eq!(next.map(|snapshot| snapshot.generation), Some(2));
+            assert!(census.has_day(d + 1) && census.has_day(d));
+        }
+    }
+
+    #[test]
+    fn late_day_is_judged_alike_live_and_restarted() {
+        use v6census_core::vfs::MemFs;
+        use v6census_synth::{world::epochs, World, WorldConfig};
+        let fs = Arc::new(MemFs::new());
+        let world = World::standard(WorldConfig {
+            seed: 5,
+            scale: 0.001,
+        });
+        let d = epochs::mar2015();
+        let paths = world
+            .emit_day_logs(fs.as_ref(), Path::new("/src"), d, 6)
+            .unwrap();
+        let state = PathBuf::from("/state");
+        let config = |fs: &Arc<MemFs>| ServeConfig {
+            ingest: IngestConfig {
+                checkpoint_dir: Some(state.clone()),
+                vfs: fs.clone(),
+                ..IngestConfig::default()
+            },
+            ..ServeConfig::default()
+        };
+        // The live daemon lands d, d+5, then d+2.
+        let live = config(&fs);
+        let mut live_census = Census::new_empty();
+        let mut live_prev = Snapshot::build(Census::new_empty(), live.params, live.dense_class);
+        for i in [0, 5, 2] {
+            let (_, next) = land_day(&live, &paths[i], &mut live_census, &live_prev).unwrap();
+            live_prev = next.expect("the day lands");
+        }
+        // A daemon restarted from those checkpoints gets the same days
+        // back, in day order.
+        let fs = Arc::new(MemFs::from_durable(fs.durable_files(), fs.durable_dirs()));
+        let restarted = config(&fs);
+        let restore = restore_state(fs.as_ref(), &state);
+        assert_eq!(restore.restored, vec![d, d + 2, d + 5]);
+        let mut census = restore.census;
+        let prev = Snapshot::build(census.clone(), restarted.params, restarted.dense_class);
+        // Both judge d+3 against d+5, the latest day in the census.
+        for (cfg, census, prev) in [
+            (&live, &mut live_census, &live_prev),
+            (&restarted, &mut census, &prev),
+        ] {
+            let (report, next) = land_day(cfg, &paths[3], census, prev).unwrap();
+            assert!(
+                matches!(
+                    report.errors.as_slice(),
+                    [IngestError::OutOfOrderDay { day, after }] if *day == d + 3 && *after == d + 5
+                ),
+                "{:?}",
+                report.errors
+            );
+            assert_eq!(next.map(|snapshot| snapshot.generation), Some(4));
         }
     }
 

@@ -31,6 +31,7 @@
 //! Checkpoints are one file per ingested day (written atomically via
 //! temp-file + rename): a canonical day log
 //! ([`v6census_core::daylog`]) of the parsed `(address, hits)` entries.
+//! A merged duplicate day's checkpoint holds the whole day.
 //! `--resume` and serve's restore read a checkpoint through the same
 //! builder, and a day summary is a pure function of its entries, so a
 //! resumed census is *identical* to an uninterrupted one — not just
@@ -114,7 +115,7 @@ pub enum IngestError {
     OutOfOrderDay {
         /// The late-arriving day.
         day: Day,
-        /// The most recent day ingested before it.
+        /// The latest day in the census when it arrived.
         after: Day,
     },
     /// A calendar day between the first and last ingested day was never
@@ -661,7 +662,8 @@ impl StreamIngestor {
     /// The shared-state half of ingestion: applies ordering/duplicate
     /// policy, enters the day into the census, and writes the checkpoint.
     /// Must be called in delivery order — it is the serial step of a
-    /// supervised parallel ingest.
+    /// supervised parallel ingest. A day new to the census is pushed onto
+    /// `ingested_days`; a late day is judged against the census itself.
     pub fn commit_parsed(
         &self,
         parsed: ParsedFile,
@@ -678,24 +680,46 @@ impl StreamIngestor {
         };
         let path = report.path.clone();
         let day = summary.day;
+        let merging = census.has_day(day);
         let committed = self.commit(summary, &path, census, ingested_days, &mut report)?;
-        if committed {
-            if let (Some(entries), Some(dir)) = (&checkpoint_entries, &self.cfg.checkpoint_dir) {
-                if let Err(e) = write_checkpoint(self.cfg.vfs.as_ref(), dir, day, entries) {
-                    let err = IngestError::Io {
-                        path: checkpoint_path(dir, day),
-                        kind: e.kind(),
-                        retries: 0,
-                        detail: e.to_string(),
-                    };
-                    if self.cfg.mode == ErrorMode::Strict {
-                        return Err(err);
-                    }
-                    report.errors.push(err);
+        if let (true, Some(entries), Some(dir)) =
+            (committed, checkpoint_entries, &self.cfg.checkpoint_dir)
+        {
+            if let Err(e) = self.checkpoint(dir, day, entries, merging) {
+                if self.cfg.mode == ErrorMode::Strict {
+                    return Err(e);
                 }
+                report.errors.push(e);
             }
         }
         Ok(report)
+    }
+
+    /// Writes `day`'s checkpoint from one delivery's `entries`. A merged
+    /// day's checkpoint holds the whole day: the entries of the
+    /// checkpoint the day already has, then this delivery's.
+    fn checkpoint(
+        &self,
+        dir: &Path,
+        day: Day,
+        entries: Vec<(Addr, u64)>,
+        merging: bool,
+    ) -> Result<(), IngestError> {
+        let fs = self.cfg.vfs.as_ref();
+        let entries = if merging {
+            let mut all = Vec::new();
+            load_checkpoint(fs, &checkpoint_path(dir, day), &mut all)?;
+            all.extend(entries);
+            all
+        } else {
+            entries
+        };
+        write_checkpoint(fs, dir, day, &entries).map_err(|e| IngestError::Io {
+            path: checkpoint_path(dir, day),
+            kind: e.kind(),
+            retries: 0,
+            detail: e.to_string(),
+        })
     }
 
     /// Applies ordering and duplicate policy, then ingests. Returns
@@ -709,7 +733,7 @@ impl StreamIngestor {
         report: &mut FileReport,
     ) -> Result<bool, IngestError> {
         let day = summary.day;
-        if let Some(&last) = ingested_days.last() {
+        if let Some(last) = census.days().next_back() {
             if day < last && !census.has_day(day) {
                 let e = IngestError::OutOfOrderDay { day, after: last };
                 if self.cfg.mode == ErrorMode::Strict {
@@ -796,6 +820,13 @@ impl StreamIngestor {
 /// The checkpoint file for a day.
 pub fn checkpoint_path(dir: &Path, day: Day) -> PathBuf {
     dir.join(format!("ckpt-{day}.tsv"))
+}
+
+/// The day of a checkpoint file: the inverse of [`checkpoint_path`].
+pub(crate) fn checkpoint_day(path: &Path) -> Option<Day> {
+    let name = file_name(path);
+    let day = Day::parse_leading(name.strip_prefix("ckpt-")?)?;
+    (name == format!("ckpt-{day}.tsv")).then_some(day)
 }
 
 /// Writes a per-day checkpoint, a canonical day log of `entries` with
@@ -1015,10 +1046,10 @@ mod tests {
         let day = Day::from_ymd(2015, 3, 17);
         write_checkpoint(&RealFs, &dir, day, &[("2001:db8::1".parse().unwrap(), 1)]).unwrap();
         std::fs::write(dir.join(".ckpt-2015-03-18.tsv.tmp"), "torn").unwrap();
-        std::fs::write(dir.join(".journal.v1.tmp"), "torn").unwrap();
+        std::fs::write(dir.join(".2015-03-18.log.tmp"), "torn").unwrap();
         assert_eq!(sweep_stale_tmp(&RealFs, &dir).unwrap(), 2);
         assert!(checkpoint_path(&dir, day).exists(), "real artifact kept");
-        assert!(!dir.join(".journal.v1.tmp").exists());
+        assert!(!dir.join(".2015-03-18.log.tmp").exists());
         // Idempotent; missing directory is a no-op, not an error.
         assert_eq!(sweep_stale_tmp(&RealFs, &dir).unwrap(), 0);
         assert_eq!(sweep_stale_tmp(&RealFs, &dir.join("nope")).unwrap(), 0);

@@ -12,9 +12,10 @@
 //!   the run.
 //! * **Deadlines** — each stage has an optional wall-clock deadline. On
 //!   expiry the collector raises the shared cancellation token, after
-//!   which no worker claims a unit or starts a retry; it abandons hung
-//!   workers (they are detached threads; a stuck unit cannot hold the
-//!   run hostage) and records which units timed out vs. never ran.
+//!   which no worker claims a unit or starts a retry, and an attempt
+//!   that was under way reports no value; it abandons hung workers
+//!   (they are detached threads; a stuck unit cannot hold the run
+//!   hostage) and records which units timed out vs. never ran.
 //! * **Resource budgets** — units receive a [`UnitCtx`] carrying the
 //!   trie node budget; a densify unit that hits the cap degrades to a
 //!   coarser aggregation level ([`v6census_trie::RadixTree::densify_budgeted`])
@@ -40,7 +41,7 @@ use crate::stream::{
     ParsedFile, StreamIngestor,
 };
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -526,9 +527,11 @@ pub fn run_stage<T: Send + 'static>(
                             trie_nodes: ctx.trie_nodes.get(),
                         };
                     };
-                    // A send error means the collector gave up (deadline);
-                    // nothing left to do but exit.
-                    if tx.send(done).is_err() {
+                    // An attempt during which the deadline fired may have
+                    // cut its work short, so it sends nothing and its unit
+                    // reports `TimedOut`. A send error means the collector
+                    // gave up (deadline); nothing left to do but exit.
+                    if cancel.load(Ordering::SeqCst) || tx.send(done).is_err() {
                         break;
                     }
                 }
@@ -731,10 +734,28 @@ pub fn ingest_dir(
         detail: e.to_string(),
     })?;
 
+    // A day delivered more than once is read from its files even under
+    // `--resume`: its checkpoint holds the merged day, which no single
+    // delivery's health row stands for.
+    let reread = StreamIngestor::new(IngestConfig {
+        resume: false,
+        ..cfg.clone()
+    });
+    let repeated: BTreeSet<Day> = paths
+        .windows(2)
+        .filter_map(|w| match w {
+            [(a, _), (b, _)] if a == b => Some(*a),
+            _ => None,
+        })
+        .collect();
     let units: Vec<Unit<Result<ParsedFile, IngestError>>> = paths
         .iter()
         .map(|(day, path)| {
-            let ingestor = ingestor.clone();
+            let ingestor = if repeated.contains(day) {
+                reread.clone()
+            } else {
+                ingestor.clone()
+            };
             let path = path.clone();
             Unit::new(format!("ingest/{day}"), move |_ctx: &UnitCtx| {
                 ingestor.parse_file(&path)
@@ -1116,11 +1137,33 @@ mod tests {
         let (results, report) = run_stage("claims", units, &cfg);
         assert_eq!(claims.load(Ordering::SeqCst), 0, "a unit ran after cancel");
         assert_eq!(report.units[0].status, UnitStatus::TimedOut);
-        assert_eq!(report.units[1].status, UnitStatus::Ok { attempts: 1 });
-        assert_eq!(results[1], Some(1));
+        // The token was raised during the trigger's own attempt.
+        assert_eq!(report.units[1].status, UnitStatus::TimedOut);
+        assert_eq!(results[1], None);
         for u in &report.units[2..] {
             assert_eq!(u.status, UnitStatus::Cancelled, "{}", u.label);
         }
+    }
+
+    #[test]
+    fn a_unit_cut_short_by_the_deadline_reports_timed_out() {
+        // What densify does: stop early once cancelled, then return a
+        // value built from the partial work.
+        let units = vec![Unit::new("spinner", |ctx: &UnitCtx| {
+            while !ctx.cancelled() {
+                std::thread::yield_now();
+            }
+            5u32
+        })];
+        let cfg = SupervisorConfig {
+            jobs: 1,
+            stage_deadline: Some(Duration::from_millis(50)),
+            ..SupervisorConfig::default()
+        };
+        let (results, report) = run_stage("spin", units, &cfg);
+        assert!(report.deadline_expired);
+        assert_eq!(report.units[0].status, UnitStatus::TimedOut);
+        assert_eq!(results[0], None);
     }
 
     #[test]

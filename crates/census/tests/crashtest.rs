@@ -1,17 +1,18 @@
-//! Durability proofs for the checkpoint/journal/snapshot pipeline.
+//! Durability proofs for the checkpoint/snapshot pipeline.
 //!
 //! Three layers, all in-memory and fully deterministic:
 //!
 //! 1. `crash_point_exploration_proves_recovery` — the exhaustive
 //!    explorer: every durability-relevant mutation of a full
-//!    ingest→checkpoint→journal→publish run becomes a simulated crash
-//!    point, and recovery from each must converge byte-identically to
-//!    the uninterrupted run, and answer like a restart from scratch
+//!    ingest→checkpoint→publish run becomes a simulated crash point,
+//!    and recovery from each must converge byte-identically to the
+//!    uninterrupted run, and answer like a restart from scratch
 //!    (`restart_answers_like_the_live_daemon` pins the baseline).
-//! 2. `journal_torn_at_every_byte_offset_never_mixes` — the journal
-//!    property test: truncate `journal.v1` at every byte offset; the
-//!    restore sees either the complete day list or a typed torn-journal
-//!    error, never a garbled mix, and re-ingest always converges.
+//! 2. `checkpoint_torn_at_every_byte_offset_never_mixes` — the
+//!    checkpoint property test: truncate one day's checkpoint at every
+//!    byte offset; the restore either gets that whole day back or
+//!    counts one recovery and omits it, never a partial day, and
+//!    re-ingest always converges to the uninterrupted census.
 //! 3. `crash_fault_matrix` — one drill per [`FaultKind`], selectable
 //!    with `V6CENSUS_CRASH_KIND` so CI can run each as its own job:
 //!    every injected fault either recovers or fails with a typed
@@ -22,15 +23,18 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use v6census_census::crashtest::{self, CrashTestConfig};
-use v6census_census::serve::{journal_path, load_journal, write_journal};
+use v6census_census::serve::restore_state;
 use v6census_census::snapshot::Snapshot;
-use v6census_census::stream::{IngestConfig, IngestReport};
+use v6census_census::stream::{checkpoint_path, IngestConfig, IngestReport};
 use v6census_census::supervisor::{ingest_dir, SupervisorConfig};
+use v6census_census::Census;
 use v6census_core::spatial::DensityClass;
 use v6census_core::temporal::{Day, StabilityParams};
 use v6census_core::vfs::{FaultFs, FaultPlan, MemFs, Vfs};
+use v6census_synth::faults::day_file_name;
 use v6census_synth::world::epochs;
 use v6census_synth::{World, WorldConfig};
+use v6census_trie::AddrSet;
 
 const DAYS: u32 = 4;
 
@@ -42,15 +46,21 @@ fn state_dir() -> PathBuf {
     PathBuf::from("/mem/state")
 }
 
-/// Emits a small synthetic world into a fresh in-memory filesystem and
-/// returns it with the list of days it covers.
-fn stage_world(seed: u64) -> (Arc<MemFs>, Vec<Day>) {
+/// Emits a small synthetic world into a fresh in-memory filesystem,
+/// keeping every `stride`-th entry of each day, and returns it with the
+/// list of days it covers.
+fn stage_world(seed: u64, stride: usize) -> (Arc<MemFs>, Vec<Day>) {
     let fs = Arc::new(MemFs::new());
     let world = World::standard(WorldConfig { seed, scale: 0.001 });
-    world
-        .emit_day_logs(fs.as_ref(), &source_dir(), epochs::mar2015(), DAYS)
-        .expect("world emission");
-    let days = (0..DAYS as i32).map(|i| epochs::mar2015() + i).collect();
+    let days: Vec<Day> = (0..DAYS as i32).map(|i| epochs::mar2015() + i).collect();
+    fs.create_dir_all(&source_dir()).expect("source dir");
+    for &day in &days {
+        let mut log = world.day_log(day);
+        log.entries = log.entries.into_iter().step_by(stride).collect();
+        let path = source_dir().join(day_file_name(day));
+        fs.write_atomic(&path, log.to_text().as_bytes())
+            .expect("world emission");
+    }
     (fs, days)
 }
 
@@ -89,7 +99,8 @@ fn generation_of(report: &IngestReport) -> u64 {
 
 #[test]
 fn crash_point_exploration_proves_recovery() {
-    let report = crashtest::explore(&CrashTestConfig::default());
+    let cfg = CrashTestConfig::default();
+    let report = crashtest::explore(&cfg);
     assert!(
         report.violations.is_empty(),
         "{} invariant violations across {} crash points:\n{}\nop log:\n{}",
@@ -98,10 +109,12 @@ fn crash_point_exploration_proves_recovery() {
         report.violations.join("\n"),
         report.op_log.join("\n"),
     );
-    assert!(
-        report.crash_points >= 30,
-        "only {} crash points enumerated (expected >= 30):\n{}",
+    // One mkdir of the state dir, then a checkpoint's write + fsync +
+    // rename per day.
+    assert_eq!(
         report.crash_points,
+        1 + 3 * cfg.days as usize,
+        "crash points of the landing protocol:\n{}",
         report.op_log.join("\n"),
     );
     assert_eq!(report.baseline_days, 6, "baseline should commit 6 days");
@@ -129,63 +142,64 @@ fn restart_answers_like_the_live_daemon() {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Journal torn at every byte offset
+// 2. A checkpoint torn at every byte offset
 // ---------------------------------------------------------------------------
 
+/// Every day of `census`: its Other set, address total and hits.
+fn days_of(census: &Census) -> Vec<(Day, AddrSet, usize, u64)> {
+    census
+        .summaries()
+        .iter()
+        .map(|s| (s.day, s.other.clone(), s.total(), s.hits))
+        .collect()
+}
+
 #[test]
-fn journal_torn_at_every_byte_offset_never_mixes() {
-    let (fs, days) = stage_world(77);
+fn checkpoint_torn_at_every_byte_offset_never_mixes() {
+    // Every 50th entry keeps the checkpoint short: one restore and one
+    // re-ingest per byte offset.
+    let (fs, days) = stage_world(77, 50);
     let state = state_dir();
     let baseline = ingest_over(fs.clone(), &state).expect("baseline ingest");
     assert_eq!(generation_of(&baseline), u64::from(DAYS));
-    write_journal(fs.as_ref(), &state, &days).expect("journal write");
+    let want = days_of(&baseline.census);
 
-    let jpath = journal_path(&state);
+    let torn_day = days[1];
+    let cpath = checkpoint_path(&state, torn_day);
     let durable = fs.durable_files();
     let dirs = fs.durable_dirs();
-    let journal_bytes = durable.get(&jpath).cloned().expect("journal is durable");
-    assert!(journal_bytes.len() > 40, "journal should be non-trivial");
+    let bytes = durable.get(&cpath).cloned().expect("checkpoint is durable");
+    assert!(bytes.len() > 200, "checkpoint should be non-trivial");
 
-    for offset in 0..=journal_bytes.len() {
+    for offset in 0..=bytes.len() {
         let mut files = durable.clone();
-        files.insert(jpath.clone(), journal_bytes[..offset].to_vec());
+        files.insert(cpath.clone(), bytes[..offset].to_vec());
         let torn = Arc::new(MemFs::from_durable(files, dirs.clone()));
 
-        // The journal itself: complete, or a typed error. Never a
-        // partial day list — the end marker makes truncation visible.
-        match load_journal(torn.as_ref(), &jpath) {
-            Ok(listed) => assert_eq!(
-                listed, days,
-                "offset {offset}: a parseable journal must be the complete one"
-            ),
-            Err(e) => assert!(
-                !e.label().is_empty(),
-                "offset {offset}: torn journal must fail with a typed error"
-            ),
-        }
-
-        // The restore built on it: all of generation g, or a cold start
-        // that re-ingests. Never a mix of old and new days.
-        let restored = crashtest::census_of_durable(torn.as_ref(), &state);
-        let have: Vec<bool> = days.iter().map(|d| restored.has_day(*d)).collect();
-        assert!(
-            have.iter().all(|&b| b) || have.iter().all(|&b| !b),
-            "offset {offset}: restore mixed generations: {have:?}"
-        );
-
-        // Recovery: checkpoints survive the torn journal, so re-ingest
-        // converges back to generation g from any truncation point.
-        let recovered = ingest_over(torn.clone(), &state).expect("recovery ingest");
-        for day in &days {
-            assert!(
-                recovered.census.has_day(*day),
-                "offset {offset}: day {day} lost after recovery"
-            );
+        // The restore: the torn day whole, or one recovery and no day.
+        // Never a partial day — the header count and the `# end N H`
+        // trailer make any truncation that loses data visible.
+        let restored = restore_state(torn.as_ref(), &state);
+        let mut expect = want.clone();
+        if restored.census.has_day(torn_day) {
+            assert_eq!(restored.recovered, 0, "offset {offset}");
+        } else {
+            assert_eq!(restored.recovered, 1, "offset {offset}");
+            expect.retain(|(d, ..)| *d != torn_day);
         }
         assert_eq!(
-            generation_of(&recovered),
-            u64::from(DAYS),
-            "offset {offset}: recovery must reach generation g"
+            days_of(&restored.census),
+            expect,
+            "offset {offset}: restore mixed days"
+        );
+
+        // Recovery: the lost day re-ingests from source, so re-ingest
+        // converges to the uninterrupted census from any truncation.
+        let recovered = ingest_over(torn.clone(), &state).expect("recovery ingest");
+        assert_eq!(
+            days_of(&recovered.census),
+            want,
+            "offset {offset}: recovery must rebuild the baseline census"
         );
     }
 }
@@ -199,7 +213,7 @@ fn journal_torn_at_every_byte_offset_never_mixes() {
 /// under fault may succeed or fail — but only with a typed error, and
 /// the fault must actually have fired.
 fn drill(kind: &str) {
-    let (fs, days) = stage_world(91);
+    let (fs, days) = stage_world(91, 1);
     let state = state_dir();
 
     // `readcorrupt` needs durable checkpoints to corrupt on read-back,
@@ -239,13 +253,6 @@ fn drill(kind: &str) {
         }
     }
     assert!(faulty.injected() >= 1, "{kind}: the fault plan never fired");
-    let journal_result = write_journal(faulty.as_ref(), &state, &days);
-    if let Err(e) = &journal_result {
-        assert!(
-            !e.to_string().is_empty(),
-            "{kind}: journal abort must render"
-        );
-    }
 
     // Recovery: restart from the durable image with no faults. Torn
     // checkpoints are detected (typed), stale tmp files are swept, and
@@ -272,16 +279,11 @@ fn drill(kind: &str) {
         );
     }
 
-    // And the recovered state journals + restores cleanly.
-    write_journal(clean.as_ref(), &state, &days).expect("journal after recovery");
-    let reread = restart(clean.as_ref());
-    let restored = crashtest::census_of_durable(reread.as_ref(), &state);
-    for day in &days {
-        assert!(
-            restored.has_day(*day),
-            "{kind}: day {day} missing from restored census"
-        );
-    }
+    // And a restart restores the recovered state cleanly from its
+    // checkpoints.
+    let restored = restore_state(restart(clean.as_ref()).as_ref(), &state);
+    assert_eq!(restored.restored, days, "{kind}: restored days");
+    assert_eq!(restored.recovered, 0, "{kind}: recoveries after recovery");
 }
 
 #[test]

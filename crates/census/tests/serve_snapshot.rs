@@ -2,9 +2,10 @@
 //! hammer the query surface while ingest publishes new days, and every
 //! response must be internally consistent with exactly one snapshot
 //! generation — `generation == days`, `stable <= active`, generations
-//! monotone per reader. Plus journal restore/recovery tests: a restart
-//! serves the pre-shutdown snapshot from the journal alone, and a torn
-//! journal recovers by re-ingesting from source.
+//! monotone per reader. Plus restore/recovery tests: a restart serves
+//! the pre-shutdown snapshot from its checkpoints alone, a torn
+//! checkpoint recovers by re-ingesting its day from source, and a day
+//! file read while it is still being written lands once complete.
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -12,7 +13,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use v6census_census::serve::{journal_path, spawn, ServeConfig};
+use v6census_census::serve::{spawn, ServeConfig};
+use v6census_census::stream::checkpoint_path;
 use v6census_synth::chaos::http_get;
 use v6census_synth::faults::day_file_name;
 use v6census_synth::world::epochs;
@@ -156,10 +158,13 @@ fn restart_serves_the_journaled_snapshot_without_source() {
     assert!(handle.shutdown().clean);
 
     // Restart against an EMPTY source: everything must come back from
-    // the journal + checkpoints alone, and be served immediately.
+    // the checkpoints alone, and be served immediately.
     let empty = tempdir("resume-empty");
     let handle = spawn(fast_config(empty.clone(), Some(state.clone()))).unwrap();
-    assert!(handle.is_ready(), "journaled state must be ready at spawn");
+    assert!(
+        handle.is_ready(),
+        "checkpointed state must be ready at spawn"
+    );
     assert_eq!(handle.snapshot().generation, 3);
     let (status, after) = get(handle.addr(), "/stats");
     assert_eq!(status, 200);
@@ -178,7 +183,7 @@ fn restart_serves_the_journaled_snapshot_without_source() {
 }
 
 #[test]
-fn torn_journal_recovers_by_reingesting_from_source() {
+fn torn_checkpoint_recovers_by_reingesting_from_source() {
     let source = tempdir("torn-src");
     let state = tempdir("torn-state");
     let w = world();
@@ -189,21 +194,55 @@ fn torn_journal_recovers_by_reingesting_from_source() {
     wait_for_generation(handle.addr(), 3);
     assert!(handle.shutdown().clean);
 
-    // Corrupt the journal the way a dying disk would (the atomic rename
-    // itself can't produce this): chop off the end marker.
-    let text = std::fs::read_to_string(journal_path(&state)).unwrap();
-    let torn: String = text.lines().take(2).map(|l| format!("{l}\n")).collect();
-    std::fs::write(journal_path(&state), torn).unwrap();
+    // Corrupt one checkpoint the way a dying disk would (the atomic
+    // rename itself can't produce this): chop off its trailer.
+    let ckpt = checkpoint_path(&state, epochs::mar2015() + 1);
+    let text = std::fs::read_to_string(&ckpt).unwrap();
+    let torn: String = text.lines().take(3).map(|l| format!("{l}\n")).collect();
+    std::fs::write(&ckpt, torn).unwrap();
 
     let handle = spawn(fast_config(source.clone(), Some(state.clone()))).unwrap();
-    // Nothing restored — but the daemon recovers by re-ingesting.
+    // Two days restored; the torn one re-ingests from source.
     wait_for_generation(handle.addr(), 3);
     let report = handle.shutdown();
     assert_eq!(report.generation, 3);
-    assert_eq!(report.metrics.resumed_days, 0);
+    assert_eq!(report.metrics.resumed_days, 2);
     assert!(report.metrics.recovered_errors >= 1);
-    assert_eq!(report.metrics.ingested_days, 3);
+    assert_eq!(report.metrics.ingested_days, 1);
     for d in [&source, &state] {
         let _ = std::fs::remove_dir_all(d);
     }
+}
+
+#[test]
+fn partial_day_file_lands_once_complete() {
+    let source = tempdir("partial-src");
+    let w = world();
+    let day = epochs::mar2015();
+    let text = w.day_log(day).to_text();
+    // The producer has written half the file: no trailer yet, so it
+    // reads as truncated.
+    let path = source.join(day_file_name(day));
+    std::fs::write(&path, &text[..text.len() / 2]).unwrap();
+    let mut cfg = fast_config(source.clone(), None);
+    cfg.ingest.retry_backoff = Duration::from_millis(50);
+    let handle = spawn(cfg).unwrap();
+    for _ in 0..600 {
+        if handle.metrics().ingest_failures >= 1 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(
+        handle.metrics().ingest_failures >= 1,
+        "the partial file was read"
+    );
+
+    // The producer finishes; a later scan retries the file and lands it.
+    std::fs::write(&path, &text).unwrap();
+    wait_for_generation(handle.addr(), 1);
+    let report = handle.shutdown();
+    assert_eq!(report.metrics.ingested_days, 1);
+    assert_eq!(report.metrics.quarantined_files, 0);
+    let _ = std::fs::remove_dir_all(&source);
 }

@@ -71,7 +71,7 @@ COMMANDS
                         /classify/<prefix>, /stats, /healthz, /readyz
                         --dir DIR (or positional; files named YYYY-MM-DD*)
                         [--bind 127.0.0.1:0] prints `listening on ADDR`
-                        [--state DIR] crash-safe journal + checkpoints
+                        [--state DIR] crash-safe per-day checkpoints
                         [--routing FILE] `prefix asn` lines for /classify
                         [--max-connections 64] load-shed (503) past the cap
                         [--header-deadline-ms 3000] [--max-request-bytes 8192]

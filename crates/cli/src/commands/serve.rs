@@ -151,7 +151,7 @@ fn render(report: &DrainReport) -> String {
     let mut out = String::new();
     out.push_str("== serve summary ==\n");
     out.push_str(&format!(
-        "generation: {} ({} days resumed from journal, {} recoveries)\n",
+        "generation: {} ({} days resumed from checkpoints, {} recoveries)\n",
         report.generation, m.resumed_days, m.recovered_errors
     ));
     out.push_str(&format!(

@@ -1,12 +1,14 @@
 //! End-to-end test of `v6census census`: a fault-injected multi-day
 //! directory ingests without panicking, the health report names each
 //! fault, and an interrupted-then-resumed run reproduces the analysis
-//! section (Table 1 + stability) byte-for-byte.
+//! section (Table 1 + stability) byte-for-byte — and, with a day
+//! delivered twice and merged, the whole report.
 
 use std::path::PathBuf;
 use v6census_cli::commands::census;
 use v6census_cli::Flags;
 use v6census_core::temporal::Day;
+use v6census_synth::faults::day_file_name;
 use v6census_synth::world::epochs;
 use v6census_synth::{Fault, FaultInjector, FaultSpec, World, WorldConfig};
 
@@ -114,6 +116,73 @@ fn census_command_over_faulty_logs_and_resume() {
 
     std::fs::remove_dir_all(&logs).unwrap();
     std::fs::remove_dir_all(&ckpts).unwrap();
+}
+
+/// A resumed report as CI compares it with an uninterrupted one:
+/// `sed 's/ checkpoint / ingested   /'`.
+fn as_ingested(report: &str) -> String {
+    report
+        .lines()
+        .map(|l| l.replacen(" checkpoint ", " ingested   ", 1) + "\n")
+        .collect()
+}
+
+#[test]
+fn merged_duplicate_day_resumes_whole() {
+    // CI's 15 synth days, plus a second delivery of 2015-03-17 from
+    // another world.
+    let logs = tempdir("merge-logs");
+    let first = Day::from_ymd(2015, 3, 10);
+    let world = World::standard(WorldConfig {
+        seed: 0x76c3_15c3_0001,
+        scale: 0.002,
+    });
+    for i in 0..15 {
+        let day = first + i;
+        std::fs::write(logs.join(day_file_name(day)), world.day_log(day).to_text()).unwrap();
+    }
+    let other = World::standard(WorldConfig {
+        seed: 99,
+        scale: 0.002,
+    });
+    let twice = Day::from_ymd(2015, 3, 17);
+    std::fs::write(
+        logs.join("2015-03-17.b.log"),
+        other.day_log(twice).to_text(),
+    )
+    .unwrap();
+
+    let run = |extra: &[String]| {
+        let mut args = vec![
+            logs.display().to_string(),
+            "--no-timings".to_string(),
+            "--merge-duplicates".to_string(),
+        ];
+        args.extend_from_slice(extra);
+        census(&flags(&args)).unwrap().0
+    };
+    let full = run(&[]);
+    assert!(full.contains("[duplicate-day]"), "{full}");
+
+    // A whole checkpointed run, and one stopped between the day's two
+    // deliveries (2015-03-17.b.log is the 8th day): each resumed run
+    // prints the uninterrupted report.
+    for (tag, stop) in [("ckpt-whole", None), ("ckpt-between", Some("--max-days=8"))] {
+        let ckpts = tempdir(tag);
+        let ckpt = format!("--checkpoint={}", ckpts.display());
+        let stopped = run(&[ckpt.clone()]
+            .into_iter()
+            .chain(stop.map(str::to_string))
+            .collect::<Vec<_>>());
+        if stop.is_none() {
+            assert_eq!(stopped, full, "a checkpointed run prints the same report");
+        }
+        let resumed = run(&[ckpt, "--resume".to_string()]);
+        assert!(resumed.contains(" checkpoint "), "{tag}: {resumed}");
+        assert_eq!(as_ingested(&resumed), full, "{tag}");
+        std::fs::remove_dir_all(&ckpts).unwrap();
+    }
+    std::fs::remove_dir_all(&logs).unwrap();
 }
 
 #[test]

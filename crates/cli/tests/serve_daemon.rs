@@ -2,7 +2,7 @@
 //! `listening on` line, live queries against the spawned binary, the
 //! exit-code contract for clean runs and bad flags — and the crash
 //! drill: a daemon killed with SIGKILL mid-life restarts from its
-//! journal and serves the pre-crash snapshot without its source logs.
+//! checkpoints and serves the pre-crash snapshot without its source logs.
 
 use std::io::{BufRead as _, BufReader, Read as _};
 use std::net::SocketAddr;
@@ -166,12 +166,12 @@ fn sigkill_mid_life_restart_resumes_from_journal() {
     wait_for_generation(addr, 3);
     let (_, before) = http_get(addr, "/stats", Duration::from_secs(5)).unwrap();
 
-    // kill -9: no drain, no journal flush — whatever is on disk is what
+    // kill -9: no drain, no flush — whatever is on disk is what
     // the next life gets.
     child.kill().unwrap();
     let _ = child.wait();
 
-    // Restart against an EMPTY source: the journal + checkpoints alone
+    // Restart against an EMPTY source: the checkpoints alone
     // must bring back the full pre-crash census, served immediately.
     let empty = tempdir("kill-empty");
     let (child, addr, reader) = spawn_daemon(&[
@@ -183,7 +183,10 @@ fn sigkill_mid_life_restart_resumes_from_journal() {
         "25",
     ]);
     let (status, body) = http_get(addr, "/readyz", Duration::from_secs(5)).unwrap();
-    assert_eq!(status, 200, "journaled state must be ready at once: {body}");
+    assert_eq!(
+        status, 200,
+        "checkpointed state must be ready at once: {body}"
+    );
     let (status, after) = http_get(addr, "/stats", Duration::from_secs(5)).unwrap();
     assert_eq!(status, 200);
     assert_eq!(field_u64(&after, "generation"), 3);
@@ -194,7 +197,10 @@ fn sigkill_mid_life_restart_resumes_from_journal() {
     );
     let (code, summary) = drain_and_collect(child, reader);
     assert_eq!(code, Some(EXIT_OK));
-    assert!(summary.contains("3 days resumed from journal"), "{summary}");
+    assert!(
+        summary.contains("3 days resumed from checkpoints"),
+        "{summary}"
+    );
     for d in [&source, &state, &empty] {
         let _ = std::fs::remove_dir_all(d);
     }

@@ -1,7 +1,7 @@
 //! Injectable filesystem layer for every durability path.
 //!
 //! The census's system of record is the on-disk corpus — per-day
-//! checkpoints, the serve journal, published day logs — not the
+//! checkpoints, published day logs — not the
 //! in-memory tries. Crash safety of that corpus can only be *proved* if
 //! every byte that reaches disk goes through a seam where faults can be
 //! injected and durability can be modelled. This module is that seam:
@@ -518,7 +518,7 @@ pub struct FaultRule {
 ///
 /// Syntax: rules separated by `;`, each
 /// `kind[@N]:[path-substring][:skip]` — e.g.
-/// `enospc@64:ckpt`, `fsynclie:journal`, `renamedrop:ckpt:1`,
+/// `enospc@64:ckpt`, `fsynclie:state`, `renamedrop:ckpt:1`,
 /// `eintr@3:`, `readcorrupt@5:ckpt-2015-03-17`. `@N` is the byte offset
 /// for `enospc`/`shortwrite`/`readcorrupt` and the firing count for
 /// `eintr`.
@@ -800,9 +800,9 @@ mod tests {
             p("/state/.ckpt-2015-03-17.tsv.tmp")
         );
         assert!(is_stale_tmp(".ckpt-2015-03-17.tsv.tmp"));
-        assert!(is_stale_tmp(".journal.v1.tmp"));
+        assert!(is_stale_tmp(".2015-03-17.log.tmp"));
         assert!(!is_stale_tmp("ckpt-2015-03-17.tsv"));
-        assert!(!is_stale_tmp("journal.v1"));
+        assert!(!is_stale_tmp("2015-03-17.log"));
         assert!(!is_stale_tmp(".tmp"));
     }
 
@@ -892,9 +892,8 @@ mod tests {
 
     #[test]
     fn fault_plan_parses_and_rejects() {
-        let plan =
-            FaultPlan::parse("enospc@64:ckpt; fsynclie:journal; eintr@3:; renamedrop:ckpt:2")
-                .unwrap();
+        let plan = FaultPlan::parse("enospc@64:ckpt; fsynclie:state; eintr@3:; renamedrop:ckpt:2")
+            .unwrap();
         assert_eq!(plan.rules.len(), 4);
         assert_eq!(plan.rules[0].kind, FaultKind::Enospc { at_byte: 64 });
         assert_eq!(plan.rules[0].path_contains, "ckpt");
