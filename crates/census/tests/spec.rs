@@ -21,10 +21,11 @@
 //! The kernels run on seeded synthetic worlds (scale 0.02, seeds 7 and
 //! 59, the 21 days around 2015-03-17), on the same window with days
 //! carved out, and on hand-written edge sets. Every case has a
-//! non-empty expected answer for at least one parameter set. Two
+//! non-empty expected answer for at least one parameter set. Three
 //! metamorphic relations close the file: shifting every day shifts
-//! every verdict, and permuting and duplicating a day log's lines keeps
-//! its address sets.
+//! every verdict, moving a /32 onto an unused /32 keeps its own counts
+//! and every count at /32 and longer, and permuting and duplicating a
+//! day log's lines keeps its address sets.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -87,6 +88,11 @@ mod spec {
                 .fold(0, |bits, i| bits | 1 << i)
         }
 
+        /// Every day a bit can stand for.
+        fn span(&self) -> std::ops::Range<i32> {
+            self.base..self.base + 128
+        }
+
         /// Records `addrs` as active on `day`.
         pub fn record(&mut self, day: i32, addrs: impl IntoIterator<Item = u128>) {
             let bit = self.bits([day]);
@@ -129,11 +135,17 @@ mod spec {
 
     /// nd-stable (§5.1): the addresses active on `r` that are also
     /// active on some observed day `d` in `[r − back, r + fwd]` with
-    /// `|d − r| ≥ n + slew`.
+    /// `|d − r| ≥ n + slew`, over unbounded integers (`i64` holds every
+    /// sum and difference of a day and a `u32`).
     pub fn stable_on(days: &Days, r: i32, params: &StabilityParams) -> Set {
-        let window = (r - params.back as i32)..=(r + params.fwd as i32);
-        let min = params.n + params.slew_tolerance;
-        let witnesses = days.bits(window.filter(|d| d.abs_diff(r) >= min));
+        let at = i64::from(r);
+        let window = at - i64::from(params.back)..=at + i64::from(params.fwd);
+        let min = u64::from(params.n) + u64::from(params.slew_tolerance);
+        let witness = |d: &i32| {
+            let d = i64::from(*d);
+            window.contains(&d) && d.abs_diff(at) >= min
+        };
+        let witnesses = days.bits(days.span().filter(witness));
         days.select(&[days.bits([r]), witnesses])
     }
 
@@ -462,14 +474,19 @@ const DENSITY_PARAMS: [(u64, u8); 8] = [
 ];
 
 /// nd-stability parameters: the paper's 3d-stable, the shortest and
-/// longest distances the ±7-day window admits, and an asymmetric window
-/// with slew.
-fn stability_params() -> [StabilityParams; 4] {
+/// longest distances the ±7-day window admits, an asymmetric window
+/// with slew, and three whose window bounds or distance do not fit an
+/// `i32` or a `u32`: a distance no two days of a window are apart, a
+/// window reaching past every day, and `n + slew` past `u32::MAX`.
+fn stability_params() -> [StabilityParams; 7] {
     [
         StabilityParams::three_day(),
         StabilityParams::nd(1),
         StabilityParams::nd(7),
         StabilityParams::nd(2).with_window(3, 5).with_slew(1),
+        StabilityParams::nd(3_000_000_000),
+        StabilityParams::nd(3).with_window(3_000_000_000, 3_000_000_000),
+        StabilityParams::nd(u32::MAX).with_slew(2),
     ]
 }
 
@@ -766,6 +783,96 @@ fn shifting_every_day_shifts_every_verdict() {
                 }
             }
         }
+    }
+}
+
+/// The MRA ratios γ^k_p of `set` at every resolution, for the `p`
+/// that `keep` selects.
+fn mra_ratios(set: &AddrSet, keep: impl Fn(u8) -> bool) -> Vec<(u8, u8, f64)> {
+    let mra = MraCurve::of(set);
+    let mut out = Vec::new();
+    for res in [
+        MraResolution::SingleBit,
+        MraResolution::Nybble,
+        MraResolution::Byte,
+        MraResolution::Segment16,
+    ] {
+        for p in (0..=128 - res.k()).filter(|&p| keep(p)) {
+            out.push((p, res.k(), mra.ratio(plen(p), res)));
+        }
+    }
+    out
+}
+
+/// The aggregate counts n_p of `set` for the `p` that `keep` selects.
+fn counts(set: &AddrSet, keep: impl Fn(u8) -> bool) -> Vec<(u8, u64)> {
+    let counts = AggregateCounts::of(set);
+    PrefixLen::all()
+        .filter(|p| keep(p.get()))
+        .map(|p| (p.get(), counts.n(p)))
+        .collect()
+}
+
+#[test]
+fn moving_a_slash_32_keeps_every_count_at_slash_32_and_longer() {
+    let within = |a: u128| a & (u128::MAX >> 32);
+    for (seed, logs) in worlds() {
+        let log = logs.iter().find(|l| l.day == reference()).unwrap();
+        let keys: Vec<u128> = log.addrs().map(|a| a.0).collect();
+        // The most populated /32, and the first /32 above it holding no
+        // address of the day.
+        let top = |a: u128| a >> 96;
+        let mut sizes: Vec<(u128, usize)> = Vec::new();
+        for &k in &keys {
+            match sizes.last_mut() {
+                Some((t, n)) if *t == top(k) => *n += 1,
+                _ => sizes.push((top(k), 1)),
+            }
+        }
+        let (from, size) = *sizes.iter().max_by_key(|&&(_, n)| n).unwrap();
+        let to = (from + 1..)
+            .find(|t| sizes.iter().all(|&(u, _)| u != *t))
+            .unwrap();
+        assert!(
+            size > 1 && sizes.len() > 1,
+            "seed {seed}: one /32 or one address"
+        );
+        let moved = |k: u128| {
+            if top(k) == from {
+                (to << 96) | within(k)
+            } else {
+                k
+            }
+        };
+
+        let own = AddrSet::from_keys(keys.iter().copied().filter(|&k| top(k) == from).collect());
+        let own_moved = AddrSet::from_keys(own.keys().iter().map(|&k| moved(k)).collect());
+        let any = |_: u8| true;
+        let what = format!("seed {seed}: /32 {from:#x} → {to:#x}");
+        assert_eq!(
+            counts(&own_moved, any),
+            counts(&own, any),
+            "{what}: its n_p"
+        );
+        assert_eq!(
+            mra_ratios(&own_moved, any),
+            mra_ratios(&own, any),
+            "{what}: its γ"
+        );
+
+        let all = AddrSet::from_keys(keys.clone());
+        let all_moved = AddrSet::from_keys(keys.iter().map(|&k| moved(k)).collect());
+        let long = |p: u8| p >= 32;
+        assert_eq!(
+            counts(&all_moved, long),
+            counts(&all, long),
+            "{what}: n_p, p ≥ 32"
+        );
+        assert_eq!(
+            mra_ratios(&all_moved, long),
+            mra_ratios(&all, long),
+            "{what}: γ, p ≥ 32"
+        );
     }
 }
 

@@ -19,7 +19,7 @@
 //! run to [`crate::EXIT_DEGRADED`] so scripts can tell a clean census
 //! from one that shed work.
 
-use crate::{err, CliError, Flags};
+use crate::{err, usage, CliError, Flags};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -65,7 +65,7 @@ pub fn config_from_flags(flags: &Flags) -> Result<IngestConfig, CliError> {
     }
     cfg.resume = flags.has("resume");
     if cfg.resume && cfg.checkpoint_dir.is_none() {
-        return Err(err("--resume requires --checkpoint DIR"));
+        return Err(usage("--resume requires --checkpoint DIR"));
     }
     cfg.max_days = match flags.get("max-days") {
         None => None,
@@ -132,7 +132,7 @@ pub fn census(flags: &Flags) -> Result<(String, Quality), CliError> {
         .get("dir")
         .map(str::to_string)
         .or_else(|| flags.positional.first().cloned())
-        .ok_or_else(|| err("census requires a log directory (--dir DIR or positional)"))?;
+        .ok_or_else(|| usage("census requires a log directory (--dir DIR or positional)"))?;
     let n: u32 = flags.get_parsed("n", 3u32)?;
     if n == 0 {
         return Err(err("--n must be at least 1"));

@@ -91,13 +91,18 @@ COMMANDS
 
 EXIT CODES
   0  success, all results exact
-  1  data or I/O error (bad input, strict-mode abort, unreadable files)
-  2  usage error (unknown command, missing arguments)
+  1  data or I/O error (bad input, strict-mode abort, unreadable files,
+     a flag value the command rejects, such as --n 0)
+  2  usage error: an unknown command, a missing required flag (--dir,
+     stable's --earlier, --resume without --checkpoint), a flag value
+     that does not parse (--n abc), or a --scale that cannot size a
+     world (nan, 0)
   3  completed but degraded: some result is coarser or partial — a shard
      panicked twice, a stage hit its deadline, or a budget forced coarser
      aggregation; the run manifest in the output names every casualty.
      For `serve`: the daemon ran and drained, but had to abandon
      in-flight connections at the drain deadline (the summary says how
      many). A serve that cannot even start (bad bind, unusable state
-     dir) exits 1; bad flags exit 2.
+     dir) exits 1; a missing --dir or a flag that does not parse
+     exits 2.
 ";

@@ -18,7 +18,7 @@ use v6census_core::quality::Quality;
 use v6census_core::spatial::DensityClass;
 use v6census_core::temporal::StabilityParams;
 
-use crate::{err, CliError, Flags};
+use crate::{err, usage, CliError, Flags};
 
 /// Builds the daemon configuration from flags (shared with tests).
 pub fn serve_config_from_flags(flags: &Flags) -> Result<ServeConfig, CliError> {
@@ -26,7 +26,7 @@ pub fn serve_config_from_flags(flags: &Flags) -> Result<ServeConfig, CliError> {
         .get("dir")
         .map(str::to_string)
         .or_else(|| flags.positional.first().cloned())
-        .ok_or_else(|| err("serve requires a log directory (--dir DIR or positional)"))?;
+        .ok_or_else(|| usage("serve requires a log directory (--dir DIR or positional)"))?;
     let n: u32 = flags.get_parsed("n", 3u32)?;
     if n == 0 {
         return Err(err("--n must be at least 1"));

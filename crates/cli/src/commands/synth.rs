@@ -4,7 +4,7 @@
 //! durably (temp file + fsync + rename) through the [`Vfs`] layer, so
 //! `--fault-fs PLAN` can rehearse emission under injected I/O faults.
 
-use crate::{err, CliError, Flags};
+use crate::{err, usage, CliError, Flags};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
@@ -30,7 +30,7 @@ pub(crate) fn parse_day(s: &str) -> Result<Day, CliError> {
 pub fn synth(flags: &Flags) -> Result<String, CliError> {
     let day = parse_day(flags.get("day").unwrap_or("2015-03-17"))?;
     let scale = check_scale(flags.get_parsed("scale", 0.02f64)?)
-        .map_err(|e| err(format!("bad --scale: {e}")))?;
+        .map_err(|e| usage(format!("bad --scale: {e}")))?;
     let seed: u64 = flags.get_parsed("seed", 0x76c3_15c3_0001u64)?;
     let world = World::standard(WorldConfig { seed, scale });
     if let Some(dir) = flags.get("out") {

@@ -33,7 +33,9 @@ pub const EXIT_OK: i32 = 0;
 /// Exit code: the command failed on its data or I/O (bad input, strict
 /// abort, unreadable files).
 pub const EXIT_DATA_ERROR: i32 = 1;
-/// Exit code: usage error (unknown command, missing arguments).
+/// Exit code: usage error (unknown command, a missing required flag
+/// or argument, a flag value that does not parse, a rejected
+/// `--scale`).
 pub const EXIT_USAGE: i32 = 2;
 /// Exit code: the command *completed* but some result is `Degraded` or
 /// `Partial` — a supervised census that excluded a panicked shard, hit a
@@ -41,21 +43,43 @@ pub const EXIT_USAGE: i32 = 2;
 /// what was shed; scripts gate on this code.
 pub const EXIT_DEGRADED: i32 = 3;
 
-/// A command error carrying the message shown to the user.
+/// A command error carrying the message shown to the user. Its kind
+/// picks the exit code.
 #[derive(Debug)]
-pub struct CliError(pub String);
+pub enum CliError {
+    /// The command failed on its data or I/O: [`EXIT_DATA_ERROR`].
+    Data(String),
+    /// The command was invoked wrongly: a missing required flag or
+    /// argument, a flag value that does not parse as its type, or a
+    /// `--scale` that cannot size a world. [`EXIT_USAGE`].
+    Usage(String),
+}
+
+impl CliError {
+    /// True for [`CliError::Usage`].
+    pub fn is_usage(&self) -> bool {
+        matches!(self, CliError::Usage(_))
+    }
+}
 
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
+        match self {
+            CliError::Data(m) | CliError::Usage(m) => write!(f, "{m}"),
+        }
     }
 }
 
 impl std::error::Error for CliError {}
 
-/// Shorthand constructor.
+/// A data error.
 pub fn err(msg: impl Into<String>) -> CliError {
-    CliError(msg.into())
+    CliError::Data(msg.into())
+}
+
+/// A usage error.
+pub fn usage(msg: impl Into<String>) -> CliError {
+    CliError::Usage(msg.into())
 }
 
 /// Minimal flag parser: `--key value` pairs plus positional arguments.
@@ -124,7 +148,7 @@ impl Flags {
             None => Ok(default),
             Some(v) => v
                 .parse()
-                .map_err(|_| err(format!("bad value for --{name}: {v:?}"))),
+                .map_err(|_| usage(format!("bad value for --{name}: {v:?}"))),
         }
     }
 }
@@ -147,7 +171,7 @@ mod tests {
         assert_eq!(f.positional, vec!["pos1", "pos2"]);
         assert_eq!(f.get_parsed("scale", 1.0f64).unwrap(), 0.5);
         assert_eq!(f.get_parsed("missing", 42u32).unwrap(), 42);
-        assert!(f.get_parsed::<u32>("scale", 0).is_err());
+        assert!(f.get_parsed::<u32>("scale", 0).unwrap_err().is_usage());
     }
 
     #[test]

@@ -32,7 +32,7 @@ fn main() {
         "stable" => {
             let earlier_path = flags.get("earlier").unwrap_or_default().to_string();
             if earlier_path.is_empty() {
-                Err(v6census_cli::err("stable requires --earlier FILE"))
+                Err(v6census_cli::usage("stable requires --earlier FILE"))
             } else {
                 match std::fs::read_to_string(&earlier_path) {
                     Ok(earlier) => stable(&read_stdin(), &earlier, &flags).map(exact),
@@ -47,7 +47,7 @@ fn main() {
         "stability" => {
             let dir = flags.get("dir").unwrap_or_default().to_string();
             if dir.is_empty() {
-                Err(v6census_cli::err("stability requires --dir DIR"))
+                Err(v6census_cli::usage("stability requires --dir DIR"))
             } else {
                 read_day_files(&dir)
                     .and_then(|days| stability(days, &flags))
@@ -86,6 +86,9 @@ fn main() {
         }
         Err(e) => {
             eprintln!("error: {e}");
+            if e.is_usage() {
+                std::process::exit(EXIT_USAGE);
+            }
             std::process::exit(EXIT_DATA_ERROR);
         }
     }

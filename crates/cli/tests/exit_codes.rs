@@ -50,6 +50,37 @@ fn usage_errors_exit_2() {
     ] {
         assert!(usage.contains(needle), "usage lacks {needle}:\n{usage}");
     }
+
+    // A flag value that does not parse, a --scale that cannot size a
+    // world, and a missing required flag are usage errors too. The
+    // commands that need a directory get a real one, so the flag under
+    // test is what fails.
+    let dir = std::env::temp_dir().join(format!("v6census-usage-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("2015-03-17.txt"), "2001:db8::1\n").unwrap();
+    let d = dir.to_str().unwrap();
+    for (args, message) in [
+        (vec!["synth", "--scale", "nan"], "bad --scale"),
+        (
+            vec!["stability", "--dir", d, "--n", "abc"],
+            "bad value for --n",
+        ),
+        (
+            vec!["census", "--dir", d, "--jobs", "x"],
+            "bad value for --jobs",
+        ),
+        (
+            vec!["serve", "--dir", d, "--max-connections", "x"],
+            "bad value for --max-connections",
+        ),
+        (vec!["stable"], "stable requires --earlier"),
+    ] {
+        let out = bin().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(EXIT_USAGE), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Runs `v6census ARGS` with `input` on stdin.
@@ -72,13 +103,14 @@ fn run_with_stdin(args: &[&str], input: &str) -> std::process::Output {
     child.wait_with_output().unwrap()
 }
 
-/// A prefix length past /128 is a bad flag value like any other: no
-/// report is printed, rather than a /128 report headed `/200`.
+/// A prefix length past /128 is a bad flag value like any other (a
+/// usage error): no report is printed, rather than a /128 report headed
+/// `/200`.
 #[test]
 fn out_of_range_prefix_length_is_rejected_not_clamped() {
     let input = "2001:db8::1\n2001:db8::2\n2001:db8:1::1\n";
     let out = run_with_stdin(&["aggregate", "--populations", "--length", "200"], input);
-    assert_eq!(out.status.code(), Some(EXIT_DATA_ERROR));
+    assert_eq!(out.status.code(), Some(EXIT_USAGE));
     assert!(
         out.stdout.is_empty(),
         "{}",

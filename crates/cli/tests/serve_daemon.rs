@@ -233,10 +233,11 @@ fn run_for_ms_mode_and_flag_errors() {
     let out = child.wait_with_output().unwrap();
     assert_eq!(out.status.code(), Some(EXIT_OK));
 
-    // Missing directory is a data error (1); bad flag values too; an
-    // unbindable address is a startup failure (1).
+    // A missing directory is a usage error (2); a flag value the
+    // command rejects is a data error (1), and so is an unbindable
+    // address, a startup failure.
     let out = bin().arg("serve").output().unwrap();
-    assert_eq!(out.status.code(), Some(EXIT_DATA_ERROR));
+    assert_eq!(out.status.code(), Some(EXIT_USAGE));
     let out = bin()
         .arg("serve")
         .args(["--dir", &source.to_string_lossy(), "--max-connections", "0"])
@@ -261,7 +262,7 @@ fn run_for_ms_mode_and_flag_errors() {
 }
 
 #[test]
-fn usage_exit_code_is_reserved_for_unknown_commands() {
+fn unknown_command_is_a_usage_error() {
     let out = bin().arg("serve-wrong").output().unwrap();
     assert_eq!(out.status.code(), Some(EXIT_USAGE));
 }

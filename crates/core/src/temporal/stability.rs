@@ -67,9 +67,19 @@ impl StabilityParams {
         format!("{}d-stable (-{}d,+{}d)", self.n, self.back, self.fwd)
     }
 
-    /// Effective minimum distance between observation days.
-    fn min_distance(&self) -> u32 {
-        self.n + self.slew_tolerance
+    /// Effective minimum distance between observation days, `n + slew`
+    /// without wrapping.
+    fn min_distance(&self) -> u64 {
+        u64::from(self.n) + u64::from(self.slew_tolerance)
+    }
+
+    /// The window's first and last day around `reference`. A reach past
+    /// the days a [`Day`] can name stops at the first or last of them,
+    /// which leaves out no day.
+    fn window(&self, reference: Day) -> (Day, Day) {
+        let r = i64::from(reference.0);
+        let day = |d: i64| Day(i32::try_from(d).unwrap_or(if d < 0 { i32::MIN } else { i32::MAX }));
+        (day(r - i64::from(self.back)), day(r + i64::from(self.fwd)))
     }
 }
 
@@ -268,10 +278,8 @@ impl DailyObservations {
         params: &StabilityParams,
         policy: GapPolicy,
     ) -> StabilityVerdict {
-        let missing = self.gaps_in(
-            reference - params.back as i32,
-            reference + params.fwd as i32,
-        );
+        let (first, last) = params.window(reference);
+        let missing = self.gaps_in(first, last);
         if missing.is_empty() || policy == GapPolicy::AssumeInactive {
             return StabilityVerdict {
                 stable: self.stable_on(reference, params),
@@ -300,7 +308,10 @@ impl DailyObservations {
                     (missing.iter().filter(|&&d| d < reference).count() as u32).min(max_extra);
                 let fwd_extra =
                     (missing.iter().filter(|&&d| d > reference).count() as u32).min(max_extra);
-                let widened = params.with_window(params.back + back_extra, params.fwd + fwd_extra);
+                let widened = params.with_window(
+                    params.back.saturating_add(back_extra),
+                    params.fwd.saturating_add(fwd_extra),
+                );
                 StabilityVerdict {
                     stable: self.stable_on(reference, &widened),
                     quality: VerdictQuality::Widened {
@@ -330,14 +341,7 @@ impl DailyObservations {
         for (_, s) in self.witness_days(reference, params) {
             witnesses.push(s.keys());
         }
-        // Not `vec![0; …]`: the reserve-then-resize spelling keeps this
-        // fn on the amortized point of R005's allocation lattice.
-        #[allow(clippy::slow_vector_initialization)]
-        let mut cursors: Vec<usize> = {
-            let mut v = Vec::with_capacity(witnesses.len());
-            v.resize(witnesses.len(), 0);
-            v
-        };
+        let mut cursors: Vec<usize> = vec![0; witnesses.len()];
         let mut out: Vec<u128> = Vec::with_capacity(active.len());
         for &a in active.keys() {
             let mut hit = false;
@@ -365,12 +369,11 @@ impl DailyObservations {
         reference: Day,
         params: &StabilityParams,
     ) -> impl Iterator<Item = (Day, &'a AddrSet)> + 'a {
-        let lo = reference - params.back as i32;
-        let hi = reference + params.fwd as i32;
-        let min_d = params.min_distance() as i32;
+        let (lo, hi) = params.window(reference);
+        let min_d = params.min_distance();
         self.days
             .range(lo..=hi)
-            .filter(move |(&d, _)| (d - reference).abs() >= min_d)
+            .filter(move |(&d, _)| u64::from(d.0.abs_diff(reference.0)) >= min_d)
             .map(|(&d, s)| (d, s))
     }
 

@@ -12,12 +12,10 @@
 //! the safe direction for panic-reachability: we may report a chain
 //! that the borrow checker would rule out, but we never miss one.
 //!
-//! The semantic rules share three operations over the graph, defined
-//! once here: `lift` carries a per-function fact from callees to
-//! callers to a fixpoint (R005's allocation effect), `reach` walks it
-//! breadth-first from a root set (R001's and R005's entry points), and
-//! `walk` + `render` turn hop maps and parent maps into `a → b → c`
-//! witness chains.
+//! R001 walks the graph with the operations defined here: `reach`
+//! searches it breadth-first from its entry points, and `tree_path`
+//! (over `walk`) + `render` turn the search tree's parent pointers
+//! into `a → b → c` witness chains.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -86,106 +84,6 @@ impl CallGraph {
     }
 }
 
-/// A per-function fact lifted over the call graph by [`lift`]: a join
-/// semilattice of finite height whose `Default` is the bottom.
-pub(crate) trait Lattice: Default {
-    /// The part of a value one witness hop explains: `()` when the
-    /// whole value shares one hop, a lock id for lock sets.
-    type Key: Ord;
-    /// True when the value can no longer grow; [`lift`] stops visiting
-    /// a function once its value is top.
-    fn is_top(&self) -> bool {
-        false
-    }
-    /// Joins a callee's value into `self`, handing `hop` each key the
-    /// callee is to be recorded as the witness for. True when `self`
-    /// grew.
-    fn join(&mut self, callee: &Self, hop: impl FnMut(Self::Key)) -> bool;
-}
-
-/// Witness hops recorded by `lift`: `(fn, key)` → the call
-/// `(callee, line)` that carried that part of the value into `fn`.
-pub type Hops<K> = BTreeMap<(usize, K), (usize, usize)>;
-
-/// Lifts `values` (one per function, seeded with its direct facts)
-/// from callees to callers over every call that `skip` does not
-/// exclude, until nothing grows. Test functions neither receive nor
-/// pass on values.
-///
-/// Visiting order fixes which hop becomes a witness: function ids
-/// ascending, calls in source order, callees in [`Call::callees`]
-/// order, values updated in place. A function stops at the first call
-/// after which it is top. Each round carries every value at least one
-/// more call along, so on a finite lattice `n + 1` rounds reach the
-/// fixpoint; the bound only guards a non-monotone `join`.
-pub(crate) fn lift<V: Lattice>(
-    ws: &Workspace<'_>,
-    values: &mut [V],
-    skip: impl Fn(usize, &Call) -> bool,
-) -> Hops<V::Key> {
-    let n = values.len();
-    let live = |id: &usize| !ws.symbols.is_test(*id);
-    let mut hops = Hops::new();
-    let mut changed = true;
-    let mut rounds = 0usize;
-    while changed && rounds <= n {
-        changed = false;
-        rounds += 1;
-        for id in (0..n).filter(live) {
-            if values[id].is_top() {
-                continue;
-            }
-            // Out of the slice while it joins: a recursive call then
-            // reads bottom, which joins to the same no-op as itself.
-            let mut value = std::mem::take(&mut values[id]);
-            for call in ws.calls.calls.get(id).into_iter().flatten() {
-                if skip(id, call) {
-                    continue;
-                }
-                for &callee in call.callees.iter().filter(|c| live(c)) {
-                    changed |= value.join(&values[callee], |key| {
-                        hops.insert((id, key), (callee, call.line));
-                    });
-                }
-                if value.is_top() {
-                    break;
-                }
-            }
-            values[id] = value;
-        }
-    }
-    hops
-}
-
-/// The calls of `id` whose `(` lies strictly inside the token range
-/// `(lo, hi)`, that `skip` keeps and that have a non-test callee; each
-/// comes with its first non-test callee whose lifted value is top.
-pub(crate) fn scope_calls<'a, V: Lattice>(
-    ws: &Workspace<'a>,
-    id: usize,
-    (lo, hi): (usize, usize),
-    values: &'a [V],
-    skip: impl Fn(&Call) -> bool + 'a,
-) -> impl Iterator<Item = (&'a Call, Option<usize>)> + 'a {
-    let symbols: &'a SymbolTable = ws.symbols;
-    let live = move |c: &usize| !symbols.is_test(*c);
-    ws.calls
-        .calls
-        .get(id)
-        .into_iter()
-        .flatten()
-        .filter(move |call| call.paren > lo && call.paren < hi && !skip(call))
-        .filter(move |call| call.callees.iter().any(live))
-        .map(move |call| {
-            let top = call
-                .callees
-                .iter()
-                .copied()
-                .find(|c| live(c) && values.get(*c).is_some_and(V::is_top));
-            (call, top)
-        })
-}
-
 /// Breadth-first search from `roots` (test functions and repeats
 /// skipped) over non-test callees. Returns the search tree as parent
 /// pointers, which double as the reached set; roots map to `None`.
@@ -244,33 +142,6 @@ pub(crate) fn render(ws: &Workspace<'_>, ids: &[usize]) -> String {
         .map(|&id| ws.symbols.fns.get(id).map_or("", |f| f.qname.as_str()))
         .collect();
     names.join(" → ")
-}
-
-/// Renders `start → … → f → desc (file:line)` down `via` hops to the
-/// first function `f` with a direct `site` (its description and line).
-/// Also returns the description, or `fallback` when the hops end first.
-pub(crate) fn site_chain<'s>(
-    ws: &Workspace<'_>,
-    start: usize,
-    via: &Hops<()>,
-    fallback: &str,
-    site: impl Fn(usize) -> Option<(&'s str, usize)>,
-) -> (String, String) {
-    let ids = walk(ws, start, |f| match site(f) {
-        Some(_) => None,
-        None => via.get(&(f, ())).map(|&(next, _)| next),
-    });
-    let path = render(ws, &ids);
-    let Some((f, (desc, line))) = ids.last().and_then(|&f| Some((f, site(f)?))) else {
-        return (path, fallback.to_string());
-    };
-    let rel = ws
-        .symbols
-        .fns
-        .get(f)
-        .and_then(|x| ws.files.get(x.file))
-        .map_or("", |x| x.rel.as_str());
-    (format!("{path} → {desc} ({rel}:{line})"), desc.to_string())
 }
 
 /// Scans one body's comment-free tokens (paired with their index in

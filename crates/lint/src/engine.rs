@@ -78,7 +78,7 @@ pub fn lint_workspace(
 /// against `root` for scope matching and diagnostics.
 ///
 /// Runs in two layers: the per-file lexical rules over each scanned
-/// file, then the semantic rules (`L007`–`L009`, `R001`, `R005`, `R006`) over
+/// file, then the semantic rules (`L007`–`L009`, `R001`) over
 /// the symbol table and call graph built from *all* the files. Pragma
 /// application and accountability happen last, per file, so an
 /// `allow(R001, …)` next to a reachable panic site both suppresses the
@@ -119,28 +119,11 @@ pub fn lint_files(
         calls: &calls,
     };
     for rule in semantic_registry() {
-        // R005/R006 share one `allocs::analyze` pass, below.
-        if matches!(rule.id(), "R005" | "R006") {
-            continue;
-        }
         let mut out = Vec::new();
         rule.check(&ws, cfg, &mut out);
         out.retain(|d| cfg.rule_applies(rule.id(), &d.rel));
         all.append(&mut out);
     }
-
-    // Layer 2b: the allocation-effect pass — one shared analysis
-    // feeding both R005 (alloc-in-hot-loop) and R006
-    // (capacity-discipline). Both rules are additionally gated by the
-    // `[hot] paths` scope: the obligation is "the hot kernels stay
-    // allocation-free per item", not "nothing anywhere allocates".
-    let heap = crate::allocs::analyze(&ws, cfg);
-    all.extend(heap.hot_findings.into_iter().filter(|d| {
-        crate::allocs::hot_scope_applies(cfg, &d.rel) && cfg.rule_applies("R005", &d.rel)
-    }));
-    all.extend(heap.capacity_findings.into_iter().filter(|d| {
-        crate::allocs::hot_scope_applies(cfg, &d.rel) && cfg.rule_applies("R006", &d.rel)
-    }));
 
     // Layer 3: pragma application and severity mapping, per file.
     let mut by_rel: BTreeMap<&str, Vec<Diagnostic>> = BTreeMap::new();

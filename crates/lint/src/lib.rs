@@ -7,13 +7,14 @@
 //! durability path, with locks confined to the files that may hold
 //! them. This crate enforces them as lexical rules (`L001`–`L009`;
 //! L008 and L009 in [`effects`]) over comment- and string-blanked
-//! source, the interprocedural proofs — `R001` panic-reachability over
-//! the [`callgraph`], `R005` alloc-in-hot-loop and `R006`
-//! capacity-discipline ([`allocs`], a three-point allocation-effect
-//! lattice lifted over the call graph and checked against
-//! token-precise loop scopes) — and per-line
+//! source, the interprocedural `R001` panic-reachability proof over the
+//! [`callgraph`], and per-line
 //! `// lint: allow(<rule>, reason = "...")` suppression
 //! pragmas that are themselves machine-checked (`P000`, `P001`).
+//!
+//! That the per-address kernels do not allocate per address is not a
+//! lint rule: the root package's `tests/allocs.rs` counts their heap
+//! allocations on a real synth day.
 //!
 //! Run it as `cargo run -p lint -- --workspace` (add `--deny all` in
 //! CI). Rule scopes live in the checked-in `lint.toml`.
@@ -21,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod allocs;
 pub mod callgraph;
 pub mod config;
 pub mod effects;

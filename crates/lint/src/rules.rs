@@ -35,12 +35,6 @@
 //! |      |                          | configured entry points reaches a       |
 //! |      |                          | panicking construct (see               |
 //! |      |                          | [`crate::reach`])                       |
-//! | R005 | alloc-in-hot-loop        | no per-call allocation inside a loop    |
-//! |      |                          | reachable from a `[hot]` entry point    |
-//! |      |                          | (see [`crate::allocs`])                 |
-//! | R006 | capacity-discipline      | a Vec/String grown in a loop shows a    |
-//! |      |                          | dominating reservation or is a `&mut`   |
-//! |      |                          | out-param (see [`crate::allocs`])       |
 //!
 //! Every rule is scoped by path prefixes from `lint.toml` and can be
 //! suppressed per line (or per file) with
@@ -125,8 +119,6 @@ pub fn semantic_registry() -> Vec<Box<dyn SemanticRule>> {
         Box::new(crate::effects::VfsBypass),
         Box::new(crate::effects::LockConfinement),
         Box::new(crate::reach::PanicReach),
-        Box::new(crate::allocs::AllocInHotLoop),
-        Box::new(crate::allocs::CapacityDiscipline),
     ]
 }
 

@@ -242,91 +242,6 @@ fn l008_ok_fixture_is_clean() {
     assert_ok("l008_ok.rs");
 }
 
-// ------------------------------------------- R005/R006 allocations
-
-/// The two-hop R005 fixture: `hot` loops and calls `relay`, which
-/// calls `leaf`, which allocates a fresh `String` every call. The
-/// witness chain must name the entry, the loop line, both call hops,
-/// and the concrete allocation site.
-#[test]
-fn r005_bad_fixture_chain_names_every_hop() {
-    let dir = fixtures_dir();
-    let cfg = Config::parse("[hot]\nentry_points = [\"r005_bad::hot\"]\n").expect("config parses");
-    let report = lint_files(
-        &dir,
-        &[dir.join("r005_bad.rs")],
-        &cfg,
-        &SeverityMap::default(),
-    )
-    .expect("fixture lints");
-    let r005 = hits(&report, "R005");
-    assert_eq!(r005.len(), 1, "{:?}", report.diagnostics);
-    let d = r005.first().expect("one R005 finding");
-    assert_eq!(d.rel, "r005_bad.rs");
-    assert!(
-        d.message.contains("allocates on every iteration"),
-        "message names the failure class: {}",
-        d.message
-    );
-    let chain = d.chain.as_deref().expect("witness chain");
-    for hop in [
-        "r005_bad::hot",
-        "loop @ r005_bad.rs:",
-        "r005_bad::relay",
-        "r005_bad::leaf",
-        "String::new",
-    ] {
-        assert!(chain.contains(hop), "chain must name {hop}: {chain}");
-    }
-    assert_eq!(report.exit_code(), 1, "a hot-loop allocation fails the run");
-}
-
-/// The hoisted-buffer counterpart: one reservation outside the loop,
-/// `clear()`-reuse inside, out-param fill — proven allocation-free per
-/// iteration under the same `[hot]` config.
-#[test]
-fn r005_ok_fixture_reused_buffer_is_clean() {
-    let dir = fixtures_dir();
-    let cfg = Config::parse("[hot]\nentry_points = [\"r005_ok::hot\"]\n").expect("config parses");
-    let report = lint_files(
-        &dir,
-        &[dir.join("r005_ok.rs")],
-        &cfg,
-        &SeverityMap::default(),
-    )
-    .expect("fixture lints");
-    let loud: Vec<_> = report
-        .diagnostics
-        .iter()
-        .filter(|d| !d.suppressed)
-        .collect();
-    assert!(loud.is_empty(), "expected a clean report, got {loud:?}");
-    assert_eq!(report.exit_code(), 0);
-}
-
-/// Unreserved `push` growth in a loop is flagged even outside any hot
-/// path — R006 is intra-function and needs no `[hot]` config.
-#[test]
-fn r006_bad_fixture_flags_unreserved_growth() {
-    let report = lint_fixture("r006_bad.rs");
-    let r006 = hits(&report, "R006");
-    assert_eq!(r006.len(), 1, "{:?}", report.diagnostics);
-    let d = r006.first().expect("one R006 finding");
-    assert!(
-        d.message.contains("`out`") && d.message.contains("with_capacity"),
-        "message names the buffer and the remedy: {}",
-        d.message
-    );
-    assert_eq!(report.exit_code(), 1);
-}
-
-/// Both sanctioned growth disciplines — dominating reservation and
-/// `&mut` out-param — are proven clean.
-#[test]
-fn r006_ok_fixture_is_clean() {
-    assert_ok("r006_ok.rs");
-}
-
 // ------------------------------------------------------------- pragmas
 
 #[test]
@@ -463,23 +378,5 @@ fn workspace_at_head_is_lint_clean() {
         "lock/durability findings must be fixed, never \
          pragma'd:\n{}",
         conc_pragmas.join("\n")
-    );
-    // The allocation rules joined the same regime: the ceiling above
-    // already includes R005/R006, and the trie's per-address descent
-    // loop in particular must stay *proven* allocation-free — the
-    // arena rewrite exists precisely so `try_insert` carries no
-    // per-iteration allocation. A pragma there would quietly undo the
-    // pipeline's headline optimization.
-    let r005_pragmas: Vec<String> = report
-        .diagnostics
-        .iter()
-        .filter(|d| d.suppressed && d.rule == "R005" && d.rel.contains("trie/src/tree.rs"))
-        .map(|d| format!("{}:{} {}", d.rel, d.line, d.rule))
-        .collect();
-    assert!(
-        r005_pragmas.is_empty(),
-        "R005 in the trie descent path must be fixed, never \
-         pragma'd:\n{}",
-        r005_pragmas.join("\n")
     );
 }

@@ -1,5 +1,5 @@
 //! Golden report over every fixture in `tests/fixtures/`: one
-//! `lint_files` call with R001 and R005 entry points configured, its
+//! `lint_files` call with R001's entry point configured, its
 //! `--format json` rendering compared byte for byte with the checked-in
 //! `tests/golden/fixtures.json`.
 //!
@@ -9,7 +9,7 @@
 //! file only for an intended output change, with the CLI:
 //!
 //! ```text
-//! printf '[reach]\nentry_points = ["reach_entry::main"]\n[hot]\nentry_points = ["r005_bad::hot"]\n' > golden.toml
+//! printf '[reach]\nentry_points = ["reach_entry::main"]\n' > golden.toml
 //! cargo run -q -p lint -- --root crates/lint/tests/fixtures --config golden.toml \
 //!     --format json crates/lint/tests/fixtures/*.rs > crates/lint/tests/golden/fixtures.json
 //! ```
@@ -23,8 +23,6 @@ use lint::engine::{lint_files, SeverityMap};
 const CONFIG: &str = "\
 [reach]
 entry_points = [\"reach_entry::main\"]
-[hot]
-entry_points = [\"r005_bad::hot\"]
 ";
 
 #[test]
@@ -37,7 +35,7 @@ fn fixture_report_matches_golden_json() {
         .filter(|p| p.extension().is_some_and(|x| x == "rs"))
         .collect();
     files.sort();
-    assert_eq!(files.len(), 28, "fixture set changed: {files:?}");
+    assert_eq!(files.len(), 24, "fixture set changed: {files:?}");
 
     let cfg = Config::parse(CONFIG).expect("config parses");
     let report =

@@ -147,8 +147,9 @@ struct Node {
 /// slots) addressed by `u32` handles, so steady-state insertion and
 /// aggregation are allocation-free per address: inserts reuse freed
 /// slots before growing the arena, and every aggregation pass runs in
-/// scratch buffers retained across calls (the R005/R006 allocation
-/// discipline, proven by `v6census-lint`).
+/// scratch buffers retained across calls. The root package's
+/// `tests/allocs.rs` counts the allocations of insertion, densify and
+/// aggregation on a real synth day.
 ///
 /// ```
 /// use v6census_addr::PrefixLen;
@@ -733,14 +734,7 @@ impl RadixTree {
         self.bfs_order_into(&mut order);
         // residual[slot]: count in the subtree not yet attributed to a
         // kept aggregate (flows to the parent).
-        // Not `vec![0; …]`: the reserve-then-resize spelling keeps this
-        // fn on the amortized point of R005's allocation lattice.
-        #[allow(clippy::slow_vector_initialization)]
-        let mut residual: Vec<u64> = {
-            let mut v = Vec::with_capacity(self.arena.len());
-            v.resize(self.arena.len(), 0);
-            v
-        };
+        let mut residual: Vec<u64> = vec![0; self.arena.len()];
         let mut out: Vec<(Prefix, u64)> = Vec::with_capacity(16);
         for &(h, _) in order.iter().rev() {
             let node = self.node(h);

@@ -1,10 +1,10 @@
-//! The docs quote counters and speedups from the committed `BENCH_*.json`
-//! files. This test renders each quoted number from its JSON source and
+//! The docs quote speedups from the committed `BENCH_pipeline.json`.
+//! This test renders each quoted number from its JSON source and
 //! asserts the doc contains it, so a regenerated baseline that moves a
 //! number fails here until the prose follows.
 //!
-//! Only counters and committed speedups are checked, never wall times:
-//! those drift from run to run and the docs do not quote them.
+//! Only committed speedups are checked, never wall times: those drift
+//! from run to run and the docs do not quote them.
 
 use std::fs;
 use std::path::Path;
@@ -27,20 +27,6 @@ fn values<'a>(json: &'a str, key: &str) -> Vec<&'a str> {
         .collect()
 }
 
-/// The single value of `"key"` inside the `"block": { … }` object.
-fn counter<'a>(json: &'a str, block: &str, key: &str) -> &'a str {
-    let open = format!("\"{block}\": {{");
-    let start = json
-        .find(&open)
-        .unwrap_or_else(|| panic!("no `{block}` block"));
-    let body = &json[start..];
-    let body = &body[..body.find('}').expect("block closes")];
-    match values(body, key).as_slice() {
-        [v] => v,
-        other => panic!("`{block}.{key}`: expected one value, found {other:?}"),
-    }
-}
-
 /// Asserts `doc` contains `want`, comparing with line breaks and runs
 /// of spaces folded, so the prose may wrap anywhere.
 fn assert_quotes(doc_rel: &str, doc: &str, want: &str, source: &str) {
@@ -49,29 +35,6 @@ fn assert_quotes(doc_rel: &str, doc: &str, want: &str, source: &str) {
         folded.contains(want),
         "{doc_rel} should quote `{want}` ({source}); update the prose to the committed number"
     );
-}
-
-#[test]
-fn verify_skill_quotes_bench_lint_counters() {
-    let json = read("BENCH_lint.json");
-    let skill_rel = ".claude/skills/verify/SKILL.md";
-    let skill = read(skill_rel);
-    let hot_loops = format!(
-        "{}/{}",
-        counter(&json, "allocs", "hot_loop_proven"),
-        counter(&json, "allocs", "hot_loop_obligations")
-    );
-    assert_quotes(
-        skill_rel,
-        &skill,
-        &hot_loops,
-        "allocs.hot_loop_proven/hot_loop_obligations",
-    );
-    let entries = format!(
-        "hot_entry_points: {}",
-        counter(&json, "allocs", "hot_entry_points")
-    );
-    assert_quotes(skill_rel, &skill, &entries, "allocs.hot_entry_points");
 }
 
 #[test]
