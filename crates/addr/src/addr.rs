@@ -406,59 +406,111 @@ fn parse_v4(b: &[u8]) -> Result<[u8; 4], ParseError> {
 // Formatting (RFC 5952 canonical form)
 // ---------------------------------------------------------------------------
 
-impl fmt::Display for Addr {
-    /// Formats in RFC 5952 canonical form: lower-case hex, no leading
-    /// zeros, the single longest run of two-or-more zero groups compressed
-    /// to `::` (leftmost on ties).
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Addr {
+    /// The longest RFC 5952 text of an address, in bytes: eight
+    /// four-digit groups and seven colons.
+    pub const MAX_ASCII_LEN: usize = 39;
+
+    /// Writes the address into `buf` in RFC 5952 canonical form and
+    /// returns the text: lower-case hex, no leading zeros, and the
+    /// single longest run of two or more zero groups compressed to `::`
+    /// (the leftmost on ties). The inverse of [`Addr::parse_ascii`].
+    ///
+    /// Formats on the caller's stack buffer without `fmt`, so a writer
+    /// of many addresses (`core::daylog`) pays one copy per address.
+    /// [`fmt::Display`] for [`Addr`] delegates to it.
+    ///
+    /// ```
+    /// use v6census_addr::Addr;
+    /// let a: Addr = "2001:0db8:0:0:1:0:0:1".parse().unwrap();
+    /// assert_eq!(a.write_ascii(&mut [0; Addr::MAX_ASCII_LEN]), "2001:db8::1:0:0:1");
+    /// ```
+    pub fn write_ascii(self, buf: &mut [u8; Addr::MAX_ASCII_LEN]) -> &str {
         let segs = self.segments();
-
-        // Find the longest run of zero segments of length >= 2.
-        let mut best_start = 0usize;
-        let mut best_len = 0usize;
-        let mut cur_start = 0usize;
-        let mut cur_len = 0usize;
-        for (i, &s) in segs.iter().enumerate() {
-            if s == 0 {
-                if cur_len == 0 {
-                    cur_start = i;
+        // Bit 7 - i set when group i is zero: most addresses have no two
+        // zero groups side by side, and those skip the run search.
+        let zeros = segs.iter().fold(0u8, |m, &g| (m << 1) | u8::from(g == 0));
+        let elided = if zeros & (zeros >> 1) == 0 {
+            0..0
+        } else {
+            longest_zero_run(&segs)
+        };
+        let mut n = 0;
+        // Whether the next group needs a `:` before it: not the first
+        // group, and not the one right after `::`.
+        let mut colon = false;
+        for (i, &g) in segs.iter().enumerate() {
+            if elided.contains(&i) {
+                if i == elided.start {
+                    buf[n] = b':';
+                    buf[n + 1] = b':';
+                    n += 2;
                 }
-                cur_len += 1;
-                if cur_len > best_len {
-                    best_len = cur_len;
-                    best_start = cur_start;
-                }
-            } else {
-                cur_len = 0;
-            }
-        }
-        if best_len < 2 {
-            best_len = 0;
-        }
-
-        let mut i = 0;
-        let mut first = true;
-        while i < 8 {
-            if best_len > 0 && i == best_start {
-                // '::' supplies the separator for the group that follows it.
-                f.write_str("::")?;
-                i += best_len;
-                if i >= 8 {
-                    return Ok(());
-                }
-                write!(f, "{:x}", segs[i])?;
-                i += 1;
-                first = false;
+                colon = false;
                 continue;
             }
-            if !first {
-                f.write_str(":")?;
+            if colon {
+                buf[n] = b':';
+                n += 1;
             }
-            write!(f, "{:x}", segs[i])?;
-            first = false;
-            i += 1;
+            n = put_hex_group(buf, n, g);
+            colon = true;
         }
-        Ok(())
+        // Every byte written is a hex digit or `:`, so this is ASCII
+        // and the check cannot fail.
+        std::str::from_utf8(buf.get(..n).unwrap_or_default()).unwrap_or_default()
+    }
+}
+
+/// The longest run of zero groups, the leftmost on ties. RFC 5952
+/// compresses only a run of two groups or more, so call this only
+/// when two neighbouring groups are zero.
+fn longest_zero_run(segs: &[u16; 8]) -> std::ops::Range<usize> {
+    let (mut best, mut run) = (0..0, 0);
+    for (i, &g) in segs.iter().enumerate() {
+        run = if g == 0 { run + 1 } else { 0 };
+        if run > best.len() {
+            best = i + 1 - run..i + 1;
+        }
+    }
+    best
+}
+
+/// Every byte's two lower-case hex digits.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut table = [[0; 2]; 256];
+    let mut i = 0;
+    while i < 256 {
+        table[i] = [HEX[i >> 4], HEX[i & 0xf]];
+        i += 1;
+    }
+    table
+};
+
+/// Writes group `g` at `buf[n..]` in lower-case hex without leading
+/// zeros (one digit for 0) and returns the position after it. Writes
+/// all four digits as one word, shifted past the leading zeros, and
+/// advances past the significant ones: no branch depends on the
+/// digits. A group never starts past byte 35, so the word fits.
+#[inline]
+fn put_hex_group(buf: &mut [u8; Addr::MAX_ASCII_LEN], n: usize, g: u16) -> usize {
+    let [hi, lo] = g.to_be_bytes();
+    let [a, b] = HEX_PAIRS[usize::from(hi)];
+    let [c, d] = HEX_PAIRS[usize::from(lo)];
+    // Leading zero digits, at most 3: `| 1` keeps a 0 group's last digit.
+    let zeros = (g | 1).leading_zeros() / 4;
+    let word = u32::from_le_bytes([a, b, c, d]).wrapping_shr(8 * zeros);
+    if let Some(dst) = buf.get_mut(n..n + 4) {
+        dst.copy_from_slice(&word.to_le_bytes());
+    }
+    n + 4 - usize::from(low8(u128::from(zeros)))
+}
+
+impl fmt::Display for Addr {
+    /// Formats in RFC 5952 canonical form; see [`Addr::write_ascii`].
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.write_ascii(&mut [0; Addr::MAX_ASCII_LEN]))
     }
 }
 

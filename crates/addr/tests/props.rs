@@ -65,6 +65,63 @@ fn format_matches_std() {
     }
 }
 
+/// `write_ascii` on its own buffer, as text.
+fn ascii(a: Addr) -> String {
+    a.write_ascii(&mut [0; Addr::MAX_ASCII_LEN]).to_string()
+}
+
+#[test]
+fn write_ascii_matches_std_and_round_trips() {
+    let mut g = Gen::new(13);
+    for case in 0..CASES {
+        let bits = g.addr_bits();
+        let text = ascii(Addr(bits));
+        assert_eq!(
+            text,
+            Ipv6Addr::from_bits(bits).to_string(),
+            "case {case}: bits {bits:#034x}"
+        );
+        assert_eq!(
+            Addr::parse_ascii(text.as_bytes()),
+            Ok(Addr(bits)),
+            "case {case}: {text}"
+        );
+        assert_eq!(Addr(bits).to_string(), text, "case {case}: Display");
+    }
+}
+
+#[test]
+fn write_ascii_edge_cases() {
+    for (segs, want) in [
+        ([0; 8], "::"),
+        ([0, 0, 0, 0, 0, 0, 0, 1], "::1"),
+        ([1, 0, 0, 0, 0, 0, 0, 0], "1::"),
+        // Tied zero runs: the leftmost is compressed.
+        ([1, 0, 0, 2, 3, 0, 0, 4], "1::2:3:0:0:4"),
+        ([0, 0, 1, 2, 3, 4, 0, 0], "::1:2:3:4:0:0"),
+        ([1, 0, 0, 0, 2, 0, 0, 0], "1::2:0:0:0"),
+        // A longer run wins over an earlier shorter one.
+        ([1, 0, 0, 2, 0, 0, 0, 3], "1:0:0:2::3"),
+        // A single zero group is not compressed.
+        ([1, 2, 3, 0, 4, 5, 6, 7], "1:2:3:0:4:5:6:7"),
+        ([0, 1, 2, 3, 4, 5, 6, 7], "0:1:2:3:4:5:6:7"),
+        ([1, 2, 3, 4, 5, 6, 7, 0], "1:2:3:4:5:6:7:0"),
+        // Every digit count, and the longest text.
+        (
+            [0xf, 0xff, 0xfff, 0xffff, 0x10, 0x100, 0x1000, 0xabcd],
+            "f:ff:fff:ffff:10:100:1000:abcd",
+        ),
+        ([0xffff; 8], "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff"),
+    ] {
+        let a = Addr::from_segments(segs);
+        let text = ascii(a);
+        assert_eq!(text, want, "{segs:x?}");
+        assert_eq!(text, a.to_std().to_string(), "{segs:x?}");
+        assert_eq!(Addr::parse_ascii(text.as_bytes()), Ok(a), "{text}");
+    }
+    assert_eq!(ascii(Addr(u128::MAX)).len(), Addr::MAX_ASCII_LEN);
+}
+
 #[test]
 fn display_parse_roundtrip() {
     let mut g = Gen::new(2);

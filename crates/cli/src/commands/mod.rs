@@ -87,6 +87,7 @@ COMMANDS
                         [--threshold 0.01]
   synth                 emit a synthetic day log (addr, hits, true kind)
                         [--day 2015-03-17] [--scale 0.02] [--seed N]
+                        [--out DIR [--days 1]]: write day files instead
   help                  this text
 
 EXIT CODES
@@ -94,9 +95,9 @@ EXIT CODES
   1  data or I/O error (bad input, strict-mode abort, unreadable files,
      a flag value the command rejects, such as --n 0)
   2  usage error: an unknown command, a missing required flag (--dir,
-     stable's --earlier, --resume without --checkpoint), a flag value
-     that does not parse (--n abc), or a --scale that cannot size a
-     world (nan, 0)
+     stable's --earlier, --resume without --checkpoint, --days without
+     --out), a flag value that does not parse (--n abc), or a --scale
+     that cannot size a world (nan, 0)
   3  completed but degraded: some result is coarser or partial — a shard
      panicked twice, a stage hit its deadline, or a budget forced coarser
      aggregation; the run manifest in the output names every casualty.

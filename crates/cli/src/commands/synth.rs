@@ -3,6 +3,7 @@
 //! [--days N]` it instead writes N consecutive day files atomically and
 //! durably (temp file + fsync + rename) through the [`Vfs`] layer, so
 //! `--fault-fs PLAN` can rehearse emission under injected I/O faults.
+//! `--days` without `--out` is a usage error.
 
 use crate::{err, usage, CliError, Flags};
 use std::fmt::Write as _;
@@ -32,9 +33,19 @@ pub fn synth(flags: &Flags) -> Result<String, CliError> {
     let scale = check_scale(flags.get_parsed("scale", 0.02f64)?)
         .map_err(|e| usage(format!("bad --scale: {e}")))?;
     let seed: u64 = flags.get_parsed("seed", 0x76c3_15c3_0001u64)?;
+    let days: u32 = flags.get_parsed("days", 1u32)?;
+    let out = flags.get("out");
+    if out.is_none() && flags.has("days") {
+        return Err(usage(
+            "--days needs --out DIR; without it synth prints one day",
+        ));
+    }
+    if days == 0 {
+        return Err(err("--days must be at least 1"));
+    }
     let world = World::standard(WorldConfig { seed, scale });
-    if let Some(dir) = flags.get("out") {
-        return emit_files(&world, dir, day, flags);
+    if let Some(dir) = out {
+        return emit_files(&world, dir, day, days, flags);
     }
     let log = world.day_log(day);
     // The canonical serialization includes the `# end` integrity trailer
@@ -44,11 +55,13 @@ pub fn synth(flags: &Flags) -> Result<String, CliError> {
 
 /// The `--out DIR [--days N]` mode: write day files through the Vfs
 /// layer (atomic + durable), optionally under a `--fault-fs` plan.
-fn emit_files(world: &World, dir: &str, first: Day, flags: &Flags) -> Result<String, CliError> {
-    let days: u32 = flags.get_parsed("days", 1u32)?;
-    if days == 0 {
-        return Err(err("--days must be at least 1"));
-    }
+fn emit_files(
+    world: &World,
+    dir: &str,
+    first: Day,
+    days: u32,
+    flags: &Flags,
+) -> Result<String, CliError> {
     let mut fs: Arc<dyn Vfs> = Arc::new(RealFs);
     let fault = match flags.get("fault-fs") {
         None => None,
@@ -120,6 +133,19 @@ mod tests {
             "0".into()
         ]))
         .is_err());
+        // `--days` is checked without `--out` too, where it is a usage
+        // error whatever its value.
+        for days in ["0", "3", "x"] {
+            let got = synth(&Flags::parse(&["--days".into(), days.into()]));
+            assert!(got.is_err_and(|e| e.is_usage()), "--days {days}");
+        }
+        assert!(synth(&Flags::parse(&[
+            "--out".into(),
+            "x".into(),
+            "--days".into(),
+            "x".into()
+        ]))
+        .is_err_and(|e| e.is_usage()));
         assert!(synth(&Flags::parse(&[
             "--out".into(),
             "x".into(),

@@ -61,6 +61,14 @@ fn usage_errors_exit_2() {
     let d = dir.to_str().unwrap();
     for (args, message) in [
         (vec!["synth", "--scale", "nan"], "bad --scale"),
+        // `--days` is read without `--out` too, and refused there.
+        (vec!["synth", "--days", "x"], "bad value for --days"),
+        (vec!["synth", "--days", "0"], "--days needs --out"),
+        (vec!["synth", "--days", "3"], "--days needs --out"),
+        (
+            vec!["synth", "--out", d, "--days", "x"],
+            "bad value for --days",
+        ),
         (
             vec!["stability", "--dir", d, "--n", "abc"],
             "bad value for --n",
@@ -139,6 +147,16 @@ fn data_errors_exit_1() {
         .unwrap();
     assert_eq!(out.status.code(), Some(EXIT_DATA_ERROR));
     assert!(String::from_utf8_lossy(&out.stderr).contains("error:"));
+
+    // `--days 0` parses but is refused, and nothing is written.
+    let dir = std::env::temp_dir().join(format!("v6census-days0-{}", std::process::id()));
+    let out = bin()
+        .args(["synth", "--out", dir.to_str().unwrap(), "--days", "0"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(EXIT_DATA_ERROR));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--days must be at least 1"));
+    assert!(!dir.exists());
 }
 
 #[test]

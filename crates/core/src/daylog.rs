@@ -291,9 +291,13 @@ pub fn write_header(out: &mut String, day: Day, entries: usize) {
     let _ = writeln!(out, "# synthetic day {day}: {entries} unique client addrs");
 }
 
-/// Appends one data line: `addr\thits`, then `\tkind` when given.
+/// Appends one data line: `addr\thits`, then `\tkind` when given. The
+/// address goes through [`Addr::write_ascii`] and the hits through a
+/// decimal writer, neither through `fmt`.
 pub fn write_entry(out: &mut String, addr: Addr, hits: u64, kind: Option<&str>) {
-    let _ = write!(out, "{addr}\t{hits}");
+    out.push_str(addr.write_ascii(&mut [0; Addr::MAX_ASCII_LEN]));
+    out.push('\t');
+    push_u64(out, hits);
     if let Some(kind) = kind {
         out.push('\t');
         out.push_str(kind);
@@ -307,15 +311,48 @@ pub fn write_trailer(out: &mut String, entries: usize, hits: u64) {
     let _ = writeln!(out, "# end {entries} {hits}");
 }
 
+/// The most bytes [`write_header`] or [`write_trailer`] appends: its
+/// text, two 20-digit numbers and a ten-byte day.
+const FRAME_MAX: usize = 80;
+
+/// The most bytes [`write_entry`] appends for one entry: the longest
+/// address, exactly `hits`' digits, and the kind column.
+fn entry_max(hits: u64, kind: Option<&str>) -> usize {
+    let digits = hits.checked_ilog10().map_or(1, |l| l as usize + 1);
+    Addr::MAX_ASCII_LEN + 1 + digits + kind.map_or(0, |k| 1 + k.len()) + 1
+}
+
+/// Appends `n` in decimal.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    // Only ASCII digits were written, so the check cannot fail.
+    out.push_str(std::str::from_utf8(&buf[i..]).unwrap_or_default());
+}
+
 /// A whole canonical day log: header, the `columns` line if given, one
-/// line per `(addr, hits, kind)` entry, and their trailer.
+/// line per `(addr, hits, kind)` entry, and their trailer. One pass
+/// over `entries` bounds the text's length, so the `String` is
+/// allocated once; a second pass writes it.
 pub fn write<'k>(
     day: Day,
     columns: Option<&str>,
-    entries: impl ExactSizeIterator<Item = (Addr, u64, Option<&'k str>)>,
+    entries: impl ExactSizeIterator<Item = (Addr, u64, Option<&'k str>)> + Clone,
 ) -> String {
     let n = entries.len();
-    let mut out = String::new();
+    let bound = entries.clone().fold(
+        2 * FRAME_MAX + columns.map_or(0, |c| c.len() + 1),
+        |sum, (_, h, kind)| sum + entry_max(h, kind),
+    );
+    let mut out = String::with_capacity(bound);
     write_header(&mut out, day, n);
     if let Some(columns) = columns {
         out.push_str(columns);

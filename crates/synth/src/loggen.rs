@@ -4,10 +4,19 @@
 //! 24-hour period. [`World::day_log`] produces exactly that: every
 //! network's archetype emits its subscribers' addresses for the day, the
 //! legacy transition-mechanism populations (6to4, Teredo, ISATAP) are
-//! added, and the result is aggregated by address. Day generation is
-//! parallelized across networks with `std::thread::scope`; the output
-//! is identical to the sequential computation because every emission is a
-//! pure function of `(seed, entity, day)`.
+//! added, and the result is aggregated by address.
+//!
+//! Emission runs on one worker per CPU (`std::thread::scope`). The
+//! emitters are the networks followed by the three legacy populations,
+//! and that list is the *emission order*. Workers claim emitters one at
+//! a time from an atomic counter, so a large network does not leave the
+//! other workers idle, and each worker sorts its own shard by address.
+//! One k-way merge of the shards then aggregates the day. An address
+//! emitted more than once sums its hits and keeps the label of its
+//! earliest emission in emission order. Every emission is a pure
+//! function of `(seed, entity, day)` and the merge order is total, so
+//! the log is the same at any worker count and any interleaving of the
+//! claims.
 
 use crate::archetype::RawObs;
 use crate::kinds::TrueKind;
@@ -15,6 +24,7 @@ use crate::rng::Entropy;
 use crate::world::{epochs, World};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use v6census_addr::Addr;
 use v6census_core::daylog;
 use v6census_core::temporal::Day;
@@ -98,6 +108,55 @@ const TEREDO_SERVERS: [u32; 8] = [
     0x52c1_9e21,
 ];
 
+/// The emitters after the networks: 6to4, Teredo and ISATAP.
+const LEGACY_EMITTERS: usize = 3;
+
+/// One emitted observation, tagged with its emitter's index in
+/// emission order (the tag fits in [`RawObs`]'s padding).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Emitted {
+    addr: Addr,
+    hits: u32,
+    kind: TrueKind,
+    emitter: u32,
+}
+
+/// Merges shards, each sorted by (address, emitter, emission), into
+/// one log ascending by address. An address emitted more than once
+/// sums its hits and keeps the kind of its earliest emission: the
+/// lowest emitter index, and within it the first emitted. (Two mobile
+/// devices with the same shared fixed IID landing on the same pool /64
+/// — the paper's address-reuse phenomenon — emit one address twice.)
+pub(crate) fn merge_shards(shards: &[Vec<Emitted>]) -> Vec<LogEntry> {
+    let mut entries: Vec<LogEntry> = Vec::with_capacity(shards.iter().map(Vec::len).sum());
+    let mut heads = vec![0usize; shards.len()];
+    loop {
+        // The shard whose head comes first. Shards are few (one per
+        // worker), so their heads are scanned.
+        let mut first: Option<(usize, &Emitted)> = None;
+        for (k, (shard, &at)) in shards.iter().zip(&heads).enumerate() {
+            if let Some(e) = shard.get(at) {
+                if first.is_none_or(|(_, f)| (e.addr, e.emitter) < (f.addr, f.emitter)) {
+                    first = Some((k, e));
+                }
+            }
+        }
+        let Some((k, e)) = first else {
+            break;
+        };
+        heads[k] += 1;
+        match entries.last_mut() {
+            Some(last) if last.addr == e.addr => last.hits += u64::from(e.hits),
+            _ => entries.push(LogEntry {
+                addr: e.addr,
+                hits: u64::from(e.hits),
+                kind: e.kind,
+            }),
+        }
+    }
+    entries
+}
+
 impl World {
     /// Emits `count` consecutive day logs starting at `first` as files
     /// under `dir` (named `YYYY-MM-DD.log`), each written atomically
@@ -123,67 +182,84 @@ impl World {
     }
 
     /// Generates the aggregated log for one day: all networks plus the
-    /// transition-mechanism populations, aggregated by address.
+    /// transition-mechanism populations, aggregated by address, on one
+    /// worker per CPU (see the module docs).
     pub fn day_log(&self, day: Day) -> DayLog {
-        let ent = self.entropy();
-        let networks = self.networks();
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(networks.len().max(1));
-        let chunk = networks.len().div_ceil(threads);
+        let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
+        self.day_log_on(day, workers)
+    }
 
-        let mut raw: Vec<RawObs> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for part in networks.chunks(chunk) {
-                handles.push(scope.spawn(move || {
-                    let mut out = Vec::new();
-                    for n in part {
-                        n.archetype.emit_day(
-                            &ent,
-                            n.asn,
-                            &n.prefixes,
-                            n.max_subscribers,
-                            n.activation,
-                            day,
-                            &mut out,
-                        );
-                    }
-                    out
-                }));
-            }
-            let mut all = Vec::new();
+    /// [`World::day_log`] on at most `workers` threads, the calling
+    /// thread included. The emitters, in emission order, are the
+    /// networks and then the 6to4, Teredo and ISATAP populations. Each
+    /// worker claims the next unclaimed emitter until none is left,
+    /// tags what it emits with the emitter's index and stable-sorts its
+    /// shard by address, so a shard is ordered by (address, emitter,
+    /// emission). [`merge_shards`] merges the shards in that order, so
+    /// the log does not depend on the number of workers or on how the
+    /// claims interleave.
+    pub(crate) fn day_log_on(&self, day: Day, workers: usize) -> DayLog {
+        let emitters = self.networks().len() + LEGACY_EMITTERS;
+        let workers = workers.clamp(1, emitters);
+        let next = AtomicUsize::new(0);
+        let work = || self.emit_shard(day, &next);
+        let shards = std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            let mut shards = vec![work()];
             for h in handles {
                 match h.join() {
-                    Ok(v) => all.extend(v),
+                    Ok(shard) => shards.push(shard),
                     // A panicked emission shard is a bug; degrade to the
                     // shards that completed rather than aborting the run.
                     Err(_) => debug_assert!(false, "emission thread panicked"),
                 }
             }
-            all
+            shards
         });
-
-        self.emit_6to4(day, &mut raw);
-        self.emit_teredo(day, &mut raw);
-        self.emit_isatap(day, &mut raw);
-
-        // Aggregate by address. Colliding kinds (e.g. two mobile devices
-        // with the same shared fixed IID landing on the same pool /64 —
-        // the paper's address-reuse phenomenon) keep the first label.
-        raw.sort_unstable_by_key(|o| o.addr);
-        let mut entries: Vec<LogEntry> = Vec::with_capacity(raw.len());
-        for o in raw {
-            match entries.last_mut() {
-                Some(last) if last.addr == o.addr => last.hits += o.hits as u64,
-                _ => entries.push(LogEntry {
-                    addr: o.addr,
-                    hits: o.hits as u64,
-                    kind: o.kind,
-                }),
-            }
+        DayLog {
+            day,
+            entries: merge_shards(&shards),
         }
-        DayLog { day, entries }
+    }
+
+    /// One worker's shard: the output of every emitter it claims from
+    /// `next`, tagged with the emitter's index and sorted by address,
+    /// stably, so equal addresses stay in emission order.
+    fn emit_shard(&self, day: Day, next: &AtomicUsize) -> Vec<Emitted> {
+        let ent = self.entropy();
+        let networks = self.networks();
+        let mut shard = Vec::new();
+        let mut out = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if let Some(n) = networks.get(i) {
+                n.archetype.emit_day(
+                    &ent,
+                    n.asn,
+                    &n.prefixes,
+                    n.max_subscribers,
+                    n.activation,
+                    day,
+                    &mut out,
+                );
+            } else {
+                match i - networks.len() {
+                    0 => self.emit_6to4(day, &mut out),
+                    1 => self.emit_teredo(day, &mut out),
+                    2 => self.emit_isatap(day, &mut out),
+                    _ => break,
+                }
+            }
+            let emitter = u32::try_from(i).unwrap_or(u32::MAX);
+            shard.extend(out.drain(..).map(|o| Emitted {
+                addr: o.addr,
+                hits: o.hits,
+                kind: o.kind,
+                emitter,
+            }));
+        }
+        shard.sort_by_key(|e| e.addr);
+        shard
     }
 
     /// The legacy 6to4 population: IPv4 hosts with 2002:V4::/48 prefixes.
@@ -316,6 +392,70 @@ mod tests {
             assert_eq!(a.addr, b.addr);
             assert_eq!(a.hits, b.hits);
         }
+        // The same log from one worker and from several, kind included.
+        let fields = |l: &DayLog| -> Vec<(Addr, u64, TrueKind)> {
+            l.entries.iter().map(|e| (e.addr, e.hits, e.kind)).collect()
+        };
+        for workers in [1, 2, 3, 8] {
+            let other = w.day_log_on(epochs::mar2015(), workers);
+            assert!(fields(&other) == fields(&log), "{workers} workers");
+        }
+    }
+
+    fn emitted(addr: u128, hits: u32, kind: TrueKind, emitter: u32) -> Emitted {
+        Emitted {
+            addr: Addr(addr),
+            hits,
+            kind,
+            emitter,
+        }
+    }
+
+    #[test]
+    fn merge_keeps_the_earliest_emitters_label() {
+        // Address 5 is emitted by network 1 (Cpe) in one shard and by
+        // network 0 (Dhcp) and the 6to4 emitter in the other; address
+        // 9 twice by network 2, Cpe first.
+        let shards = vec![
+            vec![
+                emitted(3, 1, TrueKind::Cpe, 1),
+                emitted(5, 2, TrueKind::Cpe, 1),
+                emitted(9, 4, TrueKind::Cpe, 2),
+                emitted(9, 8, TrueKind::FixedIid, 2),
+            ],
+            vec![
+                emitted(5, 16, TrueKind::Dhcp, 0),
+                emitted(5, 32, TrueKind::SixToFour, 7),
+                emitted(7, 64, TrueKind::Teredo, 8),
+            ],
+            vec![],
+        ];
+        let got: Vec<(u128, u64, TrueKind)> = merge_shards(&shards)
+            .iter()
+            .map(|e| (e.addr.0, e.hits, e.kind))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (3, 1, TrueKind::Cpe),
+                (5, 50, TrueKind::Dhcp),
+                (7, 64, TrueKind::Teredo),
+                (9, 12, TrueKind::Cpe),
+            ]
+        );
+        // Which shard holds which emitter does not matter.
+        let swapped = [shards[1].clone(), shards[0].clone()];
+        let again: Vec<(u128, u64, TrueKind)> = merge_shards(&swapped)
+            .iter()
+            .map(|e| (e.addr.0, e.hits, e.kind))
+            .collect();
+        assert_eq!(again, got);
+        assert!(merge_shards(&[]).is_empty());
+        // The emitter tag rides in the observation's padding.
+        assert_eq!(
+            std::mem::size_of::<Emitted>(),
+            std::mem::size_of::<RawObs>()
+        );
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! than inferring it: every kernel the pipeline drives per address runs
 //! on a real synth day (`WorldConfig::tiny(1)`, 2015-03-17), once on
 //! the first quarter of its addresses and once on all of them, under a
-//! global allocator that counts.
+//! global allocator that counts. Rendering a day log is measured the
+//! same way: the synth files and every checkpoint go through it.
 //!
 //! Only the measuring thread counts: a thread opts in for the duration
 //! of one [`allocations`] call, so the test harness and tests running
@@ -160,6 +161,19 @@ fn kernels() -> Vec<Kernel> {
                 let mut sink: Vec<(Addr, u64)> = Vec::new();
                 let parsed = daylog::read(i.text.as_bytes(), &mut sink).expect("reads");
                 (parsed, sink)
+            })
+            .1
+        }),
+        ("daylog::write", |i| {
+            allocations(|| {
+                daylog::write(
+                    i.log.day,
+                    Some(daylog::KIND_COLUMNS),
+                    i.log
+                        .entries
+                        .iter()
+                        .map(|e| (e.addr, e.hits, Some(e.kind.label()))),
+                )
             })
             .1
         }),
