@@ -86,34 +86,16 @@ impl Snapshot {
     /// The snapshot of `census`, a later state of this snapshot's
     /// census, under the same parameters. Equal to
     /// [`Snapshot::build`]`(census, self.params, self.dense_class)`,
-    /// but a day's [`DayStat`] is kept from `self` when every set its
-    /// stability verdict reads is shared with this snapshot's census
-    /// (`DailyObservations::shares_stable_on_inputs`). A landed day
-    /// changes only the days whose window holds it, so the cost of a
-    /// publish follows the window, not the length of the census.
+    /// but it starts from this snapshot's [`DayStat`]s. When `census`
+    /// is this census plus one new day, one landed-day pass
+    /// ([`DailyObservations::landed_gains`]) gives the new day's
+    /// verdict and what each day it witnesses gains, and no other
+    /// verdict is recomputed: the cost of a publish follows the landed
+    /// day, not the window or the length of the census. Otherwise
+    /// (a merged duplicate day, several new days) the changed days and
+    /// the days they witness are recomputed, and the rest kept.
     pub fn advance(&self, census: Census) -> Snapshot {
         assemble(census, self.params, self.dense_class, Some(self))
-    }
-
-    /// This snapshot's [`DayStat`] for `day`, when `observations`
-    /// would give `day` the same verdict under `params`.
-    fn kept_stat(
-        &self,
-        observations: &DailyObservations,
-        day: Day,
-        params: &StabilityParams,
-    ) -> Option<DayStat> {
-        if self.params != *params
-            || !observations.shares_stable_on_inputs(self.census.other_daily(), day, params)
-        {
-            return None;
-        }
-        let i = self
-            .stats
-            .daily
-            .binary_search_by_key(&day, |s| s.day)
-            .ok()?;
-        self.stats.daily.get(i).copied()
     }
 
     /// True when `self` and `other` answer every query alike: same
@@ -136,10 +118,10 @@ impl Snapshot {
     }
 }
 
-/// The one snapshot assembly loop behind [`Snapshot::build`] (no
-/// `prev`) and [`Snapshot::advance`]. The reference day's stable set is
-/// always computed, once; every other day keeps `prev`'s [`DayStat`]
-/// when its inputs are unchanged and is computed otherwise.
+/// The one snapshot assembly behind [`Snapshot::build`] (no `prev`)
+/// and [`Snapshot::advance`]. `prev`'s figures are reused only under
+/// the same parameters: after one new day through the landed-day pass,
+/// and otherwise for every day no changed day witnesses.
 fn assemble(
     census: Census,
     params: StabilityParams,
@@ -148,27 +130,24 @@ fn assemble(
 ) -> Snapshot {
     let observations = census.other_daily();
     let reference = census.days().last();
-    let mut stable = AddrSet::new();
-    let mut daily: Vec<DayStat> = Vec::with_capacity(observations.day_count());
-    for day in census.days() {
-        let kept = prev.and_then(|p| p.kept_stat(observations, day, &params));
-        let stat = match kept {
-            Some(stat) if Some(day) != reference => stat,
-            _ => {
-                let set = observations.stable_on(day, &params);
-                let stat = DayStat {
-                    day,
-                    active: observations.get(day).map_or(0, AddrSet::len),
-                    stable: set.len(),
-                };
-                if Some(day) == reference {
-                    stable = set;
-                }
-                stat
+    let reusable = prev
+        .filter(|p| p.params == params)
+        .and_then(|p| Some((p, observations.changed_since(p.census.other_daily())?)));
+    let (daily, stable) = match reusable {
+        Some((p, changed)) => match changed[..] {
+            [landed] if !p.census.has_day(landed) => {
+                after_landing(p, observations, landed, reference)
             }
-        };
-        daily.push(stat);
-    }
+            _ => verdicts(observations, &params, reference, |day| {
+                let touched = changed
+                    .iter()
+                    .any(|&c| c == day || params.witnesses(c, day));
+                let i = p.stats.daily.binary_search_by_key(&day, |s| s.day).ok()?;
+                p.stats.daily.get(i).copied().filter(|_| !touched)
+            }),
+        },
+        None => verdicts(observations, &params, reference, |_| None),
+    };
     let active = reference.map_or_else(AddrSet::new, |r| observations.on(r));
     let scheme_counts = match reference.and_then(|r| census.summary(r)) {
         None => Vec::new(),
@@ -194,6 +173,78 @@ fn assemble(
             daily,
         },
     }
+}
+
+/// Every day's [`DayStat`], and the reference day's stable set: a day
+/// keeps the stat `kept` gives it, and its verdict is computed
+/// otherwise. The reference day's is always computed, once.
+fn verdicts(
+    observations: &DailyObservations,
+    params: &StabilityParams,
+    reference: Option<Day>,
+    kept: impl Fn(Day) -> Option<DayStat>,
+) -> (Vec<DayStat>, AddrSet) {
+    let mut stable = AddrSet::new();
+    let mut daily: Vec<DayStat> = Vec::with_capacity(observations.day_count());
+    for day in observations.days() {
+        let stat = match kept(day) {
+            Some(stat) if Some(day) != reference => stat,
+            _ => {
+                let set = observations.stable_on(day, params);
+                let stat = DayStat {
+                    day,
+                    active: observations.get(day).map_or(0, AddrSet::len),
+                    stable: set.len(),
+                };
+                if Some(day) == reference {
+                    stable = set;
+                }
+                stat
+            }
+        };
+        daily.push(stat);
+    }
+    (daily, stable)
+}
+
+/// `prev`'s figures after `landed`, the one day `observations` adds to
+/// `prev`'s census: the landed day's stat is new, each day it
+/// witnesses adds its gains to its count, and the reference day's
+/// stable set is the landed day's own, or `prev`'s with its gains.
+fn after_landing(
+    prev: &Snapshot,
+    observations: &DailyObservations,
+    landed: Day,
+    reference: Option<Day>,
+) -> (Vec<DayStat>, AddrSet) {
+    let mut daily = prev.stats.daily.clone();
+    let at = daily.partition_point(|s| s.day < landed);
+    let active = observations.get(landed).map_or(0, AddrSet::len);
+    daily.insert(
+        at,
+        DayStat {
+            day: landed,
+            active,
+            stable: 0,
+        },
+    );
+    let mut stable = prev.stable.clone();
+    let earlier = prev.census.other_daily();
+    observations.landed_gains(earlier, landed, &prev.params, |day, gained| {
+        let i = daily.binary_search_by_key(&day, |s| s.day);
+        if let Some(stat) = i.ok().and_then(|i| daily.get_mut(i)) {
+            stat.stable += gained.len();
+        }
+        if Some(day) == reference {
+            let gained = AddrSet::from_sorted(gained.to_vec());
+            stable = if day == landed {
+                gained
+            } else {
+                stable.union(&gained)
+            };
+        }
+    });
+    (daily, stable)
 }
 
 /// The publish point: a swappable pointer to the current [`Snapshot`].
@@ -304,31 +355,37 @@ mod tests {
     }
 
     /// Lands `logs` one at a time (`Census::ingest` merges a duplicate
-    /// day) and checks every advanced snapshot against a from-scratch
-    /// build of the same census, under the previous snapshot's params
-    /// and, through the shared loop, under `other` params.
-    fn land_and_compare(logs: &[v6census_synth::DayLog], other: StabilityParams, ctx: &str) {
-        let (params, class) = (
-            StabilityParams::nd(3),
-            DensityClass::at(8, PrefixLen::lit::<64>()),
-        );
+    /// day) and checks every snapshot advanced under `params` against a
+    /// from-scratch build of the same census, and, through the shared
+    /// assembly, that `other` params disable reuse rather than keep
+    /// stale stats.
+    fn land_and_compare(
+        logs: &[v6census_synth::DayLog],
+        params: StabilityParams,
+        other: StabilityParams,
+        ctx: &str,
+    ) {
+        let class = DensityClass::at(8, PrefixLen::lit::<64>());
         let mut census = Census::new_empty();
         let mut prev = Snapshot::build(census.clone(), params, class);
         for (i, log) in logs.iter().enumerate() {
+            let new = !census.has_day(log.day);
             census.ingest(log);
             let next = prev.advance(census.clone());
-            let ctx = format!("{ctx}, landing {i} ({})", log.day);
+            let ctx = format!("{ctx}, {params:?}, landing {i} ({})", log.day);
             assert_same(&next, &Snapshot::build(census.clone(), params, class), &ctx);
-            // Different params must disable reuse, not keep stale stats.
             let changed = assemble(census.clone(), other, class, Some(&prev));
             let want = Snapshot::build(census.clone(), other, class);
             assert_same(&changed, &want, &format!("{ctx}, other params"));
-            // Days whose window cannot hold the landed day are kept.
+            // A day the landed day does not witness keeps its stat, and
+            // a new day takes no address out of a stable set.
             for stat in &prev.stats.daily {
-                if (stat.day - log.day).abs() > params.back.max(params.fwd) as i32 {
-                    let kept = prev.kept_stat(census.other_daily(), stat.day, &params);
-                    assert_eq!(kept, Some(*stat), "{ctx}: {} not kept", stat.day);
+                let now = next.stats.daily.iter().find(|s| s.day == stat.day);
+                let now = now.expect("every earlier day is still there");
+                if stat.day != log.day && !params.witnesses(log.day, stat.day) {
+                    assert_eq!(now, stat, "{ctx}: {} changed", stat.day);
                 }
+                assert!(!new || now.stable >= stat.stable, "{ctx}: {}", stat.day);
             }
             prev = next;
         }
@@ -339,22 +396,27 @@ mod tests {
         let world = World::standard(WorldConfig::tiny(11));
         let first = epochs::mar2015();
         let logs: Vec<_> = (0..12).map(|i| world.day_log(first + i)).collect();
-        let other = StabilityParams::nd(2).with_window(3, 3);
-        land_and_compare(&logs, other, "in order");
-
+        // The paper's symmetric class, and an asymmetric, slewed one
+        // whose witness relation is not symmetric.
+        let (paper, skewed) = (
+            StabilityParams::nd(3),
+            StabilityParams::nd(2).with_window(3, 6).with_slew(1),
+        );
         // Day 5 lands last, into the gap its absence left.
         let mut late = logs.clone();
         let gap = late.remove(5);
         late.push(gap);
-        land_and_compare(&late, other, "out of order");
-
         // A duplicate of day 6 carrying day 2's addresses merges into
         // day 6 and changes the verdicts of its neighbours.
         let mut dup = logs.clone();
         let mut extra = logs[2].clone();
         extra.day = logs[6].day;
         dup.push(extra);
-        land_and_compare(&dup, other, "duplicate-day merge");
+        for (params, other) in [(paper, skewed), (skewed, paper)] {
+            land_and_compare(&logs, params, other, "in order");
+            land_and_compare(&late, params, other, "out of order");
+            land_and_compare(&dup, params, other, "duplicate-day merge");
+        }
     }
 
     #[test]

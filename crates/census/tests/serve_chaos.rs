@@ -14,6 +14,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use v6census_census::serve::{spawn, ServeConfig, ServeHandle};
+use v6census_census::snapshot::Snapshot;
 use v6census_synth::chaos::{http_get, ChaosClient, ChaosKind};
 use v6census_synth::faults::day_file_name;
 use v6census_synth::world::epochs;
@@ -90,6 +91,18 @@ fn launch(tag: &str, cfg_tune: impl FnOnce(&mut ServeConfig)) -> (ServeHandle, P
     let handle = spawn(cfg).unwrap();
     wait_for_generation(handle.addr(), 2);
     (handle, source)
+}
+
+/// The daemon's live snapshot, advanced landing by landing, answers
+/// every query as a from-scratch build of its census does.
+fn assert_live_snapshot_is_built(handle: &ServeHandle, generation: u64) {
+    let live = handle.snapshot();
+    assert_eq!(live.generation, generation);
+    let built = Snapshot::build(live.census.clone(), live.params, live.dense_class);
+    assert!(
+        live.same_products(&built),
+        "generation {generation}: the published snapshot differs from a build of its census"
+    );
 }
 
 /// One drill. Every arm must leave the daemon serving and drain clean.
@@ -234,7 +247,10 @@ fn drill(kind: &str) {
         // Faulted day files arriving during live queries: corrupt and
         // truncated days are quarantined (error budget / integrity
         // trailer), clean days keep publishing, and the control client
-        // never sees a torn generation.
+        // never sees a torn generation. A clean redelivery of the
+        // truncated day then lands late, into the gap it left; after
+        // it and after the last landing, the published snapshot equals
+        // a from-scratch build of the daemon's census.
         "ingestfaults" => {
             let (handle, source) = launch("ingestfaults", |cfg| {
                 // Fast retry exhaustion so quarantine happens in-test.
@@ -268,6 +284,20 @@ fn drill(kind: &str) {
             wait_for_generation(addr, 3);
             let gen = assert_healthy(addr);
             assert_eq!(gen, 3, "two clean days + the late one, poison excluded");
+            assert_live_snapshot_is_built(&handle, 3);
+            let redelivered = format!("{}.redelivered.log", d0 + 3);
+            std::fs::write(source.join(redelivered), w.day_log(d0 + 3).to_text()).unwrap();
+            wait_for_generation(addr, 4);
+            assert_eq!(
+                handle.snapshot().reference,
+                Some(d0 + 4),
+                "day 3 landed late"
+            );
+            assert_live_snapshot_is_built(&handle, 4);
+            write_day(&source, &w, 5);
+            wait_for_generation(addr, 5);
+            assert_eq!(assert_healthy(addr), 5);
+            assert_live_snapshot_is_built(&handle, 5);
             let report = handle.shutdown();
             assert!(report.clean);
             assert!(
@@ -275,7 +305,7 @@ fn drill(kind: &str) {
                 "poisoned files must be quarantined: {:?}",
                 report.metrics
             );
-            assert_eq!(report.metrics.ingested_days, 3);
+            assert_eq!(report.metrics.ingested_days, 5);
             let _ = std::fs::remove_dir_all(&source);
         }
         other => panic!("unknown V6CENSUS_CHAOS_KIND {other:?}"),

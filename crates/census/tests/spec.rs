@@ -21,7 +21,10 @@
 //! The kernels run on seeded synthetic worlds (scale 0.02, seeds 7 and
 //! 59, the 21 days around 2015-03-17), on the same window with days
 //! carved out, and on hand-written edge sets. Every case has a
-//! non-empty expected answer for at least one parameter set. Three
+//! non-empty expected answer for at least one parameter set. The
+//! serving snapshot's per-day counts are checked as each world's days
+//! land, in order, one late into its gap and one merged into an
+//! earlier day, under 3d-stable and an asymmetric, slewed window. Three
 //! metamorphic relations close the file: shifting every day shifts
 //! every verdict, moving a /32 onto an unused /32 keeps its own counts
 //! and every count at /32 and longer, and permuting and duplicating a
@@ -707,45 +710,76 @@ fn weekly_and_epoch_classes_match_the_definition() {
     }
 }
 
+/// The deliveries a serving daemon sees for one world: the window's
+/// days in order, less one held back (the carved `reference + 3`, or
+/// `reference + 2` when nothing is carved) that lands late into its
+/// gap, then a duplicate delivery of `reference + 1` carrying
+/// `reference + 5`'s addresses, merged into the earlier day.
+fn deliveries(logs: &[DayLog], carve: bool) -> Vec<DayLog> {
+    let r = reference();
+    let held = if carve { r + 3 } else { r + 2 };
+    let mut out: Vec<DayLog> = window(logs, carve)
+        .filter(|l| l.day != held)
+        .cloned()
+        .collect();
+    let of = |day: Day| logs.iter().find(|l| l.day == day).cloned();
+    out.extend(of(held));
+    out.extend(of(r + 5).map(|log| DayLog { day: r + 1, ..log }));
+    out
+}
+
 #[test]
 fn snapshot_day_stats_match_the_definition_as_days_land() {
-    let params = StabilityParams::three_day();
-    for ((seed, logs), carve) in worlds().iter().zip([false, true]) {
-        let label = case_label(*seed, carve);
-        // A day's counts read only the observed days of its window, so
-        // they are memoized on them.
-        let mut memo: HashMap<(i32, Vec<i32>), (usize, spec::Set)> = HashMap::new();
-        let mut days = oracle_days();
-        let mut census = Census::new_empty();
-        let mut snapshot: Option<Snapshot> = None;
-        for log in window(logs, carve) {
-            census.ingest(log);
-            let landed = census.other_daily().on(log.day);
-            days.record(log.day.0, landed.keys().iter().copied());
-            let next = match &snapshot {
-                None => Snapshot::build(census.clone(), params, DensityClass::at(2, plen(112))),
-                Some(prev) => prev.advance(census.clone()),
-            };
-            let mut stable_days = 0;
-            for stat in &next.stats.daily {
-                let (on, d) = (stat.day, stat.day.0);
-                let seen = days.observed.range(d - 7..=d + 7).copied().collect();
-                let (active, stable) = memo.entry((d, seen)).or_insert_with(|| {
-                    let active = days.union([d]).len();
-                    (active, spec::stable_on(&days, d, &params))
-                });
-                assert_eq!(stat.active, *active, "{label}: active on {on}");
-                assert_eq!(stat.stable, stable.len(), "{label}: stable on {on}");
-                if on == log.day {
-                    assert_eq!(set_of(&next.stable), *stable, "{label}: stable on {on}");
+    let skewed = StabilityParams::nd(2).with_window(3, 6).with_slew(1);
+    for params in [StabilityParams::three_day(), skewed] {
+        for ((seed, logs), carve) in worlds().iter().zip([false, true]) {
+            let label = format!("{}, {}", case_label(*seed, carve), params.label());
+            // A day's counts read only the observed days of its window
+            // and the deliveries merged so far, so they are memoized on
+            // them.
+            let mut memo: HashMap<(i32, Vec<i32>, usize), (usize, spec::Set)> = HashMap::new();
+            let mut days = oracle_days();
+            let (mut census, mut merged) = (Census::new_empty(), 0);
+            let mut snapshot: Option<Snapshot> = None;
+            let (mut late, mut dup) = (false, false);
+            for log in deliveries(logs, carve) {
+                let last = days.observed.last().copied();
+                late |= last.is_some_and(|d| log.day.0 < d) && !census.has_day(log.day);
+                if census.has_day(log.day) {
+                    (merged, dup) = (merged + 1, true);
                 }
-                stable_days += usize::from(!stable.is_empty());
+                census.ingest(&log);
+                let landed = census.other_daily().on(log.day);
+                days.record(log.day.0, landed.keys().iter().copied());
+                let next = match &snapshot {
+                    None => Snapshot::build(census.clone(), params, DensityClass::at(2, plen(112))),
+                    Some(prev) => prev.advance(census.clone()),
+                };
+                let r = *days.observed.last().expect("a day landed");
+                assert_eq!(next.reference, Some(Day(r)), "{label}: reference");
+                let mut stable_days = 0;
+                for stat in &next.stats.daily {
+                    let (on, d) = (stat.day, stat.day.0);
+                    let window = d - params.back as i32..=d + params.fwd as i32;
+                    let seen = days.observed.range(window).copied().collect();
+                    let (active, stable) = memo.entry((d, seen, merged)).or_insert_with(|| {
+                        let active = days.union([d]).len();
+                        (active, spec::stable_on(&days, d, &params))
+                    });
+                    let what = format!("{label}: {on} after {} lands", log.day);
+                    assert_eq!(stat.active, *active, "{what}: active");
+                    assert_eq!(stat.stable, stable.len(), "{what}: stable");
+                    if d == r {
+                        assert_eq!(set_of(&next.stable), *stable, "{what}: stable set");
+                    }
+                    stable_days += usize::from(!stable.is_empty());
+                }
+                let generation = days.observed.len() as u64;
+                assert_eq!(next.generation, generation, "{label}: generation");
+                assert!(generation < 4 || stable_days > 0, "{label}: nothing stable");
+                snapshot = Some(next);
             }
-            assert_eq!(next.reference, Some(log.day), "{label}");
-            let generation = days.observed.len() as u64;
-            assert_eq!(next.generation, generation, "{label}: generation");
-            assert!(generation < 4 || stable_days > 0, "{label}: nothing stable");
-            snapshot = Some(next);
+            assert!(late && dup, "{label}: a late and a merged delivery landed");
         }
     }
 }

@@ -29,6 +29,70 @@ pub use targets::targets;
 
 pub(crate) use synth::parse_day as synth_day;
 
+/// The ingest flags `census` and `serve` share.
+const INGEST_FLAGS: [&str; 7] = [
+    "max-bad-ratio",
+    "strict",
+    "merge-duplicates",
+    "checkpoint",
+    "resume",
+    "max-days",
+    "fault-fs",
+];
+
+/// The flags `command` reads, `None` for a command that is not one.
+/// Any other flag is a usage error ([`crate::Flags::accept_only`]).
+pub fn accepted_flags(command: &str) -> Option<Vec<&'static str>> {
+    let own: &[&str] = match command {
+        "classify" => &["tsv", "malone"],
+        "mra" => &["title", "tsv"],
+        "dense" => &["class", "table3", "general"],
+        "aggregate" => &["length", "populations"],
+        "stable" => &["earlier", "threshold", "step", "prefixes"],
+        "stability" => &["dir", "n", "window", "slew", "reference"],
+        "census" => &[
+            "dir",
+            "n",
+            "reference",
+            "gap-policy",
+            "jobs",
+            "stage-deadline",
+            "max-trie-nodes",
+            "class",
+            "no-timings",
+            "inject",
+        ],
+        "serve" => &[
+            "dir",
+            "bind",
+            "state",
+            "routing",
+            "max-connections",
+            "header-deadline-ms",
+            "max-request-bytes",
+            "read-timeout-ms",
+            "write-timeout-ms",
+            "poll-ms",
+            "drain-ms",
+            "run-for-ms",
+            "n",
+            "class",
+        ],
+        "targets" => &["class", "budget", "include-observed"],
+        "ptr" => &["reverse"],
+        "profile" => &["threshold"],
+        "synth" => &["day", "scale", "seed", "out", "days", "fault-fs"],
+        _ => return None,
+    };
+    let ingest = matches!(command, "census" | "serve").then_some(INGEST_FLAGS);
+    Some(
+        own.iter()
+            .copied()
+            .chain(ingest.into_iter().flatten())
+            .collect(),
+    )
+}
+
 /// Usage text for the tool.
 pub const USAGE: &str = "\
 v6census — temporal & spatial classification of IPv6 addresses (IMC'15)
@@ -94,10 +158,11 @@ EXIT CODES
   0  success, all results exact
   1  data or I/O error (bad input, strict-mode abort, unreadable files,
      a flag value the command rejects, such as --n 0)
-  2  usage error: an unknown command, a missing required flag (--dir,
-     stable's --earlier, --resume without --checkpoint, --days without
-     --out), a flag value that does not parse (--n abc), or a --scale
-     that cannot size a world (nan, 0)
+  2  usage error: an unknown command, a flag the command does not take
+     (synth --sclae), a missing required flag (--dir, stable's --earlier,
+     --resume without --checkpoint, --days without --out), a flag value
+     that does not parse (--n abc), or a --scale that cannot size a
+     world (nan, 0)
   3  completed but degraded: some result is coarser or partial — a shard
      panicked twice, a stage hit its deadline, or a budget forced coarser
      aggregation; the run manifest in the output names every casualty.
@@ -107,3 +172,42 @@ EXIT CODES
      dir) exits 1; a missing --dir or a flag that does not parse
      exits 2.
 ";
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every `--flag` the usage text shows under a command is one the
+    /// command accepts.
+    #[test]
+    fn every_flag_in_the_usage_text_is_accepted() {
+        let commands = USAGE
+            .split("COMMANDS")
+            .nth(1)
+            .and_then(|s| s.split("EXIT CODES").next())
+            .unwrap();
+        let mut command = "";
+        let mut checked = 0;
+        for line in commands.lines() {
+            if let Some(name) = line.strip_prefix("  ").and_then(|l| l.split(' ').next()) {
+                if !name.is_empty() {
+                    command = name;
+                }
+            }
+            let Some(accepted) = accepted_flags(command) else {
+                assert!(matches!(command, "" | "help"), "{line}");
+                continue;
+            };
+            for flag in line.split("--").skip(1) {
+                let name: String = flag
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '-')
+                    .collect();
+                assert!(accepted.contains(&name.as_str()), "{command} --{name}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 50, "only {checked} flags found");
+        assert_eq!(accepted_flags("bogus"), None);
+    }
+}

@@ -33,9 +33,9 @@ pub const EXIT_OK: i32 = 0;
 /// Exit code: the command failed on its data or I/O (bad input, strict
 /// abort, unreadable files).
 pub const EXIT_DATA_ERROR: i32 = 1;
-/// Exit code: usage error (unknown command, a missing required flag
-/// or argument, a flag value that does not parse, a rejected
-/// `--scale`).
+/// Exit code: usage error (unknown command, a flag the command does
+/// not take, a missing required flag or argument, a flag value that
+/// does not parse, a rejected `--scale`).
 pub const EXIT_USAGE: i32 = 2;
 /// Exit code: the command *completed* but some result is `Degraded` or
 /// `Partial` — a supervised census that excluded a panicked shard, hit a
@@ -49,9 +49,10 @@ pub const EXIT_DEGRADED: i32 = 3;
 pub enum CliError {
     /// The command failed on its data or I/O: [`EXIT_DATA_ERROR`].
     Data(String),
-    /// The command was invoked wrongly: a missing required flag or
-    /// argument, a flag value that does not parse as its type, or a
-    /// `--scale` that cannot size a world. [`EXIT_USAGE`].
+    /// The command was invoked wrongly: a flag it does not take, a
+    /// missing required flag or argument, a flag value that does not
+    /// parse as its type, or a `--scale` that cannot size a world.
+    /// [`EXIT_USAGE`].
     Usage(String),
 }
 
@@ -142,6 +143,24 @@ impl Flags {
         self.switches.iter().any(|s| s == name) || self.get(name).is_some()
     }
 
+    /// Checks that every flag given is one of `accepted`, the flags
+    /// `command` reads: a misspelt or foreign flag is a usage error
+    /// naming it, not a flag silently ignored while its value defaults.
+    pub fn accept_only(&self, command: &str, accepted: &[&str]) -> Result<(), CliError> {
+        let given = self.kv.iter().map(|(k, _)| k).chain(&self.switches);
+        match given.into_iter().find(|k| !accepted.contains(&k.as_str())) {
+            None => Ok(()),
+            Some(k) => Err(usage(format!(
+                "unknown flag --{k} for {command}; it takes {}",
+                accepted
+                    .iter()
+                    .map(|a| format!("--{a}"))
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            ))),
+        }
+    }
+
     /// Parses `--name` into `T`, with a default.
     pub fn get_parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
         match self.get(name) {
@@ -202,6 +221,21 @@ mod tests {
         assert_eq!(f.get("note"), Some(""));
         assert_eq!(f.get("expr"), Some("a=b"));
         assert!(f.has("note"), "a valued flag still answers has()");
+    }
+
+    #[test]
+    fn only_accepted_flags_pass() {
+        let f = flags(&["--scale", "0.5", "--tsv", "--note=x", "pos"]);
+        assert!(f.accept_only("synth", &["scale", "tsv", "note"]).is_ok());
+        let e = f.accept_only("synth", &["scale", "note"]).unwrap_err();
+        assert!(e.is_usage());
+        assert!(e.to_string().contains("--tsv"), "{e}");
+        let e = flags(&["--sclae=0.5"]).accept_only("synth", &["scale"]);
+        assert!(e
+            .unwrap_err()
+            .to_string()
+            .starts_with("unknown flag --sclae for synth"));
+        assert!(flags(&["pos"]).accept_only("ptr", &[]).is_ok());
     }
 
     #[test]

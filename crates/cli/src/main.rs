@@ -6,8 +6,8 @@
 
 use std::io::Read;
 use v6census_cli::commands::{
-    aggregate, census, classify, day_from_name, dense, mra, profile, ptr, serve, stability, stable,
-    synth, targets, DayFile, USAGE,
+    accepted_flags, aggregate, census, classify, day_from_name, dense, mra, profile, ptr, serve,
+    stability, stable, synth, targets, DayFile, USAGE,
 };
 use v6census_cli::{Flags, EXIT_DATA_ERROR, EXIT_DEGRADED, EXIT_USAGE};
 use v6census_core::quality::Quality;
@@ -19,6 +19,12 @@ fn main() {
         std::process::exit(EXIT_USAGE);
     };
     let flags = Flags::parse(&args[1..]);
+    if let Some(accepted) = accepted_flags(command) {
+        if let Err(e) = flags.accept_only(command, &accepted) {
+            eprintln!("error: {e}");
+            std::process::exit(EXIT_USAGE);
+        }
+    }
 
     // Every subcommand yields (output, quality); only `census` and
     // `serve` can come back non-exact today, and that maps to

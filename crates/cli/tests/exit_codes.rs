@@ -82,6 +82,30 @@ fn usage_errors_exit_2() {
             "bad value for --max-connections",
         ),
         (vec!["stable"], "stable requires --earlier"),
+        // A flag the command does not take is named, not ignored while
+        // its value silently defaults.
+        (
+            vec!["synth", "--sclae", "0.5", "--day", "2015-03-17"],
+            "unknown flag --sclae for synth",
+        ),
+        (
+            vec!["census", "--job", "2", d],
+            "unknown flag --job for census",
+        ),
+        (
+            vec!["stability", "--dir", d, "--windows=3"],
+            "unknown flag --windows for stability",
+        ),
+        (
+            vec!["serve", "--dir", d, "--max-conections", "4"],
+            "unknown flag --max-conections for serve",
+        ),
+        (vec!["ptr", "--revers"], "unknown flag --revers for ptr"),
+        // Each command takes its own flags, not another's.
+        (
+            vec!["classify", "--jobs", "2"],
+            "unknown flag --jobs for classify",
+        ),
     ] {
         let out = bin().args(&args).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);

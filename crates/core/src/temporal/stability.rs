@@ -73,6 +73,16 @@ impl StabilityParams {
         u64::from(self.n) + u64::from(self.slew_tolerance)
     }
 
+    /// True when activity on `witness` counts toward nd-stability on
+    /// `reference` (§5.1): `witness` lies in `reference`'s window and
+    /// at least `n + slew` days from it. Not symmetric when
+    /// `back != fwd`.
+    pub fn witnesses(&self, witness: Day, reference: Day) -> bool {
+        let (lo, hi) = self.window(reference);
+        (lo..=hi).contains(&witness)
+            && u64::from(witness.0.abs_diff(reference.0)) >= self.min_distance()
+    }
+
     /// The window's first and last day around `reference`. A reach past
     /// the days a [`Day`] can name stops at the first or last of them,
     /// which leaves out no day.
@@ -272,6 +282,12 @@ impl DailyObservations {
     /// [`DailyObservations::stable_on`], but days missing from the
     /// ingestion are accounted for per `policy` instead of being silently
     /// read as "inactive everywhere".
+    ///
+    /// The window's gaps on each side are counted from its covered days,
+    /// so a window of any reach costs O(covered days). Only a
+    /// [`VerdictQuality::Unknown`] verdict lists its missing days, which
+    /// costs O(window): `Flag` over a gapped window, and a reference day
+    /// never observed.
     pub fn stable_on_gapped(
         &self,
         reference: Day,
@@ -279,19 +295,32 @@ impl DailyObservations {
         policy: GapPolicy,
     ) -> StabilityVerdict {
         let (first, last) = params.window(reference);
-        let missing = self.gaps_in(first, last);
-        if missing.is_empty() || policy == GapPolicy::AssumeInactive {
+        let (mut back_seen, mut fwd_seen) = (0u64, 0u64);
+        for &d in self.days.range(first..=last).map(|(d, _)| d) {
+            match d.cmp(&reference) {
+                std::cmp::Ordering::Less => back_seen += 1,
+                std::cmp::Ordering::Greater => fwd_seen += 1,
+                std::cmp::Ordering::Equal => {}
+            }
+        }
+        let back_gaps = u64::from(reference.0.abs_diff(first.0)) - back_seen;
+        let fwd_gaps = u64::from(last.0.abs_diff(reference.0)) - fwd_seen;
+        let covered = self.is_covered(reference);
+        if (covered && back_gaps == 0 && fwd_gaps == 0) || policy == GapPolicy::AssumeInactive {
             return StabilityVerdict {
                 stable: self.stable_on(reference, params),
                 quality: VerdictQuality::Complete,
             };
         }
+        let unknown = |stable| StabilityVerdict {
+            stable,
+            quality: VerdictQuality::Unknown {
+                missing: self.gaps_in(first, last),
+            },
+        };
         // No amount of widening recovers an unobserved reference day.
-        if !self.is_covered(reference) {
-            return StabilityVerdict {
-                stable: AddrSet::new(),
-                quality: VerdictQuality::Unknown { missing },
-            };
+        if !covered {
+            return unknown(AddrSet::new());
         }
         match policy {
             // Already returned Complete above; kept total for safety.
@@ -299,15 +328,10 @@ impl DailyObservations {
                 stable: self.stable_on(reference, params),
                 quality: VerdictQuality::Complete,
             },
-            GapPolicy::Flag => StabilityVerdict {
-                stable: self.stable_on(reference, params),
-                quality: VerdictQuality::Unknown { missing },
-            },
+            GapPolicy::Flag => unknown(self.stable_on(reference, params)),
             GapPolicy::Widen { max_extra } => {
-                let back_extra =
-                    (missing.iter().filter(|&&d| d < reference).count() as u32).min(max_extra);
-                let fwd_extra =
-                    (missing.iter().filter(|&&d| d > reference).count() as u32).min(max_extra);
+                let extra = |gaps: u64| u32::try_from(gaps).unwrap_or(u32::MAX).min(max_extra);
+                let (back_extra, fwd_extra) = (extra(back_gaps), extra(fwd_gaps));
                 let widened = params.with_window(
                     params.back.saturating_add(back_extra),
                     params.fwd.saturating_add(fwd_extra),
@@ -377,35 +401,102 @@ impl DailyObservations {
             .map(|(&d, s)| (d, s))
     }
 
-    /// True when [`DailyObservations::stable_on`]`(reference, params)`
-    /// reads the same inputs from `self` and from `earlier`: the
-    /// reference day and every witness day are present in both or in
-    /// neither, and each present set shares its storage
-    /// ([`AddrSet::shares_storage`]). The answer is then the same in
-    /// both stores, so a result computed on `earlier` can be kept. A
-    /// newly landed or merged day changes only the verdicts of the days
-    /// whose window holds it at witness distance.
-    pub fn shares_stable_on_inputs(
+    /// The days whose sets `self` holds and `earlier` does not share
+    /// ([`AddrSet::shares_storage`]): days new to `self`, and days
+    /// whose set was replaced, as a merged duplicate delivery replaces
+    /// it. A day that is not changed, and that no changed day
+    /// witnesses, has the same nd-stable set in both stores. `None`
+    /// when `earlier` holds a day that `self` does not.
+    pub fn changed_since(&self, earlier: &DailyObservations) -> Option<Vec<Day>> {
+        if earlier.days.keys().any(|d| !self.days.contains_key(d)) {
+            return None;
+        }
+        let kept = |d: &Day, s: &AddrSet| earlier.days.get(d).is_some_and(|e| e.shares_storage(s));
+        Some(
+            self.days
+                .iter()
+                .filter(|&(d, s)| !kept(d, s))
+                .map(|(&d, _)| d)
+                .collect(),
+        )
+    }
+
+    /// The nd-stable addresses that landing one new day adds, day by
+    /// day, without re-running [`DailyObservations::stable_on`].
+    ///
+    /// `self` must be `earlier` plus the day `landed`: `earlier` lacks
+    /// it, and every other day shares its set with `earlier`
+    /// ([`DailyObservations::changed_since`] is `[landed]`). Under §5.1
+    /// a day's nd-stable set is its actives that some witness day
+    /// holds, so `landed` can only add witnesses, and only to the days
+    /// it witnesses. One merge of `landed`'s set against each day the
+    /// witness relation links to it, either way round (the relation is
+    /// not symmetric when `back != fwd`), gives both halves:
+    ///
+    /// * for each day `r` that `landed` witnesses, the addresses active
+    ///   on both that none of `r`'s witness days in `earlier` holds:
+    ///   exactly what `r`'s nd-stable set gains. They are visited as
+    ///   `gained(r, keys)` when there are any, in ascending day order;
+    /// * then `landed`'s own nd-stable set, as `gained(landed, keys)`.
+    ///
+    /// `stable_on(r)` in `self` is therefore `stable_on(r)` in `earlier`
+    /// plus the keys visited for `r`, for every day `r`. The pass holds
+    /// one day's candidates at a time; its cost follows the sets in
+    /// `landed`'s reach, not the number of days.
+    pub fn landed_gains(
         &self,
         earlier: &DailyObservations,
-        reference: Day,
+        landed: Day,
         params: &StabilityParams,
-    ) -> bool {
-        let same_reference = match (self.get(reference), earlier.get(reference)) {
-            (Some(a), Some(b)) => a.shares_storage(b),
-            (a, b) => a.is_none() && b.is_none(),
+        mut gained: impl FnMut(Day, &[u128]),
+    ) {
+        let Some(new) = self.days.get(&landed) else {
+            return;
         };
-        if !same_reference {
-            return false;
-        }
-        let mut theirs = earlier.witness_days(reference, params);
-        for (d, a) in self.witness_days(reference, params) {
-            match theirs.next() {
-                Some((e, b)) if d == e && a.shares_storage(b) => {}
-                _ => return false,
+        let keys = new.keys();
+        let mut hit = vec![false; keys.len()];
+        let mut candidates: Vec<u128> = Vec::with_capacity(keys.len());
+        let reach = params.back.max(params.fwd);
+        let (lo, hi) = params.with_window(reach, reach).window(landed);
+        for (&day, set) in self.days.range(lo..=hi) {
+            let witness = params.witnesses(day, landed);
+            let witnessed = day != landed && params.witnesses(landed, day);
+            if !witness && !witnessed {
+                continue;
+            }
+            candidates.clear();
+            for_each_common(keys, set.keys(), |i, a| {
+                if witness {
+                    if let Some(h) = hit.get_mut(i) {
+                        *h = true;
+                    }
+                }
+                if witnessed {
+                    candidates.push(a);
+                }
+            });
+            if !witnessed {
+                continue;
+            }
+            // An address an old witness day holds was already stable.
+            for (_, old) in earlier.witness_days(day, params) {
+                if candidates.is_empty() {
+                    break;
+                }
+                let (old, mut at) = (old.keys(), 0);
+                candidates.retain(|&a| {
+                    at = gallop(old, at, a);
+                    old.get(at) != Some(&a)
+                });
+            }
+            if !candidates.is_empty() {
+                gained(day, &candidates);
             }
         }
-        theirs.next().is_none()
+        candidates.clear();
+        let stable = keys.iter().zip(&hit).filter(|&(_, &h)| h);
+        candidates.extend(stable.map(|(&a, _)| a));
+        gained(landed, &candidates);
     }
 
     /// Addresses active on `reference` but *not* witnessed nd-stable —
@@ -476,6 +567,36 @@ impl DailyObservations {
     }
 }
 
+/// Calls `f(i, key)` for each key of `a`, at index `i`, that `b` also
+/// holds; both ascending.
+fn for_each_common(a: &[u128], b: &[u128], mut f: impl FnMut(usize, u128)) {
+    let (mut i, mut j) = (0, 0);
+    // Both cursors step by comparison results rather than by branch:
+    // a merge of two similar sets mispredicts every other branch.
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        if x == y {
+            f(i, x);
+        }
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+}
+
+/// The first index at or after `from` whose key in the ascending
+/// `keys` is not below `target` (`keys.len()` when none is): doubling
+/// steps from `from`, then a binary search inside the last step, so a
+/// cursor moved across a set costs O(log gap) a probe.
+fn gallop(keys: &[u128], from: usize, target: u128) -> usize {
+    let rest = keys.get(from..).unwrap_or_default();
+    let (mut lo, mut step) = (0, 1);
+    while rest.get(step - 1).is_some_and(|&k| k < target) {
+        lo = step;
+        step *= 2;
+    }
+    let tail = rest.get(lo..step.min(rest.len())).unwrap_or_default();
+    from + lo + tail.partition_point(|&k| k < target)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,34 +615,93 @@ mod tests {
     }
 
     #[test]
-    fn shared_inputs_follow_the_witness_window() {
-        let params = StabilityParams::nd(3);
+    fn changed_days_are_the_unshared_ones() {
         let mut base = DailyObservations::new();
         base.record(day(17), set(&["2001:db8::1"]));
         base.record(day(20), set(&["2001:db8::1"]));
-        assert!(base
-            .clone()
-            .shares_stable_on_inputs(&base, day(17), &params));
-        // Days too close to be witnesses, or outside the window, are
-        // not inputs of the day-17 verdict.
-        let mut unread = base.clone();
-        unread.record(day(18), set(&["2001:db8::2"]));
-        unread.record(day(25), set(&["2001:db8::2"]));
-        assert!(unread.shares_stable_on_inputs(&base, day(17), &params));
-        // A new witness day, on either side, is.
-        let mut witness = base.clone();
-        witness.record(day(22), set(&["2001:db8::2"]));
-        assert!(!witness.shares_stable_on_inputs(&base, day(17), &params));
-        assert!(!base.shares_stable_on_inputs(&witness, day(17), &params));
+        assert_eq!(base.clone().changed_since(&base), Some(vec![]));
+        // A new day, and a day whose set a merge replaced, changed.
+        let mut later = base.clone();
+        later.record(day(22), set(&["2001:db8::2"]));
+        later.record(day(17), set(&["2001:db8::3"]));
+        assert_eq!(later.changed_since(&base), Some(vec![day(17), day(22)]));
+        // A store that lost a day is not a later state.
+        assert_eq!(base.changed_since(&later), None);
         // Equal contents in fresh storage are not shared storage.
         let mut copy = DailyObservations::new();
         copy.record(day(17), set(&["2001:db8::1"]));
         copy.record(day(20), set(&["2001:db8::1"]));
-        assert!(!copy.shares_stable_on_inputs(&base, day(17), &params));
-        assert_eq!(
-            copy.stable_on(day(17), &params),
-            base.stable_on(day(17), &params)
-        );
+        assert_eq!(copy.changed_since(&base), Some(vec![day(17), day(20)]));
+    }
+
+    /// Lands each of `days` in turn into a store holding the others
+    /// already landed, and checks that every day's nd-stable set after
+    /// the landing is its set before plus the keys `landed_gains`
+    /// visits for it, and that only changed days are visited.
+    fn check_landings(days: &[(u8, &[&str])], params: &StabilityParams) {
+        let mut store = DailyObservations::new();
+        for &(d, addrs) in days {
+            let before = store.clone();
+            store.record(day(d), set(addrs));
+            assert_eq!(store.changed_since(&before), Some(vec![day(d)]));
+            let mut visited = Vec::new();
+            store.landed_gains(&before, day(d), params, |r, keys| {
+                visited.push((r, AddrSet::from_sorted(keys.to_vec())));
+            });
+            let ctx = format!("landing {d} under {params:?}");
+            assert_eq!(visited.last().map(|(r, _)| *r), Some(day(d)), "{ctx}");
+            assert!(visited
+                .windows(2)
+                .all(|w| w[0].0 < w[1].0 || w[1].0 == day(d)));
+            for r in store.days() {
+                let gained = visited.iter().find(|(v, _)| *v == r).map(|(_, g)| g);
+                let was = before.stable_on(r, params);
+                let want = store.stable_on(r, params);
+                let got = gained.map_or(was.clone(), |g| was.union(g));
+                assert_eq!(got, want, "{ctx}: day {r}");
+                // Gains are new addresses, so counts add up.
+                let added = gained.map_or(0, AddrSet::len);
+                assert_eq!(was.len() + added, want.len(), "{ctx}: count on {r}");
+                assert!(added > 0 || r == day(d) || gained.is_none(), "{ctx}: {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn landed_gains_are_what_each_verdict_gains() {
+        // Late days into gaps, witnesses on both sides, and addresses
+        // an old witness already holds.
+        let days: [(u8, &[&str]); 7] = [
+            (10, &["2001:db8::1", "2001:db8::2"]),
+            (20, &["2001:db8::1", "2001:db8::3"]),
+            (
+                14,
+                &["2001:db8::1", "2001:db8::2", "2001:db8::3", "2001:db8::4"],
+            ),
+            (17, &["2001:db8::2", "2001:db8::4"]),
+            (12, &["2001:db8::3", "2001:db8::4", "2001:db8::5"]),
+            (25, &["2001:db8::1", "2001:db8::5"]),
+            (16, &[]),
+        ];
+        for params in [
+            StabilityParams::nd(3),
+            StabilityParams::nd(2).with_window(3, 6).with_slew(1),
+            StabilityParams::nd(1).with_window(6, 2),
+            StabilityParams::nd(0),
+        ] {
+            check_landings(&days, &params);
+        }
+    }
+
+    #[test]
+    fn gallop_finds_the_first_key_not_below_the_target() {
+        let keys = [2u128, 4, 4, 8, 16, 32, 64];
+        for from in 0..=keys.len() {
+            for target in 0..70u128 {
+                let want = from + keys[from..].partition_point(|&k| k < target);
+                assert_eq!(gallop(&keys, from, target), want, "{from} {target}");
+            }
+        }
     }
 
     #[test]
@@ -771,6 +951,41 @@ mod tests {
         );
         assert!(v.stable.is_empty());
         assert!(matches!(v.quality, VerdictQuality::Unknown { .. }));
+    }
+
+    #[test]
+    fn unbounded_windows_count_their_gaps_without_listing_them() {
+        // Every day of an i32 is in the window, so the gaps on each
+        // side number in the billions; only the covered days are read.
+        let mut obs = DailyObservations::new();
+        obs.record(day(10), set(&["2001:db8::1", "2001:db8::2"]));
+        obs.record(day(12), AddrSet::new());
+        obs.record(day(17), set(&["2001:db8::1", "2001:db8::3"]));
+        obs.record(day(30), set(&["2001:db8::3"]));
+        let p = StabilityParams::nd(3).with_window(3_000_000_000, 3_000_000_000);
+        let want = set(&["2001:db8::1", "2001:db8::3"]);
+        let v = obs.stable_on_gapped(day(17), &p, GapPolicy::AssumeInactive);
+        assert_eq!(
+            (v.stable, v.quality),
+            (want.clone(), VerdictQuality::Complete)
+        );
+        let v = obs.stable_on_gapped(day(17), &p, GapPolicy::Widen { max_extra: 7 });
+        let widened = VerdictQuality::Widened {
+            back_extra: 7,
+            fwd_extra: 7,
+        };
+        assert_eq!((v.stable, v.quality), (want, widened));
+        // Gaps on one side only widen that side.
+        let p = StabilityParams::nd(3).with_window(7, 3_000_000_000);
+        let v = obs.stable_on_gapped(day(17), &p, GapPolicy::Widen { max_extra: 7 });
+        let widened = VerdictQuality::Widened {
+            back_extra: 5,
+            fwd_extra: 7,
+        };
+        assert_eq!(
+            (v.stable, v.quality),
+            (set(&["2001:db8::1", "2001:db8::3"]), widened)
+        );
     }
 
     #[test]

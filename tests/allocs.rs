@@ -110,6 +110,9 @@ struct Input {
     next: AddrSet,
     tree: RadixTree,
     store: DailyObservations,
+    /// `store` before the reference day landed: every other day's set
+    /// is shared with `store`.
+    earlier: DailyObservations,
 }
 
 /// The inputs at size `m`; `logs` holds the reference day and its
@@ -128,10 +131,12 @@ fn input(logs: &[DayLog], m: usize, dir: &Path) -> Input {
     let text = log.to_text();
     let path = dir.join(format!("{}.first-{m}.log", log.day));
     std::fs::write(&path, &text).expect("day-log file");
-    let mut store = DailyObservations::new();
-    for l in logs {
-        store.record(l.day, clipped(l));
+    let mut earlier = DailyObservations::new();
+    for l in logs.iter().filter(|l| l.day != log.day) {
+        earlier.record(l.day, clipped(l));
     }
+    let mut store = earlier.clone();
+    store.record(log.day, clipped(day));
     let addrs: Vec<Addr> = log.addrs().collect();
     let mut tree = RadixTree::new();
     for &a in &addrs {
@@ -146,6 +151,7 @@ fn input(logs: &[DayLog], m: usize, dir: &Path) -> Input {
         path,
         tree,
         store,
+        earlier,
         log,
     }
 }
@@ -238,6 +244,18 @@ fn kernels() -> Vec<Kernel> {
             allocations(|| {
                 i.store
                     .stable_on(reference(), &StabilityParams::three_day())
+            })
+            .1
+        }),
+        ("DailyObservations::landed_gains", |i| {
+            allocations(|| {
+                let mut gained = 0;
+                let params = StabilityParams::three_day();
+                i.store
+                    .landed_gains(&i.earlier, reference(), &params, |_, keys| {
+                        gained += keys.len()
+                    });
+                gained
             })
             .1
         }),
