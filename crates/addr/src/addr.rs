@@ -36,6 +36,10 @@ impl Addr {
 
     /// Builds an address from eight 16-bit segments, first segment most
     /// significant (the order they are written in presentation format).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the counter stops at the array length, 8"
+    )]
     pub const fn from_segments(s: [u16; 8]) -> Addr {
         let mut v: u128 = 0;
         let mut i = 0;
@@ -84,6 +88,10 @@ impl Addr {
     /// All 32 nybbles at once, most significant first — the batched form
     /// of [`Addr::nybble`] for whole-address scans: one pass over the
     /// big-endian bytes instead of 32 independent 128-bit shifts.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the counter stops at the byte count, 16, so 2 * i + 1 < 32"
+    )]
     pub const fn nybbles(self) -> [u8; 32] {
         let bytes = self.0.to_be_bytes();
         let mut out = [0u8; 32];
@@ -119,6 +127,10 @@ impl Addr {
     }
 
     /// The low 64 bits: the interface identifier under /64 addressing.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "keeping the low 64 bits is the point"
+    )]
     pub const fn iid_bits(self) -> u64 {
         self.0 as u64
     }
@@ -180,6 +192,10 @@ impl Addr {
 
     /// Parses an `ip6.arpa` pointer name back to the address. Accepts an
     /// optional trailing dot and any ASCII case.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "count stops at 32 before it is incremented"
+    )]
     pub fn from_ip6_arpa(s: &str) -> Result<Addr, ParseError> {
         let s = s.strip_suffix('.').unwrap_or(s);
         let body = s
@@ -264,6 +280,10 @@ impl Addr {
     /// address in the workspace goes through this scan. A non-ASCII
     /// byte is reported as `InvalidCharacter(U+FFFD)`; `str::parse`
     /// names the actual char.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "per-line kernel: i < b.len() and n <= 8 bound every counter; a rewrite would change its codegen"
+    )]
     pub fn parse_ascii(b: &[u8]) -> Result<Addr, ParseError> {
         if b.is_empty() {
             return Err(ParseError::Empty);
@@ -373,6 +393,10 @@ fn hex_digit(c: u8) -> Option<u16> {
 
 /// Parses a whole dotted quad: four decimal octets, no leading zeros
 /// (as inet_pton), each at most 255.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "counters bounded by the 4 octets and the input length"
+)]
 fn parse_v4(b: &[u8]) -> Result<[u8; 4], ParseError> {
     let mut octets = [0u8; 4];
     let mut n = 0;
@@ -425,6 +449,10 @@ impl Addr {
     /// let a: Addr = "2001:0db8:0:0:1:0:0:1".parse().unwrap();
     /// assert_eq!(a.write_ascii(&mut [0; Addr::MAX_ASCII_LEN]), "2001:db8::1:0:0:1");
     /// ```
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "per-line kernel: n stays below MAX_ASCII_LEN; a rewrite would change its codegen"
+    )]
     pub fn write_ascii(self, buf: &mut [u8; Addr::MAX_ASCII_LEN]) -> &str {
         let segs = self.segments();
         // Bit 7 - i set when group i is zero: most addresses have no two
@@ -465,6 +493,10 @@ impl Addr {
 /// The longest run of zero groups, the leftmost on ties. RFC 5952
 /// compresses only a run of two groups or more, so call this only
 /// when two neighbouring groups are zero.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "run <= i + 1 <= 8 over eight groups"
+)]
 fn longest_zero_run(segs: &[u16; 8]) -> std::ops::Range<usize> {
     let (mut best, mut run) = (0..0, 0);
     for (i, &g) in segs.iter().enumerate() {
@@ -494,6 +526,10 @@ const HEX_PAIRS: [[u8; 2]; 256] = {
 /// advances past the significant ones: no branch depends on the
 /// digits. A group never starts past byte 35, so the word fits.
 #[inline]
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "n + 4 <= MAX_ASCII_LEN at every call; the digit count is at most 4"
+)]
 fn put_hex_group(buf: &mut [u8; Addr::MAX_ASCII_LEN], n: usize, g: u16) -> usize {
     let [hi, lo] = g.to_be_bytes();
     let [a, b] = HEX_PAIRS[usize::from(hi)];

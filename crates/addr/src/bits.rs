@@ -1,7 +1,8 @@
 //! Audited total bit-manipulation helpers for 128-bit address math.
 //!
-//! Lint rule `L006` bans bare shifts-by-expression (and bare `+ - *` on
-//! sized integers) inside the bit-math crates: `x << n` panics in debug
+//! The address and trie crates deny `clippy::arithmetic_side_effects`
+//! (bare `+ - *` that can overflow), and `tests/lint_rules.rs` refuses
+//! shifts by an expression there: `x << n` panics in debug
 //! builds — and wraps the shift *amount* in release — once `n` reaches
 //! the type's width, and in prefix arithmetic that width is always one
 //! off-by-one away (`128 - len` with `len == 0`). These helpers are the

@@ -1,7 +1,8 @@
 //! Total low-bits extractors for bit and nybble math.
 //!
-//! Lint rule `L003` bans raw `as u8/u16/u32/usize` in the address and
-//! trie crates: a raw `as` truncates silently, and in 128-bit address
+//! The address and trie crates deny `clippy::cast_possible_truncation`,
+//! which flags a narrowing `as` that can drop bits: a raw `as`
+//! truncates silently, and in 128-bit address
 //! arithmetic a silent truncation is a wrong answer, not a crash. Each
 //! narrowing has one of three spellings instead:
 //!

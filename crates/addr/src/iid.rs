@@ -81,6 +81,10 @@ impl Iid {
     /// All 16 nybbles of the IID at once, most significant first — the
     /// batched form used by the entropy estimator: one pass over the
     /// big-endian bytes instead of 16 independent 64-bit shifts.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the counter stops at the byte count, 8, so 2 * i + 1 < 16"
+    )]
     pub const fn nybbles(self) -> [u8; 16] {
         let bytes = self.0.to_be_bytes();
         let mut out = [0u8; 16];
@@ -142,6 +146,10 @@ pub fn is_low_iid(a: Addr) -> bool {
 /// model — distinct-nybble spread and adjacent-nybble changes — and
 /// returns a value in `[0, 64]`. Pseudorandom IIDs land high (≳ 40);
 /// manual/structured IIDs land low.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "16 nybble counters, each at most 16"
+)]
 pub fn iid_entropy_bits(iid: Iid) -> f64 {
     let mut counts = [0u32; 16];
     let mut transitions = 0u32;

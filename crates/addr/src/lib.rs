@@ -29,6 +29,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Workspace rules (DESIGN.md §7, checked by tests/lint_rules.rs):
+// no panic paths,
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+// determinism, durability and lock confinement (lists in clippy.toml),
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+// cast safety and overflow policy in bit math,
+#![deny(clippy::cast_possible_truncation, clippy::arithmetic_side_effects)]
+// no discarded results, and accountable suppressions.
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![deny(unfulfilled_lint_expectations)]
 
 mod addr;
 pub mod bits;

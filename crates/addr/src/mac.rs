@@ -157,6 +157,10 @@ impl FromStr for Mac {
     type Err = MacParseError;
 
     /// Parses `aa:bb:cc:dd:ee:ff` (case-insensitive, `-` also accepted).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the octet counter stops at 6"
+    )]
     fn from_str(s: &str) -> Result<Mac, MacParseError> {
         let sep = if s.contains('-') { '-' } else { ':' };
         let mut out = [0u8; 6];

@@ -36,6 +36,10 @@ pub enum MaloneVerdict {
 /// 3. RFC 4941 requires the u-bit be 0; a set u-bit ⇒ `NotPrivacy`.
 /// 4. High-entropy IID with u-bit 0 ⇒ [`MaloneVerdict::LikelyPrivacy`].
 /// 5. Otherwise ⇒ [`MaloneVerdict::Unknown`].
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "group indices over 0..4 of eight groups"
+)]
 pub fn classify_content_only(a: Addr) -> MaloneVerdict {
     let iid = Iid::of(a);
     if iid.is_eui64() || iid.is_isatap() {

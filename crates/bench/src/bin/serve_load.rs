@@ -8,6 +8,16 @@
 //!
 //! `BENCH_QUICK=1` trims the request count for CI smoke runs.
 
+// Workspace rules (DESIGN.md §7, checked by tests/lint_rules.rs): no
+// discarded results, and accountable suppressions.
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![deny(unfulfilled_lint_expectations)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "out of the determinism and durability scope: benchmarks read clocks and write their own scratch files and reports"
+)]
+
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -41,11 +51,19 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "write! into a String cannot fail"
+)]
 fn main() {
     let opts = Opts::parse();
     let world = opts.world();
 
     let dir = std::env::temp_dir().join(format!("v6census-servebench-{}", std::process::id()));
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort removal of the scratch directory"
+    )]
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create log dir");
     eprintln!(
@@ -170,5 +188,9 @@ fn main() {
     opts.emit("BENCH_serve.json", &json);
     v6census_bench::write_baseline("BENCH_serve.json", &json);
 
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort removal of the scratch directory"
+    )]
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,6 +7,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Workspace rules (DESIGN.md §7, checked by tests/lint_rules.rs): no
+// discarded results, and accountable suppressions.
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![deny(unfulfilled_lint_expectations)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "out of the determinism and durability scope: benchmarks read clocks and write their own scratch files and reports"
+)]
 
 use std::path::PathBuf;
 use v6census_census::{Census, RoutingTable};

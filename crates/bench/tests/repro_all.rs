@@ -3,6 +3,11 @@
 //! dropped or renamed section fails here, not only in the full-scale
 //! diff.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "integration tests build their fixtures with std::fs"
+)]
+
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::process::Command;

@@ -208,7 +208,6 @@ impl Census {
     /// Ingests a summary only if its day is new; a duplicate day is
     /// rejected with the summary handed back untouched so the caller can
     /// choose to merge it instead (hence the deliberately large `Err`).
-    #[allow(clippy::result_large_err)]
     pub fn try_ingest(&mut self, s: DaySummary) -> Result<(), DaySummary> {
         if self.index.contains_key(&s.day) {
             return Err(s);

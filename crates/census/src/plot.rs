@@ -1,6 +1,11 @@
 //! Terminal and file renderers for the paper's figures: ASCII plots for
 //! quick inspection, TSV for gnuplot-grade reproduction.
 
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "write! into a String cannot fail"
+)]
+
 use crate::figures::{MraFigure, PopulationFigure, StabilityFigure};
 use std::fmt::Write as _;
 use v6census_addr::PrefixLen;

@@ -62,8 +62,11 @@ use crate::stream::{
 
 /// The daemon's single monotonic clock read: header deadlines, drain
 /// deadlines, and backoff pacing all derive from instants returned here.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "serve needs a monotonic clock for socket/drain deadlines (slowloris defeat, bounded drain); snapshots, response bodies, and equivalence keys never read it"
+)]
 fn now() -> Instant {
-    // lint: allow(L002, reason = "serve needs a monotonic clock for socket/drain deadlines (slowloris defeat, bounded drain); snapshots, response bodies, and equivalence keys never read it")
     Instant::now()
 }
 
@@ -332,6 +335,10 @@ struct Shared {
 
 impl Shared {
     fn log(&self, line: &str) {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a log line stderr cannot take is dropped; the daemon keeps serving"
+        )]
         let _ = writeln!(io::stderr(), "[serve] {line}");
     }
 }
@@ -401,9 +408,17 @@ impl ServeHandle {
         }
         let abandoned = self.shared.open.load(Ordering::Acquire);
         if let Some(h) = self.accept.take() {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "shutdown proceeds whether or not the thread panicked"
+            )]
             let _ = h.join();
         }
         if let Some(h) = self.ingest.take() {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "shutdown proceeds whether or not the thread panicked"
+            )]
             let _ = h.join();
         }
         DrainReport {
@@ -574,6 +589,10 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 /// target can stall accepting for at most ~½ s.
 fn shed(shared: &Arc<Shared>, mut stream: TcpStream) {
     ServeMetrics::bump(&shared.metrics.shed);
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best effort: a socket option that cannot be set keeps its default, and the deadlines still bound the connection"
+    )]
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
     if write_response(
         &mut stream,
@@ -646,8 +665,20 @@ fn head_complete(buf: &[u8]) -> bool {
 
 fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
     let cfg = &shared.cfg;
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best effort: a socket option that cannot be set keeps its default, and the deadlines still bound the connection"
+    )]
     let _ = stream.set_read_timeout(Some(cfg.read_timeout));
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best effort: a socket option that cannot be set keeps its default, and the deadlines still bound the connection"
+    )]
     let _ = stream.set_write_timeout(Some(cfg.write_timeout));
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best effort: a socket option that cannot be set keeps its default, and the deadlines still bound the connection"
+    )]
     let _ = stream.set_nodelay(true);
 
     let head = match read_head(&mut stream, cfg) {
@@ -761,7 +792,15 @@ fn deliver(
 /// loop is deadline-bounded, so hostile clients cannot pin memory — only
 /// at most `budget` of this connection thread's time.
 fn drain_then_close(stream: &mut TcpStream, budget: Duration) {
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "the peer may already be gone; the connection closes either way"
+    )]
     let _ = stream.shutdown(std::net::Shutdown::Write);
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best effort: a socket option that cannot be set keeps its default, and the deadlines still bound the connection"
+    )]
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     let deadline = now() + budget;
     let mut tmp = [0u8; 1024];
@@ -1118,6 +1157,11 @@ pub(crate) fn land_day(
 
 #[cfg(test)]
 mod tests {
+    #![allow(
+        clippy::disallowed_methods,
+        clippy::let_underscore_must_use,
+        reason = "tests build their fixtures with std::fs and clean up best-effort"
+    )]
     use super::*;
 
     fn tempdir(tag: &str) -> PathBuf {

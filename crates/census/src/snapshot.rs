@@ -14,6 +14,11 @@
 //! `generation == days` is an invariant every response can carry and the
 //! atomicity tests can assert: a torn read would break it.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "lock confinement: the published snapshot sits behind one RwLock, held only inside one method call"
+)]
+
 use std::sync::{Arc, RwLock};
 use v6census_core::spatial::DensityClass;
 use v6census_core::temporal::{DailyObservations, Day, StabilityParams};

@@ -417,6 +417,10 @@ impl IngestReport {
 
     /// The per-day ingest health report, one line per file plus gap and
     /// error sections.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "write! into a String cannot fail"
+    )]
     pub fn health_report(&self) -> String {
         let mut out = String::from("==== ingest health ====\n");
         let _ = writeln!(
@@ -922,6 +926,11 @@ pub fn errors_by_label(errors: &[IngestError]) -> BTreeMap<&'static str, usize> 
 
 #[cfg(test)]
 mod tests {
+    #![allow(
+        clippy::disallowed_methods,
+        clippy::let_underscore_must_use,
+        reason = "tests build their fixtures with std::fs and clean up best-effort"
+    )]
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
 

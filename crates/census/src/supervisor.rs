@@ -321,6 +321,10 @@ impl RunManifest {
         self.render_opts(false)
     }
 
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "write! into a String cannot fail"
+    )]
     fn render_opts(&self, timings: bool) -> String {
         use std::fmt::Write as _;
         let mut out = String::from("==== run manifest ====\n");
@@ -443,7 +447,10 @@ pub fn run_stage<T: Send + 'static>(
     cfg: &SupervisorConfig,
 ) -> (Vec<Option<T>>, StageReport) {
     let stage = stage.into();
-    // lint: allow(L002, reason = "wall-clock stage duration feeds operator-facing StageReport timing only; equivalence_key and product tables never read it")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock stage duration feeds operator-facing StageReport timing only; equivalence_key and product tables never read it"
+    )]
     let start = Instant::now();
     let n = units.len();
     let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
@@ -598,6 +605,10 @@ pub fn run_stage<T: Send + 'static>(
         // stage returns. Never joined on the deadline path — that is
         // exactly when a worker may be hung.
         for h in handles {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "shutdown proceeds whether or not the thread panicked"
+            )]
             let _ = h.join();
         }
     }
@@ -987,6 +998,10 @@ fn annotate_product<T>(
 
 #[cfg(test)]
 mod tests {
+    #![allow(
+        clippy::disallowed_methods,
+        reason = "tests time the deadline paths with a wall clock"
+    )]
     use super::*;
     use std::sync::atomic::AtomicU32;
 

@@ -5,7 +5,14 @@
 //! from 1 to 65536 over prefix length 0..128 with one polyline per
 //! resolution; CCDFs are log-log.
 
-#![allow(clippy::write_with_newline)] // SVG templates end lines deliberately
+#![expect(
+    clippy::write_with_newline,
+    reason = "SVG templates end their lines deliberately"
+)]
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "write! into a String cannot fail"
+)]
 
 use crate::figures::{MraFigure, PopulationFigure};
 use std::fmt::Write as _;

@@ -7,6 +7,11 @@
 //! no hang — and the manifest/quality honestly reflect what the fault
 //! cost.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "integration tests build their fixtures with std::fs"
+)]
+
 use std::path::PathBuf;
 use std::time::Duration;
 use v6census_census::supervisor::{run_census, PipelineConfig};

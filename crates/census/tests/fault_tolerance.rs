@@ -5,6 +5,11 @@
 //! budget, and — via checkpoints — resume after a simulated mid-run kill
 //! to the exact same census an uninterrupted run produces.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "integration tests build their fixtures with std::fs"
+)]
+
 use std::path::{Path, PathBuf};
 use v6census_census::stream::{
     checkpoint_path, load_checkpoint, DuplicatePolicy, ErrorMode, FileOutcome, IngestConfig,

@@ -8,6 +8,11 @@
 //! read), keeps per-connection memory bounded, and is still answering
 //! well-formed queries after the abuse stops.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "integration tests build their fixtures with std::fs"
+)]
+
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};

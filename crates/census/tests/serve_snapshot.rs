@@ -7,6 +7,11 @@
 //! checkpoint recovers by re-ingesting its day from source, and a day
 //! file read while it is still being written lands once complete.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "integration tests build their fixtures with std::fs"
+)]
+
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};

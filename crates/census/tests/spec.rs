@@ -30,6 +30,12 @@
 //! and every count at /32 and longer, and permuting and duplicating a
 //! day log's lines keeps its address sets.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the memo is a lookup table, never iterated; the tests build their fixtures with std::fs"
+)]
+
 use std::collections::HashMap;
 use std::sync::OnceLock;
 

@@ -3,6 +3,11 @@
 //! the run, trie budgets degrade densify instead of killing it, and a
 //! parallel run is equivalent to a serial one.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the tests time deadlines and build their fixtures with std::fs"
+)]
+
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use v6census_census::supervisor::{run_census, PipelineConfig, UnitStatus};

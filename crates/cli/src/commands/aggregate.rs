@@ -1,6 +1,11 @@
 //! `v6census aggregate` — Kohler-style active aggregate counts (n_p for
 //! all prefix lengths) or per-aggregate populations at one length.
 
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "write! into a String cannot fail"
+)]
+
 use crate::input::addr_set;
 use crate::{CliError, Flags};
 use std::fmt::Write as _;
@@ -64,7 +69,11 @@ mod tests {
 
     #[test]
     fn populations_mode() {
-        let f = Flags::parse(&["--populations".into(), "--length".into(), "64".into()]);
+        let f = Flags::parse(
+            "aggregate",
+            &["--populations".into(), "--length".into(), "64".into()],
+        )
+        .unwrap();
         let out = aggregate(INPUT, &f).unwrap();
         assert!(out.contains("aggregates : 2"));
         assert!(out.contains("max        : 2"));
@@ -72,7 +81,11 @@ mod tests {
 
     #[test]
     fn populations_length_past_128_is_a_bad_value() {
-        let f = Flags::parse(&["--populations".into(), "--length".into(), "200".into()]);
+        let f = Flags::parse(
+            "aggregate",
+            &["--populations".into(), "--length".into(), "200".into()],
+        )
+        .unwrap();
         let e = aggregate(INPUT, &f).unwrap_err();
         assert_eq!(e.to_string(), "bad value for --length: \"200\"");
     }

@@ -19,6 +19,11 @@
 //! run to [`crate::EXIT_DEGRADED`] so scripts can tell a clean census
 //! from one that shed work.
 
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "write! into a String cannot fail"
+)]
+
 use crate::{err, usage, CliError, Flags};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -315,7 +320,11 @@ mod tests {
     use v6census_synth::AnalysisFault;
 
     fn flags(args: &[&str]) -> Flags {
-        Flags::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        Flags::parse(
+            "census",
+            &args.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+        )
+        .unwrap()
     }
 
     #[test]

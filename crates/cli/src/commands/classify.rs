@@ -1,6 +1,11 @@
 //! `v6census classify` — per-address content classification (§3) plus a
 //! population histogram, optionally with the Malone content-only verdict.
 
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "write! into a String cannot fail"
+)]
+
 use crate::input::parse_addr_lines;
 use crate::{err, CliError, Flags};
 use std::collections::BTreeMap;
@@ -79,7 +84,7 @@ mod tests {
 
     #[test]
     fn tsv_mode_and_malone() {
-        let f = Flags::parse(&["--tsv".into(), "--malone".into()]);
+        let f = Flags::parse("classify", &["--tsv".into(), "--malone".into()]).unwrap();
         let out = classify("2001:db8::1\n", &f).unwrap();
         assert!(out.starts_with("# addr\tscheme\tmalone"));
         assert!(out.contains("2001:db8::1\tlow-iid\tNotPrivacy"));

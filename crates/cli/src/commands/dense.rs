@@ -2,6 +2,11 @@
 //! population: one class, the Table 3 parameter sweep, or the general
 //! least-specific densify.
 
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "write! into a String cannot fail"
+)]
+
 use crate::input::addr_set;
 use crate::{err, CliError, Flags};
 use std::fmt::Write as _;
@@ -85,14 +90,18 @@ mod tests {
 
     #[test]
     fn general_mode_finds_least_specific() {
-        let f = Flags::parse(&["--general".into(), "--class".into(), "2@/112".into()]);
+        let f = Flags::parse(
+            "dense",
+            &["--general".into(), "--class".into(), "2@/112".into()],
+        )
+        .unwrap();
         let out = dense(INPUT, &f).unwrap();
         assert!(out.contains("2001:db8::/112\t2"), "{out}");
     }
 
     #[test]
     fn table3_sweep() {
-        let f = Flags::parse(&["--table3".into()]);
+        let f = Flags::parse("dense", &["--table3".into()]).unwrap();
         let out = dense(INPUT, &f).unwrap();
         assert!(out.contains("2@/124-dense"));
         assert!(out.lines().count() >= 13);
@@ -100,7 +109,7 @@ mod tests {
 
     #[test]
     fn bad_class_is_an_error() {
-        let f = Flags::parse(&["--class".into(), "nope".into()]);
+        let f = Flags::parse("dense", &["--class".into(), "nope".into()]).unwrap();
         assert!(dense(INPUT, &f).is_err());
     }
 }

@@ -29,59 +29,84 @@ pub use targets::targets;
 
 pub(crate) use synth::parse_day as synth_day;
 
+use crate::FlagKind::{self, Switch, Value};
+
 /// The ingest flags `census` and `serve` share.
-const INGEST_FLAGS: [&str; 7] = [
-    "max-bad-ratio",
-    "strict",
-    "merge-duplicates",
-    "checkpoint",
-    "resume",
-    "max-days",
-    "fault-fs",
+const INGEST_FLAGS: [(&str, FlagKind); 7] = [
+    ("max-bad-ratio", Value),
+    ("strict", Switch),
+    ("merge-duplicates", Switch),
+    ("checkpoint", Value),
+    ("resume", Switch),
+    ("max-days", Value),
+    ("fault-fs", Value),
 ];
 
-/// The flags `command` reads, `None` for a command that is not one.
-/// Any other flag is a usage error ([`crate::Flags::accept_only`]).
-pub fn accepted_flags(command: &str) -> Option<Vec<&'static str>> {
-    let own: &[&str] = match command {
-        "classify" => &["tsv", "malone"],
-        "mra" => &["title", "tsv"],
-        "dense" => &["class", "table3", "general"],
-        "aggregate" => &["length", "populations"],
-        "stable" => &["earlier", "threshold", "step", "prefixes"],
-        "stability" => &["dir", "n", "window", "slew", "reference"],
+/// The flags `command` reads, each with its kind; `None` for a command
+/// that is not one. [`crate::Flags::parse`] takes a flag's kind from here
+/// and refuses any flag not listed.
+pub fn accepted_flags(command: &str) -> Option<Vec<(&'static str, FlagKind)>> {
+    let own: &[(&str, FlagKind)] = match command {
+        "classify" => &[("tsv", Switch), ("malone", Switch)],
+        "mra" => &[("title", Value), ("tsv", Switch)],
+        "dense" => &[("class", Value), ("table3", Switch), ("general", Switch)],
+        "aggregate" => &[("length", Value), ("populations", Switch)],
+        "stable" => &[
+            ("earlier", Value),
+            ("threshold", Value),
+            ("step", Value),
+            ("prefixes", Switch),
+        ],
+        "stability" => &[
+            ("dir", Value),
+            ("n", Value),
+            ("window", Value),
+            ("slew", Value),
+            ("reference", Value),
+        ],
         "census" => &[
-            "dir",
-            "n",
-            "reference",
-            "gap-policy",
-            "jobs",
-            "stage-deadline",
-            "max-trie-nodes",
-            "class",
-            "no-timings",
-            "inject",
+            ("dir", Value),
+            ("n", Value),
+            ("reference", Value),
+            ("gap-policy", Value),
+            ("jobs", Value),
+            ("stage-deadline", Value),
+            ("max-trie-nodes", Value),
+            ("class", Value),
+            ("no-timings", Switch),
+            ("inject", Value),
         ],
         "serve" => &[
-            "dir",
-            "bind",
-            "state",
-            "routing",
-            "max-connections",
-            "header-deadline-ms",
-            "max-request-bytes",
-            "read-timeout-ms",
-            "write-timeout-ms",
-            "poll-ms",
-            "drain-ms",
-            "run-for-ms",
-            "n",
-            "class",
+            ("dir", Value),
+            ("bind", Value),
+            ("state", Value),
+            ("routing", Value),
+            ("max-connections", Value),
+            ("header-deadline-ms", Value),
+            ("max-request-bytes", Value),
+            ("read-timeout-ms", Value),
+            ("write-timeout-ms", Value),
+            ("poll-ms", Value),
+            ("drain-ms", Value),
+            ("run-for-ms", Value),
+            ("n", Value),
+            ("class", Value),
         ],
-        "targets" => &["class", "budget", "include-observed"],
-        "ptr" => &["reverse"],
-        "profile" => &["threshold"],
-        "synth" => &["day", "scale", "seed", "out", "days", "fault-fs"],
+        "targets" => &[
+            ("class", Value),
+            ("budget", Value),
+            ("include-observed", Switch),
+        ],
+        "ptr" => &[("reverse", Switch)],
+        "profile" => &[("threshold", Value)],
+        "synth" => &[
+            ("day", Value),
+            ("scale", Value),
+            ("seed", Value),
+            ("out", Value),
+            ("days", Value),
+            ("fault-fs", Value),
+        ],
         _ => return None,
     };
     let ingest = matches!(command, "census" | "serve").then_some(INGEST_FLAGS);
@@ -203,7 +228,10 @@ mod tests {
                     .chars()
                     .take_while(|c| c.is_ascii_alphanumeric() || *c == '-')
                     .collect();
-                assert!(accepted.contains(&name.as_str()), "{command} --{name}");
+                assert!(
+                    accepted.iter().any(|(k, _)| *k == name),
+                    "{command} --{name}"
+                );
                 checked += 1;
             }
         }

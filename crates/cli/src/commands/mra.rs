@@ -1,5 +1,10 @@
 //! `v6census mra` — the §5.2.1 MRA plot for an arbitrary population.
 
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "write! into a String cannot fail"
+)]
+
 use crate::input::addr_set;
 use crate::{CliError, Flags};
 use std::fmt::Write as _;
@@ -51,7 +56,7 @@ mod tests {
 
     #[test]
     fn tsv_output() {
-        let f = Flags::parse(&["--tsv".into()]);
+        let f = Flags::parse("mra", &["--tsv".into()]).unwrap();
         let out = mra(&population(), &f).unwrap();
         assert!(out.starts_with("# prefix_len"));
         assert!(out.lines().count() > 100);

@@ -2,6 +2,11 @@
 //! paper's §2/§5.2 baseline): aggregate `addr hits` input until every
 //! reported prefix carries at least a threshold fraction of total hits.
 
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "write! into a String cannot fail"
+)]
+
 use crate::input::parse_weighted_lines;
 use crate::{err, CliError, Flags};
 use std::fmt::Write as _;
@@ -57,7 +62,7 @@ mod tests {
             input.push_str(&format!("2001:db8::{i:x} 10\n"));
         }
         input.push_str("2400::1 5\n");
-        let f = Flags::parse(&["--threshold".into(), "0.05".into()]);
+        let f = Flags::parse("profile", &["--threshold".into(), "0.05".into()]).unwrap();
         let out = profile(&input, &f).unwrap();
         // The heavy /121-ish block is reported inside 2001:db8::/64.
         assert!(out.contains("2001:db8::/"), "{out}");
@@ -69,7 +74,7 @@ mod tests {
     fn threshold_validation() {
         assert!(profile(
             "2001:db8::1 1\n",
-            &Flags::parse(&["--threshold".into(), "2".into()])
+            &Flags::parse("profile", &["--threshold".into(), "2".into()]).unwrap()
         )
         .is_err());
         assert!(profile("", &Flags::default()).is_err());

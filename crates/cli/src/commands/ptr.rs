@@ -1,6 +1,11 @@
 //! `v6census ptr` — conversion between addresses and `ip6.arpa` pointer
 //! names (the §6.2.3 harvesting direction and its inverse).
 
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "write! into a String cannot fail"
+)]
+
 use crate::{err, CliError, Flags};
 use std::fmt::Write as _;
 use v6census_addr::Addr;
@@ -50,7 +55,7 @@ mod tests {
     fn forward_and_back() {
         let fwd = ptr("2001:db8::1\n", &Flags::default()).unwrap();
         assert!(fwd.trim().ends_with("ip6.arpa"));
-        let back = ptr(&fwd, &Flags::parse(&["--reverse".into()])).unwrap();
+        let back = ptr(&fwd, &Flags::parse("ptr", &["--reverse".into()]).unwrap()).unwrap();
         assert_eq!(back.trim(), "2001:db8::1");
     }
 

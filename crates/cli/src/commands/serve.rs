@@ -110,7 +110,15 @@ pub fn serve(flags: &Flags) -> Result<(String, Quality), CliError> {
     // output path: a vanished parent must not panic the daemon.
     {
         let mut stdout = std::io::stdout();
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a closed stdout leaves no one to tell; the daemon serves regardless"
+        )]
         let _ = writeln!(stdout, "listening on {}", handle.addr());
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a closed stdout leaves no one to tell; the daemon serves regardless"
+        )]
         let _ = stdout.flush();
     }
 
@@ -122,6 +130,10 @@ pub fn serve(flags: &Flags) -> Result<(String, Quality), CliError> {
         None => {
             // Foreground mode: serve until the operator closes stdin.
             let mut sink = String::new();
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "EOF and a read error both mean drain now"
+            )]
             let _ = std::io::stdin().read_line(&mut sink);
             while !sink.is_empty() {
                 sink.clear();
@@ -182,10 +194,19 @@ fn render(report: &DrainReport) -> String {
 
 #[cfg(test)]
 mod tests {
+    #![allow(
+        clippy::disallowed_methods,
+        clippy::let_underscore_must_use,
+        reason = "tests build their fixtures with std::fs and clean up best-effort"
+    )]
     use super::*;
 
     fn flags(args: &[&str]) -> Flags {
-        Flags::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        Flags::parse(
+            "serve",
+            &args.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+        )
+        .unwrap()
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! addresses and /64s — i.e. one column of the paper's Table 2a/2b for
 //! your own data.
 
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "write! into a String cannot fail"
+)]
+
 use crate::input::parse_addr_lines;
 use crate::{err, CliError, Flags};
 use std::fmt::Write as _;
@@ -151,7 +156,7 @@ mod tests {
             dayfile("2015-03-17.txt", &["2001:db8::a", "2001:db8::c"]),
             dayfile("2015-03-20.txt", &["2001:db8::a"]),
         ];
-        let f = Flags::parse(&["--reference".into(), "2015-03-17".into()]);
+        let f = Flags::parse("stability", &["--reference".into(), "2015-03-17".into()]).unwrap();
         let out = stability(days, &f).unwrap();
         // ::a is 3d-stable (17th + 20th); ::c is not.
         assert!(out.contains("3d-stable (-7d,+7d)"));
@@ -165,14 +170,18 @@ mod tests {
             dayfile("2015-03-17.txt", &["2001:db8::a"]),
             dayfile("2015-03-18.txt", &["2001:db8::a"]),
         ];
-        let f = Flags::parse(&[
-            "--n".into(),
-            "1".into(),
-            "--window".into(),
-            "3".into(),
-            "--reference".into(),
-            "2015-03-17".into(),
-        ]);
+        let f = Flags::parse(
+            "stability",
+            &[
+                "--n".into(),
+                "1".into(),
+                "--window".into(),
+                "3".into(),
+                "--reference".into(),
+                "2015-03-17".into(),
+            ],
+        )
+        .unwrap();
         let out = stability(days, &f).unwrap();
         assert!(out.contains("1d-stable (-3d,+3d)"));
         assert!(out.contains("1 (100.00%)"), "{out}");
@@ -182,6 +191,10 @@ mod tests {
     fn errors() {
         assert!(stability(vec![], &Flags::default()).is_err());
         let days = vec![dayfile("2015-03-17.txt", &["2001:db8::a"])];
-        assert!(stability(days, &Flags::parse(&["--n".into(), "0".into()])).is_err());
+        assert!(stability(
+            days,
+            &Flags::parse("stability", &["--n".into(), "0".into()]).unwrap()
+        )
+        .is_err());
     }
 }

@@ -1,6 +1,11 @@
 //! `v6census stable` — the §7.2 cross-epoch stability spectrum: current
 //! epoch on stdin, earlier epoch from `--earlier FILE`.
 
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "write! into a String cannot fail"
+)]
+
 use crate::input::addr_set;
 use crate::{err, CliError, Flags};
 use std::fmt::Write as _;
@@ -75,7 +80,7 @@ mod tests {
 
     #[test]
     fn prefix_listing() {
-        let f = Flags::parse(&["--prefixes".into()]);
+        let f = Flags::parse("stable", &["--prefixes".into()]).unwrap();
         let out = stable(&epoch(2), &epoch(1), &f).unwrap();
         assert!(out.contains("longest stable prefixes"), "{out}");
     }
@@ -92,7 +97,7 @@ mod tests {
         assert!(stable(
             &epoch(1),
             &epoch(2),
-            &Flags::parse(&["--step".into(), "0".into()])
+            &Flags::parse("stable", &["--step".into(), "0".into()]).unwrap()
         )
         .is_err());
         assert!(stable("", &epoch(1), &Flags::default()).is_err());

@@ -5,6 +5,11 @@
 //! `--fault-fs PLAN` can rehearse emission under injected I/O faults.
 //! `--days` without `--out` is a usage error.
 
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "write! into a String cannot fail"
+)]
+
 use crate::{err, usage, CliError, Flags};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -89,16 +94,24 @@ fn emit_files(
 
 #[cfg(test)]
 mod tests {
+    #![allow(
+        clippy::disallowed_methods,
+        reason = "tests build their fixtures with std::fs and clean up best-effort"
+    )]
     use super::*;
 
     #[test]
     fn emits_parseable_log() {
-        let f = Flags::parse(&[
-            "--scale".into(),
-            "0.005".into(),
-            "--day".into(),
-            "2015-03-17".into(),
-        ]);
+        let f = Flags::parse(
+            "synth",
+            &[
+                "--scale".into(),
+                "0.005".into(),
+                "--day".into(),
+                "2015-03-17".into(),
+            ],
+        )
+        .unwrap();
         let out = synth(&f).unwrap();
         assert!(out.starts_with("# synthetic day 2015-03-17"));
         let data_lines: Vec<&str> = out.lines().filter(|l| !l.starts_with('#')).collect();
@@ -121,51 +134,67 @@ mod tests {
 
     #[test]
     fn flag_validation() {
-        assert!(synth(&Flags::parse(&["--day".into(), "17-03".into()])).is_err());
-        assert!(synth(&Flags::parse(&["--scale".into(), "-1".into()])).is_err());
-        assert!(synth(&Flags::parse(&["--scale".into(), "nan".into()])).is_err());
-        assert!(synth(&Flags::parse(&["--day".into(), "2015-13-01".into()])).is_err());
-        assert!(synth(&Flags::parse(&["--day".into(), "2015-02-30".into()])).is_err());
-        assert!(synth(&Flags::parse(&[
-            "--out".into(),
-            "x".into(),
-            "--days".into(),
-            "0".into()
-        ]))
+        assert!(synth(&Flags::parse("synth", &["--day".into(), "17-03".into()]).unwrap()).is_err());
+        assert!(synth(&Flags::parse("synth", &["--scale".into(), "-1".into()]).unwrap()).is_err());
+        assert!(synth(&Flags::parse("synth", &["--scale".into(), "nan".into()]).unwrap()).is_err());
+        assert!(
+            synth(&Flags::parse("synth", &["--day".into(), "2015-13-01".into()]).unwrap()).is_err()
+        );
+        assert!(
+            synth(&Flags::parse("synth", &["--day".into(), "2015-02-30".into()]).unwrap()).is_err()
+        );
+        assert!(synth(
+            &Flags::parse(
+                "synth",
+                &["--out".into(), "x".into(), "--days".into(), "0".into()]
+            )
+            .unwrap()
+        )
         .is_err());
         // `--days` is checked without `--out` too, where it is a usage
         // error whatever its value.
         for days in ["0", "3", "x"] {
-            let got = synth(&Flags::parse(&["--days".into(), days.into()]));
+            let got = synth(&Flags::parse("synth", &["--days".into(), days.into()]).unwrap());
             assert!(got.is_err_and(|e| e.is_usage()), "--days {days}");
         }
-        assert!(synth(&Flags::parse(&[
-            "--out".into(),
-            "x".into(),
-            "--days".into(),
-            "x".into()
-        ]))
+        assert!(synth(
+            &Flags::parse(
+                "synth",
+                &["--out".into(), "x".into(), "--days".into(), "x".into()]
+            )
+            .unwrap()
+        )
         .is_err_and(|e| e.is_usage()));
-        assert!(synth(&Flags::parse(&[
-            "--out".into(),
-            "x".into(),
-            "--fault-fs".into(),
-            "zap".into()
-        ]))
+        assert!(synth(
+            &Flags::parse(
+                "synth",
+                &[
+                    "--out".into(),
+                    "x".into(),
+                    "--fault-fs".into(),
+                    "zap".into()
+                ]
+            )
+            .unwrap()
+        )
         .is_err());
     }
 
     #[test]
     fn out_mode_writes_day_files() {
         let dir = std::env::temp_dir().join(format!("v6census-synth-out-{}", std::process::id()));
-        let f = Flags::parse(&[
-            "--scale".into(),
-            "0.002".into(),
-            "--out".into(),
-            dir.display().to_string(),
-            "--days".into(),
-            "3".into(),
-        ]);
+        let f = Flags::parse(
+            "synth",
+            &[
+                "--scale".into(),
+                "0.002".into(),
+                "--out".into(),
+                dir.display().to_string(),
+                "--days".into(),
+                "3".into(),
+            ],
+        )
+        .unwrap();
         let out = synth(&f).unwrap();
         assert!(out.contains("emitted 3 day file(s)"));
         for day in ["2015-03-17", "2015-03-18", "2015-03-19"] {
@@ -184,14 +213,18 @@ mod tests {
     #[test]
     fn out_mode_reports_injected_faults() {
         let dir = std::env::temp_dir().join(format!("v6census-synth-flt-{}", std::process::id()));
-        let f = Flags::parse(&[
-            "--scale".into(),
-            "0.002".into(),
-            "--out".into(),
-            dir.display().to_string(),
-            "--fault-fs".into(),
-            "enospc@64:.log".into(),
-        ]);
+        let f = Flags::parse(
+            "synth",
+            &[
+                "--scale".into(),
+                "0.002".into(),
+                "--out".into(),
+                dir.display().to_string(),
+                "--fault-fs".into(),
+                "enospc@64:.log".into(),
+            ],
+        )
+        .unwrap();
         // ENOSPC mid-write surfaces as a typed CLI error, never a panic,
         // and the atomic write protocol leaves no published file behind.
         assert!(synth(&f).is_err());

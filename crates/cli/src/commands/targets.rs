@@ -3,6 +3,11 @@
 //! addresses of their dense prefixes ("These blocks are natural targets
 //! if future, active scanning or probing is intended").
 
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "write! into a String cannot fail"
+)]
+
 use crate::input::addr_set;
 use crate::{err, CliError, Flags};
 use std::fmt::Write as _;
@@ -73,7 +78,7 @@ mod tests {
 
     #[test]
     fn emits_unobserved_neighbours_round_robin() {
-        let f = Flags::parse(&["--budget".into(), "6".into()]);
+        let f = Flags::parse("targets", &["--budget".into(), "6".into()]).unwrap();
         let out = targets(INPUT, &f).unwrap();
         let addrs: Vec<&str> = out.lines().filter(|l| !l.starts_with('#')).collect();
         assert_eq!(addrs.len(), 6);
@@ -89,15 +94,23 @@ mod tests {
 
     #[test]
     fn include_observed_keeps_members() {
-        let f = Flags::parse(&["--budget".into(), "5".into(), "--include-observed".into()]);
+        let f = Flags::parse(
+            "targets",
+            &["--budget".into(), "5".into(), "--include-observed".into()],
+        )
+        .unwrap();
         let out = targets(INPUT, &f).unwrap();
         assert!(out.contains("2001:db8::1\n"), "{out}");
     }
 
     #[test]
     fn errors_without_dense_blocks() {
-        let f = Flags::parse(&["--class".into(), "64@/112".into()]);
+        let f = Flags::parse("targets", &["--class".into(), "64@/112".into()]).unwrap();
         assert!(targets(INPUT, &f).is_err());
-        assert!(targets(INPUT, &Flags::parse(&["--budget".into(), "0".into()])).is_err());
+        assert!(targets(
+            INPUT,
+            &Flags::parse("targets", &["--budget".into(), "0".into()]).unwrap()
+        )
+        .is_err());
     }
 }

@@ -24,6 +24,16 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Workspace rules (DESIGN.md §7, checked by tests/lint_rules.rs):
+// no panic paths,
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+// determinism, durability and lock confinement (lists in clippy.toml),
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+// no discarded results, and accountable suppressions.
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![deny(unfulfilled_lint_expectations)]
 
 pub mod commands;
 pub mod input;
@@ -83,6 +93,16 @@ pub fn usage(msg: impl Into<String>) -> CliError {
     CliError::Usage(msg.into())
 }
 
+/// Whether a flag takes a value: the kind each command's flag table
+/// ([`commands::accepted_flags`]) gives every flag it reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlagKind {
+    /// `--name` alone.
+    Switch,
+    /// `--name VALUE` or `--name=VALUE`.
+    Value,
+}
+
 /// Minimal flag parser: `--key value` pairs plus positional arguments.
 #[derive(Debug, Default, Clone)]
 pub struct Flags {
@@ -94,39 +114,49 @@ pub struct Flags {
 }
 
 impl Flags {
-    /// Parses an argument list. Both `--key value` and `--key=value` are
-    /// accepted. In the two-token form, `--key` consumes the next token
-    /// as its value unless that token also starts with `--` or is
-    /// absent, in which case it is a switch; the `--key=value` form has
-    /// no such ambiguity, so it is the way to pass a value that itself
-    /// starts with `--`.
-    pub fn parse(args: &[String]) -> Flags {
+    /// Parses `command`'s argument list against its flag table
+    /// ([`commands::accepted_flags`]), which gives each flag its kind. A
+    /// switch never takes the next token, so it may stand before a
+    /// positional. A value flag takes `--key value` or `--key=value`; the
+    /// `=` form is the way to pass a value that itself starts with `--`.
+    /// A flag the command does not take, a value flag without its value
+    /// and a switch given a value are usage errors.
+    pub fn parse(command: &str, args: &[String]) -> Result<Flags, CliError> {
+        let table = commands::accepted_flags(command)
+            .ok_or_else(|| usage(format!("unknown command {command:?}")))?;
         let mut f = Flags::default();
-        let mut i = 0;
-        while i < args.len() {
-            let a = &args[i];
-            if let Some(name) = a.strip_prefix("--") {
-                if let Some((key, value)) = name.split_once('=') {
-                    f.kv.push((key.to_string(), value.to_string()));
-                    i += 1;
-                    continue;
-                }
-                match args.get(i + 1) {
-                    Some(v) if !v.starts_with("--") => {
-                        f.kv.push((name.to_string(), v.clone()));
-                        i += 2;
-                    }
-                    _ => {
-                        f.switches.push(name.to_string());
-                        i += 1;
-                    }
-                }
-            } else {
+        let mut args = args.iter();
+        while let Some(a) = args.next() {
+            let Some(name) = a.strip_prefix("--") else {
                 f.positional.push(a.clone());
-                i += 1;
+                continue;
+            };
+            let (key, inline) = match name.split_once('=') {
+                Some((key, value)) => (key, Some(value.to_string())),
+                None => (name, None),
+            };
+            let Some(&(_, kind)) = table.iter().find(|(k, _)| *k == key) else {
+                let takes: Vec<String> = table.iter().map(|(k, _)| format!("--{k}")).collect();
+                return Err(usage(format!(
+                    "unknown flag --{key} for {command}; it takes {}",
+                    takes.join(" ")
+                )));
+            };
+            match (kind, inline) {
+                (FlagKind::Switch, None) => f.switches.push(key.to_string()),
+                (FlagKind::Switch, Some(_)) => {
+                    return Err(usage(format!("--{key} takes no value")));
+                }
+                (FlagKind::Value, Some(value)) => f.kv.push((key.to_string(), value)),
+                (FlagKind::Value, None) => match args.next() {
+                    Some(value) if !value.starts_with("--") => {
+                        f.kv.push((key.to_string(), value.clone()));
+                    }
+                    _ => return Err(usage(format!("--{key} needs a value"))),
+                },
             }
         }
-        f
+        Ok(f)
     }
 
     /// The value of `--name`, if present.
@@ -141,24 +171,6 @@ impl Flags {
     /// True when `--name` appeared as a switch (or with any value).
     pub fn has(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name) || self.get(name).is_some()
-    }
-
-    /// Checks that every flag given is one of `accepted`, the flags
-    /// `command` reads: a misspelt or foreign flag is a usage error
-    /// naming it, not a flag silently ignored while its value defaults.
-    pub fn accept_only(&self, command: &str, accepted: &[&str]) -> Result<(), CliError> {
-        let given = self.kv.iter().map(|(k, _)| k).chain(&self.switches);
-        match given.into_iter().find(|k| !accepted.contains(&k.as_str())) {
-            None => Ok(()),
-            Some(k) => Err(usage(format!(
-                "unknown flag --{k} for {command}; it takes {}",
-                accepted
-                    .iter()
-                    .map(|a| format!("--{a}"))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            ))),
-        }
     }
 
     /// Parses `--name` into `T`, with a default.
@@ -176,71 +188,93 @@ impl Flags {
 mod tests {
     use super::*;
 
-    fn flags(args: &[&str]) -> Flags {
-        Flags::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    fn flags(command: &str, args: &[&str]) -> Result<Flags, CliError> {
+        Flags::parse(
+            command,
+            &args.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+        )
     }
 
     #[test]
     fn parses_kv_switches_positional() {
-        let f = flags(&["--scale", "0.5", "pos1", "--tsv", "--seed", "7", "pos2"]);
-        assert_eq!(f.get("scale"), Some("0.5"));
-        assert_eq!(f.get("seed"), Some("7"));
+        let f = flags("mra", &["--title", "0.5", "pos1", "--tsv", "pos2"]).unwrap();
+        assert_eq!(f.get("title"), Some("0.5"));
         assert!(f.has("tsv"));
-        assert!(!f.has("scale-x"));
+        assert!(!f.has("tsv-x"));
         assert_eq!(f.positional, vec!["pos1", "pos2"]);
-        assert_eq!(f.get_parsed("scale", 1.0f64).unwrap(), 0.5);
+        assert_eq!(f.get_parsed("title", 1.0f64).unwrap(), 0.5);
         assert_eq!(f.get_parsed("missing", 42u32).unwrap(), 42);
-        assert!(f.get_parsed::<u32>("scale", 0).unwrap_err().is_usage());
+        assert!(f.get_parsed::<u32>("title", 0).unwrap_err().is_usage());
+    }
+
+    #[test]
+    fn a_switch_never_takes_the_next_token() {
+        let f = flags("census", &["--no-timings", "logs", "--strict", "more"]).unwrap();
+        assert!(f.has("no-timings") && f.has("strict"));
+        assert_eq!(f.positional, vec!["logs", "more"]);
+        assert_eq!(f.get("no-timings"), None);
+        let e = flags("classify", &["--tsv=yes"]).unwrap_err();
+        assert!(
+            e.is_usage() && e.to_string().contains("--tsv takes no value"),
+            "{e}"
+        );
     }
 
     #[test]
     fn trailing_flag_is_switch() {
-        let f = flags(&["--tsv"]);
+        let f = flags("classify", &["--tsv"]).unwrap();
         assert!(f.has("tsv"));
         assert_eq!(f.get("tsv"), None);
     }
 
     #[test]
     fn key_equals_value_form() {
-        let f = flags(&["--scale=0.5", "--title=MRA plot", "pos"]);
-        assert_eq!(f.get("scale"), Some("0.5"));
+        let f = flags("mra", &["--title=MRA plot", "pos"]).unwrap();
         assert_eq!(f.get("title"), Some("MRA plot"));
         assert_eq!(f.positional, vec!["pos"]);
-        assert_eq!(f.get_parsed("scale", 1.0f64).unwrap(), 0.5);
     }
 
     #[test]
     fn equals_form_carries_values_starting_with_dashes() {
-        // `--title --tsv` makes --title a switch; `--title=--tsv` does not.
-        let f = flags(&["--title=--tsv", "--gap-policy=widen"]);
+        let f = flags("mra", &["--title=--tsv"]).unwrap();
         assert_eq!(f.get("title"), Some("--tsv"));
-        assert!(!f.switches.iter().any(|s| s == "tsv"));
-        assert_eq!(f.get("gap-policy"), Some("widen"));
+        assert!(!f.has("tsv"));
         // Empty value and embedded '=' both survive.
-        let f = flags(&["--note=", "--expr=a=b"]);
-        assert_eq!(f.get("note"), Some(""));
-        assert_eq!(f.get("expr"), Some("a=b"));
-        assert!(f.has("note"), "a valued flag still answers has()");
+        let f = flags("mra", &["--title="]).unwrap();
+        assert_eq!(f.get("title"), Some(""));
+        assert!(f.has("title"), "a valued flag still answers has()");
+        let f = flags("census", &["--gap-policy=a=b"]).unwrap();
+        assert_eq!(f.get("gap-policy"), Some("a=b"));
+    }
+
+    #[test]
+    fn a_value_flag_without_its_value_is_a_usage_error() {
+        for args in [&["--title"][..], &["--title", "--tsv"]] {
+            let e = flags("mra", args).unwrap_err();
+            assert!(
+                e.is_usage() && e.to_string().contains("--title needs a value"),
+                "{e}"
+            );
+        }
     }
 
     #[test]
     fn only_accepted_flags_pass() {
-        let f = flags(&["--scale", "0.5", "--tsv", "--note=x", "pos"]);
-        assert!(f.accept_only("synth", &["scale", "tsv", "note"]).is_ok());
-        let e = f.accept_only("synth", &["scale", "note"]).unwrap_err();
+        assert!(flags("synth", &["--scale", "0.5", "--day=2015-03-17"]).is_ok());
+        let e = flags("synth", &["--sclae=0.5"]).unwrap_err();
         assert!(e.is_usage());
-        assert!(e.to_string().contains("--tsv"), "{e}");
-        let e = flags(&["--sclae=0.5"]).accept_only("synth", &["scale"]);
-        assert!(e
-            .unwrap_err()
-            .to_string()
-            .starts_with("unknown flag --sclae for synth"));
-        assert!(flags(&["pos"]).accept_only("ptr", &[]).is_ok());
+        assert!(
+            e.to_string().starts_with("unknown flag --sclae for synth"),
+            "{e}"
+        );
+        assert!(e.to_string().contains("--scale"), "{e}");
+        assert!(flags("ptr", &["pos"]).is_ok());
+        assert!(flags("no-such-command", &[]).unwrap_err().is_usage());
     }
 
     #[test]
     fn two_token_form_still_treats_dashes_as_switch() {
-        let f = flags(&["--strict", "--dir", "logs"]);
+        let f = flags("census", &["--strict", "--dir", "logs"]).unwrap();
         assert!(f.has("strict"));
         assert_eq!(f.get("dir"), Some("logs"));
     }

@@ -4,6 +4,17 @@
 //! Exit codes (documented in `v6census help`): 0 ok, 1 data error,
 //! 2 usage error, 3 completed-but-degraded (see the run manifest).
 
+// Workspace rules (DESIGN.md §7, checked by tests/lint_rules.rs):
+// no panic paths,
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+// determinism, durability and lock confinement (lists in clippy.toml),
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+// no discarded results, and accountable suppressions.
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![deny(unfulfilled_lint_expectations)]
+
 use std::io::Read;
 use v6census_cli::commands::{
     accepted_flags, aggregate, census, classify, day_from_name, dense, mra, profile, ptr, serve,
@@ -18,13 +29,15 @@ fn main() {
         eprint!("{USAGE}");
         std::process::exit(EXIT_USAGE);
     };
-    let flags = Flags::parse(&args[1..]);
-    if let Some(accepted) = accepted_flags(command) {
-        if let Err(e) = flags.accept_only(command, &accepted) {
+    // `help` and an unknown command take no flags; the dispatch below
+    // answers them.
+    let flags = match accepted_flags(command) {
+        Some(_) => Flags::parse(command, &args[1..]).unwrap_or_else(|e| {
             eprintln!("error: {e}");
-            std::process::exit(EXIT_USAGE);
-        }
-    }
+            std::process::exit(EXIT_USAGE)
+        }),
+        None => Flags::default(),
+    };
 
     // Every subcommand yields (output, quality); only `census` and
     // `serve` can come back non-exact today, and that maps to

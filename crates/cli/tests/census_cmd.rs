@@ -4,6 +4,11 @@
 //! section (Table 1 + stability) byte-for-byte — and, with a day
 //! delivered twice and merged, the whole report.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "integration tests build their fixtures with std::fs"
+)]
+
 use std::path::PathBuf;
 use v6census_cli::commands::census;
 use v6census_cli::Flags;
@@ -24,7 +29,7 @@ fn tempdir(tag: &str) -> PathBuf {
 }
 
 fn flags(args: &[String]) -> Flags {
-    Flags::parse(args)
+    Flags::parse("census", args).unwrap()
 }
 
 /// The part of the output that must be invariant under kill/resume.

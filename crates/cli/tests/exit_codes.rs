@@ -2,6 +2,11 @@
 //! codes, including 3 (completed-but-degraded) when a supervised census
 //! sheds work — never a panic abort.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "integration tests build their fixtures with std::fs"
+)]
+
 use std::path::PathBuf;
 use std::process::Command;
 use v6census_cli::{EXIT_DATA_ERROR, EXIT_DEGRADED, EXIT_OK, EXIT_USAGE};
@@ -101,6 +106,10 @@ fn usage_errors_exit_2() {
             "unknown flag --max-conections for serve",
         ),
         (vec!["ptr", "--revers"], "unknown flag --revers for ptr"),
+        // A value flag needs its value; a switch takes none.
+        (vec!["mra", "--title"], "--title needs a value"),
+        (vec!["mra", "--title", "--tsv"], "--title needs a value"),
+        (vec!["classify", "--tsv=yes"], "--tsv takes no value"),
         // Each command takes its own flags, not another's.
         (
             vec!["classify", "--jobs", "2"],
@@ -274,4 +283,34 @@ fn clean_census_exits_0_and_injected_panic_exits_3() {
     );
 
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A switch never takes the next token as its value, so a switch placed
+/// before a positional leaves the positional where it was.
+#[test]
+fn a_switch_before_a_positional_leaves_it_positional() {
+    let (dir, reference) = logs_dir("switches");
+    let d = dir.to_str().unwrap();
+    for switch in ["--no-timings", "--strict"] {
+        let out = bin()
+            .args(["census", switch, d, &format!("--reference={reference}")])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(EXIT_OK), "{switch}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("quality: exact"), "{switch}: {stdout}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let input = "2001:db8::1\n2001:db8::2\n2001:db8:1::1\n";
+    for (args, head) in [
+        (["classify", "--tsv", "pos"], "# addr\tscheme"),
+        (["dense", "--table3", "pos"], "class "),
+    ] {
+        let out = run_with_stdin(&args, input);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(EXIT_OK), "{args:?}: {stdout}");
+        assert!(stdout.starts_with(head), "{args:?}: {stdout}");
+    }
 }

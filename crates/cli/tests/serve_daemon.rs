@@ -4,6 +4,11 @@
 //! drill: a daemon killed with SIGKILL mid-life restarts from its
 //! checkpoints and serves the pre-crash snapshot without its source logs.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "integration tests build their fixtures with std::fs"
+)]
+
 use std::io::{BufRead as _, BufReader, Read as _};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};

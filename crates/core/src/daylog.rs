@@ -287,6 +287,10 @@ fn utf8(buf: &[u8]) -> io::Result<&str> {
 }
 
 /// Appends the header line for `day`, declaring `entries` entries.
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "write! into a String cannot fail"
+)]
 pub fn write_header(out: &mut String, day: Day, entries: usize) {
     let _ = writeln!(out, "# synthetic day {day}: {entries} unique client addrs");
 }
@@ -307,6 +311,10 @@ pub fn write_entry(out: &mut String, addr: Addr, hits: u64, kind: Option<&str>) 
 
 /// Appends the trailer for `entries` data lines carrying `hits` hits
 /// (a day's Σhits saturates at `u64::MAX`).
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "write! into a String cannot fail"
+)]
 pub fn write_trailer(out: &mut String, entries: usize, hits: u64) {
     let _ = writeln!(out, "# end {entries} {hits}");
 }

@@ -30,6 +30,11 @@
 //! maps only — the same plan against the same workload injects the same
 //! faults, which is what lets CI replay a drill byte-for-byte.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "lock confinement: MemFs and FaultFs keep their state behind a Mutex taken only inside a closure-scoped `with`"
+)]
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io::{self, Read};
@@ -117,6 +122,10 @@ pub fn is_stale_tmp(name: &str) -> bool {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RealFs;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "RealFs is the one implementation that mutates the real filesystem"
+)]
 impl Vfs for RealFs {
     fn open_read(&self, path: &Path) -> io::Result<Box<dyn Read + Send>> {
         Ok(Box::new(std::fs::File::open(path)?))
@@ -787,6 +796,11 @@ impl Vfs for FaultFs {
 
 #[cfg(test)]
 mod tests {
+    #![allow(
+        clippy::disallowed_methods,
+        clippy::let_underscore_must_use,
+        reason = "tests build their fixtures with std::fs and clean up best-effort"
+    )]
     use super::*;
 
     fn p(s: &str) -> PathBuf {

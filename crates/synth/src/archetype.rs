@@ -46,7 +46,10 @@ pub struct RawObs {
 const DAY_BASE: i32 = 20_000;
 
 /// A small pool of plausible OUIs for synthetic MACs.
-#[allow(clippy::unusual_byte_groupings)] // written as conventional 6-hex-digit OUIs
+#[expect(
+    clippy::unusual_byte_groupings,
+    reason = "written as conventional 6-hex-digit OUIs"
+)]
 const OUIS: [u32; 12] = [
     0x001e_c2, 0x3c07_54, 0xa4b8_05, 0x28cf_e9, 0x7054_d2, 0xf0d1_a9, 0x0023_76, 0x8c70_5a,
     0xd857_ef, 0x40b0_fa, 0x5c51_4f, 0x0026_bb,
@@ -271,7 +274,10 @@ impl Archetype {
     }
 
     /// Emits one day of observations for every subscriber of `asn`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per input of the emission model"
+    )]
     pub fn emit_day(
         &self,
         ent: &Entropy,
@@ -376,7 +382,10 @@ fn device_mac(ent: &Entropy, ids: &[u64]) -> Mac {
 
 /// Emits the devices of one active household into `out`, given the
 /// household's /64 network bits (high half of the address).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per input of the emission model"
+)]
 fn emit_household_devices(
     ent: &Entropy,
     asn: u32,
@@ -465,7 +474,10 @@ fn emit_household_devices(
 // Mobile
 // ---------------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per input of the emission model"
+)]
 fn emit_mobile(
     ent: &Entropy,
     asn: u32,
@@ -557,7 +569,10 @@ fn last_nid_change(ent: &Entropy, asn: u32, slot: u64, occ: u64, day: Day) -> i6
     d as i64
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per input of the emission model"
+)]
 fn emit_rotating(
     ent: &Entropy,
     asn: u32,
@@ -607,7 +622,10 @@ fn emit_rotating(
 // JP static-/48 ISP
 // ---------------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per input of the emission model"
+)]
 fn emit_static_isp(
     ent: &Entropy,
     asn: u32,
@@ -639,7 +657,10 @@ fn emit_static_isp(
 // Renumbering broadband (US broadband + generic tail)
 // ---------------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per input of the emission model"
+)]
 fn emit_renumbering(
     ent: &Entropy,
     asn: u32,
@@ -681,7 +702,10 @@ fn emit_renumbering(
 /// The three subnet-class hex characters of the Figure 2a address plan.
 const UNI_CLASSES: [u64; 3] = [0x1, 0x8, 0xc];
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per input of the emission model"
+)]
 fn emit_university(
     ent: &Entropy,
     asn: u32,
@@ -768,7 +792,10 @@ fn emit_dense_department(ent: &Entropy, asn: u32, base_high: u64, day: Day, out:
 // Hosting and server blocks
 // ---------------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per input of the emission model"
+)]
 fn emit_hosting(
     ent: &Entropy,
     asn: u32,
@@ -797,7 +824,10 @@ fn emit_server_block(
     emit_server_range(ent, asn, prefix, servers as u64, day, 0.30, 8.0, out);
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per input of the emission model"
+)]
 fn emit_server_range(
     ent: &Entropy,
     asn: u32,
@@ -828,6 +858,10 @@ fn emit_server_range(
 
 #[cfg(test)]
 mod tests {
+    #![allow(
+        clippy::disallowed_types,
+        reason = "tests count distinct addresses; iteration order is never read"
+    )]
     use super::*;
     use crate::world::{asns, epochs, World, WorldConfig};
     use v6census_addr::Iid;

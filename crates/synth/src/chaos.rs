@@ -12,6 +12,11 @@
 //! Every byte sent derives from `(seed, salt)`, so a failing chaos run
 //! reproduces bit-for-bit.
 
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "a chaos client's socket I/O is best effort: the drill judges the daemon, not the client"
+)]
+
 use crate::rng::Entropy;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};

@@ -115,6 +115,10 @@ impl FaultManifest {
     }
 
     /// A human-readable summary, one line per fault.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "write! into a String cannot fail"
+    )]
     pub fn summary(&self) -> String {
         let mut out = String::new();
         for a in &self.applied {
@@ -148,7 +152,8 @@ impl FaultInjector {
     /// [`Fault::DuplicateDay`] leaves the text unchanged (duplication is
     /// a write-time fault, handled by [`FaultInjector::write_day_files`]).
     pub fn apply(&self, day: Day, text: &str, fault: &Fault) -> Option<String> {
-        let ids = [day.0 as u64];
+        let id = day.0 as u64;
+        let ids = [id];
         match *fault {
             Fault::DropDay => None,
             Fault::DuplicateDay => Some(text.to_string()),
@@ -164,8 +169,8 @@ impl FaultInjector {
                     return Some(text.to_string());
                 }
                 for k in 0..count {
-                    let victim = data
-                        [(self.ent.u64(b"flct", &[ids[0], k as u64]) % data.len() as u64) as usize];
+                    let victim =
+                        data[(self.ent.u64(b"flct", &[id, k as u64]) % data.len() as u64) as usize];
                     // Alternate between an unparseable address and an
                     // unparseable hits column, so both error paths fire.
                     lines[victim] = if k % 2 == 0 {
@@ -263,6 +268,10 @@ impl FaultInjector {
     /// applying the faults in `spec`. Returns the manifest of applied
     /// faults. Clean days serialize via
     /// [`DayLog::to_text`](crate::loggen::DayLog::to_text).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the drill harness writes damaged day files outside the Vfs on purpose"
+    )]
     pub fn write_day_files(
         &self,
         world: &World,
@@ -430,10 +439,14 @@ impl AnalysisFaultPlan {
     /// Executes whatever fault is scheduled for `unit` at `attempt`:
     /// panics, blocks, or sleeps. The supervised engine calls this at the
     /// top of each work unit; with an empty plan it is a no-op.
+    #[expect(
+        clippy::panic,
+        reason = "deliberate fault injection; the supervisor calls trip() inside catch_unwind, so the panic is contained and surfaced as a unit failure"
+    )]
     pub fn trip(&self, unit: &str, attempt: u32) {
         match self.fault_for(unit) {
             Some(AnalysisFault::PanicShard { attempts }) if attempt < attempts => {
-                panic!("injected panic in unit `{unit}` (attempt {attempt})"); // lint: allow(R001, reason = "deliberate fault injection; the supervisor calls trip() inside catch_unwind, so this panic is contained and surfaced as a unit failure")
+                panic!("injected panic in unit `{unit}` (attempt {attempt})");
             }
             Some(AnalysisFault::HangShard { millis })
             | Some(AnalysisFault::SlowShard { millis }) => {
@@ -446,6 +459,11 @@ impl AnalysisFaultPlan {
 
 #[cfg(test)]
 mod tests {
+    #![allow(
+        clippy::disallowed_methods,
+        clippy::let_underscore_must_use,
+        reason = "tests build their fixtures with std::fs and clean up best-effort"
+    )]
     use super::*;
     use crate::loggen::DayLog;
     use crate::world::{epochs, WorldConfig};

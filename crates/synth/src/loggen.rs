@@ -18,6 +18,9 @@
 //! the log is the same at any worker count and any interleaving of the
 //! claims.
 
+// Durability: day files are written through core::vfs only.
+#![deny(clippy::disallowed_methods)]
+
 use crate::archetype::RawObs;
 use crate::kinds::TrueKind;
 use crate::rng::Entropy;

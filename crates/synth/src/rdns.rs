@@ -37,7 +37,7 @@ impl PtrOracle<'_> {
     pub fn ptr_name(&self, a: Addr) -> Option<String> {
         let asn = self.routing.longest_match(a).map(|(_, &asn)| asn)?;
         let network = self.world.network(asn)?;
-        let base_high = (network.prefixes[0].addr().0 >> 64) as u64;
+        let base_high = (network.prefixes.first()?.addr().0 >> 64) as u64;
 
         // Dense DHCPv6 department (Figure 5g): hosts named dhcpv6-N.
         if asn == asns::UNIVERSITY_FIRST && a.network_bits() == dense_dept_net_high(base_high) {

@@ -167,8 +167,11 @@ impl<'w> ProbeSim<'w> {
             Some(n) => n,
             None => return out, // relay pseudo-ASNs have no modelled plane
         };
+        let Some(first) = network.prefixes.first() else {
+            return out;
+        };
         let plane = router_plane(network);
-        let infra = infra_high((network.prefixes[0].addr().0 >> 64) as u64);
+        let infra = infra_high((first.addr().0 >> 64) as u64);
         let a = asn as u64;
         let k40 = (target.mask(PrefixLen::lit::<40>()).0 >> 64) as u64;
         let k48 = (target.mask(PrefixLen::lit::<48>()).0 >> 64) as u64;
@@ -235,7 +238,10 @@ impl<'w> ProbeSim<'w> {
             if !self.ent.chance(b"rslv", &[n.asn as u64], 0.02) {
                 continue;
             }
-            let base_high = (n.prefixes[0].addr().0 >> 64) as u64;
+            let Some(first) = n.prefixes.first() else {
+                continue;
+            };
+            let base_high = (first.addr().0 >> 64) as u64;
             let count = 1 + self.ent.u64(b"rslc", &[n.asn as u64]) % 2;
             for i in 0..count {
                 out.push(Addr(((base_high as u128) << 64) | (0x53 + i) as u128));

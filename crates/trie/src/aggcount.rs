@@ -27,6 +27,10 @@ pub struct AggregateCounts {
 
 impl AggregateCounts {
     /// Computes all `n_p` from a sorted address set in one pass.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "one histogram bucket per prefix length, counts bounded by the set size"
+    )]
     pub fn of(set: &AddrSet) -> AggregateCounts {
         let keys = set.keys();
         let mut counts = [0u64; 129];
@@ -78,6 +82,10 @@ impl AggregateCounts {
     ///
     /// # Panics
     /// Panics if `k` is 0 or does not divide 128.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "k divides 128, asserted on entry"
+    )]
     pub fn ratio_curve(&self, k: u8) -> Vec<(PrefixLen, f64)> {
         assert!(k > 0 && 128 % k == 0, "k must divide 128");
         PrefixLen::all()

@@ -35,7 +35,10 @@ impl AddrSet {
     /// Builds a set from any iterator of addresses (sorts and dedups).
     /// (Also available through the `FromIterator` impl; the inherent
     /// method keeps call sites free of a `use` for the trait.)
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "FromIterator is implemented too; the inherent method needs no trait import"
+    )]
     pub fn from_iter<I: IntoIterator<Item = Addr>>(iter: I) -> AddrSet {
         AddrSet::from_keys(iter.into_iter().map(|a| a.0).collect())
     }
@@ -100,6 +103,10 @@ impl AddrSet {
     /// Size of the intersection with `other`, by linear merge — O(n+m),
     /// the workhorse of the stability classifier (common addresses
     /// between two observation days).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "merge kernel: i, j and n are bounded by the two set lengths; a rewrite would change its codegen"
+    )]
     pub fn intersection_len(&self, other: &AddrSet) -> usize {
         let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
         let (a, b) = (self.keys(), other.keys());
@@ -118,6 +125,10 @@ impl AddrSet {
     }
 
     /// The intersection with `other` as a new set.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "merge kernel: i, j and n are bounded by the two set lengths; a rewrite would change its codegen"
+    )]
     pub fn intersection(&self, other: &AddrSet) -> AddrSet {
         let mut out = Vec::with_capacity(self.keys.len().min(other.keys.len()));
         let (mut i, mut j) = (0usize, 0usize);
@@ -139,6 +150,10 @@ impl AddrSet {
     }
 
     /// The union with `other` as a new set.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "merge kernel: i, j and n are bounded by the two set lengths; a rewrite would change its codegen"
+    )]
     pub fn union(&self, other: &AddrSet) -> AddrSet {
         let mut out = Vec::with_capacity(self.keys.len() + other.keys.len());
         let (mut i, mut j) = (0usize, 0usize);

@@ -211,6 +211,10 @@ impl RadixTree {
     /// Ignores allocator slack and vacant free-list slots, so treat it
     /// as a lower bound; the supervisor's budgets are expressed in nodes
     /// and use this only for reporting.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "node count times node size, far below usize::MAX"
+    )]
     pub fn approx_bytes(&self) -> usize {
         self.nodes * std::mem::size_of::<Node>()
     }
@@ -235,6 +239,10 @@ impl RadixTree {
 
     /// Allocates an arena slot — reusing a freed slot when one exists,
     /// growing the arena otherwise — and returns its handle.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the live node count is bounded by the arena length"
+    )]
     fn alloc_node(&mut self, prefix: Prefix, count: u64) -> u32 {
         let fresh = Node {
             prefix,
@@ -254,6 +262,10 @@ impl RadixTree {
     }
 
     /// Returns a slot to the free list.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "only an allocated node is freed, so the count is positive"
+    )]
     fn free_node(&mut self, h: u32) {
         self.free.push(h);
         self.nodes -= 1;
@@ -286,6 +298,10 @@ impl RadixTree {
     /// Appends the live nodes in BFS order as `(handle, parent)` pairs
     /// — parents strictly before children, so a reverse scan visits
     /// children first (the bottom-up order every aggregate pass needs).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the cursor stops at the order length"
+    )]
     fn bfs_order_into(&self, order: &mut Vec<(u32, u32)>) {
         order.clear();
         if self.root != NIL {
@@ -515,6 +531,10 @@ impl RadixTree {
     }
 
     /// Sum of counts in the subtree rooted at `from` (iterative).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the cursor stops at the stack length"
+    )]
     fn sum_below(&self, from: u32) -> u64 {
         let mut work: Vec<u32> = Vec::with_capacity(32);
         work.push(from);
@@ -544,6 +564,10 @@ impl RadixTree {
     /// so the walk is linear in the node count, and subtrees whose sum
     /// is below the count floor are pruned (nothing below them can
     /// qualify).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "s / n with n >= 1, asserted on entry"
+    )]
     pub fn densify(&self, n: u64, p: PrefixLen) -> Vec<DensePrefix> {
         assert!(n >= 1, "density numerator must be at least 1");
         let mut order: Vec<(u32, u32)> = Vec::with_capacity(self.nodes);
@@ -604,6 +628,10 @@ impl RadixTree {
     /// exhaustion" application (§1). Each pass runs entirely in scratch
     /// buffers retained across calls, so the steady-state capped-insert
     /// path allocates nothing once warm.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "node counters bounded by the arena length; removed <= start"
+    )]
     pub fn aggregate_to_size(&mut self, max_nodes: usize) -> usize {
         let start = self.nodes;
         while self.nodes > max_nodes.max(1) {
@@ -723,6 +751,10 @@ impl RadixTree {
     /// `threshold_fraction × total` are folded into ancestors; returns the
     /// surviving `(prefix, count)` aggregates in address order. The last
     /// resort aggregate is `::/0`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the threshold is a fraction in [0, 1] of the u64 total, asserted on entry"
+    )]
     pub fn aguri_aggregate(&self, threshold_fraction: f64) -> Vec<(Prefix, u64)> {
         assert!(
             (0.0..=1.0).contains(&threshold_fraction),

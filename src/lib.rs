@@ -43,6 +43,16 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Workspace rules (DESIGN.md §7, checked by tests/lint_rules.rs):
+// no panic paths,
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+// lock confinement (the list is in clippy.toml),
+#![deny(clippy::disallowed_types)]
+// no discarded results, and accountable suppressions.
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![deny(unfulfilled_lint_expectations)]
 
 pub use v6census_addr as addr;
 pub use v6census_census as census;

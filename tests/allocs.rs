@@ -16,6 +16,11 @@
 //! alongside add nothing. None of the measured kernels hands work to
 //! another thread.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "integration tests build their fixtures with std::fs"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::{Path, PathBuf};

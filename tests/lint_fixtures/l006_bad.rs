@@ -21,3 +21,9 @@ pub fn accumulate(mut total: u64, step: u64) -> u64 {
     total += step;
     total
 }
+
+/// So does `usize` index arithmetic, which the old lexical rule let
+/// through as counting.
+pub fn index_math(i: usize) -> usize {
+    i * 2 + 1
+}

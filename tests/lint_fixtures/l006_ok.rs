@@ -14,11 +14,6 @@ pub fn literal_shift(v: u128) -> u128 {
     v << 3
 }
 
-/// `usize` index arithmetic is counting, not bit math.
-pub fn index_math(i: usize) -> usize {
-    i * 2 + 1
-}
-
 /// Regression: the `>>(` in this signature closes two generic brackets
 /// and must not be read as a right shift.
 pub fn from_parts<I: IntoIterator<Item = u64>>(iter: I) -> u64 {

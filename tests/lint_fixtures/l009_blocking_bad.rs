@@ -1,8 +1,8 @@
 //! L009 fixture: blocking effects performed while a guard is live — a
 //! direct sleep under a let-bound guard, and a channel receive under a
 //! guard taken through a field on `self`. Both need a lock named
-//! outside the allowed files, so every line that names `Mutex` is a
-//! finding.
+//! where `clippy::disallowed_types` is not expected, so every line that
+//! names `Mutex` is a finding.
 
 use std::sync::mpsc::Receiver;
 use std::sync::Mutex;

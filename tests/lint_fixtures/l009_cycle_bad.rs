@@ -1,7 +1,7 @@
 //! L009 fixture: a seeded two-lock ordering cycle. `fwd` takes `A`
 //! then (through `take_b`) `B`; `rev` takes them in the opposite
-//! order — the classic AB/BA deadlock. No lock may be named outside
-//! the allowed files, so every line that names `Mutex` is a finding
+//! order — the classic AB/BA deadlock. No lock may be named where
+//! `clippy::disallowed_types` is not expected, so every `Mutex` is a finding
 //! and the cycle cannot be written.
 
 use std::sync::Mutex;

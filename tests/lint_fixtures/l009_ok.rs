@@ -1,4 +1,4 @@
-//! L009 fixture (clean): the same shapes as `l009_blocking_bad.rs` —
+//! L009 fixture (clean): a sleep and a channel receive beside shared state —
 //! shared state written before a sleep and before a channel receive —
 //! built from an atomic and a channel, so no lock is named.
 
