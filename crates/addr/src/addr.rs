@@ -277,62 +277,174 @@ impl Addr {
     /// One left-to-right scan into eight segments plus the elision's
     /// group index; nothing is allocated. `FromStr` for [`Addr`] and
     /// [`crate::Prefix`] delegate to it, so every presentation-format
-    /// address in the workspace goes through this scan. A non-ASCII
-    /// byte is reported as `InvalidCharacter(U+FFFD)`; `str::parse`
-    /// names the actual char.
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "per-line kernel: i < b.len() and n <= 8 bound every counter; a rewrite would change its codegen"
-    )]
+    /// address in the workspace goes through this scan, the one
+    /// [`Addr::parse_leading`] also runs. A non-ASCII byte is reported
+    /// as `InvalidCharacter(U+FFFD)`; `str::parse` names the actual
+    /// char.
     pub fn parse_ascii(b: &[u8]) -> Result<Addr, ParseError> {
-        if b.is_empty() {
-            return Err(ParseError::Empty);
+        scan::<false>(b).map(|(addr, _)| addr)
+    }
+
+    /// Parses the address `b` starts with, which ends at `b`'s end or at
+    /// the first byte that is neither a hex digit nor `:`. Returns the
+    /// address and its length in bytes, or `None` when that leading run
+    /// is not one: with `n` the run's length, `parse_leading(b)` is
+    /// `parse_ascii(&b[..n]).ok()` paired with `n`. A reader that finds
+    /// its delimiter at the returned length has parsed its field in one
+    /// scan. An address with an IPv4 tail stops at its first `.`, so
+    /// only [`Addr::parse_ascii`] reads it.
+    ///
+    /// ```
+    /// use v6census_addr::Addr;
+    /// let (a, n) = Addr::parse_leading(b"2001:db8::1\t17\n").unwrap();
+    /// assert_eq!((a.to_string().as_str(), n), ("2001:db8::1", 11));
+    /// assert_eq!(Addr::parse_leading(b"2001:db8:\t17\n"), None);
+    /// ```
+    #[inline]
+    pub fn parse_leading(b: &[u8]) -> Option<(Addr, usize)> {
+        scan::<true>(b).ok()
+    }
+}
+
+/// A byte's class in the address grammar: a hex digit's value, or
+/// [`COLON`], [`DOT`] or [`OTHER`].
+const HEX_CLASS: [u16; 256] = class_table(false);
+/// [`HEX_CLASS`] for a [`Addr::parse_leading`] scan, in which every
+/// byte outside `[0-9a-fA-F:]` is [`END`].
+const LEADING_CLASS: [u16; 256] = class_table(true);
+/// The class of `:`.
+const COLON: u16 = 16;
+/// The class of `.`.
+const DOT: u16 = 17;
+/// The class of every other byte.
+const OTHER: u16 = 18;
+/// Where the address ends: past the input, or at a leading scan's
+/// first byte outside `[0-9a-fA-F:]`.
+const END: u16 = 19;
+
+/// Each byte's class; with `leading`, `.` and [`OTHER`] bytes are
+/// [`END`]. Classes are `u16`, the type of a group: the scan shifts a
+/// digit's class straight into its group.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "each digit's offset is within its range, and c stops at u8::MAX"
+)]
+const fn class_table(leading: bool) -> [u16; 256] {
+    let mut table = [OTHER; 256];
+    let mut c: u8 = 0;
+    loop {
+        table[c as usize] = match c {
+            b'0'..=b'9' => (c - b'0') as u16,
+            b'a'..=b'f' => (c - b'a' + 10) as u16,
+            b'A'..=b'F' => (c - b'A' + 10) as u16,
+            b':' => COLON,
+            _ if leading => END,
+            b'.' => DOT,
+            _ => OTHER,
+        };
+        if c == u8::MAX {
+            break table;
         }
-        let mut segs = [0u16; 8];
-        let mut n = 0usize; // groups written to `segs`
-        let mut elision: Option<usize> = None; // groups before the `::`
-        let mut i = 0usize;
-        if b.starts_with(b"::") {
-            elision = Some(0);
-            i = 2;
-        }
-        while i < b.len() {
-            let start = i;
-            let mut g: u16 = 0;
-            while let Some(d) = b.get(i).and_then(|&c| hex_digit(c)) {
-                if i - start == 4 {
-                    return Err(ParseError::GroupTooLong);
-                }
-                g = (g << 4) | d;
+        c += 1;
+    }
+}
+
+/// The address grammar's one group loop. The address ends at the first
+/// [`END`]: `b`'s end, and for a `LEADING` scan also the first byte
+/// outside `[0-9a-fA-F:]`. Every rule reads "the end" through that one
+/// class, so a `LEADING` scan that succeeds at length `n` answers
+/// exactly as a whole scan of `b[..n]`. In a whole scan a byte outside
+/// the grammar is an `InvalidCharacter`, and a `.` starts an IPv4 tail
+/// that must run to the end of `b`. Returns the address and the bytes
+/// it took. `inline(always)`: each caller gets the loop specialised to
+/// its `LEADING`.
+#[inline(always)]
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "per-line kernel: i <= b.len() and n <= 8 bound every counter; a rewrite would change its codegen"
+)]
+fn scan<const LEADING: bool>(b: &[u8]) -> Result<(Addr, usize), ParseError> {
+    let table = if LEADING { &LEADING_CLASS } else { &HEX_CLASS };
+    let class = |i: usize| b.get(i).map_or(END, |&c| table[usize::from(c)]);
+    // The error for byte `i`, which has a class but no place there.
+    let invalid = |i: usize| b.get(i).map_or(ParseError::Empty, |&c| invalid_byte(c));
+    if class(0) == END {
+        return Err(ParseError::Empty);
+    }
+    let mut segs = [0u16; 8];
+    let mut n = 0usize; // groups written to `segs`
+    let mut elision: Option<usize> = None; // groups before the `::`
+    let mut i = 0usize;
+    if class(0) == COLON && class(1) == COLON {
+        elision = Some(0);
+        i = 2;
+    }
+    let mut next = class(i);
+    while next != END {
+        let start = i;
+        let mut g: u16 = 0;
+        if let Some(&[c0, c1, c2, c3, c4]) = b.get(i..i + 5) {
+            // Five bytes on: the group's digits and the class after
+            // them from one window, with no bounds check a byte. A
+            // fifth digit is `GroupTooLong`, the first error the group
+            // can give.
+            let k = |c: u8| table[usize::from(c)];
+            let (k0, k1, k2, k3, k4) = (k(c0), k(c1), k(c2), k(c3), k(c4));
+            let (group, len, after) = if k0 >= 16 {
+                (0, 0, k0)
+            } else if k1 >= 16 {
+                (k0, 1, k1)
+            } else if k2 >= 16 {
+                (k0 << 4 | k1, 2, k2)
+            } else if k3 >= 16 {
+                (k0 << 8 | k1 << 4 | k2, 3, k3)
+            } else if k4 >= 16 {
+                (k0 << 12 | k1 << 8 | k2 << 4 | k3, 4, k4)
+            } else {
+                return Err(ParseError::GroupTooLong);
+            };
+            (g, next) = (group, after);
+            i += len;
+        } else {
+            // Near the end, byte by byte; the run's length is checked
+            // once it ends.
+            while next < 16 {
+                g = (g << 4) | next;
                 i += 1;
+                next = class(i);
             }
-            let next = b.get(i).copied();
-            if next == Some(b'.') {
-                // An IPv4 tail ends the address: it must consume the rest
-                // of the input and still leave room for its two groups.
-                let [o0, o1, o2, o3] = parse_v4(b.get(start..).unwrap_or_default())?;
-                if n > 6 {
-                    return Err(ParseError::TooManyGroups);
-                }
-                segs[n] = (u16::from(o0) << 8) | u16::from(o1);
-                segs[n + 1] = (u16::from(o2) << 8) | u16::from(o3);
-                n += 2;
-                break;
+            if i - start > 4 {
+                return Err(ParseError::GroupTooLong);
             }
-            if i == start {
-                return Err(match next {
-                    Some(b':') | None => ParseError::StrayColon,
-                    Some(c) => invalid_byte(c),
-                });
-            }
-            if n == 8 {
+        }
+        if next == DOT {
+            // An IPv4 tail ends the address: it must consume the rest
+            // of the input and still leave room for its two groups.
+            let [o0, o1, o2, o3] = parse_v4(b.get(start..).unwrap_or_default())?;
+            if n > 6 {
                 return Err(ParseError::TooManyGroups);
             }
-            segs[n] = g;
-            n += 1;
-            match next {
-                None => {}
-                Some(b':') if b.get(i + 1) == Some(&b':') => {
+            segs[n] = (u16::from(o0) << 8) | u16::from(o1);
+            segs[n + 1] = (u16::from(o2) << 8) | u16::from(o3);
+            n += 2;
+            i = b.len();
+            break;
+        }
+        if i == start {
+            return Err(match next {
+                COLON | END => ParseError::StrayColon,
+                _ => invalid(i),
+            });
+        }
+        if n == 8 {
+            return Err(ParseError::TooManyGroups);
+        }
+        segs[n] = g;
+        n += 1;
+        match next {
+            END => break,
+            COLON => match class(i + 1) {
+                COLON => {
                     if elision.is_some() {
                         return Err(ParseError::MultipleElisions);
                     }
@@ -340,23 +452,25 @@ impl Addr {
                     i += 2;
                 }
                 // A single ':' must be followed by another group.
-                Some(b':') if i + 1 < b.len() => i += 1,
-                Some(b':') => return Err(ParseError::StrayColon),
-                Some(c) => return Err(invalid_byte(c)),
-            }
+                END => return Err(ParseError::StrayColon),
+                _ => i += 1,
+            },
+            _ => return Err(invalid(i)),
         }
-        match elision {
-            None if n < 8 => Err(ParseError::TooFewGroups),
-            None => Ok(Addr::from_segments(segs)),
-            // "::" always stands for at least one zero group.
-            Some(_) if n > 7 => Err(ParseError::TooManyGroups),
-            Some(k) => {
-                // Slide the groups after the elision to the end.
-                segs[k..].rotate_right(8 - n);
-                Ok(Addr::from_segments(segs))
-            }
-        }
+        next = class(i);
     }
+    let addr = match elision {
+        None if n < 8 => return Err(ParseError::TooFewGroups),
+        None => Addr::from_segments(segs),
+        // "::" always stands for at least one zero group.
+        Some(_) if n > 7 => return Err(ParseError::TooManyGroups),
+        Some(k) => {
+            // Slide the groups after the elision to the end.
+            segs[k..].rotate_right(8 - n);
+            Addr::from_segments(segs)
+        }
+    };
+    Ok((addr, i))
 }
 
 impl FromStr for Addr {
@@ -383,12 +497,6 @@ fn invalid_byte(c: u8) -> ParseError {
     } else {
         char::REPLACEMENT_CHARACTER
     })
-}
-
-/// The value of an ASCII hex digit.
-fn hex_digit(c: u8) -> Option<u16> {
-    let d = char::from(c).to_digit(16)?;
-    Some(low16(u128::from(d)))
 }
 
 /// Parses a whole dotted quad: four decimal octets, no leading zeros

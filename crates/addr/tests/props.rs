@@ -411,6 +411,36 @@ fn parser_agrees_with_std_on_spellings_and_their_mutants() {
     }
 }
 
+/// `parse_leading` is `parse_ascii` on the input's leading run of
+/// `[0-9a-fA-F:]`, paired with the run's length, whatever follows it.
+#[test]
+fn leading_parse_is_the_whole_parse_of_its_run() {
+    let alphabet: &[u8] = b"0123456789abcdefABCDEF::::::::....\t\n g\xc3";
+    let mut g = Gen::new(18);
+    let mut parsed = 0;
+    for case in 0..20_000 {
+        let mut b = if case % 2 == 0 {
+            // A real address, then a few bytes of anything.
+            Addr(g.addr_bits()).to_string().into_bytes()
+        } else {
+            Vec::new()
+        };
+        for _ in 0..g.below(6) {
+            let c = alphabet[g.below(alphabet.len() as u64) as usize];
+            let at = g.below(b.len() as u64 + 1) as usize;
+            b.insert(at, c);
+        }
+        let run = b
+            .iter()
+            .position(|c| !(c.is_ascii_hexdigit() || *c == b':'))
+            .unwrap_or(b.len());
+        let want = Addr::parse_ascii(&b[..run]).ok().map(|a| (a, run));
+        assert_eq!(Addr::parse_leading(&b), want, "case {case}: {b:?}");
+        parsed += usize::from(want.is_some());
+    }
+    assert!(parsed > 1_000, "only {parsed} inputs parsed");
+}
+
 #[test]
 fn ip6_arpa_roundtrip() {
     let mut g = Gen::new(15);

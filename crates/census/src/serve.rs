@@ -305,7 +305,7 @@ pub fn restore_state(fs: &dyn Vfs, state: &Path) -> RestoreOutcome {
     for day in days {
         let mut builder = DaySummaryBuilder::default();
         match load_checkpoint(fs, &checkpoint_path(state, day), &mut builder) {
-            Ok((ckpt_day, _)) if ckpt_day == day => {
+            Ok((ckpt_day, ..)) if ckpt_day == day => {
                 out.census.ingest_summary(builder.finish(day));
                 out.restored.push(day);
             }
@@ -1180,7 +1180,7 @@ mod tests {
         let addr: Addr = "2001:db8::1".parse().unwrap();
         // Written out of day order; restore reads them in day order.
         for day in [d0 + 5, d0, d0 + 2] {
-            crate::stream::write_checkpoint(&RealFs, &dir, day, &[(addr, 3)]).unwrap();
+            crate::stream::write_checkpoint(&RealFs, &dir, day, &[(addr, 3)], &[]).unwrap();
         }
         // d0+1's checkpoint is torn (its trailer is missing), an aborted
         // atomic write left a stale tmp file behind, and a file that

@@ -23,9 +23,10 @@
 //! `census` command and [`crate::supervisor::run_census`]), and serve
 //! lands one day at a time as files arrive.
 //!
-//! A file is read in one pass: [`daylog::read`] hands each good line to
-//! a `DaySummaryBuilder`, which culls it at once into the day's
-//! per-category key buffers. The `(address, hits)` entries themselves
+//! A file is read in one pass through a `BufReader`'s 8 KiB fills:
+//! [`daylog::read`] parses each line in place in the fill and hands each
+//! good one to a `DaySummaryBuilder`, which culls it at once into the
+//! day's per-category key buffers. The `(address, hits)` entries themselves
 //! are kept, in file order, only when a checkpoint will be written.
 //!
 //! Checkpoints are one file per ingested day (written atomically via
@@ -482,6 +483,9 @@ pub struct ParsedFile {
     /// (`None` when no checkpoint dir is set, the data came *from* a
     /// checkpoint, or validation failed).
     checkpoint_entries: Option<Vec<(Addr, u64)>>,
+    /// The file's bad lines, recorded in its checkpoint beside the
+    /// entries (empty when no checkpoint will be written).
+    checkpoint_bad: Vec<daylog::BadLine>,
 }
 
 impl ParsedFile {
@@ -491,6 +495,7 @@ impl ParsedFile {
             report,
             summary: None,
             checkpoint_entries: None,
+            checkpoint_bad: Vec::new(),
         }
     }
 }
@@ -534,20 +539,24 @@ impl StreamIngestor {
             errors: Vec::new(),
         };
 
-        // Resume: an existing checkpoint for this day replaces the read.
+        // Resume: an existing checkpoint for this day replaces the read,
+        // and reports the file's bad lines as the read did.
         if self.cfg.resume {
             if let Some(dir) = &self.cfg.checkpoint_dir {
                 let ckpt = checkpoint_path(dir, file_day);
                 if self.cfg.vfs.exists(&ckpt) {
                     let mut builder = DaySummaryBuilder::default();
                     match load_checkpoint(self.cfg.vfs.as_ref(), &ckpt, &mut builder) {
-                        Ok((day, n)) => {
-                            report.data_lines = n;
+                        Ok((day, n, bad)) => {
+                            report.data_lines = n + bad.len();
+                            report.bad_lines = bad.len();
+                            report.errors = bad.into_iter().map(|b| bad_line(path, b)).collect();
                             report.outcome = FileOutcome::FromCheckpoint;
                             return Ok(ParsedFile {
                                 summary: Some(builder.finish(day)),
                                 report,
                                 checkpoint_entries: None,
+                                checkpoint_bad: Vec::new(),
                             });
                         }
                         Err(e) => {
@@ -587,6 +596,8 @@ impl StreamIngestor {
         };
         report.data_lines = log.data_lines;
         report.bad_lines = bad.len();
+        // The checkpoint records the file's bad lines.
+        let checkpoint_bad = if keep { log.bad } else { Vec::new() };
 
         // Header validation.
         let Some((header_day, declared)) = log.header else {
@@ -660,6 +671,7 @@ impl StreamIngestor {
             report,
             summary: Some(builder.finish(file_day)),
             checkpoint_entries,
+            checkpoint_bad,
         })
     }
 
@@ -678,6 +690,7 @@ impl StreamIngestor {
             mut report,
             summary,
             checkpoint_entries,
+            checkpoint_bad,
         } = parsed;
         let Some(summary) = summary else {
             return Ok(report);
@@ -689,7 +702,7 @@ impl StreamIngestor {
         if let (true, Some(entries), Some(dir)) =
             (committed, checkpoint_entries, &self.cfg.checkpoint_dir)
         {
-            if let Err(e) = self.checkpoint(dir, day, entries, merging) {
+            if let Err(e) = self.checkpoint(dir, day, entries, &checkpoint_bad, merging) {
                 if self.cfg.mode == ErrorMode::Strict {
                     return Err(e);
                 }
@@ -699,26 +712,29 @@ impl StreamIngestor {
         Ok(report)
     }
 
-    /// Writes `day`'s checkpoint from one delivery's `entries`. A merged
-    /// day's checkpoint holds the whole day: the entries of the
-    /// checkpoint the day already has, then this delivery's.
+    /// Writes `day`'s checkpoint from one delivery's `entries` and `bad`
+    /// lines. A merged day's checkpoint holds the whole day: the entries
+    /// of the checkpoint the day already has, then this delivery's. It
+    /// records no bad lines, since no one file's line numbers cover it
+    /// (and `--resume` re-reads every delivery of a repeated day).
     fn checkpoint(
         &self,
         dir: &Path,
         day: Day,
         entries: Vec<(Addr, u64)>,
+        bad: &[daylog::BadLine],
         merging: bool,
     ) -> Result<(), IngestError> {
         let fs = self.cfg.vfs.as_ref();
-        let entries = if merging {
+        let (entries, bad) = if merging {
             let mut all = Vec::new();
             load_checkpoint(fs, &checkpoint_path(dir, day), &mut all)?;
             all.extend(entries);
-            all
+            (all, &[][..])
         } else {
-            entries
+            (entries, bad)
         };
-        write_checkpoint(fs, dir, day, &entries).map_err(|e| IngestError::Io {
+        write_checkpoint(fs, dir, day, &entries, bad).map_err(|e| IngestError::Io {
             path: checkpoint_path(dir, day),
             kind: e.kind(),
             retries: 0,
@@ -800,24 +816,26 @@ impl StreamIngestor {
     }
 
     /// Reads and parses one file through [`daylog::read`] into `sink`,
-    /// moving its bad lines out as [`IngestError::BadLine`]s of `path`.
+    /// naming its bad lines as [`IngestError::BadLine`]s of `path`.
     fn read_and_parse(
         &self,
         path: &Path,
         sink: &mut impl Sink,
     ) -> io::Result<(daylog::Parsed, Vec<IngestError>)> {
         let file = self.cfg.vfs.open_read(path)?;
-        let mut log = daylog::read(io::BufReader::new(file), sink)?;
-        let bad = std::mem::take(&mut log.bad)
-            .into_iter()
-            .map(|b| IngestError::BadLine {
-                path: path.to_path_buf(),
-                line: b.line,
-                content: b.content,
-                reason: b.reason.label().into(),
-            })
-            .collect();
+        let log = daylog::read(io::BufReader::new(file), sink)?;
+        let bad = log.bad.iter().cloned().map(|b| bad_line(path, b)).collect();
         Ok((log, bad))
+    }
+}
+
+/// Bad line `b` of the file at `path`, as an ingest error.
+fn bad_line(path: &Path, b: daylog::BadLine) -> IngestError {
+    IngestError::BadLine {
+        path: path.to_path_buf(),
+        line: b.line,
+        content: b.content,
+        reason: b.reason.label().into(),
     }
 }
 
@@ -834,7 +852,8 @@ pub(crate) fn checkpoint_day(path: &Path) -> Option<Day> {
 }
 
 /// Writes a per-day checkpoint, a canonical day log of `entries` with
-/// no kind column, atomically *and durably* (temp file + fsync + rename
+/// no kind column and a `# bad` record of each of `bad` (none for a
+/// clean day), atomically *and durably* (temp file + fsync + rename
 /// via [`Vfs::write_atomic`]), so a crash mid-write leaves either no
 /// checkpoint or a complete one — and a completed write survives power
 /// loss, per the DESIGN.md persistence model.
@@ -843,9 +862,18 @@ pub fn write_checkpoint(
     dir: &Path,
     day: Day,
     entries: &[(Addr, u64)],
+    bad: &[daylog::BadLine],
 ) -> io::Result<()> {
     fs.create_dir_all(dir)?;
-    let text = daylog::write(day, None, entries.iter().map(|&(addr, h)| (addr, h, None)));
+    let mut records = String::new();
+    for b in bad {
+        daylog::write_bad(&mut records, b);
+    }
+    let text = daylog::write(
+        day,
+        &records,
+        entries.iter().map(|&(addr, h)| (addr, h, None)),
+    );
     fs.write_atomic(&checkpoint_path(dir, day), text.as_bytes())
 }
 
@@ -873,13 +901,14 @@ pub fn sweep_stale_tmp(fs: &dyn Vfs, dir: &Path) -> io::Result<u64> {
 /// feeding its entries to `sink` (a `Vec` collects them; a
 /// `DaySummaryBuilder` culls them): every line must be good, the
 /// header must be present and declare the entry count, and the trailer
-/// must match the entries. Returns the day and the entry count. On an
-/// error the sink may hold part of the file.
+/// must match the entries. Returns the day, the entry count and the
+/// bad lines the checkpoint records from its source file. On an error
+/// the sink may hold part of the file.
 pub fn load_checkpoint(
     fs: &dyn Vfs,
     path: &Path,
     sink: &mut impl Sink,
-) -> Result<(Day, usize), IngestError> {
+) -> Result<(Day, usize, Vec<daylog::BadLine>), IngestError> {
     let bad = |reason: String| IngestError::BadCheckpoint {
         path: path.to_path_buf(),
         reason,
@@ -912,7 +941,7 @@ pub fn load_checkpoint(
              but the file holds {n} entries, {hits} hits"
         )));
     }
-    Ok((day, n))
+    Ok((day, n, log.recorded))
 }
 
 /// Groups a report's errors by variant label — the health-report rollup.
@@ -1015,25 +1044,47 @@ mod tests {
             scale: 0.002,
         })
         .day_log(epochs::mar2015());
-        let inputs: [(Day, Vec<(Addr, u64)>); 2] = [
+        // A source file's bad lines, as the reader reports them: content
+        // with tabs, and content clipped at a char boundary.
+        let bad = vec![
+            daylog::BadLine {
+                line: 2,
+                content: "zz:bad\t7\tx".into(),
+                reason: daylog::BadReason::Addr,
+            },
+            daylog::BadLine {
+                line: 40,
+                content: format!("2001:db8::9\t{}…", "é".repeat(24)),
+                reason: daylog::BadReason::Hits,
+            },
+        ];
+        type Entries = Vec<(Addr, u64)>;
+        let inputs: [(Day, Entries, Vec<daylog::BadLine>); 2] = [
             (
                 day,
                 vec![
                     ("2001:db8::1".parse().unwrap(), 3),
                     ("2001:db8::2".parse().unwrap(), 9),
                 ],
+                bad,
             ),
             (
                 tiny.day,
                 tiny.entries.iter().map(|e| (e.addr, e.hits)).collect(),
+                Vec::new(),
             ),
         ];
-        for (day, entries) in inputs {
-            write_checkpoint(&RealFs, &dir, day, &entries).unwrap();
+        for (day, entries, bad) in inputs {
+            write_checkpoint(&RealFs, &dir, day, &entries, &bad).unwrap();
             let mut back = Vec::new();
-            let (d, _) = load_checkpoint(&RealFs, &checkpoint_path(&dir, day), &mut back).unwrap();
-            assert_eq!(d, day);
+            let (d, n, recorded) =
+                load_checkpoint(&RealFs, &checkpoint_path(&dir, day), &mut back).unwrap();
+            assert_eq!((d, n), (day, entries.len()));
             assert_eq!(back, entries);
+            assert_eq!(recorded, bad);
+            // A clean day's checkpoint is the plain canonical day log.
+            let text = std::fs::read_to_string(checkpoint_path(&dir, day)).unwrap();
+            assert_eq!(text.contains("# bad "), !bad.is_empty());
             // Tampering is detected.
             let path = checkpoint_path(&dir, day);
             let text = std::fs::read_to_string(&path).unwrap();
@@ -1053,7 +1104,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let day = Day::from_ymd(2015, 3, 17);
-        write_checkpoint(&RealFs, &dir, day, &[("2001:db8::1".parse().unwrap(), 1)]).unwrap();
+        write_checkpoint(
+            &RealFs,
+            &dir,
+            day,
+            &[("2001:db8::1".parse().unwrap(), 1)],
+            &[],
+        )
+        .unwrap();
         std::fs::write(dir.join(".ckpt-2015-03-18.tsv.tmp"), "torn").unwrap();
         std::fs::write(dir.join(".2015-03-18.log.tmp"), "torn").unwrap();
         assert_eq!(sweep_stale_tmp(&RealFs, &dir).unwrap(), 2);
@@ -1384,7 +1442,7 @@ mod tests {
         for day in days {
             let mut builder = DaySummaryBuilder::default();
             let fs = ingestor.cfg.vfs.as_ref();
-            let (back, n) =
+            let (back, n, _) =
                 load_checkpoint(fs, &checkpoint_path(&ckpts, day), &mut builder).unwrap();
             assert_eq!((back, n), (day, w.day_log(day).len()));
             let what = day.to_string();

@@ -367,7 +367,7 @@ fn kill_and_resume_reproduces_the_uninterrupted_census_exactly() {
 
     // A checkpoint round-trips to the exact per-day summary.
     let mut entries = Vec::new();
-    let (day, _) = load_checkpoint(
+    let (day, ..) = load_checkpoint(
         &v6census_core::vfs::RealFs,
         &checkpoint_path(&ckpts, first),
         &mut entries,

@@ -944,7 +944,7 @@ fn permuted_and_duplicated_day_log_keeps_its_address_sets() {
             let j = splitmix64(seed ^ i as u64) % (i as u64 + 1);
             lines.swap(i, j as usize);
         }
-        let shuffled = daylog::write(log.day, Some(daylog::KIND_COLUMNS), lines.into_iter());
+        let shuffled = daylog::write(log.day, daylog::KIND_COLUMNS, lines.into_iter());
         let name = |tag: &str| format!("{}-{seed}-{tag}.log", log.day);
         let before = summary(&name("sorted"), &text);
         let after = summary(&name("shuffled"), &shuffled);

@@ -103,9 +103,6 @@ pub fn install_fault_fs(
 /// Builds the [`SupervisorConfig`] from flags (shared with tests).
 pub fn supervisor_from_flags(flags: &Flags) -> Result<SupervisorConfig, CliError> {
     let jobs: usize = flags.get_parsed("jobs", 1usize)?;
-    if jobs == 0 {
-        return Err(err("--jobs must be at least 1"));
-    }
     let stage_deadline = match flags.get("stage-deadline") {
         None => None,
         Some(_) => {
@@ -139,9 +136,6 @@ pub fn census(flags: &Flags) -> Result<(String, Quality), CliError> {
         .or_else(|| flags.positional.first().cloned())
         .ok_or_else(|| usage("census requires a log directory (--dir DIR or positional)"))?;
     let n: u32 = flags.get_parsed("n", 3u32)?;
-    if n == 0 {
-        return Err(err("--n must be at least 1"));
-    }
     let class: DensityClass = flags
         .get("class")
         .unwrap_or("8@/64")
@@ -404,7 +398,9 @@ mod tests {
 
     #[test]
     fn supervisor_config_validation() {
-        assert!(supervisor_from_flags(&flags(&["--jobs=0"])).is_err());
+        // `--jobs 0` is refused as the flags parse, a usage error.
+        let e = Flags::parse("census", &["--jobs=0".to_string()]).unwrap_err();
+        assert!(e.is_usage() && e.to_string().contains("--jobs"), "{e}");
         assert!(supervisor_from_flags(&flags(&["--jobs=x"])).is_err());
         assert!(supervisor_from_flags(&flags(&["--stage-deadline=0"])).is_err());
         assert!(supervisor_from_flags(&flags(&["--inject=warble:x"])).is_err());

@@ -29,7 +29,24 @@ pub use targets::targets;
 
 pub(crate) use synth::parse_day as synth_day;
 
-use crate::FlagKind::{self, Switch, Value};
+use crate::FlagKind::{self, Checked, Switch, Value};
+
+/// The check of a count that must be at least 1 (`--n`, `--jobs`,
+/// `--max-connections`).
+fn at_least_one(v: &str) -> Result<(), String> {
+    match v.parse::<u64>() {
+        Ok(0) => Err("must be at least 1".into()),
+        _ => Ok(()),
+    }
+}
+
+/// The check of a calendar day, `YYYY-MM-DD` (`synth --day`,
+/// `--reference`).
+fn calendar_day(v: &str) -> Result<(), String> {
+    synth::parse_day(v)
+        .map(drop)
+        .map_err(|_| "not a calendar day, YYYY-MM-DD".into())
+}
 
 /// The ingest flags `census` and `serve` share.
 const INGEST_FLAGS: [(&str, FlagKind); 7] = [
@@ -59,17 +76,17 @@ pub fn accepted_flags(command: &str) -> Option<Vec<(&'static str, FlagKind)>> {
         ],
         "stability" => &[
             ("dir", Value),
-            ("n", Value),
+            ("n", Checked(at_least_one)),
             ("window", Value),
             ("slew", Value),
-            ("reference", Value),
+            ("reference", Checked(calendar_day)),
         ],
         "census" => &[
             ("dir", Value),
-            ("n", Value),
-            ("reference", Value),
+            ("n", Checked(at_least_one)),
+            ("reference", Checked(calendar_day)),
             ("gap-policy", Value),
-            ("jobs", Value),
+            ("jobs", Checked(at_least_one)),
             ("stage-deadline", Value),
             ("max-trie-nodes", Value),
             ("class", Value),
@@ -81,7 +98,7 @@ pub fn accepted_flags(command: &str) -> Option<Vec<(&'static str, FlagKind)>> {
             ("bind", Value),
             ("state", Value),
             ("routing", Value),
-            ("max-connections", Value),
+            ("max-connections", Checked(at_least_one)),
             ("header-deadline-ms", Value),
             ("max-request-bytes", Value),
             ("read-timeout-ms", Value),
@@ -89,7 +106,7 @@ pub fn accepted_flags(command: &str) -> Option<Vec<(&'static str, FlagKind)>> {
             ("poll-ms", Value),
             ("drain-ms", Value),
             ("run-for-ms", Value),
-            ("n", Value),
+            ("n", Checked(at_least_one)),
             ("class", Value),
         ],
         "targets" => &[
@@ -100,7 +117,7 @@ pub fn accepted_flags(command: &str) -> Option<Vec<(&'static str, FlagKind)>> {
         "ptr" => &[("reverse", Switch)],
         "profile" => &[("threshold", Value)],
         "synth" => &[
-            ("day", Value),
+            ("day", Checked(calendar_day)),
             ("scale", Value),
             ("seed", Value),
             ("out", Value),
@@ -182,12 +199,13 @@ COMMANDS
 EXIT CODES
   0  success, all results exact
   1  data or I/O error (bad input, strict-mode abort, unreadable files,
-     a flag value the command rejects, such as --n 0)
+     a flag value the command rejects, such as --days 0)
   2  usage error: an unknown command, a flag the command does not take
      (synth --sclae), a missing required flag (--dir, stable's --earlier,
      --resume without --checkpoint, --days without --out), a flag value
-     that does not parse (--n abc), or a --scale that cannot size a
-     world (nan, 0)
+     that does not parse (--n abc) or that its flag refuses (--n 0,
+     --jobs 0, --max-connections 0, --day 2015-02-30), or a --scale
+     that cannot size a world (nan, 0)
   3  completed but degraded: some result is coarser or partial — a shard
      panicked twice, a stage hit its deadline, or a budget forced coarser
      aggregation; the run manifest in the output names every casualty.
@@ -236,6 +254,6 @@ mod tests {
             }
         }
         assert!(checked > 50, "only {checked} flags found");
-        assert_eq!(accepted_flags("bogus"), None);
+        assert!(accepted_flags("bogus").is_none());
     }
 }

@@ -28,9 +28,6 @@ pub fn serve_config_from_flags(flags: &Flags) -> Result<ServeConfig, CliError> {
         .or_else(|| flags.positional.first().cloned())
         .ok_or_else(|| usage("serve requires a log directory (--dir DIR or positional)"))?;
     let n: u32 = flags.get_parsed("n", 3u32)?;
-    if n == 0 {
-        return Err(err("--n must be at least 1"));
-    }
     let class: DensityClass = flags
         .get("class")
         .unwrap_or("8@/64")
@@ -38,9 +35,6 @@ pub fn serve_config_from_flags(flags: &Flags) -> Result<ServeConfig, CliError> {
         .map_err(|e| err(format!("{e}")))?;
     let defaults = ServeConfig::default();
     let max_connections: usize = flags.get_parsed("max-connections", defaults.max_connections)?;
-    if max_connections == 0 {
-        return Err(err("--max-connections must be at least 1"));
-    }
     let routing = match flags.get("routing") {
         None => Vec::new(),
         Some(path) => parse_routing_file(path)?,
@@ -243,11 +237,13 @@ mod tests {
         assert_eq!(cfg.header_deadline, Duration::from_millis(250));
         assert_eq!(cfg.params.label(), "5d-stable (-7d,+7d)");
         assert_eq!(cfg.dense_class.to_string(), "2@/112-dense");
-        // Bad values are typed errors, not panics.
-        assert!(serve_config_from_flags(&flags(&["--dir", "l", "--n", "0"])).is_err());
-        assert!(
-            serve_config_from_flags(&flags(&["--dir", "l", "--max-connections", "0"])).is_err()
-        );
+        // Bad values are typed errors, not panics; a zero count is
+        // refused as the flags parse, a usage error.
+        for flag in ["--n", "--max-connections"] {
+            let args = ["--dir", "l", flag, "0"].map(String::from);
+            let e = Flags::parse("serve", &args).unwrap_err();
+            assert!(e.is_usage() && e.to_string().contains(flag), "{e}");
+        }
         assert!(serve_config_from_flags(&flags(&["--dir", "l", "--poll-ms", "0"])).is_err());
         assert!(serve_config_from_flags(&flags(&["--dir", "l", "--class", "zap"])).is_err());
     }

@@ -46,9 +46,6 @@ pub fn stability(days: Vec<DayFile>, flags: &Flags) -> Result<String, CliError> 
     let n: u32 = flags.get_parsed("n", 3u32)?;
     let reach: u32 = flags.get_parsed("window", 7u32)?;
     let slew: u32 = flags.get_parsed("slew", 0u32)?;
-    if n == 0 {
-        return Err(err("--n must be at least 1"));
-    }
     let params = StabilityParams::nd(n)
         .with_window(reach, reach)
         .with_slew(slew);
@@ -190,11 +187,8 @@ mod tests {
     #[test]
     fn errors() {
         assert!(stability(vec![], &Flags::default()).is_err());
-        let days = vec![dayfile("2015-03-17.txt", &["2001:db8::a"])];
-        assert!(stability(
-            days,
-            &Flags::parse("stability", &["--n".into(), "0".into()]).unwrap()
-        )
-        .is_err());
+        // `--n 0` is refused as the flags parse, a usage error.
+        let e = Flags::parse("stability", &["--n".into(), "0".into()]).unwrap_err();
+        assert!(e.is_usage(), "{e}");
     }
 }

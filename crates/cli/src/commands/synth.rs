@@ -134,15 +134,14 @@ mod tests {
 
     #[test]
     fn flag_validation() {
-        assert!(synth(&Flags::parse("synth", &["--day".into(), "17-03".into()]).unwrap()).is_err());
+        // A `--day` that is no calendar day is refused as the flags
+        // parse, a usage error.
+        for day in ["17-03", "2015-13-01", "2015-02-30"] {
+            let e = Flags::parse("synth", &["--day".into(), day.into()]).unwrap_err();
+            assert!(e.is_usage() && e.to_string().contains("--day"), "{e}");
+        }
         assert!(synth(&Flags::parse("synth", &["--scale".into(), "-1".into()]).unwrap()).is_err());
         assert!(synth(&Flags::parse("synth", &["--scale".into(), "nan".into()]).unwrap()).is_err());
-        assert!(
-            synth(&Flags::parse("synth", &["--day".into(), "2015-13-01".into()]).unwrap()).is_err()
-        );
-        assert!(
-            synth(&Flags::parse("synth", &["--day".into(), "2015-02-30".into()]).unwrap()).is_err()
-        );
         assert!(synth(
             &Flags::parse(
                 "synth",

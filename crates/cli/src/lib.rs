@@ -45,7 +45,8 @@ pub const EXIT_OK: i32 = 0;
 pub const EXIT_DATA_ERROR: i32 = 1;
 /// Exit code: usage error (unknown command, a flag the command does
 /// not take, a missing required flag or argument, a flag value that
-/// does not parse, a rejected `--scale`).
+/// does not parse or that its flag's check refuses, a rejected
+/// `--scale`).
 pub const EXIT_USAGE: i32 = 2;
 /// Exit code: the command *completed* but some result is `Degraded` or
 /// `Partial` — a supervised census that excluded a panicked shard, hit a
@@ -93,14 +94,20 @@ pub fn usage(msg: impl Into<String>) -> CliError {
     CliError::Usage(msg.into())
 }
 
-/// Whether a flag takes a value: the kind each command's flag table
-/// ([`commands::accepted_flags`]) gives every flag it reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Whether a flag takes a value, and which values it refuses: the kind
+/// each command's flag table ([`commands::accepted_flags`]) gives every
+/// flag it reads.
+#[derive(Debug, Clone, Copy)]
 pub enum FlagKind {
     /// `--name` alone.
     Switch,
     /// `--name VALUE` or `--name=VALUE`.
     Value,
+    /// A [`FlagKind::Value`] whose value [`Flags::parse`] checks: the
+    /// check says why it refuses a value, and a refused value is a usage
+    /// error. A value that does not parse as the flag's type passes, and
+    /// the command names it when it reads the flag.
+    Checked(fn(&str) -> Result<(), String>),
 }
 
 /// Minimal flag parser: `--key value` pairs plus positional arguments.
@@ -119,8 +126,9 @@ impl Flags {
     /// switch never takes the next token, so it may stand before a
     /// positional. A value flag takes `--key value` or `--key=value`; the
     /// `=` form is the way to pass a value that itself starts with `--`.
-    /// A flag the command does not take, a value flag without its value
-    /// and a switch given a value are usage errors.
+    /// A flag the command does not take, a value flag without its value,
+    /// a switch given a value and a value its check refuses are usage
+    /// errors.
     pub fn parse(command: &str, args: &[String]) -> Result<Flags, CliError> {
         let table = commands::accepted_flags(command)
             .ok_or_else(|| usage(format!("unknown command {command:?}")))?;
@@ -142,19 +150,25 @@ impl Flags {
                     takes.join(" ")
                 )));
             };
-            match (kind, inline) {
-                (FlagKind::Switch, None) => f.switches.push(key.to_string()),
+            let value = match (kind, inline) {
+                (FlagKind::Switch, None) => {
+                    f.switches.push(key.to_string());
+                    continue;
+                }
                 (FlagKind::Switch, Some(_)) => {
                     return Err(usage(format!("--{key} takes no value")));
                 }
-                (FlagKind::Value, Some(value)) => f.kv.push((key.to_string(), value)),
-                (FlagKind::Value, None) => match args.next() {
-                    Some(value) if !value.starts_with("--") => {
-                        f.kv.push((key.to_string(), value.clone()));
-                    }
+                (_, Some(value)) => value,
+                (_, None) => match args.next() {
+                    Some(value) if !value.starts_with("--") => value.clone(),
                     _ => return Err(usage(format!("--{key} needs a value"))),
                 },
+            };
+            if let FlagKind::Checked(check) = kind {
+                check(&value)
+                    .map_err(|why| usage(format!("bad value for --{key}: {value:?}: {why}")))?;
             }
+            f.kv.push((key.to_string(), value));
         }
         Ok(f)
     }

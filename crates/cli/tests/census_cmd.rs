@@ -1,8 +1,9 @@
 //! End-to-end test of `v6census census`: a fault-injected multi-day
 //! directory ingests without panicking, the health report names each
 //! fault, and an interrupted-then-resumed run reproduces the analysis
-//! section (Table 1 + stability) byte-for-byte — and, with a day
-//! delivered twice and merged, the whole report.
+//! section (Table 1 + stability) byte-for-byte, and its health section
+//! once resumed days read `ingested` — and, with a day delivered twice
+//! and merged, the whole report.
 
 #![allow(
     clippy::disallowed_methods,
@@ -30,6 +31,11 @@ fn tempdir(tag: &str) -> PathBuf {
 
 fn flags(args: &[String]) -> Flags {
     Flags::parse("census", args).unwrap()
+}
+
+/// The ingest health section, up to the next section.
+fn health_section(out: &str) -> &str {
+    out.split("\n====").next().unwrap_or_default()
 }
 
 /// The part of the output that must be invariant under kill/resume.
@@ -118,6 +124,21 @@ fn census_command_over_faulty_logs_and_resume() {
         "analysis must be byte-identical after kill + resume"
     );
     assert_eq!(full_quality, resumed_quality);
+
+    // The day with corrupt lines (the fifth) resumes from its
+    // checkpoint and still reports its file's bad lines: the health
+    // section is the uninterrupted one, `checkpoint` for `ingested`.
+    let corrupt = format!("{} ", first + 4);
+    let row = resumed.lines().find(|l| l.starts_with(&corrupt)).unwrap();
+    assert!(row.contains(" checkpoint "), "{row}");
+    assert!(
+        resumed.matches("[bad-line]").count() >= 2,
+        "resumed run lost the bad lines: {resumed}"
+    );
+    assert_eq!(
+        as_ingested(health_section(&resumed)),
+        as_ingested(health_section(&full))
+    );
 
     std::fs::remove_dir_all(&logs).unwrap();
     std::fs::remove_dir_all(&ckpts).unwrap();

@@ -87,6 +87,23 @@ fn usage_errors_exit_2() {
             "bad value for --max-connections",
         ),
         (vec!["stable"], "stable requires --earlier"),
+        // A value that parses but that its flag refuses is named too.
+        (
+            vec!["census", "--dir", d, "--n", "0"],
+            "bad value for --n: \"0\": must be at least 1",
+        ),
+        (
+            vec!["census", "--dir", d, "--jobs", "0"],
+            "bad value for --jobs: \"0\": must be at least 1",
+        ),
+        (
+            vec!["serve", "--dir", d, "--max-connections", "0"],
+            "bad value for --max-connections: \"0\": must be at least 1",
+        ),
+        (
+            vec!["synth", "--day", "2015-02-30"],
+            "bad value for --day: \"2015-02-30\": not a calendar day",
+        ),
         // A flag the command does not take is named, not ignored while
         // its value silently defaults.
         (
@@ -194,12 +211,13 @@ fn data_errors_exit_1() {
 
 #[test]
 fn impossible_calendar_dates_are_errors_not_panics() {
+    // A `--day` that names no calendar day is a bad flag value.
     let out = bin()
         .args(["synth", "--day", "2015-02-30"])
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(EXIT_DATA_ERROR));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("error:"));
+    assert_eq!(out.status.code(), Some(EXIT_USAGE));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("error: bad value for --day"));
 
     // A file named for an impossible date is skipped like any non-day
     // name: the census stays the clean, exact one.

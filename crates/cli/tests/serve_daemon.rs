@@ -238,9 +238,9 @@ fn run_for_ms_mode_and_flag_errors() {
     let out = child.wait_with_output().unwrap();
     assert_eq!(out.status.code(), Some(EXIT_OK));
 
-    // A missing directory is a usage error (2); a flag value the
-    // command rejects is a data error (1), and so is an unbindable
-    // address, a startup failure.
+    // A missing directory is a usage error (2), and so is a flag value
+    // its flag refuses; an unbindable address, a startup failure, is a
+    // data error (1).
     let out = bin().arg("serve").output().unwrap();
     assert_eq!(out.status.code(), Some(EXIT_USAGE));
     let out = bin()
@@ -248,7 +248,7 @@ fn run_for_ms_mode_and_flag_errors() {
         .args(["--dir", &source.to_string_lossy(), "--max-connections", "0"])
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(EXIT_DATA_ERROR));
+    assert_eq!(out.status.code(), Some(EXIT_USAGE));
     let out = bin()
         .arg("serve")
         .args(["--dir", &source.to_string_lossy(), "--bind", "256.0.0.1:1"])

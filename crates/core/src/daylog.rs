@@ -10,7 +10,9 @@
 //! ```
 //!
 //! Line 1 may be the header declaring `N` entries; `# end N H` is the
-//! trailer (`N` data lines, `H` hits); other `#` lines are comments.
+//! trailer (`N` data lines, `H` hits); `# bad L REASON\tCONTENT` records
+//! a bad line of the file a checkpoint was made from ([`write_bad`]);
+//! other `#` lines are comments.
 //! A data line is `addr [hits [ignored…]]`, hits defaulting to 1. One
 //! bad-line policy holds for every reader: a data line whose address,
 //! or whose present hits column, does not parse is dropped and counted
@@ -29,7 +31,7 @@ use v6census_addr::Addr;
 pub const MAX_RESERVED_ENTRIES: usize = 1 << 18;
 
 /// The column line synth writes ahead of its `addr hits kind` entries.
-pub const KIND_COLUMNS: &str = "# addr\thits\ttrue_kind";
+pub const KIND_COLUMNS: &str = "# addr\thits\ttrue_kind\n";
 
 /// Why a data line was rejected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -165,6 +167,9 @@ pub struct Parsed {
     pub hits: u64,
     /// The bad data lines, in file order.
     pub bad: Vec<BadLine>,
+    /// The `# bad` records ([`write_bad`]): the bad lines of the file a
+    /// checkpoint was made from, in that file's order.
+    pub recorded: Vec<BadLine>,
 }
 
 /// Where [`read`] folds each good data line, in file order.
@@ -216,6 +221,14 @@ impl<S: Sink> Sink for Option<S> {
 }
 
 impl Parsed {
+    /// Folds in a good data line.
+    #[inline(always)]
+    fn add_entry(&mut self, addr: Addr, hits: u64, sink: &mut impl Sink) {
+        self.data_lines += 1;
+        self.hits = self.hits.saturating_add(hits);
+        sink.add(addr, hits);
+    }
+
     /// Folds in bad data line `line_no`. Bad lines are rare, so their
     /// list is not reserved.
     fn add_bad(&mut self, line_no: usize, line: &str, reason: BadReason) {
@@ -237,43 +250,102 @@ impl Parsed {
             }
         } else if let Some(end) = parse_trailer(t) {
             self.trailer = Some(end);
+        } else if let Some(bad) = parse_bad(t) {
+            self.recorded.push(bad);
         }
     }
 }
 
 /// Reads a day log in bounded memory, handing each good data line to
-/// `sink` as it is read: one reused line buffer, then the line's fields
-/// scanned as bytes. Only a line holding a byte ≥ 0x80 is checked as
-/// UTF-8, the check `read_line` would make: a non-UTF-8 line fails the
-/// read as [`io::ErrorKind::InvalidData`]. Only `#` lines and bad
-/// lines, a handful a file, are taken as text. The per-line helpers
-/// are inlinable, so the loop and its per-line work compile together,
-/// into the caller's crate.
+/// `sink` as it is read.
+///
+/// Lines are parsed in place in the reader's buffer: each fill is
+/// checked as ASCII once, and a line of the shape synth and checkpoints
+/// write, `addr\thits[\t…]\n`, is one scan — the address straight off
+/// the buffer ([`Addr::parse_leading`]), stopping at its tab, then the
+/// hits column and the search for the line's end. Every other line (a
+/// `#` line, one that straddles the end of the fill or holds a byte
+/// ≥ 0x80, `\r`, a space delimiter, an IPv4 tail, a bad line) takes the
+/// exact per-line path: `read_until` into one reused buffer, then the
+/// field scan behind [`parse_line`]. That path checks a line holding a
+/// byte ≥ 0x80 as UTF-8, the check `read_line` would make: a non-UTF-8
+/// line fails the read as [`io::ErrorKind::InvalidData`]. Only `#`
+/// lines and bad lines, a handful a file, are taken as text. The
+/// per-line helpers are inlinable, so the loop and its per-line work
+/// compile together, into the caller's crate.
 pub fn read(mut reader: impl BufRead, sink: &mut impl Sink) -> io::Result<Parsed> {
     let mut parsed = Parsed::default();
     let mut buf: Vec<u8> = Vec::new();
     let mut line_no = 0usize;
+    // How many bytes from the reader's position on are known ASCII: a
+    // fill's bytes are checked once, however many passes stop in it.
+    let mut ascii = 0usize;
     loop {
-        buf.clear();
-        if reader.read_until(b'\n', &mut buf)? == 0 {
+        let fill = reader.fill_buf()?;
+        if fill.is_empty() {
             break;
         }
+        if let Some(new) = fill.get(ascii..) {
+            ascii += if new.is_ascii() {
+                new.len()
+            } else {
+                new.iter().take_while(|c| c.is_ascii()).count()
+            };
+        }
+        let len = fill.len();
+        let known = fill.get(..ascii).unwrap_or(fill);
+        let used = fast_lines(known, &mut line_no, &mut parsed, sink);
+        reader.consume(used);
+        ascii -= used;
+        if used == len {
+            continue;
+        }
+        // The line at the reader's position is not one the fast path
+        // takes.
+        buf.clear();
+        ascii = ascii.saturating_sub(reader.read_until(b'\n', &mut buf)?);
         line_no += 1;
         if !buf.is_ascii() {
             utf8(&buf)?;
         }
         match shape(&buf) {
-            Some(Line::Entry(addr, hits)) => {
-                parsed.data_lines += 1;
-                parsed.hits = parsed.hits.saturating_add(hits);
-                sink.add(addr, hits);
-            }
+            Some(Line::Entry(addr, hits)) => parsed.add_entry(addr, hits, sink),
             Some(Line::Bad(reason)) => parsed.add_bad(line_no, utf8(&buf)?, reason),
             Some(_) => {}
             None => parsed.add_comment(line_no, utf8(&buf)?.trim(), sink),
         }
     }
     Ok(parsed)
+}
+
+/// Folds in the complete lines at the start of `b`, ASCII bytes, while
+/// they have the shape `addr\thits[\t…]\n` and parse. Returns how many
+/// bytes they took.
+#[inline(always)]
+fn fast_lines(b: &[u8], line_no: &mut usize, parsed: &mut Parsed, sink: &mut impl Sink) -> usize {
+    let mut used = 0;
+    while let Some((addr, hits, len)) = b.get(used..).and_then(fast_line) {
+        *line_no += 1;
+        parsed.add_entry(addr, hits, sink);
+        used += len;
+    }
+    used
+}
+
+/// One `addr\thits[\t…]\n` line at the start of `b`: its entry and
+/// byte length, or `None` when the line has another shape, does not
+/// parse, or does not end in `b`. On what it accepts it agrees with
+/// [`shape`]: the address run stops at the tab, so the tab ends the
+/// first field; the hits run stops at the next tab or newline, and it
+/// parses only if it holds no whitespace, so it is the second field.
+#[inline(always)]
+fn fast_line(b: &[u8]) -> Option<(Addr, u64, usize)> {
+    let (addr, n) = Addr::parse_leading(b)?;
+    let rest = b.get(n..)?.strip_prefix(b"\t")?;
+    let hits_len = rest.iter().position(|&c| c == b'\t' || c == b'\n')?;
+    let hits = parse_u64(rest.get(..hits_len)?)?;
+    let end = rest.get(hits_len..)?.iter().position(|&c| c == b'\n')?;
+    Some((addr, hits, n + 1 + hits_len + end + 1))
 }
 
 /// The line as text, or the error `read_line` gives for non-UTF-8.
@@ -293,6 +365,37 @@ fn utf8(buf: &[u8]) -> io::Result<&str> {
 )]
 pub fn write_header(out: &mut String, day: Day, entries: usize) {
     let _ = writeln!(out, "# synthetic day {day}: {entries} unique client addrs");
+}
+
+/// Appends a `# bad L REASON\tCONTENT` record of bad line `bad`: a
+/// checkpoint keeps its source file's bad lines this way, so a day
+/// resumed from it reports them as a read of the file would.
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "write! into a String cannot fail"
+)]
+pub fn write_bad(out: &mut String, bad: &BadLine) {
+    let _ = writeln!(
+        out,
+        "# bad {} {}\t{}",
+        bad.line,
+        bad.reason.label(),
+        bad.content
+    );
+}
+
+/// Parses a trimmed `# bad` record written by [`write_bad`].
+pub fn parse_bad(line: &str) -> Option<BadLine> {
+    let (line_no, rest) = line.strip_prefix("# bad ")?.split_once(' ')?;
+    let (label, content) = rest.split_once('\t')?;
+    let reason = [BadReason::Addr, BadReason::Hits]
+        .into_iter()
+        .find(|r| r.label() == label)?;
+    Some(BadLine {
+        line: parse_count(line_no.as_bytes())?,
+        content: content.to_string(),
+        reason,
+    })
 }
 
 /// Appends one data line: `addr\thits`, then `\tkind` when given. The
@@ -346,26 +449,25 @@ fn push_u64(out: &mut String, mut n: u64) {
     out.push_str(std::str::from_utf8(&buf[i..]).unwrap_or_default());
 }
 
-/// A whole canonical day log: header, the `columns` line if given, one
-/// line per `(addr, hits, kind)` entry, and their trailer. One pass
-/// over `entries` bounds the text's length, so the `String` is
-/// allocated once; a second pass writes it.
+/// A whole canonical day log: header, `comments` (`#` lines, each
+/// ending in a newline: synth's column line, a checkpoint's
+/// [`write_bad`] records), one line per `(addr, hits, kind)` entry, and
+/// their trailer. One pass over `entries` bounds the text's length, so
+/// the `String` is allocated once; a second pass writes it.
 pub fn write<'k>(
     day: Day,
-    columns: Option<&str>,
+    comments: &str,
     entries: impl ExactSizeIterator<Item = (Addr, u64, Option<&'k str>)> + Clone,
 ) -> String {
     let n = entries.len();
-    let bound = entries.clone().fold(
-        2 * FRAME_MAX + columns.map_or(0, |c| c.len() + 1),
-        |sum, (_, h, kind)| sum + entry_max(h, kind),
-    );
+    let bound = entries
+        .clone()
+        .fold(2 * FRAME_MAX + comments.len(), |sum, (_, h, kind)| {
+            sum + entry_max(h, kind)
+        });
     let mut out = String::with_capacity(bound);
     write_header(&mut out, day, n);
-    if let Some(columns) = columns {
-        out.push_str(columns);
-        out.push('\n');
-    }
+    out.push_str(comments);
     let mut hits = 0u64;
     for (addr, h, kind) in entries {
         hits = hits.saturating_add(h);

@@ -77,7 +77,7 @@ impl DayLog {
     pub fn to_text(&self) -> String {
         daylog::write(
             self.day,
-            Some(daylog::KIND_COLUMNS),
+            daylog::KIND_COLUMNS,
             self.entries
                 .iter()
                 .map(|e| (e.addr, e.hits, Some(e.kind.label()))),

@@ -175,11 +175,22 @@ fn kernels() -> Vec<Kernel> {
             })
             .1
         }),
+        // Fills about one line long: most lines straddle two fills and
+        // take the per-line path, which copies them into its one buffer.
+        ("daylog::read (64-byte fills)", |i| {
+            allocations(|| {
+                let mut sink: Vec<(Addr, u64)> = Vec::new();
+                let fills = std::io::BufReader::with_capacity(64, i.text.as_bytes());
+                let parsed = daylog::read(fills, &mut sink).expect("reads");
+                (parsed, sink)
+            })
+            .1
+        }),
         ("daylog::write", |i| {
             allocations(|| {
                 daylog::write(
                     i.log.day,
-                    Some(daylog::KIND_COLUMNS),
+                    daylog::KIND_COLUMNS,
                     i.log
                         .entries
                         .iter()
