@@ -22,7 +22,8 @@
 //!   observe a half-ingested day, never block on ingest.
 //! * [`serve`] — the crash-safe, load-shedding census daemon behind
 //!   `v6census serve`: bounded HTTP/1.1 query surface, background
-//!   incremental ingest, crash-safe journal, graceful drain.
+//!   incremental ingest, per-day checkpoints as the durable state,
+//!   graceful drain.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +38,6 @@
 #![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![deny(unfulfilled_lint_expectations)]
 
-pub mod crashtest;
 pub mod experiments;
 pub mod figures;
 pub mod humane;

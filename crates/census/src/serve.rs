@@ -1129,15 +1129,16 @@ fn ingest_loop(shared: &Arc<Shared>, mut census: Census) {
 
 /// Lands one day file: parse → commit (and its checkpoint) → next
 /// snapshot, advanced from `prev` (the snapshot of `census` before this
-/// day). The one landing step, shared by the daemon's ingest loop and
-/// the crash explorer. Serve keeps no list of committed days: the census
-/// is the record, and on disk the checkpoint set is.
+/// day). The one landing step: the daemon's ingest loop runs it, and so
+/// does the crash-point explorer in `tests/crashtest.rs`. Serve keeps no
+/// list of committed days: the census is the record, and on disk the
+/// checkpoint set is.
 ///
 /// `Ok((report, Some(snapshot)))`: the day entered the census.
 /// `Ok((report, None))`: the file is structurally bad (budget,
 /// truncation, duplicate) and was *not* committed. `Err`: a typed
 /// failure (I/O, strict mode).
-pub(crate) fn land_day(
+pub fn land_day(
     cfg: &ServeConfig,
     path: &Path,
     census: &mut Census,
@@ -1182,19 +1183,21 @@ mod tests {
         for day in [d0 + 5, d0, d0 + 2] {
             crate::stream::write_checkpoint(&RealFs, &dir, day, &[(addr, 3)], &[]).unwrap();
         }
-        // d0+1's checkpoint is torn (its trailer is missing), an aborted
-        // atomic write left a stale tmp file behind, and a file that
-        // names no calendar day is not a checkpoint.
+        // d0+1's checkpoint is torn (its trailer is missing), d0+3's
+        // holds another day, an aborted atomic write left a stale tmp
+        // file behind, and a file that names no calendar day is not a
+        // checkpoint.
         std::fs::write(
             checkpoint_path(&dir, d0 + 1),
             "# synthetic day 2015-03-18: 1 unique client addrs\n2001:db8::1\t3\n",
         )
         .unwrap();
+        std::fs::copy(checkpoint_path(&dir, d0), checkpoint_path(&dir, d0 + 3)).unwrap();
         std::fs::write(dir.join(".ckpt-2015-03-19.tsv.tmp"), "torn").unwrap();
         std::fs::write(dir.join("ckpt-2015-02-30.tsv"), "not a day").unwrap();
         let out = restore_state(&RealFs, &dir);
         assert_eq!(out.restored, vec![d0, d0 + 2, d0 + 5]);
-        assert_eq!(out.recovered, 1);
+        assert_eq!(out.recovered, 2);
         assert_eq!(out.swept_tmp, 1);
         assert!(!dir.join(".ckpt-2015-03-19.tsv.tmp").exists());
         assert!(out.census.has_day(d0));

@@ -1484,6 +1484,46 @@ mod tests {
     }
 
     #[test]
+    fn a_file_is_judged_by_its_counts() {
+        // 200 data lines, the first `bad` of them unparseable, `lost`
+        // dropped from mid-file, and a trailer that counts all 200.
+        let text = |bad: usize, lost: usize| {
+            let mut text = "# synthetic day 2015-03-17: 200 unique client addrs\n".to_string();
+            for i in (0..200).filter(|i| !(100..100 + lost).contains(i)) {
+                text += &if i < bad {
+                    "zz:bad\t1\n".to_string()
+                } else {
+                    format!("2001:db8::{i:x}\t1\n")
+                };
+            }
+            (text + "# end 200 200\n").into_bytes()
+        };
+        let judge = |bad, lost| {
+            let base = mem_ingestor(&[("2015-03-17.log", text(bad, lost))]);
+            let ingestor = StreamIngestor::new(IngestConfig {
+                max_bad_ratio: IngestConfig::default().max_bad_ratio,
+                ..base.cfg
+            });
+            let report = ingestor
+                .parse_file(Path::new("2015-03-17.log"))
+                .unwrap()
+                .report;
+            (report.outcome, report.errors.last().map(IngestError::label))
+        };
+        // The default budget is 1% of the data lines: 2 of 200 is
+        // within it, 3 of 200 is not.
+        assert_eq!(judge(2, 0), (FileOutcome::Ingested, Some("bad-line")));
+        assert_eq!(
+            judge(3, 0),
+            (FileOutcome::Failed, Some("error-budget-exceeded"))
+        );
+        // A file that kept its trailer but lost lines mid-file is
+        // truncated: the trailer's count is authoritative.
+        assert_eq!(judge(0, 0), (FileOutcome::Ingested, None));
+        assert_eq!(judge(0, 5), (FileOutcome::Failed, Some("truncated")));
+    }
+
+    #[test]
     fn non_utf8_day_file_fails_as_invalid_data() {
         let mut bytes = b"# synthetic day 2015-03-17: 2 unique client addrs\n".to_vec();
         bytes.extend_from_slice(b"2001:db8::1\t3\n2001:db8::\xff\t4\n# end 2 7\n");

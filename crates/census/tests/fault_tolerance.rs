@@ -11,6 +11,7 @@
 )]
 
 use std::path::{Path, PathBuf};
+use v6census_census::serve::restore_state;
 use v6census_census::stream::{
     checkpoint_path, load_checkpoint, DuplicatePolicy, ErrorMode, FileOutcome, IngestConfig,
     IngestError, IngestReport,
@@ -18,6 +19,7 @@ use v6census_census::stream::{
 use v6census_census::supervisor::{ingest_dir, SupervisorConfig};
 use v6census_census::tables::{table1, EpochSpec};
 use v6census_core::temporal::{Day, GapPolicy, StabilityParams, VerdictQuality};
+use v6census_core::vfs::RealFs;
 use v6census_synth::faults::day_file_name;
 use v6census_synth::world::epochs;
 use v6census_synth::{Fault, FaultInjector, FaultSpec, World, WorldConfig};
@@ -225,12 +227,14 @@ fn strict_mode_aborts_on_first_fault() {
 #[test]
 fn merge_policy_accumulates_duplicate_deliveries() {
     let logs = tempdir("merge");
+    let ckpts = tempdir("merge-ckpts");
     let (_, first, _) = write_fixture(&logs);
     let report = ingest(
         &logs,
         IngestConfig {
             max_bad_ratio: 0.05,
             on_duplicate: DuplicatePolicy::Merge,
+            checkpoint_dir: Some(ckpts.clone()),
             ..IngestConfig::default()
         },
     )
@@ -260,7 +264,13 @@ fn merge_policy_accumulates_duplicate_deliveries() {
     let single = reject.census.summary(first + 12).unwrap();
     assert_eq!(merged.total(), single.total());
     assert_eq!(merged.hits, 2 * single.hits);
+    // The merged day's checkpoint holds both deliveries: restored, it
+    // is the whole day.
+    let restored = restore_state(&RealFs, &ckpts).census;
+    let back = restored.summary(first + 12).unwrap();
+    assert_eq!((back.total(), back.hits), (merged.total(), merged.hits));
     std::fs::remove_dir_all(&logs).unwrap();
+    std::fs::remove_dir_all(&ckpts).unwrap();
 }
 
 #[test]
@@ -367,12 +377,8 @@ fn kill_and_resume_reproduces_the_uninterrupted_census_exactly() {
 
     // A checkpoint round-trips to the exact per-day summary.
     let mut entries = Vec::new();
-    let (day, ..) = load_checkpoint(
-        &v6census_core::vfs::RealFs,
-        &checkpoint_path(&ckpts, first),
-        &mut entries,
-    )
-    .unwrap();
+    let (day, ..) =
+        load_checkpoint(&RealFs, &checkpoint_path(&ckpts, first), &mut entries).unwrap();
     assert_eq!(day, first);
     let direct = uninterrupted.census.summary(first).unwrap();
     let rebuilt = v6census_census::DaySummary::from_entries(day, entries);

@@ -150,7 +150,7 @@ fn readers_never_see_a_torn_snapshot_during_publishes() {
 }
 
 #[test]
-fn restart_serves_the_journaled_snapshot_without_source() {
+fn restart_serves_the_checkpointed_snapshot_without_source() {
     let source = tempdir("resume-src");
     let state = tempdir("resume-state");
     let w = world();
@@ -242,6 +242,14 @@ fn partial_day_file_lands_once_complete() {
         handle.metrics().ingest_failures >= 1,
         "the partial file was read"
     );
+    // A first scan that landed nothing still makes the daemon ready.
+    for _ in 0..600 {
+        if handle.is_ready() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(handle.is_ready(), "ready after the first scan");
 
     // The producer finishes; a later scan retries the file and lands it.
     std::fs::write(&path, &text).unwrap();

@@ -85,6 +85,16 @@ fn injected_panic_is_contained_and_reported() {
     // Other products are untouched.
     assert!(run.table1.unwrap().value.is_some());
     assert!(run.manifest.render().contains("excluded stability/"));
+
+    // A densify shard that panics twice is excluded too; the merged
+    // product of the other shards is Partial.
+    let mut faults = AnalysisFaultPlan::none();
+    faults.add("densify/", AnalysisFault::PanicShard { attempts: 2 });
+    cfg.supervisor.faults = faults;
+    let run = run_census(&logs, &cfg).expect("a panicking shard must not abort the run");
+    assert_eq!(run.overall_quality(), Quality::Partial);
+    assert_eq!(run.dense.expect("dense present").quality, Quality::Partial);
+    assert!(run.manifest.render().contains("excluded densify/"));
     std::fs::remove_dir_all(&logs).unwrap();
 }
 

@@ -32,7 +32,7 @@ pub(crate) use synth::parse_day as synth_day;
 use crate::FlagKind::{self, Checked, Switch, Value};
 
 /// The check of a count that must be at least 1 (`--n`, `--jobs`,
-/// `--max-connections`).
+/// `--max-connections`, `--step`, `--budget`, `--days`).
 fn at_least_one(v: &str) -> Result<(), String> {
     match v.parse::<u64>() {
         Ok(0) => Err("must be at least 1".into()),
@@ -71,7 +71,7 @@ pub fn accepted_flags(command: &str) -> Option<Vec<(&'static str, FlagKind)>> {
         "stable" => &[
             ("earlier", Value),
             ("threshold", Value),
-            ("step", Value),
+            ("step", Checked(at_least_one)),
             ("prefixes", Switch),
         ],
         "stability" => &[
@@ -111,7 +111,7 @@ pub fn accepted_flags(command: &str) -> Option<Vec<(&'static str, FlagKind)>> {
         ],
         "targets" => &[
             ("class", Value),
-            ("budget", Value),
+            ("budget", Checked(at_least_one)),
             ("include-observed", Switch),
         ],
         "ptr" => &[("reverse", Switch)],
@@ -121,7 +121,7 @@ pub fn accepted_flags(command: &str) -> Option<Vec<(&'static str, FlagKind)>> {
             ("scale", Value),
             ("seed", Value),
             ("out", Value),
-            ("days", Value),
+            ("days", Checked(at_least_one)),
             ("fault-fs", Value),
         ],
         _ => return None,
@@ -199,13 +199,13 @@ COMMANDS
 EXIT CODES
   0  success, all results exact
   1  data or I/O error (bad input, strict-mode abort, unreadable files,
-     a flag value the command rejects, such as --days 0)
+     a flag value the command rejects, such as --max-bad-ratio 2)
   2  usage error: an unknown command, a flag the command does not take
      (synth --sclae), a missing required flag (--dir, stable's --earlier,
      --resume without --checkpoint, --days without --out), a flag value
      that does not parse (--n abc) or that its flag refuses (--n 0,
-     --jobs 0, --max-connections 0, --day 2015-02-30), or a --scale
-     that cannot size a world (nan, 0)
+     --jobs 0, --days 0, --step 0, --budget 0, --day 2015-02-30), or a
+     --scale that cannot size a world (nan, 0)
   3  completed but degraded: some result is coarser or partial — a shard
      panicked twice, a stage hit its deadline, or a budget forced coarser
      aggregation; the run manifest in the output names every casualty.

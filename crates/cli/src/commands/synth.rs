@@ -45,9 +45,6 @@ pub fn synth(flags: &Flags) -> Result<String, CliError> {
             "--days needs --out DIR; without it synth prints one day",
         ));
     }
-    if days == 0 {
-        return Err(err("--days must be at least 1"));
-    }
     let world = World::standard(WorldConfig { seed, scale });
     if let Some(dir) = out {
         return emit_files(&world, dir, day, days, flags);
@@ -142,19 +139,16 @@ mod tests {
         }
         assert!(synth(&Flags::parse("synth", &["--scale".into(), "-1".into()]).unwrap()).is_err());
         assert!(synth(&Flags::parse("synth", &["--scale".into(), "nan".into()]).unwrap()).is_err());
-        assert!(synth(
-            &Flags::parse(
-                "synth",
-                &["--out".into(), "x".into(), "--days".into(), "0".into()]
-            )
-            .unwrap()
-        )
-        .is_err());
-        // `--days` is checked without `--out` too, where it is a usage
-        // error whatever its value.
-        for days in ["0", "3", "x"] {
-            let got = synth(&Flags::parse("synth", &["--days".into(), days.into()]).unwrap());
-            assert!(got.is_err_and(|e| e.is_usage()), "--days {days}");
+        // `--days 0` is refused as the flags parse; `--days` is checked
+        // without `--out` too, where it is a usage error whatever its
+        // value.
+        for (out, days) in [(true, "0"), (false, "0"), (false, "3"), (false, "x")] {
+            let mut args = vec!["--days".to_string(), days.to_string()];
+            if out {
+                args.extend(["--out".to_string(), "x".to_string()]);
+            }
+            let got = Flags::parse("synth", &args).and_then(|f| synth(&f));
+            assert!(got.is_err_and(|e| e.is_usage()), "{args:?}");
         }
         assert!(synth(
             &Flags::parse(

@@ -26,9 +26,6 @@ pub fn targets(input: &str, flags: &Flags) -> Result<String, CliError> {
         .parse()
         .map_err(|e| err(format!("{e}")))?;
     let budget: usize = flags.get_parsed("budget", 10_000usize)?;
-    if budget == 0 {
-        return Err(err("--budget must be at least 1"));
-    }
     let include_observed = flags.has("include-observed");
 
     let dense = class.dense_prefixes(&set);
@@ -107,10 +104,8 @@ mod tests {
     fn errors_without_dense_blocks() {
         let f = Flags::parse("targets", &["--class".into(), "64@/112".into()]).unwrap();
         assert!(targets(INPUT, &f).is_err());
-        assert!(targets(
-            INPUT,
-            &Flags::parse("targets", &["--budget".into(), "0".into()]).unwrap()
-        )
-        .is_err());
+        // `--budget 0` is refused as the flags parse, a usage error.
+        let e = Flags::parse("targets", &["--budget".into(), "0".into()]).unwrap_err();
+        assert!(e.is_usage() && e.to_string().contains("--budget"), "{e}");
     }
 }

@@ -7,7 +7,7 @@
     reason = "integration tests build their fixtures with std::fs"
 )]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use v6census_cli::{EXIT_DATA_ERROR, EXIT_DEGRADED, EXIT_OK, EXIT_USAGE};
 use v6census_synth::world::epochs;
@@ -64,11 +64,16 @@ fn usage_errors_exit_2() {
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("2015-03-17.txt"), "2001:db8::1\n").unwrap();
     let d = dir.to_str().unwrap();
+    // `synth --out` writes nothing when its `--days` is refused.
+    let days0 = format!("{d}/days0");
     for (args, message) in [
         (vec!["synth", "--scale", "nan"], "bad --scale"),
         // `--days` is read without `--out` too, and refused there.
         (vec!["synth", "--days", "x"], "bad value for --days"),
-        (vec!["synth", "--days", "0"], "--days needs --out"),
+        (
+            vec!["synth", "--days", "0"],
+            "bad value for --days: \"0\": must be at least 1",
+        ),
         (vec!["synth", "--days", "3"], "--days needs --out"),
         (
             vec!["synth", "--out", d, "--days", "x"],
@@ -99,6 +104,18 @@ fn usage_errors_exit_2() {
         (
             vec!["serve", "--dir", d, "--max-connections", "0"],
             "bad value for --max-connections: \"0\": must be at least 1",
+        ),
+        (
+            vec!["synth", "--out", days0.as_str(), "--days", "0"],
+            "bad value for --days: \"0\": must be at least 1",
+        ),
+        (
+            vec!["stable", "--earlier", d, "--step", "0"],
+            "bad value for --step: \"0\": must be at least 1",
+        ),
+        (
+            vec!["targets", "--budget", "0"],
+            "bad value for --budget: \"0\": must be at least 1",
         ),
         (
             vec!["synth", "--day", "2015-02-30"],
@@ -138,6 +155,7 @@ fn usage_errors_exit_2() {
         assert_eq!(out.status.code(), Some(EXIT_USAGE), "{args:?}: {stderr}");
         assert!(stderr.contains(message), "{args:?}: {stderr}");
     }
+    assert!(!Path::new(&days0).exists());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -197,16 +215,6 @@ fn data_errors_exit_1() {
         .unwrap();
     assert_eq!(out.status.code(), Some(EXIT_DATA_ERROR));
     assert!(String::from_utf8_lossy(&out.stderr).contains("error:"));
-
-    // `--days 0` parses but is refused, and nothing is written.
-    let dir = std::env::temp_dir().join(format!("v6census-days0-{}", std::process::id()));
-    let out = bin()
-        .args(["synth", "--out", dir.to_str().unwrap(), "--days", "0"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(EXIT_DATA_ERROR));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--days must be at least 1"));
-    assert!(!dir.exists());
 }
 
 #[test]

@@ -156,7 +156,7 @@ fn serves_queries_and_exits_clean_on_stdin_eof() {
 }
 
 #[test]
-fn sigkill_mid_life_restart_resumes_from_journal() {
+fn sigkill_mid_life_restart_resumes_from_checkpoints() {
     let source = tempdir("kill-src");
     let state = tempdir("kill-state");
     write_days(&source, 3);

@@ -20,7 +20,7 @@
 //!   moment they complete. Every mutation is recorded in an op log, and
 //!   a crash schedule (`set_crash_after`) makes mutation *k* and
 //!   everything after it fail — the substrate of the
-//!   `census::crashtest` explorer.
+//!   crash-point explorer in `crates/census/tests/crashtest.rs`.
 //! * [`FaultFs`] — a fault-injecting overlay over any inner [`Vfs`]
 //!   (the real one or a [`MemFs`]) executing a seeded [`FaultPlan`]:
 //!   ENOSPC at byte N, silent short writes, EINTR storms, fsyncs that

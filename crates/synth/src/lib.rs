@@ -47,7 +47,6 @@ pub mod rng;
 pub mod router;
 pub mod world;
 
-pub use chaos::{ChaosClient, ChaosKind, ChaosOutcome};
 pub use faults::{
     AnalysisFault, AnalysisFaultPlan, Fault, FaultInjector, FaultManifest, FaultSpec,
 };
