@@ -1,7 +1,7 @@
 //! Shared options and the study snapshot for `repro_all`, the paper
-//! reproduction driver, and the `BENCH_*.json` baseline writers.
+//! reproduction driver.
 //!
-//! Every binary accepts `--scale <f64>` (default 0.25; 1.0 ≈ 1/650 of
+//! `repro_all` accepts `--scale <f64>` (default 0.25; 1.0 ≈ 1/650 of
 //! the paper's population), `--seed <u64>`, and `--out <dir>` (write
 //! TSV/report files next to printing them).
 
@@ -23,7 +23,7 @@ use v6census_core::temporal::Day;
 use v6census_synth::world::epochs;
 use v6census_synth::{check_scale, World, WorldConfig};
 
-/// Command-line options shared by all regenerator binaries.
+/// The command-line options of `repro_all`.
 #[derive(Clone, Debug)]
 pub struct Opts {
     /// Population scale (1.0 ≈ 1/650 of the paper).
@@ -100,18 +100,6 @@ impl Opts {
             eprintln!("[wrote {}]", path.display());
         }
     }
-}
-
-/// Writes a benchmark JSON point at the repository root (next to the
-/// workspace `Cargo.toml`), unconditionally — the `BENCH_*.json` files
-/// are committed as the tracked baseline and uploaded by CI as build
-/// artifacts. `Opts::emit` still honors `--out` for ad-hoc copies.
-pub fn write_baseline(name: &str, content: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(name);
-    std::fs::write(&path, content).expect("write baseline JSON at repo root");
-    eprintln!("[baseline {}]", path.display());
 }
 
 fn usage(err: &str) -> ! {

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use v6census_addr::{Addr, Prefix};
 use v6census_core::temporal::Day;
 use v6census_synth::World;
-use v6census_trie::{AddrSet, PrefixMap, TrieError};
+use v6census_trie::{AddrSet, PrefixMap};
 
 /// A routing-table snapshot with attribution helpers.
 pub struct RoutingTable {
@@ -19,18 +19,12 @@ impl RoutingTable {
         }
     }
 
-    /// Builds a table from externally sourced `(prefix, asn)` entries —
-    /// the untrusted path (a parsed BGP snapshot). A structurally broken
-    /// entry yields an error naming the offending prefix instead of a
-    /// panic, so a malformed snapshot can never abort ASN attribution.
-    pub fn from_entries(
-        entries: impl IntoIterator<Item = (Prefix, u32)>,
-    ) -> Result<RoutingTable, TrieError> {
-        let mut table = PrefixMap::new();
-        for (p, asn) in entries {
-            table.try_insert(p, asn)?;
+    /// Builds a table from `(prefix, asn)` entries, such as a parsed BGP
+    /// snapshot. Of entries repeating a prefix, the last wins.
+    pub fn from_entries(entries: impl IntoIterator<Item = (Prefix, u32)>) -> RoutingTable {
+        RoutingTable {
+            table: PrefixMap::from_entries(entries),
         }
-        Ok(RoutingTable { table })
     }
 
     /// The originating ASN for an address, via longest-prefix match.
@@ -45,7 +39,7 @@ impl RoutingTable {
 
     /// Number of advertised prefixes.
     pub fn prefix_count(&self) -> usize {
-        self.table.len()
+        self.table.entries().len()
     }
 
     /// Splits a set of addresses by originating ASN. Unrouted addresses
@@ -123,7 +117,7 @@ mod tests {
             ("2001:db8:ff::/48".parse().unwrap(), 64497),
             ("::/0".parse().unwrap(), 0),
         ];
-        let rt = RoutingTable::from_entries(entries).unwrap();
+        let rt = RoutingTable::from_entries(entries);
         assert_eq!(rt.prefix_count(), 3);
         assert_eq!(rt.asn_of("2001:db8:ff::1".parse().unwrap()), Some(64497));
         assert_eq!(rt.asn_of("9999::1".parse().unwrap()), Some(0));

@@ -93,11 +93,6 @@ pub enum ServeError {
         /// OS-level detail.
         detail: String,
     },
-    /// A routing-table entry was structurally invalid.
-    Routing {
-        /// What was wrong.
-        detail: String,
-    },
     /// A daemon thread could not be spawned.
     Spawn {
         /// Which thread.
@@ -114,7 +109,6 @@ impl std::fmt::Display for ServeError {
             ServeError::State { path, detail } => {
                 write!(f, "cannot prepare state dir {}: {detail}", path.display())
             }
-            ServeError::Routing { detail } => write!(f, "bad routing table: {detail}"),
             ServeError::Spawn { what, detail } => {
                 write!(f, "cannot spawn {what} thread: {detail}")
             }
@@ -456,13 +450,7 @@ pub fn spawn(mut cfg: ServeConfig) -> Result<ServeHandle, ServeError> {
     let routing = if cfg.routing.is_empty() {
         None
     } else {
-        Some(
-            RoutingTable::from_entries(cfg.routing.iter().copied()).map_err(|e| {
-                ServeError::Routing {
-                    detail: e.to_string(),
-                }
-            })?,
-        )
+        Some(RoutingTable::from_entries(cfg.routing.iter().copied()))
     };
     let initial = Snapshot::build(census.clone(), cfg.params, cfg.dense_class);
     let ready_now = initial.generation > 0;

@@ -2,10 +2,11 @@
 //! hammer the query surface while ingest publishes new days, and every
 //! response must be internally consistent with exactly one snapshot
 //! generation — `generation == days`, `stable <= active`, generations
-//! monotone per reader. Plus restore/recovery tests: a restart serves
-//! the pre-shutdown snapshot from its checkpoints alone, a torn
-//! checkpoint recovers by re-ingesting its day from source, and a day
-//! file read while it is still being written lands once complete.
+//! monotone per reader. Plus recovery tests: a torn checkpoint
+//! recovers by re-ingesting its day from source, and a day file read
+//! while it is still being written lands once complete. (A restart
+//! from checkpoints alone is `crates/cli/tests/serve_daemon.rs`'s
+//! kill -9 test.)
 
 #![allow(
     clippy::disallowed_methods,
@@ -147,44 +148,6 @@ fn readers_never_see_a_torn_snapshot_during_publishes() {
     assert_eq!(report.generation, 6);
     assert_eq!(report.metrics.ingested_days, 6);
     let _ = std::fs::remove_dir_all(&source);
-}
-
-#[test]
-fn restart_serves_the_checkpointed_snapshot_without_source() {
-    let source = tempdir("resume-src");
-    let state = tempdir("resume-state");
-    let w = world();
-    for offset in 0..3 {
-        write_day(&source, &w, offset);
-    }
-    let handle = spawn(fast_config(source.clone(), Some(state.clone()))).unwrap();
-    wait_for_generation(handle.addr(), 3);
-    let (_, before) = get(handle.addr(), "/stats");
-    assert!(handle.shutdown().clean);
-
-    // Restart against an EMPTY source: everything must come back from
-    // the checkpoints alone, and be served immediately.
-    let empty = tempdir("resume-empty");
-    let handle = spawn(fast_config(empty.clone(), Some(state.clone()))).unwrap();
-    assert!(
-        handle.is_ready(),
-        "checkpointed state must be ready at spawn"
-    );
-    assert_eq!(handle.snapshot().generation, 3);
-    let (status, after) = get(handle.addr(), "/stats");
-    assert_eq!(status, 200);
-    assert_eq!(field_u64(&after, "generation"), 3);
-    assert_eq!(
-        field_u64(&after, "active"),
-        field_u64(&before, "active"),
-        "restored census must match the pre-shutdown one"
-    );
-    let report = handle.shutdown();
-    assert_eq!(report.metrics.resumed_days, 3);
-    assert_eq!(report.metrics.recovered_errors, 0);
-    for d in [&source, &state, &empty] {
-        let _ = std::fs::remove_dir_all(d);
-    }
 }
 
 #[test]

@@ -22,7 +22,7 @@ pub use mra::mra;
 pub use profile::profile;
 pub use ptr::ptr;
 pub use serve::{serve, serve_config_from_flags};
-pub use stability::{day_from_name, stability, DayFile};
+pub use stability::{stability, DayFile};
 pub use stable::stable;
 pub use synth::synth;
 pub use targets::targets;

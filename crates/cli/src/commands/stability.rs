@@ -26,16 +26,6 @@ pub struct DayFile {
     pub text: String,
 }
 
-/// Parses `YYYY-MM-DD` from the start of a file stem.
-pub fn day_from_name(name: &str) -> Option<Day> {
-    let stem = name.split('.').next()?;
-    let mut parts = stem.splitn(3, '-');
-    let y: i32 = parts.next()?.parse().ok()?;
-    let m: u8 = parts.next()?.parse().ok()?;
-    let d: u8 = parts.next()?.parse().ok()?;
-    Day::try_from_ymd(y, m, d)
-}
-
 /// Runs the subcommand over pre-read day files (main.rs handles I/O).
 pub fn stability(days: Vec<DayFile>, flags: &Flags) -> Result<String, CliError> {
     if days.is_empty() {
@@ -121,27 +111,34 @@ mod tests {
 
     fn dayfile(date: &str, addrs: &[&str]) -> DayFile {
         DayFile {
-            day: day_from_name(date).unwrap(),
+            day: Day::parse_leading(date).unwrap(),
             text: addrs.join("\n"),
         }
     }
 
     #[test]
     fn date_parsing_from_names() {
+        // `--dir` names are read as `census` and `serve` read them: a
+        // leading `YYYY-MM-DD`, whatever follows.
+        for name in [
+            "2015-03-17.txt",
+            "2015-03-17",
+            "2015-03-17_b.txt",
+            "2015-03-17.b.log",
+        ] {
+            assert_eq!(
+                Day::parse_leading(name),
+                Some(Day::from_ymd(2015, 3, 17)),
+                "{name}"
+            );
+        }
+        assert_eq!(Day::parse_leading("notes.txt"), None);
+        assert_eq!(Day::parse_leading("2015-13-17.txt"), None);
+        assert_eq!(Day::parse_leading("2015-02-29.txt"), None);
+        assert_eq!(Day::parse_leading("2015-04-31.txt"), None);
+        assert_eq!(Day::parse_leading("2015-3-17.txt"), None);
         assert_eq!(
-            day_from_name("2015-03-17.txt"),
-            Some(Day::from_ymd(2015, 3, 17))
-        );
-        assert_eq!(
-            day_from_name("2015-03-17"),
-            Some(Day::from_ymd(2015, 3, 17))
-        );
-        assert_eq!(day_from_name("notes.txt"), None);
-        assert_eq!(day_from_name("2015-13-17.txt"), None);
-        assert_eq!(day_from_name("2015-02-29.txt"), None);
-        assert_eq!(day_from_name("2015-04-31.txt"), None);
-        assert_eq!(
-            day_from_name("2016-02-29.txt"),
+            Day::parse_leading("2016-02-29.txt"),
             Some(Day::from_ymd(2016, 2, 29))
         );
     }

@@ -18,18 +18,12 @@ use v6census_core::temporal::Day;
 use v6census_core::vfs::{FaultFs, FaultPlan, RealFs, Vfs};
 use v6census_synth::{check_scale, World, WorldConfig};
 
-/// Parses `YYYY-MM-DD`.
+/// Parses exactly `YYYY-MM-DD`.
 pub(crate) fn parse_day(s: &str) -> Result<Day, CliError> {
-    let mut parts = s.split('-');
-    let (Some(ys), Some(ms), Some(ds), None) =
-        (parts.next(), parts.next(), parts.next(), parts.next())
-    else {
-        return Err(err(format!("bad --day {s:?}; expected YYYY-MM-DD")));
-    };
-    let y: i32 = ys.parse().map_err(|_| err("bad year"))?;
-    let m: u8 = ms.parse().map_err(|_| err("bad month"))?;
-    let d: u8 = ds.parse().map_err(|_| err("bad day"))?;
-    Day::try_from_ymd(y, m, d).ok_or_else(|| err(format!("bad --day {s:?}")))
+    Some(s)
+        .filter(|s| s.len() == 10)
+        .and_then(Day::parse_leading)
+        .ok_or_else(|| err(format!("bad --day {s:?}; expected YYYY-MM-DD")))
 }
 
 /// Runs the subcommand.

@@ -17,11 +17,12 @@
 
 use std::io::Read;
 use v6census_cli::commands::{
-    accepted_flags, aggregate, census, classify, day_from_name, dense, mra, profile, ptr, serve,
-    stability, stable, synth, targets, DayFile, USAGE,
+    accepted_flags, aggregate, census, classify, dense, mra, profile, ptr, serve, stability,
+    stable, synth, targets, DayFile, USAGE,
 };
 use v6census_cli::{Flags, EXIT_DATA_ERROR, EXIT_DEGRADED, EXIT_USAGE};
 use v6census_core::quality::Quality;
+use v6census_core::temporal::Day;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -119,7 +120,7 @@ fn read_day_files(dir: &str) -> Result<Vec<DayFile>, v6census_cli::CliError> {
     let mut days = Vec::new();
     for entry in entries.flatten() {
         let name = entry.file_name();
-        let Some(day) = day_from_name(&name.to_string_lossy()) else {
+        let Some(day) = Day::parse_leading(&name.to_string_lossy()) else {
             continue;
         };
         let text = std::fs::read_to_string(entry.path())

@@ -121,6 +121,11 @@ fn usage_errors_exit_2() {
             vec!["synth", "--day", "2015-02-30"],
             "bad value for --day: \"2015-02-30\": not a calendar day",
         ),
+        // A day is exactly `YYYY-MM-DD`: no unpadded month or day.
+        (
+            vec!["synth", "--day", "2015-3-7"],
+            "bad value for --day: \"2015-3-7\": not a calendar day",
+        ),
         // A flag the command does not take is named, not ignored while
         // its value silently defaults.
         (
@@ -251,6 +256,29 @@ fn impossible_calendar_dates_are_errors_not_panics() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(!String::from_utf8_lossy(&out.stdout).contains("2015-04-31"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `stability --dir` reads every file `census` and `serve` read: a
+/// name that starts `YYYY-MM-DD`, whatever follows.
+#[test]
+fn stability_reads_every_day_file_name() {
+    let dir = std::env::temp_dir().join(format!("v6census-exit-names-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("2015-03-16.txt"), "2001:db8::a\n").unwrap();
+    std::fs::write(dir.join("2015-03-17_b.txt"), "2001:db8::a\n2001:db8::b\n").unwrap();
+    std::fs::write(dir.join("2015-03-18.b.log"), "2001:db8::a\n").unwrap();
+    std::fs::write(dir.join("notes.txt"), "2001:db8::c\n").unwrap();
+    let out = bin()
+        .args(["stability", "--dir", dir.to_str().unwrap()])
+        .args(["--reference", "2015-03-17"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(EXIT_OK), "{stdout}");
+    assert!(stdout.contains(" over 3 days "), "{stdout}");
+    assert!(stdout.contains("2015-03-17            2"), "{stdout}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

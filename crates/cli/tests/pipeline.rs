@@ -95,7 +95,7 @@ fn cross_epoch_and_daily_stability_agree_on_direction() {
         let text =
             addrs_only(&synth(&flags("synth", &["--scale", "0.005", "--day", &date])).unwrap());
         days.push(DayFile {
-            day: v6census_cli::commands::day_from_name(&format!("{date}.txt")).unwrap(),
+            day: v6census_core::temporal::Day::parse_leading(&date).unwrap(),
             text,
         });
     }

@@ -200,6 +200,10 @@ fn sigkill_mid_life_restart_resumes_from_checkpoints() {
         field_u64(&before, "active"),
         "pre-crash snapshot must be served"
     );
+    // Every checkpoint a kill -9 left behind loads: none is recovered.
+    let (status, health) = http_get(addr, "/healthz", Duration::from_secs(5)).unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(field_u64(&health, "recovered"), 0, "{health}");
     let (code, summary) = drain_and_collect(child, reader);
     assert_eq!(code, Some(EXIT_OK));
     assert!(

@@ -15,12 +15,14 @@
 //!   documented persistence contract (see DESIGN.md "Crash
 //!   consistency"): a file has a *volatile* content (what the process
 //!   reads back) and a *durable* content (what survives a crash).
-//!   `write` updates only the volatile view; `fsync` promotes it to
-//!   durable; `rename` and `remove` are durable metadata operations the
-//!   moment they complete. Every mutation is recorded in an op log, and
-//!   a crash schedule (`set_crash_after`) makes mutation *k* and
-//!   everything after it fail — the substrate of the
-//!   crash-point explorer in `crates/census/tests/crashtest.rs`.
+//!   `write` replaces the volatile view and leaves the first half of
+//!   its bytes durable (a torn write); `fsync` promotes the whole
+//!   volatile view to durable; creating a file, `rename` and `remove`
+//!   are durable metadata operations the moment they complete. Every
+//!   mutation is recorded in an op log, and a crash schedule
+//!   (`set_crash_after`) makes mutation *k* and everything after it
+//!   fail — the substrate of the crash-point explorer in
+//!   `crates/census/tests/crashtest.rs`.
 //! * [`FaultFs`] — a fault-injecting overlay over any inner [`Vfs`]
 //!   (the real one or a [`MemFs`]) executing a seeded [`FaultPlan`]:
 //!   ENOSPC at byte N, silent short writes, EINTR storms, fsyncs that
@@ -179,8 +181,9 @@ impl Vfs for RealFs {
 struct MemFile {
     /// Content visible to reads while the process lives.
     volatile: Vec<u8>,
-    /// Content that survives a crash; `None` until the first `fsync`.
-    durable: Option<Vec<u8>>,
+    /// Content that survives a crash: the last fsynced content, or the
+    /// torn prefix of a write made since.
+    durable: Vec<u8>,
 }
 
 #[derive(Debug, Default)]
@@ -198,11 +201,12 @@ struct MemState {
 /// A deterministic in-memory filesystem implementing the documented
 /// persistence model, with an op log and a crash schedule.
 ///
-/// What survives a crash: bytes that were fsynced, plus completed
-/// renames and removals (durable metadata). What does not: un-fsynced
-/// write content. A file that was renamed into place without ever being
-/// fsynced survives as an *empty* durable file — the torn-artifact case
-/// recovery must detect and quarantine.
+/// What survives a crash: bytes that were fsynced, plus created files,
+/// completed renames and removals (durable metadata). A write not yet
+/// fsynced survives torn: the file holds the first half of the new
+/// bytes (deterministically), neither the old content nor the new. A
+/// file renamed into place without an fsync survives as that torn
+/// prefix — the torn-artifact case recovery must detect and quarantine.
 #[derive(Debug, Default)]
 pub struct MemFs {
     state: Mutex<MemState>,
@@ -228,7 +232,7 @@ impl MemFs {
                     p,
                     MemFile {
                         volatile: bytes.clone(),
-                        durable: Some(bytes),
+                        durable: bytes,
                     },
                 )
             })
@@ -256,7 +260,7 @@ impl MemFs {
             state
                 .files
                 .iter()
-                .filter_map(|(p, f)| f.durable.as_ref().map(|d| (p.clone(), d.clone())))
+                .map(|(p, f)| (p.clone(), f.durable.clone()))
                 .collect()
         })
     }
@@ -340,18 +344,15 @@ impl Vfs for MemFs {
     fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
         self.with(|state| {
             state.mutate(format!("write {} ({} bytes)", path.display(), data.len()))?;
-            match state.files.get_mut(path) {
-                Some(f) => f.volatile = data.to_vec(),
-                None => {
-                    state.files.insert(
-                        path.to_path_buf(),
-                        MemFile {
-                            volatile: data.to_vec(),
-                            durable: None,
-                        },
-                    );
-                }
-            }
+            // Until an fsync, a crash keeps the first half of the bytes.
+            let torn = data.split_at(data.len() / 2).0;
+            state.files.insert(
+                path.to_path_buf(),
+                MemFile {
+                    volatile: data.to_vec(),
+                    durable: torn.to_vec(),
+                },
+            );
             Ok(())
         })
     }
@@ -361,7 +362,7 @@ impl Vfs for MemFs {
             state.mutate(format!("fsync {}", path.display()))?;
             match state.files.get_mut(path) {
                 Some(f) => {
-                    f.durable = Some(f.volatile.clone());
+                    f.durable = f.volatile.clone();
                     Ok(())
                 }
                 None => Err(io::Error::new(
@@ -382,16 +383,9 @@ impl Vfs for MemFs {
                 ));
             };
             // The rename is durable metadata: after a crash, `to` exists
-            // with whatever content of `from` was durable — an empty file if
-            // `from` was never fsynced (the torn-artifact case).
-            let durable = Some(f.durable.unwrap_or_default());
-            state.files.insert(
-                to.to_path_buf(),
-                MemFile {
-                    volatile: f.volatile,
-                    durable,
-                },
-            );
+            // with whatever content of `from` was durable — a torn prefix
+            // if `from`'s last write was never fsynced.
+            state.files.insert(to.to_path_buf(), f);
             Ok(())
         })
     }
@@ -480,7 +474,8 @@ pub enum FaultKind {
     /// The operation fails with `Interrupted` — an EINTR storm the
     /// retry layer must absorb.
     Eintr,
-    /// An fsync reports success without making anything durable.
+    /// An fsync reports success without making anything durable (a
+    /// write's torn prefix stays all that a crash keeps).
     FsyncLie,
     /// A rename reports success but never happens: the temp file stays,
     /// the destination never appears.
@@ -825,15 +820,16 @@ mod tests {
         let fs = MemFs::new();
         fs.create_dir_all(&p("/state")).unwrap();
         fs.write(&p("/state/a"), b"hello").unwrap();
-        // Written but not fsynced: readable now, lost on crash.
+        // Written but not fsynced: readable now, torn on crash.
         assert_eq!(fs.read(&p("/state/a")).unwrap(), b"hello");
-        assert!(fs.durable_files().is_empty());
+        assert_eq!(fs.durable_files().get(&p("/state/a")).unwrap(), b"he");
         fs.fsync(&p("/state/a")).unwrap();
         assert_eq!(fs.durable_files().get(&p("/state/a")).unwrap(), b"hello");
-        // A later un-fsynced write reverts on crash.
-        fs.write(&p("/state/a"), b"newer").unwrap();
-        assert_eq!(fs.read(&p("/state/a")).unwrap(), b"newer");
-        assert_eq!(fs.durable_files().get(&p("/state/a")).unwrap(), b"hello");
+        // A later un-fsynced write is torn on crash too: the first half
+        // of the new bytes, neither the old content nor the new.
+        fs.write(&p("/state/a"), b"newer!").unwrap();
+        assert_eq!(fs.read(&p("/state/a")).unwrap(), b"newer!");
+        assert_eq!(fs.durable_files().get(&p("/state/a")).unwrap(), b"new");
     }
 
     #[test]
@@ -846,10 +842,10 @@ mod tests {
         let durable = fs.durable_files();
         assert_eq!(durable.get(&p("/d/x")).unwrap(), b"data");
         assert!(!durable.contains_key(&p("/d/.x.tmp")));
-        // Renaming an un-fsynced file leaves a durable torn (empty) file.
+        // Renaming an un-fsynced file leaves a durable torn file.
         fs.write(&p("/d/.y.tmp"), b"data").unwrap();
         fs.rename(&p("/d/.y.tmp"), &p("/d/y")).unwrap();
-        assert_eq!(fs.durable_files().get(&p("/d/y")).unwrap(), b"");
+        assert_eq!(fs.durable_files().get(&p("/d/y")).unwrap(), b"da");
         assert_eq!(
             fs.read(&p("/d/y")).unwrap(),
             b"data",
@@ -868,8 +864,9 @@ mod tests {
         assert!(fs.read(&p("/d/a")).is_err(), "reads fail after the crash");
         assert!(!fs.exists(&p("/d/a")));
         assert_eq!(fs.mutations(), 2);
-        // The durable view is still inspectable from outside.
-        assert!(fs.durable_files().is_empty());
+        // The durable view is still inspectable from outside: the
+        // un-fsynced one-byte write is torn to nothing.
+        assert_eq!(fs.durable_files().get(&p("/d/a")).unwrap(), b"");
     }
 
     #[test]
@@ -878,10 +875,10 @@ mod tests {
         fs.create_dir_all(&p("/d")).unwrap();
         fs.write(&p("/d/a"), b"keep").unwrap();
         fs.fsync(&p("/d/a")).unwrap();
-        fs.write(&p("/d/b"), b"lose").unwrap();
+        fs.write(&p("/d/b"), b"torn").unwrap();
         let restarted = MemFs::from_durable(fs.durable_files(), fs.durable_dirs());
         assert_eq!(restarted.read(&p("/d/a")).unwrap(), b"keep");
-        assert!(restarted.read(&p("/d/b")).is_err());
+        assert_eq!(restarted.read(&p("/d/b")).unwrap(), b"to");
         assert!(restarted.exists(&p("/d")));
         assert_eq!(restarted.mutations(), 0);
     }
@@ -949,10 +946,10 @@ mod tests {
             inner.clone(),
             FaultPlan::parse("fsynclie:x; renamedrop:final; eintr@2:e; readcorrupt@0:c").unwrap(),
         );
-        // Lying fsync: Ok reported, nothing durable.
+        // Lying fsync: Ok reported, only the write's torn prefix durable.
         fs.write(&p("/d/x"), b"data").unwrap();
         fs.fsync(&p("/d/x")).unwrap();
-        assert!(inner.durable_files().is_empty());
+        assert_eq!(inner.durable_files().get(&p("/d/x")).unwrap(), b"da");
         // Dropped rename: Ok reported, nothing moved.
         fs.rename(&p("/d/x"), &p("/d/final")).unwrap();
         assert!(inner.exists(&p("/d/x")));

@@ -316,17 +316,15 @@ impl World {
     /// The BGP routing table as of `day`: every activated network's
     /// prefixes, plus the 6to4 and Teredo relay prefixes.
     pub fn routing_table(&self, day: Day) -> PrefixMap<u32> {
-        let mut rt = PrefixMap::new();
-        for n in &self.networks {
-            if n.activation <= day {
-                for &p in &n.prefixes {
-                    rt.insert(p, n.asn);
-                }
-            }
-        }
-        rt.insert(v6census_addr::special::SIX_TO_FOUR, asns::SIX_TO_FOUR_RELAY);
-        rt.insert(v6census_addr::special::TEREDO, asns::TEREDO_RELAY);
-        rt
+        let networks = self
+            .networks
+            .iter()
+            .filter(|n| n.activation <= day)
+            .flat_map(|n| n.prefixes.iter().map(|&p| (p, n.asn)));
+        PrefixMap::from_entries(networks.chain([
+            (v6census_addr::special::SIX_TO_FOUR, asns::SIX_TO_FOUR_RELAY),
+            (v6census_addr::special::TEREDO, asns::TEREDO_RELAY),
+        ]))
     }
 
     /// Number of networks activated by `day`.

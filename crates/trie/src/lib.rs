@@ -1,15 +1,17 @@
 //! Patricia/radix-trie substrate for `v6census`.
 //!
-//! The paper's spatial machinery (§5.2) rests on two data-structure
-//! families, both provided here:
+//! The paper's spatial machinery (§5.2) rests on one trie, one prefix
+//! table and one sort-based path, all provided here:
 //!
 //! * [`RadixTree`] — a path-compressed binary (Patricia) trie over
 //!   `(u128, prefix-length)` keys with per-node counts. This is the
 //!   *aguri tree* of Cho et al. (QofIS '01) that §5.2.3 extends: it
 //!   supports the classic aguri aggregation-to-a-traffic-percentage
 //!   ([`RadixTree::aguri_aggregate`]) and the paper's new **densify**
-//!   operation ([`RadixTree::densify`]), plus longest-prefix-match for BGP
-//!   routing-table lookups ([`PrefixMap::longest_match`]).
+//!   operation ([`RadixTree::densify`]).
+//! * [`PrefixMap`] — a sorted prefix table, built once, answering the
+//!   longest-prefix matches of BGP routing-table lookups
+//!   ([`PrefixMap::longest_match`]).
 //! * [`AddrSet`] / [`aggcount`] — the sort-based fast path of the paper's
 //!   footnote 3 (`sort | cut -c1-$((p/4)) | uniq -c`): a compact sorted
 //!   address set from which *active aggregate counts* `n_p` for **all**
@@ -43,4 +45,4 @@ mod tree;
 
 pub use aggcount::{dense_prefixes, dense_prefixes_at, populations, AggregateCounts};
 pub use set::AddrSet;
-pub use tree::{BudgetedDensify, DensePrefix, PrefixMap, RadixTree, TrieError};
+pub use tree::{BudgetedDensify, DensePrefix, PrefixMap, RadixTree};

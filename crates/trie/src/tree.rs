@@ -1,70 +1,9 @@
 //! [`RadixTree`]: a path-compressed binary (Patricia) trie with per-node
 //! counts — the *aguri tree* of Cho et al., extended with the paper's
-//! densify operation (§5.2.3) — and [`PrefixMap`], a generic
-//! longest-prefix-match map used for BGP routing tables.
+//! densify operation (§5.2.3) — and [`PrefixMap`], a sorted prefix table
+//! for the longest-prefix matches of a BGP routing table.
 
-use std::fmt;
 use v6census_addr::{Addr, Prefix, PrefixLen};
-
-/// Structured failure of a trie structural operation.
-///
-/// The trie's internal invariants (an occupied slot stays occupied
-/// across a restructure; canonical [`Prefix`] keys always diverge below
-/// their common prefix) are *true* for every key the canonicalizing
-/// `Prefix` type can represent, and are asserted with `debug_assert!` at
-/// their sites. The fallible entry points ([`RadixTree::try_insert`],
-/// [`PrefixMap::try_insert`]) exist so callers feeding the trie from
-/// *untrusted* serialized data — a BGP routing snapshot attributing
-/// ASNs, a persisted tree — get a structured error instead of a panic if
-/// an invariant is ever observed broken (memory corruption, a future
-/// non-canonical key type): the ASN-attribution path must never abort
-/// the run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TrieError {
-    /// An occupied slot was observed empty (or vice versa) during a
-    /// restructure — the tree no longer matches its own bookkeeping.
-    StructureCorrupt {
-        /// The key being inserted when the corruption was observed.
-        prefix: Prefix,
-        /// The operation that observed it.
-        site: &'static str,
-    },
-    /// Insertion descended more levels than a 128-bit key space permits
-    /// — only possible if node prefixes stopped strictly lengthening.
-    DepthExceeded {
-        /// The key being inserted.
-        prefix: Prefix,
-    },
-}
-
-impl TrieError {
-    /// A stable short label per variant, for reports and tests.
-    pub const fn label(&self) -> &'static str {
-        match self {
-            TrieError::StructureCorrupt { .. } => "structure-corrupt",
-            TrieError::DepthExceeded { .. } => "depth-exceeded",
-        }
-    }
-}
-
-impl fmt::Display for TrieError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TrieError::StructureCorrupt { prefix, site } => {
-                write!(f, "trie structure corrupt inserting {prefix} ({site})")
-            }
-            TrieError::DepthExceeded { prefix } => {
-                write!(f, "trie depth exceeded 128 bits inserting {prefix}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TrieError {}
-
-/// Descent depth at which [`TrieError::DepthExceeded`] fires: one level
-/// per key bit, plus the root and one restructure re-entry.
-const MAX_DEPTH: u16 = 130;
 
 /// A dense prefix reported by [`RadixTree::densify`] or
 /// [`crate::dense_prefixes_at`]: the block and the number of observed
@@ -107,8 +46,6 @@ pub struct BudgetedDensify {
     pub nodes_before: usize,
     /// Node count densify actually ran against.
     pub nodes_after: usize,
-    /// Nodes folded away to satisfy the budget.
-    pub folded: usize,
 }
 
 /// Absent-child sentinel for arena handles. A `u32` handle caps the
@@ -144,12 +81,11 @@ struct Node {
 /// [`RadixTree::aguri_aggregate`] reason over *subtree* sums.
 ///
 /// Nodes live in a slab arena (`Vec<Node>` plus a free list of reused
-/// slots) addressed by `u32` handles, so steady-state insertion and
-/// aggregation are allocation-free per address: inserts reuse freed
-/// slots before growing the arena, and every aggregation pass runs in
-/// scratch buffers retained across calls. The root package's
-/// `tests/allocs.rs` counts the allocations of insertion, densify and
-/// aggregation on a real synth day.
+/// slots) addressed by `u32` handles, so insertion is allocation-free
+/// per address: inserts reuse freed slots before growing the arena, and
+/// densify and aggregation allocate their pass buffers once per call.
+/// The root package's `tests/allocs.rs` counts the allocations of
+/// insertion, densify and aggregation on a real synth day.
 ///
 /// ```
 /// use v6census_addr::PrefixLen;
@@ -168,11 +104,6 @@ pub struct RadixTree {
     root: u32,
     total: u64,
     nodes: usize,
-    // Scratch buffers reused across aggregation passes so the hot
-    // capped-insert path never allocates per call once warm.
-    scratch_order: Vec<(u32, u32)>,
-    scratch_counts: Vec<u64>,
-    scratch_sums: Vec<u64>,
 }
 
 impl Default for RadixTree {
@@ -183,9 +114,6 @@ impl Default for RadixTree {
             root: NIL,
             total: 0,
             nodes: 0,
-            scratch_order: Vec::new(),
-            scratch_counts: Vec::new(),
-            scratch_sums: Vec::new(),
         }
     }
 }
@@ -205,18 +133,6 @@ impl RadixTree {
     /// nodes) — a resource-constraint observable, per the aguri design.
     pub fn node_count(&self) -> usize {
         self.nodes
-    }
-
-    /// Estimated heap footprint: node count × per-node arena slot size.
-    /// Ignores allocator slack and vacant free-list slots, so treat it
-    /// as a lower bound; the supervisor's budgets are expressed in nodes
-    /// and use this only for reporting.
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "node count times node size, far below usize::MAX"
-    )]
-    pub fn approx_bytes(&self) -> usize {
-        self.nodes * std::mem::size_of::<Node>()
     }
 
     /// Widens an arena handle to a slot offset. Lossless on the 32- and
@@ -337,21 +253,6 @@ impl RadixTree {
         }
     }
 
-    /// Inserts a host address and, when the tree has grown past
-    /// `max_nodes`, immediately aggregates back down to half the cap —
-    /// the aguri steady-state pattern for unbounded streams. Returns the
-    /// number of nodes folded (0 when the budget was not hit).
-    ///
-    /// A `max_nodes` of 0 means "no budget".
-    pub fn insert_addr_capped(&mut self, a: Addr, count: u64, max_nodes: usize) -> usize {
-        self.insert_addr(a, count);
-        if max_nodes > 0 && self.nodes > max_nodes {
-            self.aggregate_to_size((max_nodes / 2).max(1))
-        } else {
-            0
-        }
-    }
-
     /// Inserts a host address with the given count (step 1 of §5.2.3).
     pub fn insert_addr(&mut self, a: Addr, count: u64) {
         self.insert(Prefix::host(a), count);
@@ -359,47 +260,13 @@ impl RadixTree {
 
     /// Inserts a prefix with the given count, accumulating when the exact
     /// prefix is already present.
-    ///
-    /// The fallible twin is [`RadixTree::try_insert`]; the error paths
-    /// are unreachable for keys of the canonicalizing [`Prefix`] type,
-    /// so this infallible form asserts them away in debug builds and, in
-    /// release builds, preserves the inserted count by planting the key
-    /// at the root rather than panicking.
     pub fn insert(&mut self, p: Prefix, count: u64) {
-        if let Err(e) = self.try_insert(p, count) {
-            // INVARIANT: `Prefix` is always canonical, which makes every
-            // `TrieError` path unreachable (see `TrieError` docs).
-            debug_assert!(false, "insert({p}, {count}): {e}");
-            // Recovery without data loss: account the count at ::/0.
-            self.total = self.total.saturating_add(count);
-            if self.root != NIL && self.node(self.root).prefix == Prefix::ALL {
-                let root = self.root;
-                let node = self.node_mut(root);
-                node.count = node.count.saturating_add(count);
-                return;
-            }
-            let old_root = self.root;
-            let fresh = self.alloc_node(Prefix::ALL, count);
-            self.node_mut(fresh).children = [old_root, NIL];
-            self.root = fresh;
-        }
-    }
-
-    /// Inserts a prefix with the given count, reporting (instead of
-    /// panicking on) a broken structural invariant — the entry point for
-    /// trees built from untrusted serialized data.
-    pub fn try_insert(&mut self, p: Prefix, count: u64) -> Result<(), TrieError> {
         // Iterative descent. The slot being considered is identified by
         // `(parent handle, child index)`, with a NIL parent meaning the
-        // root slot. Every error check runs before any slot is written,
-        // so a failed insert leaves the tree untouched.
+        // root slot.
         let mut parent = NIL;
         let mut which = 0usize;
-        let mut depth: u16 = 0;
         loop {
-            if depth > MAX_DEPTH {
-                return Err(TrieError::DepthExceeded { prefix: p });
-            }
             let cur = if parent == NIL {
                 self.root
             } else {
@@ -421,7 +288,6 @@ impl RadixTree {
                 // prefix.
                 parent = cur;
                 which = side(p.addr(), node_prefix.len());
-                depth = depth.saturating_add(1);
                 continue;
             }
             if p.contains(node_prefix) {
@@ -435,27 +301,18 @@ impl RadixTree {
             }
             // Divergence: create a branch node at the longest common
             // prefix. Equality and containment in both directions were
-            // excluded above, so cpl is strictly shorter than both keys
-            // and — keys being canonical — the next bit of each differs.
+            // excluded above, so cpl is strictly shorter than both keys.
             let cpl = p
                 .addr()
                 .common_prefix_len(node_prefix.addr())
                 .min(p.len())
                 .min(node_prefix.len());
-            let branch_prefix = Prefix::new(p.addr(), cpl);
             let old_bit = side(node_prefix.addr(), cpl);
             let new_bit = side(p.addr(), cpl);
+            // `Prefix` keys are canonical (host bits zero), so the bit
+            // just past their common prefix differs.
             debug_assert_ne!(old_bit, new_bit, "divergence must separate the keys");
-            if old_bit == new_bit {
-                // Release-build recovery: installing both subtrees on
-                // one side would drop the old one silently. Nothing has
-                // been written yet, so reporting is side-effect free.
-                return Err(TrieError::StructureCorrupt {
-                    prefix: node_prefix,
-                    site: "insert/divergence",
-                });
-            }
-            let branch = self.alloc_node(branch_prefix, 0);
+            let branch = self.alloc_node(Prefix::new(p.addr(), cpl), 0);
             let leaf = self.alloc_node(p, count);
             {
                 let b = self.node_mut(branch);
@@ -466,23 +323,6 @@ impl RadixTree {
             break;
         }
         self.total = self.total.saturating_add(count);
-        Ok(())
-    }
-
-    /// The count stored at exactly this prefix (0 when absent).
-    pub fn get(&self, p: Prefix) -> u64 {
-        let mut cur = self.root;
-        while cur != NIL {
-            let node = self.node(cur);
-            if node.prefix == p {
-                return node.count;
-            }
-            if !node.prefix.contains(p) {
-                return 0;
-            }
-            cur = node.children[side(p.addr(), node.prefix.len())];
-        }
-        0
     }
 
     /// In-order list of `(prefix, count)` for every node with a non-zero
@@ -507,50 +347,6 @@ impl RadixTree {
             }
         }
         out
-    }
-
-    /// Sum of counts in the subtree rooted at `p` — the number of observed
-    /// addresses inside block `p` when the tree was built with
-    /// [`RadixTree::insert_addr`].
-    pub fn count_within(&self, p: Prefix) -> u64 {
-        let mut cur = self.root;
-        while cur != NIL {
-            let node = self.node(cur);
-            if p.contains(node.prefix) {
-                return self.sum_below(cur);
-            }
-            if !node.prefix.contains(p) {
-                return 0;
-            }
-            // p is strictly inside node's block; node.count belongs to
-            // the shorter node.prefix, so only the matching child
-            // subtree can intersect.
-            cur = node.children[side(p.addr(), node.prefix.len())];
-        }
-        0
-    }
-
-    /// Sum of counts in the subtree rooted at `from` (iterative).
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "the cursor stops at the stack length"
-    )]
-    fn sum_below(&self, from: u32) -> u64 {
-        let mut work: Vec<u32> = Vec::with_capacity(32);
-        work.push(from);
-        let mut s = 0u64;
-        let mut i = 0usize;
-        while i < work.len() {
-            let node = self.node(work[i]);
-            s = s.saturating_add(node.count);
-            for &c in &node.children {
-                if c != NIL {
-                    work.push(c);
-                }
-            }
-            i += 1;
-        }
-        s
     }
 
     /// The paper's **densify** operation (§5.2.3), generalized to report
@@ -625,23 +421,23 @@ impl RadixTree {
     /// periodically so an adversarial or ephemeral-heavy address stream
     /// (billions of privacy addresses) cannot exhaust memory — the
     /// paper's "informing data retention policy to prevent resource
-    /// exhaustion" application (§1). Each pass runs entirely in scratch
-    /// buffers retained across calls, so the steady-state capped-insert
-    /// path allocates nothing once warm.
+    /// exhaustion" application (§1). The pass buffers are allocated once
+    /// per call and reused by every pass.
     #[expect(
         clippy::arithmetic_side_effects,
         reason = "node counters bounded by the arena length; removed <= start"
     )]
     pub fn aggregate_to_size(&mut self, max_nodes: usize) -> usize {
         let start = self.nodes;
+        let mut order: Vec<(u32, u32)> = Vec::new();
+        let mut counts: Vec<u64> = Vec::new();
+        let mut absorbed: Vec<u64> = Vec::new();
         while self.nodes > max_nodes.max(1) {
             if self.root == NIL {
                 break;
             }
             // One bottom-up pass folding the smallest quartile of leaf
             // counts; repeat until within budget.
-            let mut order = std::mem::take(&mut self.scratch_order);
-            let mut counts = std::mem::take(&mut self.scratch_counts);
             self.bfs_order_into(&mut order);
             counts.clear();
             for &(h, _) in &order {
@@ -659,7 +455,6 @@ impl RadixTree {
             // reverse scan visits children before parents, so folds
             // cascade upward within a single pass exactly like the
             // recursive post-order this replaces.
-            let mut absorbed = std::mem::take(&mut self.scratch_sums);
             absorbed.clear();
             absorbed.resize(self.arena.len(), 0);
             let mut removed = 0usize;
@@ -702,9 +497,6 @@ impl RadixTree {
                     }
                 }
             }
-            self.scratch_order = order;
-            self.scratch_counts = counts;
-            self.scratch_sums = absorbed;
 
             if folded_to_root > 0 {
                 // Everything collapsed; reinstate a ::/0 accumulator.
@@ -743,7 +535,6 @@ impl RadixTree {
             degraded: folded > 0,
             nodes_before,
             nodes_after: self.nodes,
-            folded,
         }
     }
 
@@ -795,223 +586,80 @@ impl RadixTree {
 }
 
 // ---------------------------------------------------------------------------
-// PrefixMap: generic longest-prefix-match map (BGP routing table)
+// PrefixMap: sorted longest-prefix-match table (BGP routing table)
 // ---------------------------------------------------------------------------
 
-struct MapNode<T> {
-    prefix: Prefix,
-    value: Option<T>,
-    children: [Option<Box<MapNode<T>>>; 2],
-}
-
-/// A longest-prefix-match map from IPv6 prefixes to values — the shape of
-/// a BGP routing table. Same Patricia structure as [`RadixTree`], carrying
-/// an optional value instead of a count.
+/// A longest-prefix-match table from IPv6 prefixes to values — the shape
+/// of a BGP routing table. It is built once by
+/// [`PrefixMap::from_entries`] and only read afterwards.
+///
+/// The entries are sorted by prefix (address, then length), so every
+/// entry follows the entries that enclose it, and each entry keeps the
+/// index of its nearest enclosing entry. Every entry that contains an
+/// address `a` encloses the last entry whose address is ≤ `a` (or is
+/// that entry), so a lookup is one binary search and a walk up those
+/// links.
 ///
 /// ```
 /// use v6census_trie::PrefixMap;
-/// let mut rt: PrefixMap<u32> = PrefixMap::new();
-/// rt.insert("2001:db8::/32".parse().unwrap(), 64496);
-/// rt.insert("2001:db8:ff::/48".parse().unwrap(), 64497);
+/// let rt = PrefixMap::from_entries([
+///     ("2001:db8::/32".parse().unwrap(), 64496u32),
+///     ("2001:db8:ff::/48".parse().unwrap(), 64497),
+/// ]);
 /// let asn = rt.longest_match("2001:db8:ff::1".parse().unwrap());
 /// assert_eq!(asn.map(|(p, v)| (p.len().get(), *v)), Some((48, 64497)));
 /// ```
-#[derive(Default)]
 pub struct PrefixMap<T> {
-    root: Option<Box<MapNode<T>>>,
-    len: usize,
+    /// One entry per prefix, sorted by prefix.
+    entries: Vec<(Prefix, T)>,
+    /// `up[i]`: the index of the nearest entry strictly enclosing
+    /// `entries[i]`.
+    up: Vec<Option<usize>>,
 }
 
 impl<T> PrefixMap<T> {
-    /// Creates an empty map.
-    pub fn new() -> PrefixMap<T> {
-        PrefixMap { root: None, len: 0 }
+    /// Builds the table. Of entries repeating a prefix, the last wins.
+    pub fn from_entries(entries: impl IntoIterator<Item = (Prefix, T)>) -> PrefixMap<T> {
+        let mut entries: Vec<(Prefix, T)> = entries.into_iter().collect();
+        // Reversed, the stable sort puts the last entry given for a
+        // prefix first among its repeats, and the dedup keeps it.
+        entries.reverse();
+        entries.sort_by_key(|e| e.0);
+        entries.dedup_by_key(|e| e.0);
+        let mut up = Vec::with_capacity(entries.len());
+        // The chain of entries enclosing the current one, outermost
+        // first.
+        let mut open: Vec<usize> = Vec::new();
+        for (i, (p, _)) in entries.iter().enumerate() {
+            while open.last().is_some_and(|&j| !entries[j].0.contains(*p)) {
+                open.pop();
+            }
+            up.push(open.last().copied());
+            open.push(i);
+        }
+        PrefixMap { entries, up }
     }
 
-    /// Number of prefixes with values.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no prefixes have been inserted.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Inserts or replaces the value at `p`; returns the previous value.
-    ///
-    /// The fallible twin is [`PrefixMap::try_insert`]; with canonical
-    /// [`Prefix`] keys the error paths are unreachable, so this form
-    /// asserts them away in debug builds and drops the value (returning
-    /// `None`) rather than panicking in release builds.
-    pub fn insert(&mut self, p: Prefix, value: T) -> Option<T> {
-        match self.try_insert(p, value) {
-            Ok(old) => old,
-            Err(e) => {
-                // INVARIANT: unreachable for canonical keys, see TrieError.
-                debug_assert!(false, "insert({p}): {e}");
-                None
-            }
-        }
-    }
-
-    /// Inserts or replaces the value at `p`, reporting (instead of
-    /// panicking on) a broken structural invariant. This is the entry
-    /// point for maps built from untrusted serialized data — a BGP
-    /// routing snapshot must not be able to abort ASN attribution.
-    pub fn try_insert(&mut self, p: Prefix, value: T) -> Result<Option<T>, TrieError> {
-        let node = Self::slot_for(&mut self.root, p, 0)?;
-        let old = node.value.replace(value);
-        if old.is_none() {
-            self.len = self.len.saturating_add(1);
-        }
-        Ok(old)
-    }
-
-    /// Materializes a node for `p` using the same split logic as the
-    /// counting tree, then returns it.
-    fn slot_for(
-        slot: &mut Option<Box<MapNode<T>>>,
-        p: Prefix,
-        depth: u16,
-    ) -> Result<&mut MapNode<T>, TrieError> {
-        if depth > MAX_DEPTH {
-            return Err(TrieError::DepthExceeded { prefix: p });
-        }
-        // Decide on the structural action with a shared borrow, then act.
-        enum Action {
-            Create,
-            Found,
-            Descend(usize),
-            SpliceAbove,
-            Branch(Prefix),
-        }
-        let action = match slot.as_deref() {
-            None => Action::Create,
-            Some(node) if node.prefix == p => Action::Found,
-            Some(node) if node.prefix.contains(p) => {
-                Action::Descend(side(p.addr(), node.prefix.len()))
-            }
-            Some(node) if p.contains(node.prefix) => Action::SpliceAbove,
-            Some(node) => {
-                let cpl = p
-                    .addr()
-                    .common_prefix_len(node.prefix.addr())
-                    .min(p.len())
-                    .min(node.prefix.len());
-                Action::Branch(Prefix::new(p.addr(), cpl))
-            }
-        };
-        // Each occupied-slot arm re-observes the slot; the action match
-        // above proved occupancy and nothing has touched the slot since,
-        // so a miss means the structure changed under us.
-        let corrupt = |site: &'static str| TrieError::StructureCorrupt { prefix: p, site };
-        match action {
-            Action::Create => Ok(slot.get_or_insert_with(|| {
-                Box::new(MapNode {
-                    prefix: p,
-                    value: None,
-                    children: [None, None],
-                })
-            })),
-            Action::Found => {
-                debug_assert!(slot.is_some(), "found node vanished");
-                slot.as_deref_mut().ok_or_else(|| corrupt("map/found"))
-            }
-            Action::Descend(bit) => {
-                let Some(node) = slot.as_deref_mut() else {
-                    debug_assert!(false, "descend node vanished");
-                    return Err(corrupt("map/descend"));
-                };
-                Self::slot_for(&mut node.children[bit], p, depth.saturating_add(1))
-            }
-            Action::SpliceAbove => {
-                let Some(old) = slot.take() else {
-                    debug_assert!(false, "splice node vanished");
-                    return Err(corrupt("map/splice"));
-                };
-                let bit = side(old.prefix.addr(), p.len());
-                let mut new_node = Box::new(MapNode {
-                    prefix: p,
-                    value: None,
-                    children: [None, None],
-                });
-                new_node.children[bit] = Some(old);
-                *slot = Some(new_node);
-                slot.as_deref_mut().ok_or_else(|| corrupt("map/splice"))
-            }
-            Action::Branch(branch_prefix) => {
-                let Some(old) = slot.take() else {
-                    debug_assert!(false, "branch node vanished");
-                    return Err(corrupt("map/branch"));
-                };
-                let old_bit = side(old.prefix.addr(), branch_prefix.len());
-                let mut branch = Box::new(MapNode {
-                    prefix: branch_prefix,
-                    value: None,
-                    children: [None, None],
-                });
-                branch.children[old_bit] = Some(old);
-                *slot = Some(branch);
-                // The branch now strictly contains p: recurse to create
-                // it. A non-canonical key that kept colliding with the
-                // restored subtree is caught by the depth guard.
-                Self::slot_for(slot, p, depth.saturating_add(1))
-            }
-        }
-    }
-
-    /// The value stored at exactly `p`.
-    pub fn get(&self, p: Prefix) -> Option<&T> {
-        let mut cur = &self.root;
-        while let Some(node) = cur {
-            if node.prefix == p {
-                return node.value.as_ref();
-            }
-            if !node.prefix.contains(p) {
-                return None;
-            }
-            cur = &node.children[side(p.addr(), node.prefix.len())];
-        }
-        None
+    /// The `(prefix, value)` entries, sorted by prefix, one per prefix.
+    pub fn entries(&self) -> &[(Prefix, T)] {
+        &self.entries
     }
 
     /// Longest-prefix match: the most specific `(prefix, value)` whose
     /// block contains `a`.
     pub fn longest_match(&self, a: Addr) -> Option<(Prefix, &T)> {
-        let mut best: Option<(Prefix, &T)> = None;
-        let mut cur = &self.root;
-        while let Some(node) = cur {
-            if !node.prefix.contains_addr(a) {
-                break;
+        let mut at = self
+            .entries
+            .partition_point(|(p, _)| p.addr() <= a)
+            .checked_sub(1);
+        while let Some(i) = at {
+            let (p, v) = &self.entries[i];
+            if p.contains_addr(a) {
+                return Some((*p, v));
             }
-            if let Some(v) = &node.value {
-                best = Some((node.prefix, v));
-            }
-            let Some(i) = node.prefix.len().next_bit() else {
-                break;
-            };
-            cur = &node.children[usize::from(a.bit(i))];
+            at = self.up[i];
         }
-        best
-    }
-
-    /// Iterates all `(prefix, value)` pairs in address order.
-    pub fn entries(&self) -> Vec<(Prefix, &T)> {
-        let mut out = Vec::new();
-        fn walk<'a, T>(n: &'a Option<Box<MapNode<T>>>, out: &mut Vec<(Prefix, &'a T)>) {
-            if let Some(node) = n {
-                if let Some(v) = &node.value {
-                    out.push((node.prefix, v));
-                }
-                let [c0, c1] = &node.children;
-                walk(c0, out);
-                walk(c1, out);
-            }
-        }
-        walk(&self.root, &mut out);
-        out.sort_by_key(|&(p, _)| p);
-        out
+        None
     }
 }
 
@@ -1026,29 +674,47 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// The count stored at exactly `q` (0 when absent).
+    fn get(t: &RadixTree, q: Prefix) -> u64 {
+        t.entries()
+            .iter()
+            .find(|&&(e, _)| e == q)
+            .map_or(0, |&(_, c)| c)
+    }
+
+    /// The observed addresses inside block `q`: the counts of every entry
+    /// at or below it.
+    fn sum_within(t: &RadixTree, q: Prefix) -> u64 {
+        t.entries()
+            .iter()
+            .filter(|&&(e, _)| q.contains(e))
+            .map(|&(_, c)| c)
+            .sum()
+    }
+
     #[test]
     fn insert_and_get() {
         let mut t = RadixTree::new();
         t.insert(p("2001:db8::/32"), 5);
         t.insert(p("2001:db8::/32"), 2);
         t.insert_addr(a("2001:db8::1"), 1);
-        assert_eq!(t.get(p("2001:db8::/32")), 7);
-        assert_eq!(t.get(p("2001:db8::1/128")), 1);
-        assert_eq!(t.get(p("2001:db9::/32")), 0);
+        assert_eq!(get(&t, p("2001:db8::/32")), 7);
+        assert_eq!(get(&t, p("2001:db8::1/128")), 1);
+        assert_eq!(get(&t, p("2001:db9::/32")), 0);
         assert_eq!(t.total(), 8);
     }
 
     #[test]
-    fn count_within_subtree() {
+    fn sums_within_subtrees() {
         let mut t = RadixTree::new();
         for s in ["2001:db8::1", "2001:db8::2", "2001:db8:1::1", "2400::1"] {
             t.insert_addr(a(s), 1);
         }
-        assert_eq!(t.count_within(p("2001:db8::/32")), 3);
-        assert_eq!(t.count_within(p("2001:db8::/64")), 2);
-        assert_eq!(t.count_within(p("::/0")), 4);
-        assert_eq!(t.count_within(p("2001:db9::/32")), 0);
-        assert_eq!(t.count_within(p("2001:db8::1/128")), 1);
+        assert_eq!(sum_within(&t, p("2001:db8::/32")), 3);
+        assert_eq!(sum_within(&t, p("2001:db8::/64")), 2);
+        assert_eq!(sum_within(&t, p("::/0")), 4);
+        assert_eq!(sum_within(&t, p("2001:db9::/32")), 0);
+        assert_eq!(sum_within(&t, p("2001:db8::1/128")), 1);
     }
 
     #[test]
@@ -1195,7 +861,7 @@ mod tests {
         // The tree still works after aggregation.
         t.insert_addr(a("2400::1"), 3);
         assert_eq!(t.total(), total_before + 3);
-        assert!(t.count_within(p("::/0")) == total_before + 3);
+        assert_eq!(sum_within(&t, p("::/0")), total_before + 3);
     }
 
     #[test]
@@ -1209,7 +875,7 @@ mod tests {
         t.insert_addr(a("2600::1"), 5);
         t.aggregate_to_size(1);
         assert_eq!(t.total(), 15);
-        assert_eq!(t.count_within(p("::/0")), 15);
+        assert_eq!(sum_within(&t, p("::/0")), 15);
         assert!(t.node_count() >= 1);
     }
 
@@ -1223,81 +889,43 @@ mod tests {
 
     #[test]
     fn prefix_map_longest_match() {
-        let mut rt: PrefixMap<u32> = PrefixMap::new();
-        rt.insert(p("2001:db8::/32"), 1);
-        rt.insert(p("2001:db8:ff::/48"), 2);
-        rt.insert(p("2400::/12"), 3);
-        assert_eq!(rt.len(), 3);
+        let rt = PrefixMap::from_entries([
+            (p("2001:db8::/32"), 1u32),
+            (p("2001:db8:ff::/48"), 2),
+            (p("2400::/12"), 3),
+        ]);
+        assert_eq!(rt.entries().len(), 3);
         assert_eq!(rt.longest_match(a("2001:db8::1")).map(|(_, v)| *v), Some(1));
         assert_eq!(
             rt.longest_match(a("2001:db8:ff::1")).map(|(_, v)| *v),
             Some(2)
         );
+        // Past the /48 in address order, but only inside the /32.
+        assert_eq!(
+            rt.longest_match(a("2001:db8:100::1")).map(|(_, v)| *v),
+            Some(1)
+        );
         assert_eq!(rt.longest_match(a("2400:1::1")).map(|(_, v)| *v), Some(3));
         assert_eq!(rt.longest_match(a("3000::1")), None);
+        assert_eq!(rt.longest_match(a("::1")), None);
     }
 
     #[test]
     fn prefix_map_replace_and_entries() {
-        let mut rt: PrefixMap<&str> = PrefixMap::new();
-        assert!(rt.is_empty());
-        assert_eq!(rt.insert(p("2001:db8::/32"), "old"), None);
-        assert_eq!(rt.insert(p("2001:db8::/32"), "new"), Some("old"));
-        assert_eq!(rt.len(), 1);
-        assert_eq!(rt.get(p("2001:db8::/32")), Some(&"new"));
-        assert_eq!(rt.get(p("2001:db8::/48")), None);
+        let rt = PrefixMap::from_entries([
+            (p("2001:db8::/48"), "inner"),
+            (p("2001:db8::/32"), "old"),
+            (p("2001:db8::/32"), "new"),
+        ]);
         let e = rt.entries();
-        assert_eq!(e.len(), 1);
-        assert_eq!(e[0].0, p("2001:db8::/32"));
-    }
-
-    #[test]
-    fn try_insert_is_infallible_for_canonical_prefixes() {
-        let mut t = RadixTree::new();
-        for s in ["2001:db8::1", "2001:db8::4", "2400::1", "::"] {
-            t.try_insert(Prefix::host(a(s)), 1).unwrap();
-        }
-        t.try_insert(p("::/0"), 2).unwrap();
-        t.try_insert(p("2001:db8::/32"), 3).unwrap();
-        assert_eq!(t.total(), 9);
-
-        let mut rt: PrefixMap<u32> = PrefixMap::new();
-        assert_eq!(rt.try_insert(p("2001:db8::/32"), 1).unwrap(), None);
-        assert_eq!(rt.try_insert(p("2001:db8::/32"), 2).unwrap(), Some(1));
-        rt.try_insert(p("::/0"), 0).unwrap();
-        rt.try_insert(p("2001:db8:ff::/48"), 3).unwrap();
-        assert_eq!(rt.len(), 3);
+        assert_eq!(e.len(), 2);
+        assert_eq!(e[0], (p("2001:db8::/32"), "new"));
+        assert_eq!(e[1], (p("2001:db8::/48"), "inner"));
         assert_eq!(
-            rt.longest_match(a("2001:db8:ff::9")).map(|(_, v)| *v),
-            Some(3)
+            rt.longest_match(a("2001:db8:1::1")).map(|(_, v)| *v),
+            Some("new")
         );
-    }
-
-    #[test]
-    fn trie_error_labels_and_display() {
-        let e = TrieError::StructureCorrupt {
-            prefix: p("2001:db8::/32"),
-            site: "test",
-        };
-        assert_eq!(e.label(), "structure-corrupt");
-        assert!(e.to_string().contains("2001:db8::/32"));
-        let d = TrieError::DepthExceeded {
-            prefix: p("::/128"),
-        };
-        assert_eq!(d.label(), "depth-exceeded");
-        assert!(d.to_string().contains("depth"));
-    }
-
-    #[test]
-    fn approx_bytes_tracks_node_count() {
-        let mut t = RadixTree::new();
-        assert_eq!(t.approx_bytes(), 0);
-        t.insert_addr(a("2001:db8::1"), 1);
-        let one = t.approx_bytes();
-        assert!(one > 0);
-        t.insert_addr(a("2400::1"), 1);
-        assert!(t.approx_bytes() > one);
-        assert_eq!(t.approx_bytes() % t.node_count(), 0);
+        assert!(PrefixMap::<u32>::from_entries([]).entries().is_empty());
     }
 
     #[test]
@@ -1317,7 +945,7 @@ mod tests {
         let unbudgeted = clone.densify(16, PrefixLen::lit::<112>());
         let free = t.densify_budgeted(16, PrefixLen::lit::<112>(), 0);
         assert!(!free.degraded);
-        assert_eq!(free.folded, 0);
+        assert_eq!(free.nodes_after, free.nodes_before);
         assert_eq!(free.dense, unbudgeted);
 
         // Tight budget: tree folds, results degrade to coarser blocks
@@ -1330,44 +958,20 @@ mod tests {
         let total = capped.total();
         let b = capped.densify_budgeted(16, PrefixLen::lit::<112>(), 64);
         assert!(b.degraded);
-        assert!(b.folded > 0);
         assert!(b.nodes_after < b.nodes_before);
         assert_eq!(capped.total(), total, "budget must conserve counts");
         for d in &b.dense {
             assert!(d.count >= 16, "n floor must hold under degradation");
             assert!(
-                capped.count_within(d.prefix) >= d.count,
+                sum_within(&capped, d.prefix) >= d.count,
                 "reported count must be a real observed count"
             );
         }
     }
 
     #[test]
-    fn insert_addr_capped_bounds_growth() {
-        let mut t = RadixTree::new();
-        let mut folded_total = 0usize;
-        for i in 0..5_000u128 {
-            folded_total += t.insert_addr_capped(Addr(a("2a00::").0 | (i * 0x1_0001)), 1, 256);
-        }
-        assert!(folded_total > 0, "cap must have fired");
-        assert!(
-            t.node_count() <= 256 + 2,
-            "steady state must respect the cap, got {}",
-            t.node_count()
-        );
-        assert_eq!(t.total(), 5_000, "capped ingestion conserves counts");
-        // Unbudgeted path never folds.
-        let mut free = RadixTree::new();
-        for i in 0..500u128 {
-            assert_eq!(free.insert_addr_capped(Addr(i << 80), 1, 0), 0);
-        }
-    }
-
-    #[test]
     fn prefix_map_default_route() {
-        let mut rt: PrefixMap<u32> = PrefixMap::new();
-        rt.insert(p("::/0"), 0);
-        rt.insert(p("2001:db8::/32"), 1);
+        let rt = PrefixMap::from_entries([(p("::/0"), 0u32), (p("2001:db8::/32"), 1)]);
         assert_eq!(rt.longest_match(a("9999::1")).map(|(_, v)| *v), Some(0));
         assert_eq!(rt.longest_match(a("2001:db8::1")).map(|(_, v)| *v), Some(1));
     }

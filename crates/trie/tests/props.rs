@@ -234,7 +234,7 @@ fn densify_laws() {
 }
 
 #[test]
-fn count_within_matches_filter() {
+fn subtree_sum_matches_filter() {
     let mut g = Gen::new(49);
     for case in 0..CASES {
         let set = AddrSet::from_iter(g.clustered_addrs());
@@ -252,11 +252,13 @@ fn count_within_matches_filter() {
         let member = Addr(keys[(pick % keys.len() as u64) as usize]);
         let probe = Prefix::new(member, len);
         let expected = set.iter().filter(|&a| probe.contains_addr(a)).count() as u64;
-        assert_eq!(
-            tree.count_within(probe),
-            expected,
-            "case {case} probe {probe}"
-        );
+        let within: u64 = tree
+            .entries()
+            .iter()
+            .filter(|&&(e, _)| probe.contains(e))
+            .map(|&(_, c)| c)
+            .sum();
+        assert_eq!(within, expected, "case {case} probe {probe}");
     }
 }
 
@@ -285,30 +287,62 @@ fn aguri_conserves() {
     }
 }
 
+/// A generated routing prefix: a /8–/64 over random high bits, nested
+/// under an earlier prefix, a repeat of one, `::/0` or a `/128`.
+fn route(g: &mut Gen, earlier: &[Prefix]) -> Prefix {
+    let pick = |g: &mut Gen| earlier[g.below(earlier.len() as u64) as usize];
+    match g.below(8) {
+        0 if !earlier.is_empty() => {
+            let outer = pick(g);
+            let len = plen(g.range(u64::from(outer.len().get()), 129));
+            Prefix::new(Addr(outer.addr().0 | (g.u64() as u128)), len)
+        }
+        1 if !earlier.is_empty() => pick(g),
+        2 => Prefix::ALL,
+        3 => Prefix::host(Addr(((g.u64() as u128) << 64) | u128::from(g.below(4)))),
+        _ => Prefix::new(Addr((g.u64() as u128) << 64), plen(g.range(8, 65))),
+    }
+}
+
 #[test]
 fn lpm_matches_linear_scan() {
     let mut g = Gen::new(51);
     for case in 0..CASES {
         let n = g.below(40) as usize;
-        let entries: Vec<(u64, PrefixLen)> =
-            (0..n).map(|_| (g.u64(), plen(g.range(8, 65)))).collect();
-        let probe = g.u64();
-        let mut map: PrefixMap<usize> = PrefixMap::new();
         let mut list: Vec<(Prefix, usize)> = Vec::new();
-        for (i, (hi, len)) in entries.iter().enumerate() {
-            let p = Prefix::new(Addr((*hi as u128) << 64), *len);
-            map.insert(p, i);
-            list.retain(|&(q, _)| q != p);
-            list.push((p, i));
+        for i in 0..n {
+            let earlier: Vec<Prefix> = list.iter().map(|&(p, _)| p).collect();
+            list.push((route(&mut g, &earlier), i));
         }
-        let target = Addr((probe as u128) << 64);
-        let got = map.longest_match(target).map(|(p, &v)| (p, v));
-        let want = list
-            .iter()
-            .filter(|&&(p, _)| p.contains_addr(target))
-            .max_by_key(|&&(p, _)| p.len())
-            .map(|&(p, v)| (p, v));
-        assert_eq!(got, want, "case {case}");
+        let map = PrefixMap::from_entries(list.iter().copied());
+        // The last entry given for a prefix wins.
+        let mut want_entries: Vec<(Prefix, usize)> = Vec::new();
+        for &(p, i) in &list {
+            want_entries.retain(|&(q, _)| q != p);
+            want_entries.push((p, i));
+        }
+        want_entries.sort();
+        assert_eq!(map.entries(), &want_entries[..], "case {case}");
+        // Probes: random addresses, each entry's first and last address
+        // and their neighbours.
+        let mut probes: Vec<Addr> = (0..8)
+            .map(|_| Addr(((g.u64() as u128) << 64) | g.u64() as u128))
+            .collect();
+        for &(p, _) in &want_entries {
+            let (first, last) = (p.addr().0, p.last_addr().0);
+            for x in [first.wrapping_sub(1), first, last, last.wrapping_add(1)] {
+                probes.push(Addr(x));
+            }
+        }
+        for target in probes {
+            let got = map.longest_match(target).map(|(p, &v)| (p, v));
+            let want = want_entries
+                .iter()
+                .filter(|&&(p, _)| p.contains_addr(target))
+                .max_by_key(|&&(p, _)| p.len())
+                .copied();
+            assert_eq!(got, want, "case {case} target {target}");
+        }
     }
 }
 

@@ -137,7 +137,6 @@ pub const SCOPES: &[(&str, &[&str])] = &[
     ("crates/synth/src/loggen.rs", &["l008"]),
     ("crates/bench/src/lib.rs", &["l007", "pragma"]),
     ("crates/bench/src/bin/repro_all.rs", &["l007", "pragma"]),
-    ("crates/bench/src/bin/serve_load.rs", &["l007", "pragma"]),
     ("src/lib.rs", &["l001", "l007", "l009", "pragma"]),
 ];
 
