@@ -349,7 +349,7 @@ pub(crate) fn day_of_path(path: &Path) -> Option<Day> {
 
 /// The day files directly under `dir` — entries whose name starts with
 /// a valid `YYYY-MM-DD` — sorted by day, then path.
-pub(crate) fn day_files(fs: &dyn Vfs, dir: &Path) -> io::Result<Vec<(Day, PathBuf)>> {
+pub fn day_files(fs: &dyn Vfs, dir: &Path) -> io::Result<Vec<(Day, PathBuf)>> {
     let mut files: Vec<(Day, PathBuf)> = fs
         .read_dir(dir)?
         .into_iter()

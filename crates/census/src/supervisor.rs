@@ -195,8 +195,8 @@ pub struct StageReport {
     pub stage: String,
     /// One report per unit, in unit order.
     pub units: Vec<UnitReport>,
-    /// Stage wall time in milliseconds (not deterministic; excluded from
-    /// [`StageReport::equivalence_key`]).
+    /// Stage wall time in milliseconds (not deterministic; omitted by
+    /// [`RunManifest::render_stable`]).
     pub wall_millis: u64,
     /// True when the stage deadline expired.
     pub deadline_expired: bool,
@@ -262,20 +262,6 @@ impl StageReport {
         }
         q
     }
-
-    /// Everything deterministic about the stage — the unit labels and
-    /// outcomes, but not wall time — for asserting that runs at
-    /// different `--jobs` settings are equivalent.
-    pub fn equivalence_key(&self) -> String {
-        let mut out = format!("{}:", self.stage);
-        for u in &self.units {
-            out.push_str(&format!(" {}={}", u.label, u.status.label()));
-            if !u.degraded.is_empty() {
-                out.push_str("(degraded)");
-            }
-        }
-        out
-    }
 }
 
 /// The run-level roll-up of every stage, extending the ingest pipeline's
@@ -293,13 +279,6 @@ impl RunManifest {
     /// The worst stage quality (Exact when there are no stages).
     pub fn quality(&self) -> Quality {
         Quality::meet_all(self.stages.iter().map(|s| s.quality()))
-    }
-
-    /// The deterministic projection of the whole manifest; equal across
-    /// `--jobs` settings for a given input.
-    pub fn equivalence_key(&self) -> String {
-        let keys: Vec<String> = self.stages.iter().map(|s| s.equivalence_key()).collect();
-        keys.join("\n")
     }
 
     /// Renders the `==== run manifest ====` report section. Wall times
@@ -449,7 +428,7 @@ pub fn run_stage<T: Send + 'static>(
     let stage = stage.into();
     #[expect(
         clippy::disallowed_methods,
-        reason = "wall-clock stage duration feeds operator-facing StageReport timing only; equivalence_key and product tables never read it"
+        reason = "wall-clock stage duration feeds operator-facing StageReport timing only; render_stable and product tables never read it"
     )]
     let start = Instant::now();
     let n = units.len();
@@ -1211,12 +1190,18 @@ mod tests {
             wall_millis: wall,
             deadline_expired: false,
         };
-        assert_eq!(mk(5).equivalence_key(), mk(5000).equivalence_key());
-        assert!(mk(5).equivalence_key().contains("u/1=ok(degraded)"));
-        let manifest = RunManifest {
+        let manifest = |wall| RunManifest {
             jobs: 2,
-            stages: vec![mk(1)],
+            stages: vec![mk(wall)],
         };
+        let stable = manifest(5).render_stable();
+        assert_eq!(stable, manifest(5000).render_stable());
+        assert!(
+            !stable.contains("jobs:") && !stable.contains("ms\n"),
+            "{stable}"
+        );
+        assert!(stable.contains("degraded u/1: capped"), "{stable}");
+        let manifest = manifest(1);
         assert_eq!(manifest.quality(), Quality::Degraded);
         let rendered = manifest.render();
         assert!(rendered.contains("==== run manifest ===="));

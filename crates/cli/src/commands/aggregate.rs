@@ -19,7 +19,7 @@ pub fn aggregate(input: &str, flags: &Flags) -> Result<String, CliError> {
     let mut out = String::new();
 
     if flags.has("populations") {
-        let p: PrefixLen = flags.get_parsed("length", PrefixLen::lit::<64>())?;
+        let p: PrefixLen = flags.get_parsed("length")?;
         let pops = populations(&set, p);
         let ccdf = Ccdf::new(pops.clone());
         let _ = writeln!(out, "# populations of active /{p} aggregates");
@@ -60,7 +60,7 @@ mod tests {
 
     #[test]
     fn counts_table() {
-        let out = aggregate(INPUT, &Flags::default()).unwrap();
+        let out = aggregate(INPUT, &Flags::parse("aggregate", &[]).unwrap()).unwrap();
         assert!(out.contains("# p\tn_p"));
         // n_0 = 1 and n_128 = 3 rows present.
         assert!(out.lines().any(|l| l.starts_with("0\t1\t")));
@@ -81,12 +81,16 @@ mod tests {
 
     #[test]
     fn populations_length_past_128_is_a_bad_value() {
-        let f = Flags::parse(
+        let e = Flags::parse(
             "aggregate",
             &["--populations".into(), "--length".into(), "200".into()],
         )
-        .unwrap();
-        let e = aggregate(INPUT, &f).unwrap_err();
-        assert_eq!(e.to_string(), "bad value for --length: \"200\"");
+        .unwrap_err();
+        assert!(e.is_usage(), "{e}");
+        assert!(
+            e.to_string()
+                .starts_with("bad value for --length: \"200\": "),
+            "{e}"
+        );
     }
 }

@@ -34,94 +34,58 @@ use v6census_census::supervisor::{run_census, PipelineConfig, SupervisedRun, Sup
 use v6census_census::IngestConfig;
 use v6census_core::quality::Quality;
 use v6census_core::spatial::DensityClass;
-use v6census_core::temporal::{GapPolicy, StabilityParams, VerdictQuality};
-use v6census_core::vfs::{FaultFs, FaultPlan};
+use v6census_core::temporal::{StabilityParams, VerdictQuality};
+use v6census_core::vfs::{FaultFs, FaultPlan, Vfs};
 use v6census_synth::AnalysisFaultPlan;
-
-/// Parses the `--gap-policy` flag.
-fn gap_policy(flags: &Flags) -> Result<GapPolicy, CliError> {
-    match flags.get("gap-policy").unwrap_or("widen") {
-        "widen" => Ok(GapPolicy::Widen { max_extra: 7 }),
-        "flag" => Ok(GapPolicy::Flag),
-        "ignore" => Ok(GapPolicy::AssumeInactive),
-        other => Err(err(format!(
-            "bad --gap-policy {other:?}; expected widen, flag, or ignore"
-        ))),
-    }
-}
 
 /// Builds the [`IngestConfig`] from flags (shared with tests).
 pub fn config_from_flags(flags: &Flags) -> Result<IngestConfig, CliError> {
-    let mut cfg = IngestConfig {
-        max_bad_ratio: flags.get_parsed("max-bad-ratio", 0.01f64)?,
+    Ok(IngestConfig {
+        max_bad_ratio: flags.get_parsed("max-bad-ratio")?,
+        mode: if flags.has("strict") {
+            ErrorMode::Strict
+        } else {
+            ErrorMode::Lenient
+        },
+        on_duplicate: if flags.has("merge-duplicates") {
+            DuplicatePolicy::Merge
+        } else {
+            DuplicatePolicy::Reject
+        },
+        checkpoint_dir: flags.get("checkpoint").map(PathBuf::from),
+        resume: flags.has("resume"),
+        max_days: flags.get_opt("max-days", str::parse)?,
         ..IngestConfig::default()
-    };
-    if !(0.0..=1.0).contains(&cfg.max_bad_ratio) {
-        return Err(err("--max-bad-ratio must be within [0, 1]"));
-    }
-    if flags.has("strict") {
-        cfg.mode = ErrorMode::Strict;
-    }
-    if flags.has("merge-duplicates") {
-        cfg.on_duplicate = DuplicatePolicy::Merge;
-    }
-    if let Some(dir) = flags.get("checkpoint") {
-        cfg.checkpoint_dir = Some(PathBuf::from(dir));
-    }
-    cfg.resume = flags.has("resume");
-    if cfg.resume && cfg.checkpoint_dir.is_none() {
-        return Err(usage("--resume requires --checkpoint DIR"));
-    }
-    cfg.max_days = match flags.get("max-days") {
-        None => None,
-        Some(_) => Some(flags.get_parsed("max-days", 0usize)?),
-    };
-    Ok(cfg)
+    })
 }
 
-/// Parses the `--fault-fs PLAN` debug flag and, when present, wraps the
-/// ingest filesystem in the deterministic fault injector (see
-/// [`FaultPlan`] for the plan syntax). Returns the injector handle so
-/// the command can report how many faults actually fired. Shared by
-/// `census` and `serve`.
+/// Wraps `vfs` in the deterministic fault injector of the `--fault-fs
+/// PLAN` debug flag, when given (see [`FaultPlan`] for the plan
+/// syntax). Returns the injector handle so the command can report how
+/// many faults actually fired. Shared by `census`, `serve` and `synth`.
 pub fn install_fault_fs(
     flags: &Flags,
-    cfg: &mut IngestConfig,
+    vfs: &mut Arc<dyn Vfs>,
 ) -> Result<Option<Arc<FaultFs>>, CliError> {
-    match flags.get("fault-fs") {
-        None => Ok(None),
-        Some(spec) => {
-            let plan =
-                FaultPlan::parse(spec).map_err(|e| err(format!("bad --fault-fs plan: {e}")))?;
-            let fault = Arc::new(FaultFs::new(Arc::clone(&cfg.vfs), plan));
-            cfg.vfs = fault.clone();
-            Ok(Some(fault))
-        }
-    }
+    let Some(plan) = flags.get_opt("fault-fs", FaultPlan::parse)? else {
+        return Ok(None);
+    };
+    let fault = Arc::new(FaultFs::new(Arc::clone(vfs), plan));
+    *vfs = fault.clone();
+    Ok(Some(fault))
 }
 
 /// Builds the [`SupervisorConfig`] from flags (shared with tests).
 pub fn supervisor_from_flags(flags: &Flags) -> Result<SupervisorConfig, CliError> {
-    let jobs: usize = flags.get_parsed("jobs", 1usize)?;
-    let stage_deadline = match flags.get("stage-deadline") {
-        None => None,
-        Some(_) => {
-            let ms: u64 = flags.get_parsed("stage-deadline", 0u64)?;
-            if ms == 0 {
-                return Err(err("--stage-deadline must be a positive millisecond count"));
-            }
-            Some(Duration::from_millis(ms))
-        }
-    };
-    let faults = match flags.get("inject") {
-        None => AnalysisFaultPlan::none(),
-        Some(spec) => AnalysisFaultPlan::parse(spec).map_err(err)?,
-    };
     Ok(SupervisorConfig {
-        jobs,
-        stage_deadline,
-        max_trie_nodes: flags.get_parsed("max-trie-nodes", 0usize)?,
-        faults,
+        jobs: flags.get_parsed("jobs")?,
+        stage_deadline: flags
+            .get_opt("stage-deadline", str::parse)?
+            .map(Duration::from_millis),
+        max_trie_nodes: flags.get_parsed("max-trie-nodes")?,
+        faults: flags
+            .get_opt("inject", AnalysisFaultPlan::parse)?
+            .unwrap_or_else(AnalysisFaultPlan::none),
     })
 }
 
@@ -135,30 +99,20 @@ pub fn census(flags: &Flags) -> Result<(String, Quality), CliError> {
         .map(str::to_string)
         .or_else(|| flags.positional.first().cloned())
         .ok_or_else(|| usage("census requires a log directory (--dir DIR or positional)"))?;
-    let n: u32 = flags.get_parsed("n", 3u32)?;
-    let class: DensityClass = flags
-        .get("class")
-        .unwrap_or("8@/64")
-        .parse()
-        .map_err(|e| err(format!("{e}")))?;
-    let reference = match flags.get("reference") {
-        Some(s) => Some(super::synth_day(s)?),
-        // None: the supervisor defaults to the middle ingested day, so
-        // the ±7d window fits.
-        None => None,
-    };
-    let params = StabilityParams::nd(n);
-    let cfg = PipelineConfig {
+    let params = StabilityParams::nd(flags.get_parsed("n")?);
+    let class: DensityClass = flags.get_parsed("class")?;
+    let mut cfg = PipelineConfig {
         ingest: config_from_flags(flags)?,
         supervisor: supervisor_from_flags(flags)?,
         params,
-        reference,
-        gap_policy: gap_policy(flags)?,
+        // None: the supervisor defaults to the middle ingested day, so
+        // the ±7d window fits.
+        reference: flags.get_opt("reference", str::parse)?,
+        gap_policy: flags.get_with("gap-policy", super::gap_policy)?,
         dense_n: class.n,
         dense_p: class.p,
     };
-    let mut cfg = cfg;
-    let fault = install_fault_fs(flags, &mut cfg.ingest)?;
+    let fault = install_fault_fs(flags, &mut cfg.ingest.vfs)?;
     let run = run_census(std::path::Path::new(&dir), &cfg)
         .map_err(|e| err(format!("ingest failed: {e}")))?;
     let quality = run.overall_quality();
@@ -311,6 +265,7 @@ pub fn render(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use v6census_core::temporal::GapPolicy;
     use v6census_synth::AnalysisFault;
 
     fn flags(args: &[&str]) -> Flags {
@@ -324,13 +279,16 @@ mod tests {
     #[test]
     fn fault_fs_flag() {
         let mut cfg = config_from_flags(&flags(&[])).unwrap();
-        assert!(install_fault_fs(&flags(&[]), &mut cfg).unwrap().is_none());
-        let fault = install_fault_fs(&flags(&["--fault-fs", "enospc@64:ckpt"]), &mut cfg)
+        assert!(install_fault_fs(&flags(&[]), &mut cfg.vfs)
+            .unwrap()
+            .is_none());
+        let fault = install_fault_fs(&flags(&["--fault-fs", "enospc@64:ckpt"]), &mut cfg.vfs)
             .unwrap()
             .expect("valid plan installs the injector");
         assert_eq!(fault.injected(), 0);
         assert!(format!("{:?}", cfg.vfs).contains("FaultFs"));
-        assert!(install_fault_fs(&flags(&["--fault-fs", "zap"]), &mut cfg).is_err());
+        let e = Flags::parse("census", &["--fault-fs".into(), "zap".into()]).unwrap_err();
+        assert!(e.is_usage() && e.to_string().contains("--fault-fs"), "{e}");
     }
 
     #[test]
@@ -355,20 +313,29 @@ mod tests {
         assert_eq!(cfg.on_duplicate, DuplicatePolicy::Reject);
     }
 
+    /// Values the ingest flags refuse are usage errors as the flags
+    /// parse; `--gap-policy` reads its default when not given.
     #[test]
     fn config_validation() {
-        assert!(config_from_flags(&flags(&["--max-bad-ratio", "2"])).is_err());
-        assert!(config_from_flags(&flags(&["--resume"])).is_err());
-        assert!(config_from_flags(&flags(&["--max-days", "x"])).is_err());
-        assert!(gap_policy(&flags(&["--gap-policy", "sometimes"])).is_err());
-        assert!(matches!(
-            gap_policy(&flags(&[])).unwrap(),
-            GapPolicy::Widen { .. }
-        ));
-        assert_eq!(
-            gap_policy(&flags(&["--gap-policy=flag"])).unwrap(),
-            GapPolicy::Flag
-        );
+        for args in [
+            &["--max-bad-ratio", "2"][..],
+            &["--max-bad-ratio", "-0.1"],
+            &["--resume"],
+            &["--max-days", "x"],
+            &["--gap-policy", "sometimes"],
+        ] {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let e = Flags::parse("census", &args).unwrap_err();
+            assert!(e.is_usage(), "{args:?}: {e}");
+        }
+        let gap = |args: &[&str]| {
+            flags(args)
+                .get_with("gap-policy", super::super::gap_policy)
+                .unwrap()
+        };
+        assert!(matches!(gap(&[]), GapPolicy::Widen { .. }));
+        assert_eq!(gap(&["--gap-policy=flag"]), GapPolicy::Flag);
+        assert_eq!(gap(&["--gap-policy=ignore"]), GapPolicy::AssumeInactive);
     }
 
     #[test]
@@ -398,12 +365,19 @@ mod tests {
 
     #[test]
     fn supervisor_config_validation() {
-        // `--jobs 0` is refused as the flags parse, a usage error.
-        let e = Flags::parse("census", &["--jobs=0".to_string()]).unwrap_err();
-        assert!(e.is_usage() && e.to_string().contains("--jobs"), "{e}");
-        assert!(supervisor_from_flags(&flags(&["--jobs=x"])).is_err());
-        assert!(supervisor_from_flags(&flags(&["--stage-deadline=0"])).is_err());
-        assert!(supervisor_from_flags(&flags(&["--inject=warble:x"])).is_err());
+        // Each is refused as the flags parse, a usage error naming the
+        // flag.
+        for arg in [
+            "--jobs=0",
+            "--jobs=x",
+            "--stage-deadline=0",
+            "--max-trie-nodes=-1",
+            "--inject=warble:x",
+        ] {
+            let e = Flags::parse("census", &[arg.to_string()]).unwrap_err();
+            let flag = arg.split('=').next().unwrap();
+            assert!(e.is_usage() && e.to_string().contains(flag), "{e}");
+        }
     }
 
     #[test]

@@ -75,7 +75,7 @@ mod tests {
     fn classifies_figure1_samples() {
         let input = "2001:db8:10:1::103\n2001:db8:0:1cdf:21e:c2ff:fec0:11db\n\
                      2001:db8:4137:9e76:3031:f3fd:bbdd:2c2a\n";
-        let out = classify(input, &Flags::default()).unwrap();
+        let out = classify(input, &Flags::parse("classify", &[]).unwrap()).unwrap();
         assert!(out.contains("low-iid"));
         assert!(out.contains("eui64"));
         assert!(out.contains("pseudorandom"));
@@ -92,6 +92,6 @@ mod tests {
 
     #[test]
     fn rejects_empty() {
-        assert!(classify("", &Flags::default()).is_err());
+        assert!(classify("", &Flags::parse("classify", &[]).unwrap()).is_err());
     }
 }

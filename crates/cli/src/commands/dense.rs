@@ -8,7 +8,7 @@
 )]
 
 use crate::input::addr_set;
-use crate::{err, CliError, Flags};
+use crate::{CliError, Flags};
 use std::fmt::Write as _;
 use v6census_core::spatial::DensityClass;
 use v6census_trie::RadixTree;
@@ -16,11 +16,7 @@ use v6census_trie::RadixTree;
 /// Runs the subcommand.
 pub fn dense(input: &str, flags: &Flags) -> Result<String, CliError> {
     let (set, _) = addr_set(input)?;
-    let class: DensityClass = flags
-        .get("class")
-        .unwrap_or("2@/112")
-        .parse()
-        .map_err(|e| err(format!("{e}")))?;
+    let class: DensityClass = flags.get_parsed("class")?;
 
     let mut out = String::new();
     if flags.has("table3") {
@@ -83,7 +79,7 @@ mod tests {
 
     #[test]
     fn paper_example_via_cli() {
-        let out = dense(INPUT, &Flags::default()).unwrap();
+        let out = dense(INPUT, &Flags::parse("dense", &[]).unwrap()).unwrap();
         assert!(out.contains("2001:db8::/112\t2"));
         assert!(out.contains("# 1 prefixes, 2 covered addrs, 65536 possible"));
     }
@@ -109,7 +105,7 @@ mod tests {
 
     #[test]
     fn bad_class_is_an_error() {
-        let f = Flags::parse("dense", &["--class".into(), "nope".into()]).unwrap();
-        assert!(dense(INPUT, &f).is_err());
+        let e = Flags::parse("dense", &["--class".into(), "nope".into()]).unwrap_err();
+        assert!(e.is_usage() && e.to_string().contains("--class"), "{e}");
     }
 }

@@ -15,8 +15,8 @@ use v6census_core::spatial::MraCurve;
 /// Runs the subcommand.
 pub fn mra(input: &str, flags: &Flags) -> Result<String, CliError> {
     let (set, _) = addr_set(input)?;
-    let title = flags.get("title").unwrap_or("stdin population");
-    let fig = MraFigure::of(title, &set);
+    let title: String = flags.get_parsed("title")?;
+    let fig = MraFigure::of(&title, &set);
     if flags.has("tsv") {
         return Ok(tsv_mra(&fig));
     }
@@ -48,7 +48,7 @@ mod tests {
 
     #[test]
     fn ascii_output_with_signature_lines() {
-        let out = mra(&population(), &Flags::default()).unwrap();
+        let out = mra(&population(), &Flags::parse("mra", &[]).unwrap()).unwrap();
         assert!(out.contains("privacy signature : absent"));
         assert!(out.contains("112-128 bit mass"));
         assert!(out.contains("single bits"));

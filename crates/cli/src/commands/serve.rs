@@ -15,7 +15,6 @@ use std::time::Duration;
 use v6census_addr::Prefix;
 use v6census_census::serve::{spawn, DrainReport, ServeConfig};
 use v6census_core::quality::Quality;
-use v6census_core::spatial::DensityClass;
 use v6census_core::temporal::StabilityParams;
 
 use crate::{err, usage, CliError, Flags};
@@ -27,14 +26,7 @@ pub fn serve_config_from_flags(flags: &Flags) -> Result<ServeConfig, CliError> {
         .map(str::to_string)
         .or_else(|| flags.positional.first().cloned())
         .ok_or_else(|| usage("serve requires a log directory (--dir DIR or positional)"))?;
-    let n: u32 = flags.get_parsed("n", 3u32)?;
-    let class: DensityClass = flags
-        .get("class")
-        .unwrap_or("8@/64")
-        .parse()
-        .map_err(|e| err(format!("{e}")))?;
-    let defaults = ServeConfig::default();
-    let max_connections: usize = flags.get_parsed("max-connections", defaults.max_connections)?;
+    let ms = |name: &str| flags.get_parsed(name).map(Duration::from_millis);
     let routing = match flags.get("routing") {
         None => Vec::new(),
         Some(path) => parse_routing_file(path)?,
@@ -42,29 +34,19 @@ pub fn serve_config_from_flags(flags: &Flags) -> Result<ServeConfig, CliError> {
     Ok(ServeConfig {
         source_dir: PathBuf::from(dir),
         state_dir: flags.get("state").map(PathBuf::from),
-        bind: flags.get("bind").unwrap_or("127.0.0.1:0").to_string(),
-        max_connections,
-        read_timeout: ms_flag(flags, "read-timeout-ms", defaults.read_timeout)?,
-        write_timeout: ms_flag(flags, "write-timeout-ms", defaults.write_timeout)?,
-        header_deadline: ms_flag(flags, "header-deadline-ms", defaults.header_deadline)?,
-        max_request_bytes: flags.get_parsed("max-request-bytes", defaults.max_request_bytes)?,
-        drain_deadline: ms_flag(flags, "drain-ms", defaults.drain_deadline)?,
-        poll_interval: ms_flag(flags, "poll-ms", defaults.poll_interval)?,
+        bind: flags.get_parsed("bind")?,
+        max_connections: flags.get_parsed("max-connections")?,
+        read_timeout: ms("read-timeout-ms")?,
+        write_timeout: ms("write-timeout-ms")?,
+        header_deadline: ms("header-deadline-ms")?,
+        max_request_bytes: flags.get_parsed("max-request-bytes")?,
+        drain_deadline: ms("drain-ms")?,
+        poll_interval: ms("poll-ms")?,
         ingest: super::census::config_from_flags(flags)?,
-        params: StabilityParams::nd(n),
-        dense_class: class,
+        params: StabilityParams::nd(flags.get_parsed("n")?),
+        dense_class: flags.get_parsed("class")?,
         routing,
     })
-}
-
-fn ms_flag(flags: &Flags, name: &str, default: Duration) -> Result<Duration, CliError> {
-    let ms: u64 = flags.get_parsed(name, default.as_millis() as u64)?;
-    if ms == 0 {
-        return Err(err(format!(
-            "--{name} must be a positive millisecond count"
-        )));
-    }
-    Ok(Duration::from_millis(ms))
 }
 
 /// Parses a routing file: one `prefix asn` pair per line, `#` comments.
@@ -96,46 +78,28 @@ fn parse_routing_file(path: &str) -> Result<Vec<(Prefix, u32)>, CliError> {
 /// drains and reports.
 pub fn serve(flags: &Flags) -> Result<(String, Quality), CliError> {
     let mut cfg = serve_config_from_flags(flags)?;
-    let fault = super::census::install_fault_fs(flags, &mut cfg.ingest)?;
+    let run_for = flags.get_opt("run-for-ms", str::parse)?;
+    let fault = super::census::install_fault_fs(flags, &mut cfg.ingest.vfs)?;
     let handle = spawn(cfg).map_err(|e| err(format!("serve failed to start: {e}")))?;
 
     // Announce the bound address immediately — callers discover the
     // OS-assigned port from this line. EPIPE-tolerant, like main's
     // output path: a vanished parent must not panic the daemon.
-    {
-        let mut stdout = std::io::stdout();
-        #[expect(
-            clippy::let_underscore_must_use,
-            reason = "a closed stdout leaves no one to tell; the daemon serves regardless"
-        )]
-        let _ = writeln!(stdout, "listening on {}", handle.addr());
-        #[expect(
-            clippy::let_underscore_must_use,
-            reason = "a closed stdout leaves no one to tell; the daemon serves regardless"
-        )]
-        let _ = stdout.flush();
-    }
+    let mut stdout = std::io::stdout();
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "a closed stdout leaves no one to tell; the daemon serves regardless"
+    )]
+    let _ = writeln!(stdout, "listening on {}", handle.addr()).and_then(|()| stdout.flush());
 
-    match flags.get("run-for-ms") {
-        Some(_) => {
-            let ms: u64 = flags.get_parsed("run-for-ms", 0u64)?;
-            std::thread::sleep(Duration::from_millis(ms));
-        }
-        None => {
-            // Foreground mode: serve until the operator closes stdin.
-            let mut sink = String::new();
-            #[expect(
-                clippy::let_underscore_must_use,
-                reason = "EOF and a read error both mean drain now"
-            )]
-            let _ = std::io::stdin().read_line(&mut sink);
-            while !sink.is_empty() {
-                sink.clear();
-                if std::io::stdin().read_line(&mut sink).is_err() {
-                    break;
-                }
-            }
-        }
+    match run_for {
+        Some(ms) => std::thread::sleep(Duration::from_millis(ms)),
+        // Foreground mode: serve until the operator closes stdin. EOF and
+        // a read error both mean drain now.
+        None => std::io::stdin()
+            .lines()
+            .map_while(Result::ok)
+            .for_each(drop),
     }
 
     let report = handle.shutdown();
@@ -209,7 +173,16 @@ mod tests {
         let cfg = serve_config_from_flags(&flags(&["--dir", "logs"])).unwrap();
         assert_eq!(cfg.source_dir, PathBuf::from("logs"));
         assert!(cfg.state_dir.is_none());
-        assert_eq!(cfg.bind, "127.0.0.1:0");
+        // The table's defaults are the daemon's own.
+        let daemon = ServeConfig::default();
+        assert_eq!(cfg.bind, daemon.bind);
+        assert_eq!(cfg.max_connections, daemon.max_connections);
+        assert_eq!(cfg.read_timeout, daemon.read_timeout);
+        assert_eq!(cfg.write_timeout, daemon.write_timeout);
+        assert_eq!(cfg.header_deadline, daemon.header_deadline);
+        assert_eq!(cfg.max_request_bytes, daemon.max_request_bytes);
+        assert_eq!(cfg.drain_deadline, daemon.drain_deadline);
+        assert_eq!(cfg.poll_interval, daemon.poll_interval);
         // Positional form works too.
         let cfg = serve_config_from_flags(&flags(&["logs"])).unwrap();
         assert_eq!(cfg.source_dir, PathBuf::from("logs"));
@@ -237,15 +210,20 @@ mod tests {
         assert_eq!(cfg.header_deadline, Duration::from_millis(250));
         assert_eq!(cfg.params.label(), "5d-stable (-7d,+7d)");
         assert_eq!(cfg.dense_class.to_string(), "2@/112-dense");
-        // Bad values are typed errors, not panics; a zero count is
-        // refused as the flags parse, a usage error.
-        for flag in ["--n", "--max-connections"] {
-            let args = ["--dir", "l", flag, "0"].map(String::from);
+        // Bad values are refused as the flags parse, usage errors naming
+        // the flag, not panics.
+        for (flag, value) in [
+            ("--n", "0"),
+            ("--max-connections", "0"),
+            ("--poll-ms", "0"),
+            ("--drain-ms", "0"),
+            ("--run-for-ms", "abc"),
+            ("--class", "zap"),
+        ] {
+            let args = ["--dir", "l", flag, value].map(String::from);
             let e = Flags::parse("serve", &args).unwrap_err();
             assert!(e.is_usage() && e.to_string().contains(flag), "{e}");
         }
-        assert!(serve_config_from_flags(&flags(&["--dir", "l", "--poll-ms", "0"])).is_err());
-        assert!(serve_config_from_flags(&flags(&["--dir", "l", "--class", "zap"])).is_err());
     }
 
     #[test]

@@ -6,19 +6,28 @@
     reason = "write! into a String cannot fail"
 )]
 
-use crate::input::addr_set;
+use crate::input::{addr_set, read_stdin};
 use crate::{err, CliError, Flags};
 use std::fmt::Write as _;
 use v6census_addr::PrefixLen;
 use v6census_core::temporal::{longest_stable_prefixes, stable_fraction_spectrum};
 
-/// Runs the subcommand. `earlier_text` is the earlier epoch's address
-/// list (main.rs reads the `--earlier` file; tests pass it directly).
-pub fn stable(input: &str, earlier_text: &str, flags: &Flags) -> Result<String, CliError> {
+/// Runs the subcommand: the `--earlier` file, read first so that an
+/// unreadable one fails at once, against the current epoch on stdin.
+pub fn stable(flags: &Flags) -> Result<String, CliError> {
+    let path: String = flags.get_parsed("earlier")?;
+    let earlier = std::fs::read_to_string(&path)
+        .map_err(|e| err(format!("cannot read --earlier {path}: {e}")))?;
+    spectrum(&read_stdin()?, &earlier, flags)
+}
+
+/// The spectrum of the current epoch's address list `input` against the
+/// earlier epoch's, `earlier_text`; it does not read `--earlier`.
+pub fn spectrum(input: &str, earlier_text: &str, flags: &Flags) -> Result<String, CliError> {
     let (current, _) = addr_set(input)?;
     let (earlier, _) = addr_set(earlier_text).map_err(|e| err(format!("earlier epoch: {e}")))?;
-    let step: u8 = flags.get_parsed("step", 8u8)?;
-    let threshold: f64 = flags.get_parsed("threshold", 0.5f64)?;
+    let step: u8 = flags.get_parsed("step")?;
+    let threshold: f64 = flags.get_parsed("threshold")?;
 
     let lengths: Vec<PrefixLen> = PrefixLen::all()
         .take(65)
@@ -68,24 +77,29 @@ mod tests {
             .collect()
     }
 
+    /// The defaults; `spectrum` does not read `--earlier`.
+    fn none() -> Flags {
+        Flags::parse("stable", &["--earlier".into(), "unread".into()]).unwrap()
+    }
+
     #[test]
     fn finds_the_boundary() {
-        let out = stable(&epoch(2), &epoch(1), &Flags::default()).unwrap();
+        let out = spectrum(&epoch(2), &epoch(1), &none()).unwrap();
         assert!(out.contains("stable boundary"), "{out}");
         assert!(out.contains("/48"), "{out}");
     }
 
     #[test]
     fn prefix_listing() {
-        let f = Flags::parse("stable", &["--prefixes".into()]).unwrap();
-        let out = stable(&epoch(2), &epoch(1), &f).unwrap();
+        let f = Flags::parse("stable", &["--earlier=unread".into(), "--prefixes".into()]).unwrap();
+        let out = spectrum(&epoch(2), &epoch(1), &f).unwrap();
         assert!(out.contains("longest stable prefixes"), "{out}");
     }
 
     #[test]
     fn identical_epochs_are_stable_to_64() {
         let e = epoch(1);
-        let out = stable(&e, &e, &Flags::default()).unwrap();
+        let out = spectrum(&e, &e, &none()).unwrap();
         assert!(out.contains("stable boundary (>= 0.50): /64"), "{out}");
     }
 
@@ -94,7 +108,14 @@ mod tests {
         // `--step 0` is refused as the flags parse, a usage error.
         let e = Flags::parse("stable", &["--step".into(), "0".into()]).unwrap_err();
         assert!(e.is_usage() && e.to_string().contains("--step"), "{e}");
-        assert!(stable("", &epoch(1), &Flags::default()).is_err());
-        assert!(stable(&epoch(1), "", &Flags::default()).is_err());
+        assert!(spectrum("", &epoch(1), &none()).is_err());
+        assert!(spectrum(&epoch(1), "", &none()).is_err());
+        // `--earlier` is required as the flags parse, and read by the
+        // command.
+        let e = Flags::parse("stable", &[]).unwrap_err();
+        assert!(e.is_usage() && e.to_string().contains("--earlier"), "{e}");
+        let f = Flags::parse("stable", &["--earlier".into(), "/no/such/file".into()]).unwrap();
+        let e = stable(&f).unwrap_err();
+        assert!(!e.is_usage() && e.to_string().contains("--earlier"), "{e}");
     }
 }

@@ -10,67 +10,41 @@
     reason = "write! into a String cannot fail"
 )]
 
-use crate::{err, usage, CliError, Flags};
+use crate::{err, CliError, Flags};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 use v6census_core::temporal::Day;
-use v6census_core::vfs::{FaultFs, FaultPlan, RealFs, Vfs};
-use v6census_synth::{check_scale, World, WorldConfig};
-
-/// Parses exactly `YYYY-MM-DD`.
-pub(crate) fn parse_day(s: &str) -> Result<Day, CliError> {
-    Some(s)
-        .filter(|s| s.len() == 10)
-        .and_then(Day::parse_leading)
-        .ok_or_else(|| err(format!("bad --day {s:?}; expected YYYY-MM-DD")))
-}
+use v6census_core::vfs::{RealFs, Vfs};
+use v6census_synth::{World, WorldConfig};
 
 /// Runs the subcommand.
 pub fn synth(flags: &Flags) -> Result<String, CliError> {
-    let day = parse_day(flags.get("day").unwrap_or("2015-03-17"))?;
-    let scale = check_scale(flags.get_parsed("scale", 0.02f64)?)
-        .map_err(|e| usage(format!("bad --scale: {e}")))?;
-    let seed: u64 = flags.get_parsed("seed", 0x76c3_15c3_0001u64)?;
-    let days: u32 = flags.get_parsed("days", 1u32)?;
-    let out = flags.get("out");
-    if out.is_none() && flags.has("days") {
-        return Err(usage(
-            "--days needs --out DIR; without it synth prints one day",
-        ));
+    let day = flags.get_parsed("day")?;
+    let world = World::standard(WorldConfig {
+        seed: flags.get_parsed("seed")?,
+        scale: flags.get_with("scale", super::scale)?,
+    });
+    if let Some(dir) = flags.get("out") {
+        return emit_files(&world, dir, day, flags);
     }
-    let world = World::standard(WorldConfig { seed, scale });
-    if let Some(dir) = out {
-        return emit_files(&world, dir, day, days, flags);
-    }
-    let log = world.day_log(day);
     // The canonical serialization includes the `# end` integrity trailer
     // that lets `v6census census` prove a file was not truncated.
-    Ok(log.to_text())
+    Ok(world.day_log(day).to_text())
 }
 
 /// The `--out DIR [--days N]` mode: write day files through the Vfs
 /// layer (atomic + durable), optionally under a `--fault-fs` plan.
-fn emit_files(
-    world: &World,
-    dir: &str,
-    first: Day,
-    days: u32,
-    flags: &Flags,
-) -> Result<String, CliError> {
+fn emit_files(world: &World, dir: &str, first: Day, flags: &Flags) -> Result<String, CliError> {
     let mut fs: Arc<dyn Vfs> = Arc::new(RealFs);
-    let fault = match flags.get("fault-fs") {
-        None => None,
-        Some(spec) => {
-            let plan =
-                FaultPlan::parse(spec).map_err(|e| err(format!("bad --fault-fs plan: {e}")))?;
-            let fault = Arc::new(FaultFs::new(fs, plan));
-            fs = fault.clone();
-            Some(fault)
-        }
-    };
+    let fault = super::census::install_fault_fs(flags, &mut fs)?;
     let written = world
-        .emit_day_logs(fs.as_ref(), Path::new(dir), first, days)
+        .emit_day_logs(
+            fs.as_ref(),
+            Path::new(dir),
+            first,
+            flags.get_parsed("days")?,
+        )
         .map_err(|e| err(format!("emission to {dir} failed: {e}")))?;
     let mut out = String::new();
     for path in &written {
@@ -125,46 +99,30 @@ mod tests {
 
     #[test]
     fn flag_validation() {
-        // A `--day` that is no calendar day is refused as the flags
-        // parse, a usage error.
-        for day in ["17-03", "2015-13-01", "2015-02-30"] {
-            let e = Flags::parse("synth", &["--day".into(), day.into()]).unwrap_err();
-            assert!(e.is_usage() && e.to_string().contains("--day"), "{e}");
+        // A `--day` that is no calendar day, a `--scale` that cannot size
+        // a world, `--days 0`, `--days` or `--fault-fs` without `--out`
+        // and a fault plan that does not parse are refused as the flags
+        // parse, usage errors naming the flag.
+        for (args, flag) in [
+            (&["--day", "17-03"][..], "--day"),
+            (&["--day", "2015-13-01"], "--day"),
+            (&["--day", "2015-02-30"], "--day"),
+            (&["--scale", "-1"], "--scale"),
+            (&["--scale", "nan"], "--scale"),
+            (&["--days", "0"], "--days"),
+            (&["--days", "0", "--out", "x"], "--days"),
+            (&["--days", "x", "--out", "x"], "--days"),
+            (&["--days", "3"], "--days needs --out"),
+            (&["--fault-fs", "enospc"], "--fault-fs needs --out"),
+            (&["--fault-fs", "zap", "--out", "x"], "--fault-fs"),
+        ] {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let e = Flags::parse("synth", &args).unwrap_err();
+            assert!(
+                e.is_usage() && e.to_string().contains(flag),
+                "{args:?}: {e}"
+            );
         }
-        assert!(synth(&Flags::parse("synth", &["--scale".into(), "-1".into()]).unwrap()).is_err());
-        assert!(synth(&Flags::parse("synth", &["--scale".into(), "nan".into()]).unwrap()).is_err());
-        // `--days 0` is refused as the flags parse; `--days` is checked
-        // without `--out` too, where it is a usage error whatever its
-        // value.
-        for (out, days) in [(true, "0"), (false, "0"), (false, "3"), (false, "x")] {
-            let mut args = vec!["--days".to_string(), days.to_string()];
-            if out {
-                args.extend(["--out".to_string(), "x".to_string()]);
-            }
-            let got = Flags::parse("synth", &args).and_then(|f| synth(&f));
-            assert!(got.is_err_and(|e| e.is_usage()), "{args:?}");
-        }
-        assert!(synth(
-            &Flags::parse(
-                "synth",
-                &["--out".into(), "x".into(), "--days".into(), "x".into()]
-            )
-            .unwrap()
-        )
-        .is_err_and(|e| e.is_usage()));
-        assert!(synth(
-            &Flags::parse(
-                "synth",
-                &[
-                    "--out".into(),
-                    "x".into(),
-                    "--fault-fs".into(),
-                    "zap".into()
-                ]
-            )
-            .unwrap()
-        )
-        .is_err());
     }
 
     #[test]

@@ -20,12 +20,8 @@ use v6census_core::spatial::DensityClass;
 /// `--include-observed`.
 pub fn targets(input: &str, flags: &Flags) -> Result<String, CliError> {
     let (set, _) = addr_set(input)?;
-    let class: DensityClass = flags
-        .get("class")
-        .unwrap_or("2@/112")
-        .parse()
-        .map_err(|e| err(format!("{e}")))?;
-    let budget: usize = flags.get_parsed("budget", 10_000usize)?;
+    let class: DensityClass = flags.get_parsed("class")?;
+    let budget: usize = flags.get_parsed("budget")?;
     let include_observed = flags.has("include-observed");
 
     let dense = class.dense_prefixes(&set);

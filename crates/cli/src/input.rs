@@ -1,4 +1,4 @@
-//! Input parsing shared by the subcommands: address lists and
+//! Input shared by the subcommands: stdin, and its address lists and
 //! `address hits` weighted lists, read from text lines.
 
 use crate::{err, CliError};
@@ -6,24 +6,21 @@ use v6census_addr::Addr;
 use v6census_core::daylog::{self, BadReason, Line};
 use v6census_trie::AddrSet;
 
-/// Parses one address per line; blank lines and `#` comments are
-/// skipped; unparseable lines are counted, not fatal.
+/// All of stdin, the input of most commands.
+pub fn read_stdin() -> Result<String, CliError> {
+    let mut text = String::new();
+    std::io::Read::read_to_string(&mut std::io::stdin(), &mut text)
+        .map_err(|e| err(format!("cannot read stdin: {e}")))?;
+    Ok(text)
+}
+
+/// Parses one address per line with the day-log line parse
+/// ([`parse_weighted_lines`]), dropping the weights: blank lines and `#`
+/// comments are skipped, and a line whose address or present hits
+/// column does not parse is counted, not fatal.
 pub fn parse_addr_lines(text: &str) -> (Vec<Addr>, usize) {
-    let mut addrs = Vec::new();
-    let mut bad = 0usize;
-    for line in text.lines() {
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') {
-            continue;
-        }
-        // Accept an optional trailing column (e.g. hits) after whitespace.
-        let first = t.split_whitespace().next().unwrap_or(t);
-        match first.parse::<Addr>() {
-            Ok(a) => addrs.push(a),
-            Err(_) => bad += 1,
-        }
-    }
-    (addrs, bad)
+    let (entries, diag) = parse_weighted_lines(text);
+    (entries.into_iter().map(|(a, _)| a).collect(), diag.total())
 }
 
 /// What `parse_weighted_lines` rejected, by cause.
@@ -80,6 +77,11 @@ mod tests {
         let text = "# comment\n2001:db8::1\n\nnot-an-addr\n2001:db8::2 42\n";
         let (addrs, bad) = parse_addr_lines(text);
         assert_eq!(addrs.len(), 2);
+        assert_eq!(bad, 1);
+        // A hits column that does not parse makes the line bad, as
+        // `profile` and `census` read it.
+        let (addrs, bad) = parse_addr_lines("2001:db8::1 banana\n2001:db8::2\t7\tkind\n");
+        assert_eq!(addrs, vec!["2001:db8::2".parse().unwrap()]);
         assert_eq!(bad, 1);
         let (weighted, diag) = parse_weighted_lines(text);
         assert_eq!(diag.bad_addrs, 1);

@@ -1,22 +1,11 @@
 //! Library backing the `v6census` command-line tool.
 //!
-//! Every subcommand is a pure function from parsed input to an output
-//! string, so the full command surface is unit-testable without spawning
-//! processes; `src/main.rs` only does argument splitting and I/O.
-//!
-//! Subcommands:
-//!
-//! * `classify`  — content-based scheme classification per address (§3)
-//! * `mra`       — Multi-Resolution Aggregate plot + signatures (§5.2.1)
-//! * `dense`     — `n@/p-dense` prefixes and the density report (§5.2.2)
-//! * `aggregate` — active aggregate counts / populations (Kohler metrics)
-//! * `stable`    — cross-epoch stability spectrum and boundary (§7.2)
-//! * `ptr`       — `ip6.arpa` pointer names, both directions
-//! * `profile`   — aguri-style traffic profile from `addr hits` lines
-//! * `synth`     — emit a synthetic day log for piping into the above
-//! * `census`    — fault-tolerant streaming pipeline over day-log files,
-//!   run under the supervised parallel engine: ingest health report, run
-//!   manifest, Table 1, gap-aware stability, dense prefixes
+//! Every subcommand is a function from parsed [`Flags`] (and, for most,
+//! the address text on stdin) to an output string, so the full command
+//! surface is unit-testable without spawning processes; `src/main.rs`
+//! only does argument splitting and stdin/stdout. The commands, their
+//! flags and the `help` text all come from one table,
+//! [`commands::COMMANDS`].
 //!
 //! Exit codes: [`EXIT_OK`] (0), [`EXIT_DATA_ERROR`] (1), [`EXIT_USAGE`]
 //! (2), and [`EXIT_DEGRADED`] (3) for a run that completed but shed work
@@ -38,15 +27,16 @@
 pub mod commands;
 pub mod input;
 
+use commands::Command;
+
 /// Exit code: success with an exact (no caveat) result.
 pub const EXIT_OK: i32 = 0;
 /// Exit code: the command failed on its data or I/O (bad input, strict
 /// abort, unreadable files).
 pub const EXIT_DATA_ERROR: i32 = 1;
 /// Exit code: usage error (unknown command, a flag the command does
-/// not take, a missing required flag or argument, a flag value that
-/// does not parse or that its flag's check refuses, a rejected
-/// `--scale`).
+/// not take, a missing required flag or argument, a flag given without
+/// the flag it needs, a flag value that its flag's check refuses).
 pub const EXIT_USAGE: i32 = 2;
 /// Exit code: the command *completed* but some result is `Degraded` or
 /// `Partial` — a supervised census that excluded a panicked shard, hit a
@@ -61,8 +51,8 @@ pub enum CliError {
     /// The command failed on its data or I/O: [`EXIT_DATA_ERROR`].
     Data(String),
     /// The command was invoked wrongly: a flag it does not take, a
-    /// missing required flag or argument, a flag value that does not
-    /// parse as its type, or a `--scale` that cannot size a world.
+    /// missing required flag or argument, a flag given without the flag
+    /// it needs, or a flag value that its flag's check refuses.
     /// [`EXIT_USAGE`].
     Usage(String),
 }
@@ -94,45 +84,40 @@ pub fn usage(msg: impl Into<String>) -> CliError {
     CliError::Usage(msg.into())
 }
 
-/// Whether a flag takes a value, and which values it refuses: the kind
-/// each command's flag table ([`commands::accepted_flags`]) gives every
-/// flag it reads.
-#[derive(Debug, Clone, Copy)]
-pub enum FlagKind {
-    /// `--name` alone.
-    Switch,
-    /// `--name VALUE` or `--name=VALUE`.
-    Value,
-    /// A [`FlagKind::Value`] whose value [`Flags::parse`] checks: the
-    /// check says why it refuses a value, and a refused value is a usage
-    /// error. A value that does not parse as the flag's type passes, and
-    /// the command names it when it reads the flag.
-    Checked(fn(&str) -> Result<(), String>),
-}
-
-/// Minimal flag parser: `--key value` pairs plus positional arguments.
-#[derive(Debug, Default, Clone)]
+/// Parsed arguments of one command: its flags, checked against the
+/// command's row of [`commands::COMMANDS`], plus positional arguments.
+#[derive(Debug, Clone)]
 pub struct Flags {
+    /// The command parsed for.
+    pub command: &'static Command,
     kv: Vec<(String, String)>,
     /// Bare (non-flag) arguments in order.
     pub positional: Vec<String>,
-    /// Flags given without a value (`--tsv`).
-    pub switches: Vec<String>,
+    switches: Vec<String>,
 }
 
 impl Flags {
-    /// Parses `command`'s argument list against its flag table
-    /// ([`commands::accepted_flags`]), which gives each flag its kind. A
-    /// switch never takes the next token, so it may stand before a
-    /// positional. A value flag takes `--key value` or `--key=value`; the
-    /// `=` form is the way to pass a value that itself starts with `--`.
-    /// A flag the command does not take, a value flag without its value,
-    /// a switch given a value and a value its check refuses are usage
-    /// errors.
+    /// Parses `command`'s argument list against its flag table. A switch
+    /// never takes the next token, so it may stand before a positional.
+    /// A value flag takes `--key value` or `--key=value`; the `=` form is
+    /// the way to pass a value that itself starts with `--`. An unknown
+    /// command, a flag the command does not take, a value flag without
+    /// its value, a switch given a value, a value its flag's check
+    /// refuses, a missing required flag and a flag given without the flag
+    /// it needs are usage errors, all raised before the command runs (so
+    /// before it reads stdin).
     pub fn parse(command: &str, args: &[String]) -> Result<Flags, CliError> {
-        let table = commands::accepted_flags(command)
-            .ok_or_else(|| usage(format!("unknown command {command:?}")))?;
-        let mut f = Flags::default();
+        let command = commands::command(command).ok_or_else(|| {
+            usage(format!(
+                "unknown command {command:?}; `v6census help` lists them"
+            ))
+        })?;
+        let mut f = Flags {
+            command,
+            kv: Vec::new(),
+            positional: Vec::new(),
+            switches: Vec::new(),
+        };
         let mut args = args.iter();
         while let Some(a) = args.next() {
             let Some(name) = a.strip_prefix("--") else {
@@ -143,59 +128,92 @@ impl Flags {
                 Some((key, value)) => (key, Some(value.to_string())),
                 None => (name, None),
             };
-            let Some(&(_, kind)) = table.iter().find(|(k, _)| *k == key) else {
-                let takes: Vec<String> = table.iter().map(|(k, _)| format!("--{k}")).collect();
+            let Some(flag) = command.flag(key) else {
+                let takes: Vec<String> = command.takes().map(|r| format!("--{}", r.name)).collect();
                 return Err(usage(format!(
-                    "unknown flag --{key} for {command}; it takes {}",
+                    "unknown flag --{key} for {}; it takes {}",
+                    command.name,
                     takes.join(" ")
                 )));
             };
-            let value = match (kind, inline) {
-                (FlagKind::Switch, None) => {
-                    f.switches.push(key.to_string());
-                    continue;
-                }
-                (FlagKind::Switch, Some(_)) => {
+            let Some(check) = flag.check else {
+                if inline.is_some() {
                     return Err(usage(format!("--{key} takes no value")));
                 }
-                (_, Some(value)) => value,
-                (_, None) => match args.next() {
+                f.switches.push(key.to_string());
+                continue;
+            };
+            let value = match inline {
+                Some(value) => value,
+                None => match args.next() {
                     Some(value) if !value.starts_with("--") => value.clone(),
                     _ => return Err(usage(format!("--{key} needs a value"))),
                 },
             };
-            if let FlagKind::Checked(check) = kind {
-                check(&value)
-                    .map_err(|why| usage(format!("bad value for --{key}: {value:?}: {why}")))?;
-            }
+            check(&value).map_err(|why| bad_value(key, &value, why))?;
             f.kv.push((key.to_string(), value));
+        }
+        for flag in command.takes() {
+            if flag.required && !f.has(flag.name) {
+                return Err(usage(format!("{} requires --{}", command.name, flag.name)));
+            }
+            if let Some(other) = flag.needs.filter(|o| f.has(flag.name) && !f.has(o)) {
+                return Err(usage(format!("--{} needs --{other}", flag.name)));
+            }
         }
         Ok(f)
     }
 
-    /// The value of `--name`, if present.
+    /// The value of `--name`: the one given, else its row's default.
     pub fn get(&self, name: &str) -> Option<&str> {
         self.kv
             .iter()
             .rev()
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
+            .or_else(|| self.command.flag(name).and_then(|f| f.default))
     }
 
-    /// True when `--name` appeared as a switch (or with any value).
+    /// True when `--name` was given, as a switch or with a value.
     pub fn has(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| s == name) || self.get(name).is_some()
+        self.switches.iter().any(|s| s == name) || self.kv.iter().any(|(k, _)| k == name)
     }
 
-    /// Parses `--name` into `T`, with a default.
-    pub fn get_parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| usage(format!("bad value for --{name}: {v:?}"))),
-        }
+    /// `--name`'s value ([`Flags::get`]) read by `parse`; `None` when the
+    /// flag was not given and has no default.
+    pub fn get_opt<T, E: std::fmt::Display>(
+        &self,
+        name: &str,
+        parse: impl FnOnce(&str) -> Result<T, E>,
+    ) -> Result<Option<T>, CliError> {
+        self.get(name)
+            .map(|v| parse(v).map_err(|e| bad_value(name, v, e)))
+            .transpose()
     }
+
+    /// `--name`'s value read by `parse`, its row's default when not
+    /// given.
+    pub fn get_with<T, E: std::fmt::Display>(
+        &self,
+        name: &str,
+        parse: impl FnOnce(&str) -> Result<T, E>,
+    ) -> Result<T, CliError> {
+        self.get_opt(name, parse)?
+            .ok_or_else(|| usage(format!("--{name} needs a value")))
+    }
+
+    /// `--name`'s value parsed as `T`, its row's default when not given.
+    pub fn get_parsed<T: std::str::FromStr>(&self, name: &str) -> Result<T, CliError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.get_with(name, str::parse)
+    }
+}
+
+/// The usage error for a value its flag refuses.
+fn bad_value(name: &str, value: &str, why: impl std::fmt::Display) -> CliError {
+    usage(format!("bad value for --{name}: {value:?}: {why}"))
 }
 
 #[cfg(test)]
@@ -216,9 +234,16 @@ mod tests {
         assert!(f.has("tsv"));
         assert!(!f.has("tsv-x"));
         assert_eq!(f.positional, vec!["pos1", "pos2"]);
-        assert_eq!(f.get_parsed("title", 1.0f64).unwrap(), 0.5);
-        assert_eq!(f.get_parsed("missing", 42u32).unwrap(), 42);
-        assert!(f.get_parsed::<u32>("title", 0).unwrap_err().is_usage());
+        assert_eq!(f.get_parsed::<f64>("title").unwrap(), 0.5);
+        assert!(f.get_parsed::<u32>("title").unwrap_err().is_usage());
+        // A flag not given reads its row's default, and only a given
+        // flag answers `has`.
+        let f = flags("stability", &["--dir", "d"]).unwrap();
+        assert_eq!(f.get_parsed::<u32>("n").unwrap(), 3);
+        assert!(!f.has("n"));
+        assert_eq!(f.get("reference"), None);
+        let e = f.get_parsed::<u32>("reference").unwrap_err();
+        assert!(e.is_usage() && e.to_string().contains("--reference"), "{e}");
     }
 
     #[test]
@@ -257,8 +282,8 @@ mod tests {
         let f = flags("mra", &["--title="]).unwrap();
         assert_eq!(f.get("title"), Some(""));
         assert!(f.has("title"), "a valued flag still answers has()");
-        let f = flags("census", &["--gap-policy=a=b"]).unwrap();
-        assert_eq!(f.get("gap-policy"), Some("a=b"));
+        let f = flags("census", &["--inject=panic:a=b"]).unwrap();
+        assert_eq!(f.get("inject"), Some("panic:a=b"));
     }
 
     #[test]
@@ -284,6 +309,30 @@ mod tests {
         assert!(e.to_string().contains("--scale"), "{e}");
         assert!(flags("ptr", &["pos"]).is_ok());
         assert!(flags("no-such-command", &[]).unwrap_err().is_usage());
+        // A value its flag's check refuses, a missing required flag and a
+        // flag without the flag it needs are usage errors naming the flag.
+        for (command, args, message) in [
+            ("stable", &[][..], "stable requires --earlier"),
+            ("stability", &["--n", "3"], "stability requires --dir"),
+            ("census", &["--class", "abc"], "bad value for --class"),
+            (
+                "census",
+                &["--gap-policy=bogus"],
+                "bad value for --gap-policy",
+            ),
+            ("census", &["--stage-deadline=0"], "must be at least 1"),
+            ("census", &["--max-bad-ratio", "2"], "must be within [0, 1]"),
+            ("census", &["--resume"], "--resume needs --checkpoint"),
+            (
+                "aggregate",
+                &["--length", "48"],
+                "--length needs --populations",
+            ),
+            ("synth", &["--fault-fs", "enospc"], "--fault-fs needs --out"),
+        ] {
+            let e = flags(command, args).unwrap_err();
+            assert!(e.is_usage() && e.to_string().contains(message), "{e}");
+        }
     }
 
     #[test]

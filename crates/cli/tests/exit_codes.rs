@@ -8,7 +8,8 @@
 )]
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::Duration;
 use v6census_cli::{EXIT_DATA_ERROR, EXIT_DEGRADED, EXIT_OK, EXIT_USAGE};
 use v6census_synth::world::epochs;
 use v6census_synth::{FaultInjector, FaultSpec, World, WorldConfig};
@@ -67,7 +68,10 @@ fn usage_errors_exit_2() {
     // `synth --out` writes nothing when its `--days` is refused.
     let days0 = format!("{d}/days0");
     for (args, message) in [
-        (vec!["synth", "--scale", "nan"], "bad --scale"),
+        (
+            vec!["synth", "--scale", "nan"],
+            "bad value for --scale: \"nan\"",
+        ),
         // `--days` is read without `--out` too, and refused there.
         (vec!["synth", "--days", "x"], "bad value for --days"),
         (
@@ -92,6 +96,7 @@ fn usage_errors_exit_2() {
             "bad value for --max-connections",
         ),
         (vec!["stable"], "stable requires --earlier"),
+        (vec!["stability"], "stability requires --dir"),
         // A value that parses but that its flag refuses is named too.
         (
             vec!["census", "--dir", d, "--n", "0"],
@@ -154,9 +159,83 @@ fn usage_errors_exit_2() {
             vec!["classify", "--jobs", "2"],
             "unknown flag --jobs for classify",
         ),
+        // Every value check runs as the flags parse, so these are usage
+        // errors too, not data errors found once the command runs.
+        (
+            vec!["census", "--dir", d, "--class", "abc"],
+            "bad value for --class: \"abc\"",
+        ),
+        (
+            vec!["census", "--dir", d, "--gap-policy", "bogus"],
+            "bad value for --gap-policy: \"bogus\": expected widen, flag or ignore",
+        ),
+        (
+            vec!["census", "--dir", d, "--stage-deadline", "0"],
+            "bad value for --stage-deadline: \"0\": must be at least 1",
+        ),
+        (
+            vec!["census", "--dir", d, "--max-bad-ratio", "2"],
+            "bad value for --max-bad-ratio: \"2\": must be within [0, 1]",
+        ),
+        (
+            vec!["serve", "--dir", d, "--poll-ms", "0"],
+            "bad value for --poll-ms: \"0\": must be at least 1",
+        ),
+        (
+            vec!["census", "--dir", d, "--inject", "warble:x"],
+            "bad value for --inject: \"warble:x\"",
+        ),
+        (
+            vec!["census", "--dir", d, "--fault-fs", "zap"],
+            "bad value for --fault-fs: \"zap\"",
+        ),
+        (
+            vec!["profile", "--threshold", "2"],
+            "bad value for --threshold: \"2\": must be within [0, 1]",
+        ),
+        (
+            vec!["stable", "--earlier", d, "--threshold", "nan"],
+            "bad value for --threshold: \"nan\": must be within [0, 1]",
+        ),
+        (
+            vec!["dense", "--class", "0@/64"],
+            "bad value for --class: \"0@/64\"",
+        ),
+        // A flag that means nothing without another is refused, not
+        // silently ignored.
+        (
+            vec!["census", "--dir", d, "--resume"],
+            "--resume needs --checkpoint",
+        ),
+        (
+            vec!["aggregate", "--length", "48"],
+            "--length needs --populations",
+        ),
+        (
+            vec!["synth", "--fault-fs", "enospc@1"],
+            "--fault-fs needs --out",
+        ),
     ] {
-        let out = bin().args(&args).output().unwrap();
+        // Stdin stays open: each is refused before any command reads it.
+        let mut child = bin()
+            .args(&args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let stdin = child.stdin.take();
+        let exited = (0..3000).any(|_| {
+            let done = child.try_wait().unwrap().is_some();
+            if !done {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            done
+        });
+        drop(stdin);
+        let out = child.wait_with_output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(exited, "{args:?} waited for stdin: {stderr}");
         assert_eq!(out.status.code(), Some(EXIT_USAGE), "{args:?}: {stderr}");
         assert!(stderr.contains(message), "{args:?}: {stderr}");
     }
@@ -164,10 +243,11 @@ fn usage_errors_exit_2() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Runs `v6census ARGS` with `input` on stdin.
+/// Runs `v6census ARGS` with `input` on stdin. A command refused as its
+/// flags parse may exit before reading stdin, so a broken pipe is no
+/// failure here.
 fn run_with_stdin(args: &[&str], input: &str) -> std::process::Output {
     use std::io::Write;
-    use std::process::Stdio;
     let mut child = bin()
         .args(args)
         .stdin(Stdio::piped())
@@ -175,12 +255,10 @@ fn run_with_stdin(args: &[&str], input: &str) -> std::process::Output {
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();
-    child
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(input.as_bytes())
-        .unwrap();
+    let written = child.stdin.take().unwrap().write_all(input.as_bytes());
+    if let Err(e) = written {
+        assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "{e}");
+    }
     child.wait_with_output().unwrap()
 }
 
@@ -270,15 +348,33 @@ fn stability_reads_every_day_file_name() {
     std::fs::write(dir.join("2015-03-17_b.txt"), "2001:db8::a\n2001:db8::b\n").unwrap();
     std::fs::write(dir.join("2015-03-18.b.log"), "2001:db8::a\n").unwrap();
     std::fs::write(dir.join("notes.txt"), "2001:db8::c\n").unwrap();
-    let out = bin()
-        .args(["stability", "--dir", dir.to_str().unwrap()])
-        .args(["--reference", "2015-03-17"])
-        .output()
-        .unwrap();
+    let run = || {
+        bin()
+            .args(["stability", "--dir", dir.to_str().unwrap()])
+            .args(["--reference", "2015-03-17"])
+            .output()
+            .unwrap()
+    };
+    let out = run();
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(EXIT_OK), "{stdout}");
     assert!(stdout.contains(" over 3 days "), "{stdout}");
     assert!(stdout.contains("2015-03-17            2"), "{stdout}");
+
+    // A second file for a day is a second delivery, not more of the day:
+    // a data error naming both files, as `census` refuses it unless
+    // told to merge.
+    std::fs::write(dir.join("2015-03-17.txt"), "2001:db8::c\n").unwrap();
+    let out = run();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(EXIT_DATA_ERROR), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(
+        stderr.contains("day 2015-03-17 delivered twice")
+            && stderr.contains("2015-03-17.txt")
+            && stderr.contains("2015-03-17_b.txt"),
+        "{stderr}"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -1,9 +1,14 @@
-//! End-to-end pipeline tests over the pure subcommand functions: the
+//! End-to-end pipeline tests over the subcommand functions: the
 //! `synth | classify | dense | targets | stability` workflows a user
 //! would run through shell pipes, exercised without spawning processes.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "integration tests build their fixtures with std::fs"
+)]
+
 use v6census_cli::commands::{
-    aggregate, classify, dense, mra, profile, ptr, stability, stable, synth, targets, DayFile,
+    aggregate, classify, dense, mra, profile, ptr, spectrum, stability, synth, targets,
 };
 use v6census_cli::Flags;
 
@@ -85,21 +90,27 @@ fn cross_epoch_and_daily_stability_agree_on_direction() {
         ))
         .unwrap(),
     );
-    let spectrum = stable(&now, &before, &flags("stable", &[])).unwrap();
-    assert!(spectrum.contains("stable boundary"), "{spectrum}");
+    let dir = std::env::temp_dir().join(format!("v6census-pipeline-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let curve = spectrum(&now, &before, &flags("stable", &["--earlier", "unread"])).unwrap();
+    assert!(curve.contains("stable boundary"), "{curve}");
 
     // Daily files across one window.
-    let mut days = Vec::new();
+    let days = dir.join("days");
+    std::fs::create_dir_all(&days).unwrap();
     for d in 14..=20 {
         let date = format!("2015-03-{d}");
         let text =
             addrs_only(&synth(&flags("synth", &["--scale", "0.005", "--day", &date])).unwrap());
-        days.push(DayFile {
-            day: v6census_core::temporal::Day::parse_leading(&date).unwrap(),
-            text,
-        });
+        std::fs::write(days.join(format!("{date}.txt")), text).unwrap();
     }
-    let report = stability(days, &flags("stability", &["--reference", "2015-03-17"])).unwrap();
+    let days = days.to_string_lossy();
+    let report = stability(&flags(
+        "stability",
+        &["--dir", &days, "--reference", "2015-03-17"],
+    ))
+    .unwrap();
     assert!(report.contains("3d-stable (-7d,+7d)"));
     // /64 stability exceeds address stability (the paper's headline
     // ordering) — parse the two percentages.
@@ -117,4 +128,5 @@ fn cross_epoch_and_daily_stability_agree_on_direction() {
         .collect();
     assert_eq!(pcts.len(), 2, "{report}");
     assert!(pcts[1] > pcts[0], "addr {} vs /64 {}", pcts[0], pcts[1]);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -253,6 +253,23 @@ fn run_for_ms_mode_and_flag_errors() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(EXIT_USAGE));
+    // A bad value is refused before the daemon starts: no state dir is
+    // made, no port bound, no `listening on` line printed.
+    let state = source.join("state");
+    let out = bin()
+        .arg("serve")
+        .args(["--dir", &source.to_string_lossy()])
+        .args(["--state", &state.to_string_lossy(), "--run-for-ms", "abc"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(EXIT_USAGE));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("bad value for --run-for-ms"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("listening on"));
+    assert!(!state.exists());
     let out = bin()
         .arg("serve")
         .args(["--dir", &source.to_string_lossy(), "--bind", "256.0.0.1:1"])

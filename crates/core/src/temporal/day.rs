@@ -175,6 +175,18 @@ impl fmt::Display for Day {
     }
 }
 
+impl std::str::FromStr for Day {
+    type Err = &'static str;
+    /// Exactly `YYYY-MM-DD`, a day of the calendar: the [`fmt::Display`]
+    /// form, and the form a command-line date takes.
+    fn from_str(s: &str) -> Result<Day, Self::Err> {
+        Some(s)
+            .filter(|s| s.len() == 10)
+            .and_then(Day::parse_leading)
+            .ok_or("not a calendar day, YYYY-MM-DD")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,6 +207,10 @@ mod tests {
         assert_eq!(mar17_2015.paper_label(), "Mar 17, 2015");
         assert_eq!(mar17_2015.md_label(), "Mar-17");
         assert_eq!(mar17_2015.to_string(), "2015-03-17");
+        assert_eq!("2015-03-17".parse(), Ok(mar17_2015));
+        for bad in ["2015-03-17.log", "2015-3-17", "2015-02-29", ""] {
+            assert!(bad.parse::<Day>().is_err(), "{bad}");
+        }
     }
 
     #[test]
